@@ -345,3 +345,115 @@ func TestApplyEngineInfoSurfacesPrepareErr(t *testing.T) {
 		t.Fatalf("fallback not surfaced: %+v", res2.EngineInfo)
 	}
 }
+
+// soloResult runs the spec on an engine nothing else has touched.
+func soloResult(t *testing.T, spec JobSpec) *Result {
+	t.Helper()
+	return tuneOn(t, NewEngine(EngineOptions{}), spec)
+}
+
+func tuneOn(t *testing.T, eng *Engine, spec JobSpec) *Result {
+	t.Helper()
+	run, err := eng.Tune(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := run.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.EngineInfo.TraceReady {
+		t.Fatalf("trace not ready: %s", res.EngineInfo.PrepareErr)
+	}
+	return res
+}
+
+// Two cluster shapes with the same process count share a recorded trace
+// (it is ppn-free) but must not share wire plans: lowering bakes ppn into
+// the metadata-read extents and the aggregator node count. A 4×4 job served
+// after a 2×8 job on one engine must return the curve a fresh engine does.
+func TestEngineClusterShapesDoNotShareWirePlans(t *testing.T) {
+	spec := JobSpec{
+		Workload: "vpic",
+		Nodes:    2, ProcsPerNode: 8,
+		PopSize: 8, MaxIterations: 6, Reps: 1,
+		Seed:        5,
+		Parallelism: 2,
+	}
+	eng := NewEngine(EngineOptions{})
+	tuneOn(t, eng, spec)
+
+	spec.Nodes, spec.ProcsPerNode = 4, 4
+	second := tuneOn(t, eng, spec)
+	if !second.EngineInfo.KernelStoreHit {
+		t.Fatal("the 4x4 job did not reuse the 2x8 job's trace: the test no longer exercises shared wire keys")
+	}
+	solo := soloResult(t, spec)
+	if !reflect.DeepEqual(second.Curve, solo.Curve) {
+		t.Fatalf("4x4 after 2x8 on one engine:\n got  %v\n solo %v", second.Curve, solo.Curve)
+	}
+	if second.BestPerf != solo.BestPerf {
+		t.Fatalf("best %v, solo %v", second.BestPerf, solo.BestPerf)
+	}
+}
+
+// Two programs can share an exact I/O signature — it covers op counts and
+// bytes per transfer, not dataset shape — and still record different
+// traces: FLASH with 32 blocks of 8×8×17 cells and with 34 blocks of
+// 8×8×16. The kernel hash must keep them apart, or the second is served
+// the first one's trace and curve.
+func TestEngineCollidingSignaturesKeptApart(t *testing.T) {
+	source := func(blocks, nzb int64) string {
+		return (&workload.FLASH{Procs: 16, BlocksPerRank: blocks, NXB: 8, NYB: 8, NZB: nzb,
+			Unknowns: 6, Steps: 1, ComputeFlops: 1e9, Path: "/scratch/flash.h5"}).CSource()
+	}
+	spec := JobSpec{
+		Nodes: 2, ProcsPerNode: 8,
+		PopSize: 8, MaxIterations: 5, Reps: 1,
+		Seed:        11,
+		Parallelism: 2,
+	}
+	first, second := spec, spec
+	first.Source, second.Source = source(32, 17), source(34, 16)
+
+	eng := NewEngine(EngineOptions{})
+	a, b := tuneOn(t, eng, first), tuneOn(t, eng, second)
+	for _, c := range []struct {
+		name   string
+		spec   JobSpec
+		served *Result
+	}{{"32x17", first, a}, {"34x16", second, b}} {
+		solo := soloResult(t, c.spec)
+		if !reflect.DeepEqual(c.served.Curve, solo.Curve) {
+			t.Fatalf("%s on the shared engine:\n got  %v\n solo %v", c.name, c.served.Curve, solo.Curve)
+		}
+	}
+	// The pair must still collide on the signature, or this proves nothing.
+	sigOf := func(hash string) string {
+		sig, _, _ := strings.Cut(hash, "/")
+		if !strings.HasPrefix(sig, "sig:") {
+			t.Fatalf("kernel hash %q, want a sig: key", hash)
+		}
+		return sig
+	}
+	if sa, sb := sigOf(a.EngineInfo.KernelHash), sigOf(b.EngineInfo.KernelHash); sa != sb {
+		t.Fatalf("signatures %q and %q no longer collide", sa, sb)
+	}
+	if a.EngineInfo.KernelHash == b.EngineInfo.KernelHash {
+		t.Fatalf("both programs keyed %q", a.EngineInfo.KernelHash)
+	}
+}
+
+// Stage 3's phase tables show up in a session's own stage stats and in the
+// engine-wide ones.
+func TestEngineReportsServiceStats(t *testing.T) {
+	eng := NewEngine(EngineOptions{})
+	res := tuneOn(t, eng, sharedSpec(3))
+	own := res.EngineInfo.StageStats
+	if own.ServiceHits == 0 || own.ServiceMisses == 0 {
+		t.Fatalf("session stage stats: %+v, want table hits and builds", own)
+	}
+	if all := eng.Stats().Stage; all.ServiceHits != own.ServiceHits || all.ServiceMisses != own.ServiceMisses || all.ServiceFallbacks != own.ServiceFallbacks {
+		t.Fatalf("engine-wide %+v != the only session's %+v", all, own)
+	}
+}

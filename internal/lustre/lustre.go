@@ -22,6 +22,7 @@ package lustre
 
 import (
 	"fmt"
+	"math"
 
 	"tunio/internal/cluster"
 	"tunio/internal/ioreq"
@@ -84,14 +85,14 @@ type FS struct {
 	// allocator spreading files across the pool.
 	nextOST int
 
-	// Scratch state reused across split/phase calls. Access to one FS is
+	// Scratch state reused across split/plan calls. Access to one FS is
 	// serialized (the simulation advances a single clock), so phases never
 	// run concurrently; concurrent tuning evaluations each build their own
 	// stack and FS. Epoch stamps make resets O(touched) instead of O(OSTs).
 	scratch phaseScratch
 }
 
-// phaseScratch holds the dense accumulators split and phase reuse call to
+// phaseScratch holds the dense accumulators split and plan reuse call to
 // call, replacing the per-call maps that dominated the evaluation hot path.
 // Epoch stamps mark which entries belong to the current extent/phase, so a
 // "reset" is a counter increment rather than a clear.
@@ -125,6 +126,11 @@ type phaseScratch struct {
 	nodeOrder []int32
 
 	phaseGen uint32
+
+	// plan's output on the live path: the table charge reads next, valid
+	// until the following plan.
+	table PhaseTable
+	wide  []wideLoad
 }
 
 // grow ensures the epoch/value slice pair covers index n.
@@ -174,15 +180,7 @@ func (fs *FS) Create(name string, stripeCount int, stripeSize int64) (*File, err
 	if name == "" {
 		return nil, fmt.Errorf("lustre: empty file name")
 	}
-	if stripeCount <= 0 {
-		stripeCount = 1
-	}
-	if stripeCount > fs.cfg.OSTs {
-		stripeCount = fs.cfg.OSTs
-	}
-	if stripeSize <= 0 {
-		stripeSize = 1 << 20
-	}
+	stripeCount, stripeSize = fs.striping(stripeCount, stripeSize)
 	f := &File{
 		fs:          fs,
 		name:        name,
@@ -194,6 +192,20 @@ func (fs *FS) Create(name string, stripeCount int, stripeSize int64) (*File, err
 	fs.files[name] = f
 	fs.MetaOps(1, 1) // create is one MDS op
 	return f, nil
+}
+
+// striping resolves requested striping to what Create gives a file.
+func (fs *FS) striping(stripeCount int, stripeSize int64) (int, int64) {
+	if stripeCount <= 0 {
+		stripeCount = 1
+	}
+	if stripeCount > fs.cfg.OSTs {
+		stripeCount = fs.cfg.OSTs
+	}
+	if stripeSize <= 0 {
+		stripeSize = 1 << 20
+	}
+	return stripeCount, stripeSize
 }
 
 // Open returns an existing file.
@@ -231,12 +243,13 @@ type ostPiece struct {
 	rmwEdges int64 // request edges unaligned to RMWUnit (write RMW penalty)
 }
 
-// edgeRMW reports whether a boundary at off is a read-modify-write edge.
-func (f *File) edgeRMW(off int64, trailing bool) bool {
+// edgeRMW reports whether a boundary at off is a read-modify-write edge
+// of a file currently size bytes long.
+func (f *File) edgeRMW(off int64, trailing bool, size int64) bool {
 	if off%f.fs.cfg.RMWUnit == 0 {
 		return false
 	}
-	if trailing && off >= f.size {
+	if trailing && off >= size {
 		return false // appending past EOF: nothing to read back
 	}
 	return true
@@ -248,8 +261,9 @@ func (f *File) edgeRMW(off int64, trailing bool) bool {
 // to footprint overlap, and its sub-request count distributes with the
 // payload. Extents spanning many stripe cycles aggregate into one piece
 // per participating OST so cost stays O(stripeCount) rather than
-// O(stripes).
-func (f *File) split(e ioreq.Extent) []ostPiece {
+// O(stripes). fileSize is the file size the extent meets (plan's running
+// high-water mark, not f.size: planning leaves the file untouched).
+func (f *File) split(e ioreq.Extent, fileSize int64) []ostPiece {
 	ss := f.stripeSize
 	sc := int64(f.stripeCount)
 	spanLen := e.SpanLen()
@@ -293,10 +307,10 @@ func (f *File) split(e ioreq.Extent) []ostPiece {
 				n = avail
 			}
 			var edges int64
-			if f.edgeRMW(off, false) {
+			if f.edgeRMW(off, false, fileSize) {
 				edges++
 			}
-			if f.edgeRMW(off+n, true) {
+			if f.edgeRMW(off+n, true, fileSize) {
 				edges++
 			}
 			add(stripeIdx, n, edges)
@@ -323,14 +337,14 @@ func (f *File) split(e ioreq.Extent) []ostPiece {
 		fullCount := fullLast - fullFirst + 1
 		if headBytes > 0 {
 			var edges int64
-			if f.edgeRMW(e.Offset, false) {
+			if f.edgeRMW(e.Offset, false, fileSize) {
 				edges++
 			}
 			add(firstStripe, headBytes, edges)
 		}
 		if tailBytes > 0 {
 			var edges int64
-			if f.edgeRMW(end, true) {
+			if f.edgeRMW(end, true, fileSize) {
 				edges++
 			}
 			add(lastStripe, tailBytes, edges)
@@ -385,11 +399,30 @@ func (f *File) split(e ioreq.Extent) []ostPiece {
 	return out
 }
 
-// phase services a set of extents and returns the elapsed simulated time.
+// phase services a set of extents and returns the elapsed simulated time:
+// plan splits them into per-OST integer loads, charge turns the loads into
+// time on the machine as it is now.
 func (f *File) phase(extents []ioreq.Extent, isWrite bool) (float64, error) {
 	if len(extents) == 0 {
 		return 0, nil
 	}
+	t, wide, err := f.plan(extents, isWrite)
+	if err != nil {
+		return 0, err
+	}
+	return f.charge(t, wide), nil
+}
+
+// plan is the integer half of a phase: it walks the extents over the
+// stripe layout and totals what each OST and each client node is asked to
+// move. The result is a pure function of the extents, the direction, the
+// file's striping, first OST and current size, the pool size, the RAID
+// segment and the ranks per node — no clock, RNG or drift schedule — which
+// is what makes a table reusable across seeds and drift epochs. plan leaves
+// the file untouched (charge applies the size change) and returns the table
+// in FS scratch, valid until the next plan. wide is non-nil when some load
+// overflows the table's compact fields; it then carries every load instead.
+func (f *File) plan(extents []ioreq.Extent, isWrite bool) (*PhaseTable, []wideLoad, error) {
 	sp := &f.fs.scratch
 	sp.phaseGen++
 	gen := sp.phaseGen
@@ -397,6 +430,7 @@ func (f *File) phase(extents []ioreq.Extent, isWrite bool) (float64, error) {
 	sp.nodeOrder = sp.nodeOrder[:0]
 	procsPerNode := f.fs.sim.Cluster.ProcsPerNode
 	nOSTs := f.fs.cfg.OSTs
+	rmwUnit := f.fs.cfg.RMWUnit
 	growStamps(&sp.loadEpoch, nOSTs-1)
 	growInt64(&sp.loadBytes, nOSTs-1)
 	growInt64(&sp.loadRMW, nOSTs-1)
@@ -416,12 +450,19 @@ func (f *File) phase(extents []ioreq.Extent, isWrite bool) (float64, error) {
 		sp.cliEpoch = make([]uint32, nOSTs*sp.cliStride)
 	}
 
-	var appBytes int64
+	t := &sp.table
+	*t = PhaseTable{
+		loads:      t.loads[:0],
+		firstOST:   int32(f.firstOST),
+		isWrite:    isWrite,
+		sizeBefore: f.size,
+	}
+	size := f.size
 	for _, e := range extents {
 		if err := e.Validate(); err != nil {
-			return 0, err
+			return nil, nil, err
 		}
-		appBytes += e.Size
+		t.appBytes += e.Size
 		node := e.Rank / procsPerNode
 		growStamps(&sp.nodeEpoch, node)
 		growInt64(&sp.nodeBytes, node)
@@ -431,7 +472,7 @@ func (f *File) phase(extents []ioreq.Extent, isWrite bool) (float64, error) {
 			sp.nodeOrder = append(sp.nodeOrder, int32(node))
 		}
 		sp.nodeBytes[node] += e.Size
-		for _, p := range f.split(e) {
+		for _, p := range f.split(e, size) {
 			o := p.ost
 			if sp.loadEpoch[o] != gen {
 				sp.loadEpoch[o] = gen
@@ -455,17 +496,54 @@ func (f *File) phase(extents []ioreq.Extent, isWrite bool) (float64, error) {
 				edges := p.rmwEdges
 				// Strided sub-requests smaller than the RAID segment pay
 				// interior RMW; sequential write combining absorbs half.
-				if p.requests > 1 && subSize%f.fs.cfg.RMWUnit != 0 {
+				if p.requests > 1 && subSize%rmwUnit != 0 {
 					edges += p.requests / 2
 				}
-				sp.loadRMW[o] += edges * min64(f.fs.cfg.RMWUnit, subSize)
+				sp.loadRMW[o] += edges * min64(rmwUnit, subSize)
 			}
 		}
-		if isWrite && e.End() > f.size {
-			f.size = e.End()
+		if isWrite && e.End() > size {
+			size = e.End()
+		}
+	}
+	t.sizeAfter = size
+
+	// The slowest node bounds the client side; only its bytes matter.
+	for _, n := range sp.nodeOrder {
+		if b := sp.nodeBytes[n]; b > t.maxNodeBytes {
+			t.maxNodeBytes = b
 		}
 	}
 
+	// Per-OST loads in first-touch order, compact unless one overflows.
+	fits := true
+	for _, o := range sp.loadOrder {
+		t.requests += sp.loadReqs[o]
+		t.rmwBytes += sp.loadRMW[o]
+		if o > math.MaxUint16 || sp.loadClis[o] > math.MaxUint16 || sp.loadReqs[o] > math.MaxUint32 {
+			fits = false
+		}
+		t.loads = append(t.loads, ostLoad{ost: uint16(o), clients: uint16(sp.loadClis[o]),
+			requests: uint32(sp.loadReqs[o]), bytes: sp.loadBytes[o] + sp.loadRMW[o]})
+	}
+	if fits {
+		return t, nil, nil
+	}
+	t.loads = t.loads[:0] // truncated: the wide loads stand in
+	sp.wide = sp.wide[:0]
+	for _, o := range sp.loadOrder {
+		sp.wide = append(sp.wide, wideLoad{ost: int(o), clients: sp.loadClis[o],
+			requests: sp.loadReqs[o], bytes: sp.loadBytes[o] + sp.loadRMW[o]})
+	}
+	return t, sp.wide, nil
+}
+
+// charge is the float half of a phase: it prices a table on the machine as
+// it is now — contention, the drift schedule sampled at the phase's start,
+// run-to-run noise — advances the clock, applies the file-size change and
+// books the darshan counters. wide, when non-nil, replaces t.loads (see
+// plan).
+func (f *File) charge(t *PhaseTable, wide []wideLoad) float64 {
 	// Slowest OST bounds the storage side. Under a drift schedule the
 	// phase samples the machine once at its start time: background OST
 	// load and per-regime degraded OSTs divide effective bandwidth, and
@@ -479,26 +557,32 @@ func (f *File) phase(extents []ioreq.Extent, isWrite bool) (float64, error) {
 		cScale = dr.ContentionScale(at)
 	}
 	ostTime := 0.0
-	var totalRequests, totalRMW int64
-	for _, o := range sp.loadOrder {
-		contention := 1 + cfg.ContentionFactor*float64(sp.loadClis[o]-1)
+	n := len(t.loads)
+	if wide != nil {
+		n = len(wide)
+	}
+	for i := 0; i < n; i++ {
+		var l wideLoad
+		if wide != nil {
+			l = wide[i]
+		} else {
+			l = t.loads[i].widen()
+		}
+		contention := 1 + cfg.ContentionFactor*float64(l.clients-1)
 		if dr != nil {
-			contention = 1 + cfg.ContentionFactor*cScale*float64(sp.loadClis[o]-1)
+			contention = 1 + cfg.ContentionFactor*cScale*float64(l.clients-1)
 		}
 		if contention > cfg.MaxContention {
 			contention = cfg.MaxContention
 		}
 		bw := cfg.OSTBandwidth
 		if dr != nil {
-			bw *= dr.OSTFactor(at, int(o), nOSTs)
+			bw *= dr.OSTFactor(at, l.ost, cfg.OSTs)
 		}
-		t := float64(sp.loadReqs[o])*cfg.OSTLatency +
-			float64(sp.loadBytes[o]+sp.loadRMW[o])/bw*contention
-		if t > ostTime {
-			ostTime = t
+		d := float64(l.requests)*cfg.OSTLatency + float64(l.bytes)/bw*contention
+		if d > ostTime {
+			ostTime = d
 		}
-		totalRequests += sp.loadReqs[o]
-		totalRMW += sp.loadRMW[o]
 	}
 
 	// Client NIC side: slowest node's injection time.
@@ -506,13 +590,7 @@ func (f *File) phase(extents []ioreq.Extent, isWrite bool) (float64, error) {
 	if dr != nil {
 		nicBW *= dr.NICFactor(at)
 	}
-	nicTime := 0.0
-	for _, n := range sp.nodeOrder {
-		t := float64(sp.nodeBytes[n]) / nicBW
-		if t > nicTime {
-			nicTime = t
-		}
-	}
+	nicTime := float64(t.maxNodeBytes) / nicBW
 
 	elapsed := ostTime
 	if nicTime > elapsed {
@@ -522,20 +600,19 @@ func (f *File) phase(extents []ioreq.Extent, isWrite bool) (float64, error) {
 	elapsed = f.fs.sim.Perturb(elapsed)
 	f.fs.sim.Advance(elapsed)
 
-	rep := f.fs.sim.Report
-	if isWrite {
-		lc := rep.Layer("lustre")
-		lc.WriteOps += totalRequests
-		lc.BytesWritten += appBytes
-		lc.BytesRead += totalRMW // RMW causes OST-side reads
+	lc := f.fs.sim.Report.Layer("lustre")
+	if t.isWrite {
+		f.size = t.sizeAfter
+		lc.WriteOps += t.requests
+		lc.BytesWritten += t.appBytes
+		lc.BytesRead += t.rmwBytes // RMW causes OST-side reads
 		lc.WriteTime += elapsed
 	} else {
-		lc := rep.Layer("lustre")
-		lc.ReadOps += totalRequests
-		lc.BytesRead += appBytes
+		lc.ReadOps += t.requests
+		lc.BytesRead += t.appBytes
 		lc.ReadTime += elapsed
 	}
-	return elapsed, nil
+	return elapsed
 }
 
 // WritePhase implements ioreq.Backend semantics for this file.

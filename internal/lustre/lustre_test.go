@@ -266,7 +266,7 @@ func TestSplitCrossesStripes(t *testing.T) {
 	sim := newSim(t, 4, 32)
 	fs := newFS(t, sim)
 	f, _ := fs.Create("f", 4, 1<<20)
-	pieces := f.split(ioreq.Extent{Offset: 512 << 10, Size: 2 << 20, Rank: 0})
+	pieces := f.split(ioreq.Extent{Offset: 512 << 10, Size: 2 << 20, Rank: 0}, f.size)
 	if len(pieces) != 3 {
 		t.Fatalf("split produced %d pieces, want 3 (partial + full + partial)", len(pieces))
 	}
@@ -289,7 +289,7 @@ func TestSplitAggregatedPathConservesBytes(t *testing.T) {
 	fs := newFS(t, sim)
 	f, _ := fs.Create("f", 8, 64<<10) // small stripes force the aggregated path
 	e := ioreq.Extent{Offset: 12345, Size: 512 << 20, Rank: 3, Count: 64}
-	pieces := f.split(e)
+	pieces := f.split(e, f.size)
 	if len(pieces) > 8 {
 		t.Fatalf("aggregated split produced %d pieces, want <= stripe count 8", len(pieces))
 	}
@@ -318,7 +318,7 @@ func TestSplitExactVsAggregatedConsistency(t *testing.T) {
 	// 9 stripes: aggregated path (9 > 2*4); compare against manual walk.
 	e := ioreq.Extent{Offset: 0, Size: 9 << 20, Rank: 0}
 	got := map[int]int64{}
-	for _, p := range f.split(e) {
+	for _, p := range f.split(e, f.size) {
 		got[p.ost] += p.size
 	}
 	want := map[int]int64{}

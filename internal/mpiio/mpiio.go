@@ -18,6 +18,7 @@ import (
 
 	"tunio/internal/cluster"
 	"tunio/internal/ioreq"
+	"tunio/internal/lustre"
 )
 
 // Hints are the MPI-IO tuning knobs (a subset of ROMIO's hint set).
@@ -114,16 +115,40 @@ func (f *File) independent(extents []ioreq.Extent, isWrite bool) (float64, error
 	if len(extents) == 0 {
 		return 0, nil
 	}
-	total := ioreq.TotalBytes(extents)
 	var elapsed float64
 	if isWrite {
 		elapsed = f.backend.WritePhase(f.name, extents)
-		f.sim.Report.AddWrite("mpiio", total, elapsed)
 	} else {
 		elapsed = f.backend.ReadPhase(f.name, extents)
-		f.sim.Report.AddRead("mpiio", total, elapsed)
 	}
+	f.record(isWrite, ioreq.TotalBytes(extents), elapsed)
 	return elapsed, nil
+}
+
+// record books one completed transfer on the mpiio counters.
+func (f *File) record(isWrite bool, bytes int64, elapsed float64) {
+	if isWrite {
+		f.sim.Report.AddWrite("mpiio", bytes, elapsed)
+	} else {
+		f.sim.Report.AddRead("mpiio", bytes, elapsed)
+	}
+}
+
+// IndependentVia is WriteIndependent/ReadIndependent of extents through a
+// phase-table slot (lustre.Backend.PhaseVia): on a Lustre file the slot's
+// table stands in for re-splitting the extents, with the same charges in
+// the same order. Other backends keep no tables and serve the extents as
+// always. slot must belong to these extents and direction under the
+// backend's layout.
+func (f *File) IndependentVia(slot *lustre.TableSlot, extents []ioreq.Extent, isWrite bool) (float64, lustre.TableUse) {
+	lb, ok := f.backend.(*lustre.Backend)
+	if !ok || len(extents) == 0 {
+		elapsed, _ := f.independent(extents, isWrite)
+		return elapsed, lustre.TableNone
+	}
+	elapsed, total, use := lb.PhaseVia(slot, f.name, extents, isWrite)
+	f.record(isWrite, total, elapsed)
+	return elapsed, use
 }
 
 func (f *File) transferAll(extents []ioreq.Extent, isWrite bool) (float64, error) {
@@ -203,13 +228,17 @@ func PlanCollective(extents []ioreq.Extent, h Hints, nprocs, ppn int) *CollPlan 
 	}
 
 	plan := &CollPlan{
+		Rounds:   make([]CollRound, 0, rounds),
 		SrcNodes: srcNodes,
 		AggNodes: len(aggNodeSet),
 		Total:    ioreq.TotalBytes(extents),
 	}
 	perRound := h.CBBufferSize
+	// One scratch slice gathers each round; the plan keeps an exact-size
+	// copy, since plans are cached and outlive this call by far.
+	var scratch []ioreq.Extent
 	for round := 0; round < rounds; round++ {
-		var roundExtents []ioreq.Extent
+		scratch = scratch[:0]
 		var roundBytes int64
 		for a := 0; a < agg; a++ {
 			// aggregator a's coverage-space slice for this round
@@ -221,15 +250,15 @@ func PlanCollective(extents []ioreq.Extent, h Hints, nprocs, ppn int) *CollPlan 
 			if lo >= hi {
 				continue
 			}
-			aggRank := a * spacing
-			pieces := sliceRuns(runs, lo, hi, aggRank)
-			for _, p := range pieces {
-				roundBytes += p.Size
-			}
-			roundExtents = append(roundExtents, pieces...)
+			scratch = sliceRuns(scratch, runs, lo, hi, a*spacing)
 		}
-		if len(roundExtents) == 0 {
+		if len(scratch) == 0 {
 			continue
+		}
+		roundExtents := make([]ioreq.Extent, len(scratch))
+		copy(roundExtents, scratch)
+		for _, p := range roundExtents {
+			roundBytes += p.Size
 		}
 		plan.Rounds = append(plan.Rounds, CollRound{Extents: roundExtents, Bytes: roundBytes})
 	}
@@ -253,12 +282,7 @@ func (f *File) ExecCollective(p *CollPlan, isWrite bool) float64 {
 		}
 	}
 	elapsed += f.sim.Barrier(f.nprocs)
-
-	if isWrite {
-		f.sim.Report.AddWrite("mpiio", p.Total, elapsed)
-	} else {
-		f.sim.Report.AddRead("mpiio", p.Total, elapsed)
-	}
+	f.record(isWrite, p.Total, elapsed)
 	return elapsed
 }
 
@@ -303,9 +327,9 @@ func offsetSorted(extents []ioreq.Extent) bool {
 }
 
 // sliceRuns maps the coverage-space byte range [lo, hi) back to file-space
-// extents, attributing them to aggregator rank aggRank.
-func sliceRuns(runs []ioreq.Extent, lo, hi int64, aggRank int) []ioreq.Extent {
-	var out []ioreq.Extent
+// extents, attributing them to aggregator rank aggRank, and appends them to
+// dst.
+func sliceRuns(dst, runs []ioreq.Extent, lo, hi int64, aggRank int) []ioreq.Extent {
 	var pos int64 // coverage-space cursor at the start of each run
 	for _, r := range runs {
 		runLo, runHi := pos, pos+r.Size
@@ -320,11 +344,11 @@ func sliceRuns(runs []ioreq.Extent, lo, hi int64, aggRank int) []ioreq.Extent {
 		if e > runHi {
 			e = runHi
 		}
-		out = append(out, ioreq.Extent{
+		dst = append(dst, ioreq.Extent{
 			Offset: r.Offset + (s - runLo),
 			Size:   e - s,
 			Rank:   aggRank,
 		})
 	}
-	return out
+	return dst
 }

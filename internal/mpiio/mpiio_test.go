@@ -183,7 +183,7 @@ func TestCoverageRuns(t *testing.T) {
 func TestSliceRuns(t *testing.T) {
 	runs := []ioreq.Extent{{Offset: 0, Size: 100}, {Offset: 1000, Size: 100}}
 	// coverage space is [0, 200); slice [50, 150) maps to file [50,100)+[1000,1050)
-	out := sliceRuns(runs, 50, 150, 7)
+	out := sliceRuns(nil, runs, 50, 150, 7)
 	if len(out) != 2 {
 		t.Fatalf("sliceRuns = %v", out)
 	}
@@ -195,7 +195,7 @@ func TestSliceRuns(t *testing.T) {
 			t.Fatal("aggregator rank not attributed")
 		}
 	}
-	if got := sliceRuns(runs, 500, 600, 0); got != nil {
+	if got := sliceRuns(nil, runs, 500, 600, 0); got != nil {
 		t.Fatalf("out-of-coverage slice = %v, want nil", got)
 	}
 }

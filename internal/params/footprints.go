@@ -16,9 +16,13 @@ package params
 //     switches (which decide how planned extents become wire requests).
 //     The aggregation schedule is computed over the plan-stage artifact, so
 //     its cache key is the union of both footprints.
-//   - ServiceStage: Lustre/cluster service of the wire plan. Striping and
-//     the metadata-cache level feed the runtime cost model directly; this
-//     stage also consumes the run seed (noise), so it is never cached.
+//   - ServiceStage: Lustre/cluster service of the wire plan. Its integer
+//     half is cached: how a transfer's extents split over the stripe layout
+//     reads only the striping pair, so the engine keeps per-OST phase
+//     tables per (wire plan, striping) and reuses them across seeds and
+//     drift epochs (replay stage 3a). The float half is not: the
+//     metadata-cache level decides misses with the run's RNG, and the cost
+//     of every phase consumes the run seed (noise) and the drift schedule.
 var (
 	PlanStage = []string{Alignment, SieveBufSize, ChunkCache}
 

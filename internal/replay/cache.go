@@ -1,11 +1,13 @@
 package replay
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"tunio/internal/hdf5"
+	"tunio/internal/lustre"
 	"tunio/internal/params"
 )
 
@@ -98,6 +100,8 @@ type StageCache struct {
 	plans [stageShardCount]cacheShard[*StackPlan]
 	wires [stageShardCount]cacheShard[*WirePlan]
 
+	service serviceCounters // stage-3 table traffic of every plan built here
+
 	// serial, when non-nil, routes every operation — including warm
 	// hits and plan/lower builds — through one global mutex. It exists
 	// solely so benchmarks can measure the pre-sharding single-mutex
@@ -105,12 +109,48 @@ type StageCache struct {
 	serial *sync.Mutex
 }
 
-// StageStats counts cache traffic per stage.
+// StageStats counts cache traffic per stage. The service counters are
+// stage 3a's: independent data transfers charged from a published phase
+// table (hits), planned live and published (misses), or planned live
+// because the published table did not fit the live file (fallbacks).
 type StageStats struct {
-	PlanHits   int64 `json:"plan_hits"`
-	PlanMisses int64 `json:"plan_misses"`
-	WireHits   int64 `json:"wire_hits"`
-	WireMisses int64 `json:"wire_misses"`
+	PlanHits         int64 `json:"plan_hits"`
+	PlanMisses       int64 `json:"plan_misses"`
+	WireHits         int64 `json:"wire_hits"`
+	WireMisses       int64 `json:"wire_misses"`
+	ServiceHits      int64 `json:"service_hits"`
+	ServiceMisses    int64 `json:"service_misses"`
+	ServiceFallbacks int64 `json:"service_fallbacks"`
+}
+
+// serviceCounters accumulates stage-3 table traffic. Each execution keeps
+// a local tally and adds it here once, at its end.
+type serviceCounters struct {
+	hits, misses, fallbacks atomic.Int64
+}
+
+// add books one execution's tally; a nil receiver (a wire plan lowered
+// outside any cache) discards it.
+func (c *serviceCounters) add(uses *[lustre.TableUses]int64) {
+	if c == nil {
+		return
+	}
+	if n := uses[lustre.TableHit]; n != 0 {
+		c.hits.Add(n)
+	}
+	if n := uses[lustre.TableBuilt]; n != 0 {
+		c.misses.Add(n)
+	}
+	if n := uses[lustre.TableStale]; n != 0 {
+		c.fallbacks.Add(n)
+	}
+}
+
+// into copies the counters into a stats snapshot.
+func (c *serviceCounters) into(s *StageStats) {
+	s.ServiceHits = c.hits.Load()
+	s.ServiceMisses = c.misses.Load()
+	s.ServiceFallbacks = c.fallbacks.Load()
 }
 
 // PlanHitRate returns the stage-1 hit fraction (0 when never queried).
@@ -145,6 +185,9 @@ func (s *StageStats) add(o StageStats) {
 	s.PlanMisses += o.PlanMisses
 	s.WireHits += o.WireHits
 	s.WireMisses += o.WireMisses
+	s.ServiceHits += o.ServiceHits
+	s.ServiceMisses += o.ServiceMisses
+	s.ServiceFallbacks += o.ServiceFallbacks
 }
 
 // NewStageCache returns a cache over the single trace, bound to the empty
@@ -250,6 +293,7 @@ func (c *StageCache) Stats() StageStats {
 		s.WireHits += c.wires[i].hits.Load()
 		s.WireMisses += c.wires[i].misses.Load()
 	}
+	c.service.into(&s)
 	return s
 }
 
@@ -273,6 +317,7 @@ type CacheView struct {
 	planMisses atomic.Int64
 	wireHits   atomic.Int64
 	wireMisses atomic.Int64
+	service    serviceCounters // credited by Runtimes whose View is this view
 }
 
 // KernelKey returns the view's kernel key.
@@ -298,12 +343,14 @@ func (v *CacheView) WireFor(a *params.Assignment, s params.StackSettings, ppn in
 // Stats returns the view's private counters: the traffic this view (not
 // the whole shared cache) generated.
 func (v *CacheView) Stats() StageStats {
-	return StageStats{
+	s := StageStats{
 		PlanHits:   v.planHits.Load(),
 		PlanMisses: v.planMisses.Load(),
 		WireHits:   v.wireHits.Load(),
 		WireMisses: v.wireMisses.Load(),
 	}
+	v.service.into(&s)
+	return s
 }
 
 // WireFor returns the wire plan of the assignment's configuration under
@@ -332,6 +379,10 @@ func (c *StageCache) wireFor(kernelKey string, a *params.Assignment, s params.St
 	key := append(scratch[:0], kernelKey...)
 	key = append(key, 0)
 	key = a.AppendProjection(key, wireFootprint)
+	// Lowering bakes ppn into metadata-read extents and the aggregator node
+	// count, so cluster shapes with equal process counts must not share a
+	// wire plan. The stack plan is ppn-free and stays shared (planFor).
+	key = binary.AppendUvarint(key, uint64(ppn))
 	shard := &c.wires[shardOf(key)]
 
 	if wp, ok := shard.get(key); ok {
@@ -364,6 +415,7 @@ func (c *StageCache) wireFor(kernelKey string, a *params.Assignment, s params.St
 		return nil, err
 	}
 	wp := LowerPlan(sp, s.Hints, s.HDF5, ppn)
+	wp.service = &c.service
 	return shard.insertLocked(key, wp), nil
 }
 

@@ -80,7 +80,7 @@ func TestSharedStageCacheConcurrentViews(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			pool := workload.NewStackPool(c)
-			var rt Runtime
+			rt := Runtime{View: views[g]} // credit this view with its stage-3 table traffic
 			// Stagger the start config so cold builds race across goroutines.
 			for i := range configs {
 				ci := (i + g) % len(configs)

@@ -4,9 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"tunio/internal/hdf5"
 	"tunio/internal/ioreq"
+	"tunio/internal/lustre"
 	"tunio/internal/mpiio"
 	"tunio/internal/workload"
 )
@@ -36,6 +39,15 @@ import (
 // parameters (striping, metadata-cache level) plus the run seed; it charges
 // time and counters through the same cluster/lustre/mpiio code paths in the
 // same order as a live run, so its report is bit-identical to one.
+//
+// Stage 3 has an integer half of its own (stage 3a): splitting a transfer's
+// extents over the stripe layout reads the striping but no clock, RNG or
+// drift schedule. The wire plan memoizes that half for its independent data
+// transfers — nearly all of a plan's extents — as lustre phase tables, one
+// slot per transfer per lustre.Layout, filled by the first execution that
+// reaches the transfer. Everything else (metadata, collective rounds,
+// non-Lustre files) is split live every time, as is any transfer whose
+// table the live file does not accept.
 
 type planOpKind uint8
 
@@ -115,6 +127,7 @@ func BuildStackPlan(t *Trace, cfg hdf5.Config) (*StackPlan, error) {
 	states := map[string]*planFileState{}
 	fileIdx := map[string]int32{}
 	var slabBuf []hdf5.Slab
+	var extBuf []ioreq.Extent // gathers each transfer's extents; plans keep exact-size copies
 
 	fileOf := func(name string) int32 {
 		idx, ok := fileIdx[name]
@@ -243,11 +256,11 @@ func BuildStackPlan(t *Trace, cfg hdf5.Config) (*StackPlan, error) {
 			if ds.cp == nil {
 				// Contiguous: object-header revisits, then the sieved extents.
 				emit(planOp{kind: opMetaTouch, file: st.idx, items: int64(len(slabs))})
-				var extents []ioreq.Extent
+				extBuf = extBuf[:0]
 				for _, sl := range slabs {
-					extents = hdf5.ContiguousSlabExtents(ds.space, sl, ds.dataOffset, cfg.SieveBufSize, extents)
+					extBuf = hdf5.ContiguousSlabExtents(ds.space, sl, ds.dataOffset, cfg.SieveBufSize, extBuf)
 				}
-				emit(planOp{kind: opData, file: st.idx, isWrite: isWrite, extents: extents})
+				emit(planOp{kind: opData, file: st.idx, isWrite: isWrite, extents: cloneExtents(extBuf)})
 			} else {
 				ph := ds.cp.Plan(slabs, isWrite, st.cache, func(size int64) int64 {
 					off := cfg.Align(st.eof, size)
@@ -263,11 +276,11 @@ func BuildStackPlan(t *Trace, cfg hdf5.Config) (*StackPlan, error) {
 				if len(ph.Read) > 0 {
 					// read-modify-write prefetch: a read phase even on writes
 					emit(planOp{kind: opData, file: st.idx, isWrite: false,
-						extents: append([]ioreq.Extent(nil), ph.Read...)})
+						extents: cloneExtents(ph.Read)})
 				}
 				if len(ph.Data) > 0 {
 					emit(planOp{kind: opData, file: st.idx, isWrite: isWrite,
-						extents: append([]ioreq.Extent(nil), ph.Data...)})
+						extents: cloneExtents(ph.Data)})
 				}
 			}
 			emit(planOp{kind: opAccount, isWrite: isWrite, bytes: appBytes, ops: int64(len(slabs))})
@@ -282,14 +295,25 @@ func BuildStackPlan(t *Trace, cfg hdf5.Config) (*StackPlan, error) {
 			return nil, fmt.Errorf("replay: event %d: unknown kind %q", i, ev.Kind)
 		}
 	}
+	// Like its extents, the op list is cached for good: drop the growth slack.
+	plan.ops = append(make([]planOp, 0, len(plan.ops)), plan.ops...)
 	return plan, nil
+}
+
+// cloneExtents returns an exact-size copy. Plans live in caches for the
+// life of the process, so they must not keep append's growth slack.
+func cloneExtents(extents []ioreq.Extent) []ioreq.Extent {
+	out := make([]ioreq.Extent, len(extents))
+	copy(out, extents)
+	return out
 }
 
 type wireOpKind uint8
 
 const (
-	wOpen wireOpKind = iota
-	wIndep
+	wOpen  wireOpKind = iota
+	wIndep            // independent data transfer: served through a phase-table slot
+	wMeta             // independent metadata transfer, charged to the hdf5 meta counters
 	wColl
 	wMetaTouch
 	wBarrier
@@ -297,8 +321,7 @@ const (
 	wAccount
 )
 
-// wireOp is one stage-2 operation. metaItems > 0 marks a metadata transfer
-// (charged to the hdf5 meta counters instead of the transfer accumulator).
+// wireOp is one stage-2 operation.
 type wireOp struct {
 	kind      wireOpKind
 	file      int32
@@ -313,14 +336,52 @@ type wireOp struct {
 }
 
 // WirePlan is the stage-2 artifact: the stack plan lowered onto the MPI-IO
-// wire under one aggregate-footprint projection. Immutable; one wire plan
-// serves any number of concurrent stage-3 executions.
+// wire under one aggregate-footprint projection. Its operations are
+// immutable and one wire plan serves any number of concurrent stage-3
+// executions; the phase tables those executions leave behind (stage 3a)
+// only ever grow.
 type WirePlan struct {
 	Nprocs      int
 	PPN         int
 	Files       []string
 	CollMetaOps bool
 	ops         []wireOp
+
+	// dataOps counts the independent data transfers (wIndep); the n-th of
+	// them in op order owns slot n of every layout's slot array.
+	dataOps  int
+	tables   atomic.Pointer[map[lustre.Layout][]lustre.TableSlot]
+	tablesMu sync.Mutex // serializes adding a layout; reads take no lock
+
+	service *serviceCounters // the owning cache's stage-3 counters, if any
+}
+
+// slotsFor returns the plan's phase-table slots under the layout, adding
+// an empty array the first time a layout is seen (copy-on-write, so the
+// warm path is one atomic load and a map lookup).
+func (wp *WirePlan) slotsFor(l lustre.Layout) []lustre.TableSlot {
+	if m := wp.tables.Load(); m != nil {
+		if slots, ok := (*m)[l]; ok {
+			return slots
+		}
+	}
+	wp.tablesMu.Lock()
+	defer wp.tablesMu.Unlock()
+	var old map[lustre.Layout][]lustre.TableSlot
+	if m := wp.tables.Load(); m != nil {
+		old = *m
+	}
+	if slots, ok := old[l]; ok {
+		return slots
+	}
+	next := make(map[lustre.Layout][]lustre.TableSlot, len(old)+1)
+	for k, v := range old {
+		next[k] = v
+	}
+	slots := make([]lustre.TableSlot, wp.dataOps)
+	next[l] = slots
+	wp.tables.Store(&next)
+	return slots
 }
 
 // LowerPlan lowers a stack plan onto the wire for the given (unfilled)
@@ -340,14 +401,14 @@ func LowerPlan(sp *StackPlan, hints mpiio.Hints, cfg hdf5.Config, ppn int) *Wire
 		case opOpen:
 			wp.ops = append(wp.ops, wireOp{kind: wOpen, file: op.file})
 		case opMetaRead:
-			wp.ops = append(wp.ops, wireOp{kind: wIndep, file: op.file,
+			wp.ops = append(wp.ops, wireOp{kind: wMeta, file: op.file,
 				metaItems: op.items,
 				extents:   hdf5.MetaReadExtents(cfg.CollMetadataOps, sp.Nprocs, ppn, op.items, nil)})
 		case opMetaTouch:
 			wp.ops = append(wp.ops, wireOp{kind: wMetaTouch, file: op.file, metaItems: op.items})
 		case opMetaFlush:
 			requests := hdf5.MetaFlushRequests(cfg.CollMetadataWrite, cfg.MetaBlockSize, op.bytes, op.items)
-			wp.ops = append(wp.ops, wireOp{kind: wIndep, file: op.file, isWrite: true,
+			wp.ops = append(wp.ops, wireOp{kind: wMeta, file: op.file, isWrite: true,
 				metaItems: op.items,
 				extents:   []ioreq.Extent{{Offset: op.offset, Size: op.bytes, Rank: 0, Count: requests}}})
 		case opData:
@@ -361,6 +422,7 @@ func LowerPlan(sp *StackPlan, hints mpiio.Hints, cfg hdf5.Config, ppn int) *Wire
 			} else {
 				wp.ops = append(wp.ops, wireOp{kind: wIndep, file: op.file, isWrite: op.isWrite,
 					extents: op.extents})
+				wp.dataOps++
 			}
 		case opBarrier:
 			wp.ops = append(wp.ops, wireOp{kind: wBarrier, n: op.n})
@@ -378,6 +440,11 @@ func LowerPlan(sp *StackPlan, hints mpiio.Hints, cfg hdf5.Config, ppn int) *Wire
 // (MPI-IO handles, metadata extent buffer) across executions. One Runtime
 // serves one goroutine.
 type Runtime struct {
+	// View, when non-nil, is credited with each execution's stage-3 table
+	// traffic, so a session can report its own hits against tables it
+	// shares with others. The owning cache is credited either way.
+	View *CacheView
+
 	mpfs    []*mpiio.File
 	fileBuf []mpiio.File // backing storage for mpfs, reopened in place per exec
 	metaBuf []ioreq.Extent
@@ -428,8 +495,20 @@ func (rt *Runtime) ExecWhile(wp *WirePlan, st *workload.Stack, keep func() bool)
 }
 
 // exec replays the wire plan, aborting with ErrBudgetExceeded whenever
-// the abort predicate (nil = never) reports true.
+// the abort predicate (nil = never) reports true, and books how its
+// independent data transfers used the plan's phase tables. An aborted
+// replay has published the tables of the prefix it ran.
 func (rt *Runtime) exec(wp *WirePlan, st *workload.Stack, abort func() bool) error {
+	var uses [lustre.TableUses]int64
+	err := rt.run(wp, st, abort, &uses)
+	wp.service.add(&uses)
+	if rt.View != nil {
+		rt.View.service.add(&uses)
+	}
+	return err
+}
+
+func (rt *Runtime) run(wp *WirePlan, st *workload.Stack, abort func() bool, uses *[lustre.TableUses]int64) error {
 	sim := st.Sim
 	lib := st.Lib
 	if lib.Nprocs() != wp.Nprocs {
@@ -442,6 +521,10 @@ func (rt *Runtime) exec(wp *WirePlan, st *workload.Stack, abort func() bool) err
 	}
 	mpfs := rt.mpfs[:len(wp.Files)]
 	clear(mpfs)
+	var slots []lustre.TableSlot // of the independent data transfers, in op order
+	if wp.dataOps > 0 {
+		slots = wp.slotsFor(st.Layout())
+	}
 
 	var acc float64 // current transfer's data-phase elapsed time
 	for i := range wp.ops {
@@ -458,6 +541,11 @@ func (rt *Runtime) exec(wp *WirePlan, st *workload.Stack, abort func() bool) err
 			}
 			mpfs[op.file] = mpf
 		case wIndep:
+			elapsed, use := mpfs[op.file].IndependentVia(&slots[0], op.extents, op.isWrite)
+			slots = slots[1:]
+			uses[use]++
+			acc += elapsed
+		case wMeta:
 			var elapsed float64
 			var err error
 			if op.isWrite {
@@ -468,11 +556,7 @@ func (rt *Runtime) exec(wp *WirePlan, st *workload.Stack, abort func() bool) err
 			if err != nil {
 				return err
 			}
-			if op.metaItems > 0 {
-				sim.Report.AddMeta("hdf5", op.metaItems, elapsed)
-			} else {
-				acc += elapsed
-			}
+			sim.Report.AddMeta("hdf5", op.metaItems, elapsed)
 		case wColl:
 			acc += mpfs[op.file].ExecCollective(op.coll, op.isWrite)
 		case wMetaTouch:

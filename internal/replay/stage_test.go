@@ -39,7 +39,10 @@ func reportsEqual(t *testing.T, label string, live, staged *darshan.Report) {
 // TestStagedExecMatchesLiveRun proves the staged pipeline is bit-identical
 // to running the recorded workload live: same clock, same counters, for
 // every workload and a spread of configurations exercising each stage's
-// footprint.
+// footprint. Each (configuration, seed) is replayed three ways — through
+// the cached wire plan twice, so once with the phase-table slots of its
+// layout empty and then with them filled, and through a freshly lowered
+// plan that has no tables at all — and all three must equal the live run.
 func TestStagedExecMatchesLiveRun(t *testing.T) {
 	c := cluster.CoriHaswell(2, 8)
 	configs := map[string]*params.Assignment{
@@ -78,23 +81,54 @@ func TestStagedExecMatchesLiveRun(t *testing.T) {
 					t.Fatalf("%s: live Execute: %v", label, err)
 				}
 
-				wp, err := cache.WireFor(a, s, c.ProcsPerNode)
+				cached, err := cache.WireFor(a, s, c.ProcsPerNode)
 				if err != nil {
 					t.Fatalf("%s: WireFor: %v", label, err)
 				}
-				st, err := workload.BuildStack(c, s, seed)
+				fresh, err := cache.Lower(s, c.ProcsPerNode)
 				if err != nil {
-					t.Fatalf("%s: BuildStack: %v", label, err)
+					t.Fatalf("%s: Lower: %v", label, err)
 				}
-				if err := rt.Exec(wp, st); err != nil {
-					t.Fatalf("%s: Exec: %v", label, err)
-				}
+				for _, run := range []struct {
+					how string
+					wp  *WirePlan
+				}{{"first exec", cached}, {"warm tables", cached}, {"fresh plan", fresh}} {
+					st, err := workload.BuildStack(c, s, seed)
+					if err != nil {
+						t.Fatalf("%s: BuildStack: %v", label, err)
+					}
+					before := cache.Stats()
+					if err := rt.Exec(run.wp, st); err != nil {
+						t.Fatalf("%s: Exec: %v", label, err)
+					}
+					if got, want := st.Sim.Now(), live.Runtime; got != want {
+						t.Errorf("%s seed %d, %s: runtime %v, live %v", label, seed, run.how, got, want)
+					}
+					reportsEqual(t, label+", "+run.how, live.Report, st.Sim.Report)
 
-				if got, want := st.Sim.Now(), live.Runtime; got != want {
-					t.Errorf("%s seed %d: runtime %v, live %v", label, seed, got, want)
+					// What the tables did: a fresh plan reports to no cache; a
+					// warm one neither plans nor falls back (a recorded trace
+					// creates and grows its files in one fixed order).
+					after := cache.Stats()
+					hits, misses := after.ServiceHits-before.ServiceHits, after.ServiceMisses-before.ServiceMisses
+					switch run.how {
+					case "fresh plan":
+						if hits != 0 || misses != 0 {
+							t.Errorf("%s, %s: counted %d hits, %d misses on the cache", label, run.how, hits, misses)
+						}
+					case "warm tables":
+						if misses != 0 || hits != int64(cached.dataOps) {
+							t.Errorf("%s, %s: %d hits, %d misses, want %d hits", label, run.how, hits, misses, cached.dataOps)
+						}
+					}
+					if after.ServiceFallbacks != 0 {
+						t.Errorf("%s, %s: %d fallbacks", label, run.how, after.ServiceFallbacks)
+					}
 				}
-				reportsEqual(t, label, live.Report, st.Sim.Report)
 			}
+		}
+		if st := cache.Stats(); st.ServiceHits == 0 {
+			t.Errorf("%s: no phase table was ever reused: %+v", name, st)
 		}
 	}
 }

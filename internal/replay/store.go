@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -25,6 +26,16 @@ func TraceKey(t *Trace) string {
 		h.Write(b)
 	}
 	return fmt.Sprintf("trace:%016x", h.Sum64())
+}
+
+// SignatureKey returns the "sig:" kernel identity of a program with an
+// exact static I/O signature: the signature's hash, then the hash part of
+// the recorded trace's TraceKey. The signature covers op counts and bytes
+// per transfer but neither dataset shape nor chunking, which replay depends
+// on, so two programs can share a signature and still record different
+// traces; the trace hash keeps them apart.
+func SignatureKey(sigHash, traceKey string) string {
+	return "sig:" + sigHash + "/" + strings.TrimPrefix(traceKey, "trace:")
 }
 
 // KernelEntry is one stored kernel: its recorded trace and the content

@@ -1,0 +1,334 @@
+package replay
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+	"testing"
+
+	"tunio/internal/cluster"
+	"tunio/internal/ioreq"
+	"tunio/internal/params"
+	"tunio/internal/workload"
+)
+
+// tableHarness records the workload (sized for a 2×8 cluster) and returns
+// what the phase-table tests need: a lowering function under a's
+// configuration (every call a plan with empty tables, counting into its own
+// service counters) and a stack builder.
+func tableHarness(t testing.TB, w workload.Workload, a *params.Assignment) (lower func() *WirePlan, stack func(s params.StackSettings, seed int64) *workload.Stack) {
+	t.Helper()
+	c := cluster.CoriHaswell(2, 8)
+	recStack, err := workload.BuildStack(c, params.DefaultAssignment(params.Space()).Settings(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, err := Record(w, recStack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := BuildStackPlan(trace, a.Settings().HDF5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lower = func() *WirePlan {
+		wp := LowerPlan(sp, a.Settings().Hints, a.Settings().HDF5, c.ProcsPerNode)
+		wp.service = &serviceCounters{}
+		return wp
+	}
+	stack = func(s params.StackSettings, seed int64) *workload.Stack {
+		st, err := workload.BuildStack(c, s, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	return lower, stack
+}
+
+// kernel returns the named workload at its default size for 16 ranks.
+func kernel(t testing.TB, name string) workload.Workload {
+	t.Helper()
+	w, err := workload.ByName(name, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+func serviceOf(wp *WirePlan) StageStats {
+	var s StageStats
+	wp.service.into(&s)
+	return s
+}
+
+// TestAbortedExecPublishesPrefix aborts an ExecWhile at every op index of
+// a plan with empty tables, then runs the plan in full: the full run must
+// be bit-identical to one on an untouched plan, reuse exactly the tables
+// the aborted prefix published, and plan only the rest — nothing runs
+// twice, nothing is lost.
+func TestAbortedExecPublishesPrefix(t *testing.T) {
+	a := mutate(t, map[string]int{params.StripingFactor: 3, params.StripingUnit: 2})
+	s := a.Settings()
+	lower, stack := tableHarness(t, kernel(t, "flash"), a)
+	var rt Runtime
+
+	ref := stack(s, 9)
+	refPlan := lower()
+	if err := rt.Exec(refPlan, ref); err != nil {
+		t.Fatal(err)
+	}
+	if refPlan.dataOps == 0 {
+		t.Fatal("flash lowered without independent data transfers: the test exercises nothing")
+	}
+
+	for k := 0; k <= len(refPlan.ops); k++ {
+		wp := lower()
+		// data transfers among the first k ops: what the abort publishes
+		var prefix int64
+		for i := 0; i < k; i++ {
+			if wp.ops[i].kind == wIndep {
+				prefix++
+			}
+		}
+		calls := 0
+		err := rt.ExecWhile(wp, stack(s, 3), func() bool { calls++; return calls <= k })
+		if !errors.Is(err, ErrBudgetExceeded) {
+			t.Fatalf("abort at op %d: err = %v", k, err)
+		}
+		if got := serviceOf(wp); got.ServiceMisses != prefix || got.ServiceHits != 0 {
+			t.Fatalf("abort at op %d: %+v, want %d tables built", k, got, prefix)
+		}
+
+		full := stack(s, 9)
+		if err := rt.Exec(wp, full); err != nil {
+			t.Fatalf("full run after abort at op %d: %v", k, err)
+		}
+		if full.Sim.Now() != ref.Sim.Now() {
+			t.Fatalf("full run after abort at op %d: clock %v, untouched plan %v", k, full.Sim.Now(), ref.Sim.Now())
+		}
+		reportsEqual(t, fmt.Sprintf("after abort at op %d", k), ref.Sim.Report, full.Sim.Report)
+		want := StageStats{ServiceHits: prefix, ServiceMisses: int64(wp.dataOps)}
+		if got := serviceOf(wp); got != want {
+			t.Fatalf("full run after abort at op %d: %+v, want %+v", k, got, want)
+		}
+	}
+}
+
+// flipPlan hand-lowers a plan over two Lustre files whose creation order
+// depends on the run's RNG: a metadata touch of file a (one item at a 50 %
+// miss rate) either reads a — creating it first — or does not, in which
+// case the write to b creates b first. A recorded trace cannot produce
+// this (its touches are always followed by data on the same file); a wire
+// plan can, and the tables must stay sound when it does.
+func flipPlan() *WirePlan {
+	ext := func(off, size int64, rank int) []ioreq.Extent {
+		return []ioreq.Extent{{Offset: off, Size: size, Rank: rank}, {Offset: off + size + 4096, Size: size / 2, Rank: rank + 1, Count: 8}}
+	}
+	return &WirePlan{
+		Nprocs: 16, PPN: 8, Files: []string{"a.h5", "b.h5"},
+		ops: []wireOp{
+			{kind: wOpen, file: 0},
+			{kind: wOpen, file: 1},
+			{kind: wMetaTouch, file: 0, metaItems: 1},
+			{kind: wIndep, file: 1, isWrite: true, extents: ext(0, 3<<20, 0)},
+			{kind: wIndep, file: 0, isWrite: true, extents: ext(1<<19, 5<<20, 2)},
+			{kind: wIndep, file: 1, isWrite: true, extents: ext(7<<20, 1<<20, 4)},
+			{kind: wIndep, file: 0, isWrite: false, extents: ext(0, 2<<20, 6)},
+			{kind: wAccount, isWrite: true, bytes: 9 << 20, ops: 3},
+			{kind: wBarrier, n: 16},
+		},
+		dataOps: 4,
+		service: &serviceCounters{},
+	}
+}
+
+// TestFlippedCreationOrderFallsBack shares one plan across seeds that
+// create its two files in either order. Runs whose order differs from the
+// one the tables were published under must fall back to live planning —
+// and every run, hit or fallback, must match the same seed on a plan with
+// no tables.
+func TestFlippedCreationOrderFallsBack(t *testing.T) {
+	c := cluster.CoriHaswell(2, 8)
+	a := mutate(t, map[string]int{params.MDCConfig: 0, params.StripingFactor: 2}) // 50 % metadata hit rate
+	s := a.Settings()
+	shared := flipPlan()
+	var rt Runtime
+	for seed := int64(1); seed <= 24; seed++ {
+		run := func(wp *WirePlan) *workload.Stack {
+			st, err := workload.BuildStack(c, s, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.Exec(wp, st); err != nil {
+				t.Fatal(err)
+			}
+			return st
+		}
+		got, want := run(shared), run(flipPlan())
+		if got.Sim.Now() != want.Sim.Now() {
+			t.Errorf("seed %d: clock %v on shared tables, %v on none", seed, got.Sim.Now(), want.Sim.Now())
+		}
+		reportsEqual(t, fmt.Sprintf("seed %d", seed), want.Sim.Report, got.Sim.Report)
+	}
+	st := serviceOf(shared)
+	if st.ServiceMisses != int64(shared.dataOps) || st.ServiceHits == 0 || st.ServiceFallbacks == 0 {
+		t.Fatalf("24 seeds should build each table once and both reuse and reject them: %+v", st)
+	}
+	if total := st.ServiceHits + st.ServiceMisses + st.ServiceFallbacks; total != 24*int64(shared.dataOps) {
+		t.Fatalf("%d transfers accounted, want %d", total, 24*shared.dataOps)
+	}
+}
+
+// TestStagedExecConcurrentFirstTouch has 8 goroutines execute one wire
+// plan whose tables are all empty, over four layouts at once, so slot
+// arrays are added and tables published under contention. Every run must
+// equal the same (layout, seed) on a private plan. Runs under -race in CI.
+func TestStagedExecConcurrentFirstTouch(t *testing.T) {
+	base := mutate(t, map[string]int{params.Alignment: 2})
+	lower, stack := tableHarness(t, kernel(t, "vpic"), base)
+	layouts := []params.StackSettings{
+		base.Settings(),
+		mutate(t, map[string]int{params.Alignment: 2, params.StripingFactor: 4}).Settings(),
+		mutate(t, map[string]int{params.Alignment: 2, params.StripingFactor: 9, params.StripingUnit: 1}).Settings(),
+		mutate(t, map[string]int{params.Alignment: 2, params.StripingUnit: 8, params.MDCConfig: 0}).Settings(),
+	}
+	seeds := []int64{1, 2, 3}
+	type key struct {
+		layout int
+		seed   int64
+	}
+	want := map[key]float64{}
+	var rt Runtime
+	for li, s := range layouts {
+		for _, seed := range seeds {
+			st := stack(s, seed)
+			if err := rt.Exec(lower(), st); err != nil {
+				t.Fatal(err)
+			}
+			want[key{li, seed}] = st.Sim.Now()
+		}
+	}
+
+	shared := lower()
+	const goroutines = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var rt Runtime
+			for i := range layouts {
+				li := (i + g) % len(layouts)
+				for _, seed := range seeds {
+					st := stack(layouts[li], seed)
+					if err := rt.Exec(shared, st); err != nil {
+						errs <- err
+						return
+					}
+					if got := st.Sim.Now(); got != want[key{li, seed}] {
+						errs <- fmt.Errorf("goroutine %d layout %d seed %d: clock %v, private plan %v", g, li, seed, got, want[key{li, seed}])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	st := serviceOf(shared)
+	execs := int64(goroutines * len(layouts) * len(seeds))
+	if got := st.ServiceHits + st.ServiceMisses; got != execs*int64(shared.dataOps) || st.ServiceFallbacks != 0 {
+		t.Fatalf("%+v: want %d transfers, no fallbacks", st, execs*int64(shared.dataOps))
+	}
+	if m := *shared.tables.Load(); len(m) != len(layouts) {
+		t.Fatalf("%d layouts hold tables, want %d", len(m), len(layouts))
+	}
+	for l, slots := range *shared.tables.Load() {
+		for i := range slots {
+			if slots[i].Load() == nil {
+				t.Fatalf("layout %+v: slot %d still empty after %d executions", l, i, execs)
+			}
+		}
+	}
+}
+
+// TestMemBackendKeepsNoTables pins that a transfer to a /dev/shm file is
+// served live and counted nowhere: only Lustre phases have tables.
+func TestMemBackendKeepsNoTables(t *testing.T) {
+	c := cluster.CoriHaswell(2, 8)
+	s := params.DefaultAssignment(params.Space()).Settings()
+	build := func() *WirePlan {
+		return &WirePlan{
+			Nprocs: 16, PPN: 8, Files: []string{"/dev/shm/x.h5"},
+			ops: []wireOp{
+				{kind: wOpen, file: 0},
+				{kind: wIndep, file: 0, isWrite: true, extents: []ioreq.Extent{{Offset: 0, Size: 1 << 20, Rank: 3}}},
+				{kind: wAccount, isWrite: true, bytes: 1 << 20, ops: 1},
+			},
+			dataOps: 1,
+			service: &serviceCounters{},
+		}
+	}
+	wp := build()
+	var rt Runtime
+	var clocks [2]float64
+	for i := range clocks {
+		st, err := workload.BuildStack(c, s, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Exec(wp, st); err != nil {
+			t.Fatal(err)
+		}
+		clocks[i] = st.Sim.Now()
+		if st.Sim.Report.Layer("mpiio").BytesWritten != 1<<20 {
+			t.Fatalf("mpiio wrote %d bytes", st.Sim.Report.Layer("mpiio").BytesWritten)
+		}
+	}
+	if clocks[0] != clocks[1] || clocks[0] == 0 {
+		t.Fatalf("clocks %v", clocks)
+	}
+	if got := serviceOf(wp); got != (StageStats{}) {
+		t.Fatalf("mem transfer counted as table traffic: %+v", got)
+	}
+	for l, slots := range *wp.tables.Load() {
+		if slots[0].Load() != nil {
+			t.Fatalf("layout %+v: a table was published for a mem file", l)
+		}
+	}
+}
+
+// TestWarmExecAllocs pins the warm inner loop — stack reset plus execution
+// from published tables — at no more than one allocation. The stack is
+// reset in place, as StackPool.Get does on a pooled one (sync.Pool itself
+// drops items at random under the race detector).
+func TestWarmExecAllocs(t *testing.T) {
+	a := params.DefaultAssignment(params.Space())
+	s := a.Settings()
+	lower, stack := tableHarness(t, kernel(t, "vpic"), a)
+	wp := lower()
+	st := stack(s, 0)
+	var rt Runtime
+	seed := int64(0)
+	exec := func() {
+		seed++
+		if err := st.Reset(s, seed); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Exec(wp, st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exec() // fills the tables
+	if allocs := testing.AllocsPerRun(50, exec); allocs > 1 {
+		t.Fatalf("warm Exec allocates %.1f times per run, want <= 1", allocs)
+	}
+	if st := serviceOf(wp); st.ServiceMisses != int64(wp.dataOps) || st.ServiceFallbacks != 0 {
+		t.Fatalf("warm runs planned live: %+v", st)
+	}
+}

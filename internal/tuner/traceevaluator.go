@@ -124,7 +124,7 @@ func (e *TraceEvaluator) record(space []params.Parameter) {
 					return
 				}
 			}
-			e.kernKey = "sig:" + sig.Hash()
+			e.kernKey = replay.SignatureKey(sig.Hash(), e.kernKey)
 		}
 	}
 	if e.Store != nil && e.StoreKey != "" {
@@ -154,8 +154,9 @@ func (e *TraceEvaluator) Prepare(space []params.Parameter) error {
 	return e.recErr
 }
 
-// KernelHash returns the kernel content hash ("sig:…" when derived from
-// an exact I/O signature, "trace:…" otherwise; "" before recording).
+// KernelHash returns the kernel content hash ("sig:…" when the program
+// has an exact I/O signature, "trace:…" otherwise; "" before recording).
+// Both forms end in the hash of the recorded trace.
 func (e *TraceEvaluator) KernelHash() string { return e.kernKey }
 
 // StoreHit reports whether the trace was served from the injected
@@ -206,7 +207,7 @@ func (e *TraceEvaluator) Evaluate(a *params.Assignment, iteration int) (float64,
 	}
 	rt, _ := e.rts.Get().(*replay.Runtime)
 	if rt == nil {
-		rt = &replay.Runtime{}
+		rt = &replay.Runtime{View: e.view}
 	}
 	defer e.rts.Put(rt)
 

@@ -36,6 +36,11 @@ func (st *Stack) rewire(s params.StackSettings) error {
 	return nil
 }
 
+// Layout returns the lustre layout — the striping new files get, with the
+// pool and node shape — this run's Lustre phases are planned under: the key
+// replay shares phase tables by.
+func (st *Stack) Layout() lustre.Layout { return st.lb.Layout() }
+
 // Reset rewinds the stack for a fresh run under new settings and seed,
 // reusing the simulation context and storage backends (with their scratch
 // buffers) instead of rebuilding them. A reset stack is indistinguishable

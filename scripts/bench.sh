@@ -3,7 +3,8 @@
 # results.
 #
 # Runs the staged trace-replay micro-benchmarks (ns/op and B/op for the
-# replay inner loop and both evaluators), then the population-32
+# replay inner loop — pooled, with warm and with cold phase tables, on a
+# fresh stack — and both evaluators), then the population-32
 # evaluator benchmark over every paper workload, writing its result —
 # ns/genome, B/genome, stage-cache hit rates, speedup, and score
 # identity per workload — as JSON.
@@ -35,7 +36,7 @@ driftout="${3:-BENCH_drift.json}"
 serveout="${4:-BENCH_serve.json}"
 
 echo "== micro-benchmarks (ns/op, B/op) =="
-go test -run '^$' -bench 'BenchmarkStagedExec|BenchmarkEval(DirectInterp|TraceReplay)|BenchmarkWarmHit' \
+go test -run '^$' -bench 'BenchmarkStagedExec(Pooled|WarmTables|ColdTables|FreshStack)|BenchmarkEval(DirectInterp|TraceReplay)|BenchmarkWarmHit' \
     -benchmem ./internal/replay ./internal/tuner
 
 echo "== population benchmark (32 genomes x 5 workloads) -> $out =="

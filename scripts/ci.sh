@@ -34,6 +34,14 @@ echo "== go test -race (evaluation engine) =="
 go test -race -run 'TestPool|TestMemo|TestSeedFor|TestRunBatch|TestTune(ParallelDeterminism|Cancellation|Memoization)|TestTraceEvaluator|TestGate' ./internal/tuner .
 go test -race -run 'TestStagedExec|TestStageCache|TestSharedStageCache|TestKernelStore|TestPooledStack' ./internal/replay
 
+echo "== go test -race (stage 3a phase tables) =="
+# Phase tables are published into slots shared by every execution of a
+# wire plan: the plan/charge equivalence proof, the first-touch race, the
+# aborted-prefix and stale-table fallbacks run under the race detector
+# even when a narrower package pattern was requested.
+go test -race -run 'TestPlanCharge|TestStaleTable|TestWideLoad|TestLayout' ./internal/lustre
+go test -race -run 'TestStagedExec|TestAbortedExec|TestFlippedCreationOrder|TestMemBackend|TestWarmExecAllocs' ./internal/replay
+
 echo "== go test -race (tuning server) =="
 # The server multiplexes concurrent tenants onto one shared engine
 # (worker gate, kernel store, stage cache), so its whole test suite —
@@ -51,6 +59,14 @@ echo "== go test -race (signature/trace cross-validation) =="
 # The static I/O signature must exactly match the recorded trace on every
 # fixture workload (event counts and byte totals, no tolerance).
 go test -race -run 'TestCrossValidate' ./internal/replay
+
+echo "== benchmark module (bench/) =="
+# bench/ is a nested module (tunio/bench, replace tunio => ../), so the
+# root build and test never see it: vet it and run its own tests — the
+# smoke run of all four workloads re-verifies every served curve against
+# a fresh engine.
+go -C bench vet ./...
+go -C bench test ./...
 
 echo "== statecheck (no package-level mutable state) =="
 # The evaluation engine packages are shared across worker goroutines;
