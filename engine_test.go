@@ -456,4 +456,12 @@ func TestEngineReportsServiceStats(t *testing.T) {
 	if all := eng.Stats().Stage; all.ServiceHits != own.ServiceHits || all.ServiceMisses != own.ServiceMisses || all.ServiceFallbacks != own.ServiceFallbacks {
 		t.Fatalf("engine-wide %+v != the only session's %+v", all, own)
 	}
+	// Artifacts held against projection keys answered: a tune visits many
+	// plan projections that leave the kernel's extents alone.
+	if own.PlanDistinct == 0 || own.PlanDistinct >= own.PlanMisses || own.WireDistinct == 0 || own.WireDistinct > own.WireMisses {
+		t.Fatalf("session stage stats: %+v, want fewer plans held than plan keys built", own)
+	}
+	if all := eng.Stats().Stage; all.PlanDistinct != own.PlanDistinct || all.WireDistinct != own.WireDistinct {
+		t.Fatalf("engine-wide %+v != the only session's %+v", all, own)
+	}
 }

@@ -27,65 +27,133 @@ type LayerCounters struct {
 	MetaTime     float64
 }
 
-// Report is a full set of per-layer counters for one run.
-type Report struct {
-	layers map[string]*LayerCounters
-}
-
-// NewReport returns an empty report.
-func NewReport() *Report {
-	return &Report{layers: make(map[string]*LayerCounters)}
-}
-
-// Layer returns the counters for a layer, creating them on first use.
-func (r *Report) Layer(name string) *LayerCounters {
-	lc, ok := r.layers[name]
-	if !ok {
-		lc = &LayerCounters{}
-		r.layers[name] = lc
-	}
-	return lc
-}
-
-// Layers returns the layer names present, sorted.
-func (r *Report) Layers() []string {
-	names := make([]string, 0, len(r.layers))
-	for n := range r.layers {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Reset zeroes all counters in place, keeping layer pointers valid (callers
-// holding a *LayerCounters from Layer see the zeroed counters).
-func (r *Report) Reset() {
-	for _, lc := range r.layers {
-		*lc = LayerCounters{}
-	}
-}
-
-// AddWrite records a write of size bytes taking elapsed seconds at a layer.
-func (r *Report) AddWrite(layer string, bytes int64, elapsed float64) {
-	lc := r.Layer(layer)
+// AddWrite records a write of size bytes taking elapsed seconds.
+func (lc *LayerCounters) AddWrite(bytes int64, elapsed float64) {
 	lc.WriteOps++
 	lc.BytesWritten += bytes
 	lc.WriteTime += elapsed
 }
 
 // AddRead records a read.
-func (r *Report) AddRead(layer string, bytes int64, elapsed float64) {
-	lc := r.Layer(layer)
+func (lc *LayerCounters) AddRead(bytes int64, elapsed float64) {
 	lc.ReadOps++
 	lc.BytesRead += bytes
 	lc.ReadTime += elapsed
 }
 
 // AddMeta records n metadata operations taking elapsed seconds.
-func (r *Report) AddMeta(layer string, n int64, elapsed float64) {
-	lc := r.Layer(layer)
+func (lc *LayerCounters) AddMeta(n int64, elapsed float64) {
 	lc.MetaOps += n
 	lc.MetaTime += elapsed
+}
+
+// add accumulates o into lc.
+func (lc *LayerCounters) add(o *LayerCounters) {
+	lc.ReadOps += o.ReadOps
+	lc.WriteOps += o.WriteOps
+	lc.MetaOps += o.MetaOps
+	lc.BytesRead += o.BytesRead
+	lc.BytesWritten += o.BytesWritten
+	lc.ReadTime += o.ReadTime
+	lc.WriteTime += o.WriteTime
+	lc.MetaTime += o.MetaTime
+}
+
+// LayerID addresses one of the stack's known layers without a name lookup:
+// the simulator's hot paths book counters through Report.At.
+type LayerID uint8
+
+// The known layers, in name order.
+const (
+	HDF5 LayerID = iota
+	Lustre
+	Mem
+	MPIIO
+	POSIX
+	knownLayers
+)
+
+var layerNames = [knownLayers]string{HDF5: "hdf5", Lustre: "lustre", Mem: "mem", MPIIO: "mpiio", POSIX: "posix"}
+
+// Report is a full set of per-layer counters for one run. The known layers
+// live in a fixed array; a layer of any other name is kept by name. Either
+// kind is present (listed by Layers) only once something asked for it.
+type Report struct {
+	known   [knownLayers]LayerCounters
+	present [knownLayers]bool
+	other   map[string]*LayerCounters
+}
+
+// NewReport returns an empty report.
+func NewReport() *Report { return &Report{} }
+
+// At returns the counters of a known layer, marking it present.
+func (r *Report) At(id LayerID) *LayerCounters {
+	r.present[id] = true
+	return &r.known[id]
+}
+
+// Layer returns the counters for a layer, creating them on first use.
+func (r *Report) Layer(name string) *LayerCounters {
+	for id, known := range layerNames {
+		if name == known {
+			return r.At(LayerID(id))
+		}
+	}
+	lc, ok := r.other[name]
+	if !ok {
+		if r.other == nil {
+			r.other = make(map[string]*LayerCounters)
+		}
+		lc = &LayerCounters{}
+		r.other[name] = lc
+	}
+	return lc
+}
+
+// each calls fn for every layer present, in no particular order.
+func (r *Report) each(fn func(name string, lc *LayerCounters)) {
+	for id := range r.known {
+		if r.present[id] {
+			fn(layerNames[id], &r.known[id])
+		}
+	}
+	for name, lc := range r.other {
+		fn(name, lc)
+	}
+}
+
+// Layers returns the layer names present, sorted.
+func (r *Report) Layers() []string {
+	var names []string
+	r.each(func(name string, _ *LayerCounters) { names = append(names, name) })
+	sort.Strings(names)
+	return names
+}
+
+// Reset zeroes all counters in place, keeping layer pointers valid (callers
+// holding a *LayerCounters from Layer see the zeroed counters) and present
+// layers present.
+func (r *Report) Reset() {
+	r.known = [knownLayers]LayerCounters{}
+	for _, lc := range r.other {
+		*lc = LayerCounters{}
+	}
+}
+
+// AddWrite records a write of size bytes taking elapsed seconds at a layer.
+func (r *Report) AddWrite(layer string, bytes int64, elapsed float64) {
+	r.Layer(layer).AddWrite(bytes, elapsed)
+}
+
+// AddRead records a read.
+func (r *Report) AddRead(layer string, bytes int64, elapsed float64) {
+	r.Layer(layer).AddRead(bytes, elapsed)
+}
+
+// AddMeta records n metadata operations taking elapsed seconds.
+func (r *Report) AddMeta(layer string, n int64, elapsed float64) {
+	r.Layer(layer).AddMeta(n, elapsed)
 }
 
 // Totals aggregates counters across all layers. Because layers nest (an
@@ -93,16 +161,7 @@ func (r *Report) AddMeta(layer string, n int64, elapsed float64) {
 // per layer; Totals exists for single-layer reports and debugging.
 func (r *Report) Totals() LayerCounters {
 	var t LayerCounters
-	for _, lc := range r.layers {
-		t.ReadOps += lc.ReadOps
-		t.WriteOps += lc.WriteOps
-		t.MetaOps += lc.MetaOps
-		t.BytesRead += lc.BytesRead
-		t.BytesWritten += lc.BytesWritten
-		t.ReadTime += lc.ReadTime
-		t.WriteTime += lc.WriteTime
-		t.MetaTime += lc.MetaTime
-	}
+	r.each(func(_ string, lc *LayerCounters) { t.add(lc) })
 	return t
 }
 
@@ -112,7 +171,7 @@ func (r *Report) Totals() LayerCounters {
 const AppLayer = "hdf5"
 
 // App returns the application-visible counters.
-func (r *Report) App() *LayerCounters { return r.Layer(AppLayer) }
+func (r *Report) App() *LayerCounters { return r.At(HDF5) }
 
 // WriteBandwidth returns application write bandwidth in bytes/second over
 // the app layer's recorded write time (0 when no time was spent).
@@ -146,17 +205,7 @@ func (r *Report) WriteRatio() float64 {
 
 // Merge adds other's counters into r.
 func (r *Report) Merge(other *Report) {
-	for name, olc := range other.layers {
-		lc := r.Layer(name)
-		lc.ReadOps += olc.ReadOps
-		lc.WriteOps += olc.WriteOps
-		lc.MetaOps += olc.MetaOps
-		lc.BytesRead += olc.BytesRead
-		lc.BytesWritten += olc.BytesWritten
-		lc.ReadTime += olc.ReadTime
-		lc.WriteTime += olc.WriteTime
-		lc.MetaTime += olc.MetaTime
-	}
+	other.each(func(name string, olc *LayerCounters) { r.Layer(name).add(olc) })
 }
 
 // String renders the report as a table for logs.
@@ -165,7 +214,7 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "%-8s %10s %10s %8s %14s %14s %10s %10s %10s\n",
 		"layer", "writes", "reads", "meta", "bytesW", "bytesR", "tW(s)", "tR(s)", "tM(s)")
 	for _, name := range r.Layers() {
-		lc := r.layers[name]
+		lc := r.Layer(name)
 		fmt.Fprintf(&b, "%-8s %10d %10d %8d %14d %14d %10.3f %10.3f %10.3f\n",
 			name, lc.WriteOps, lc.ReadOps, lc.MetaOps, lc.BytesWritten, lc.BytesRead,
 			lc.WriteTime, lc.ReadTime, lc.MetaTime)

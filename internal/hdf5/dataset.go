@@ -2,6 +2,8 @@ package hdf5
 
 import (
 	"fmt"
+
+	"tunio/internal/darshan"
 )
 
 // maxExtentsPerSlab bounds how many extents one slab materializes; beyond
@@ -129,7 +131,7 @@ func (d *Dataset) transfer(slabs []Slab, isWrite bool) (float64, error) {
 	}
 
 	// Application-layer accounting: one op per H5Dwrite/H5Dread call.
-	lc := d.f.lib.sim.Report.Layer("hdf5")
+	lc := d.f.lib.sim.Report.At(darshan.HDF5)
 	if isWrite {
 		lc.WriteOps += int64(len(slabs))
 		lc.BytesWritten += appBytes

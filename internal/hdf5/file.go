@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tunio/internal/cluster"
+	"tunio/internal/darshan"
 	"tunio/internal/ioreq"
 	"tunio/internal/mpiio"
 )
@@ -214,7 +215,7 @@ func (f *File) metaRead(items int64) {
 	if err != nil {
 		panic("hdf5: metaRead: " + err.Error())
 	}
-	f.lib.sim.Report.AddMeta("hdf5", items, elapsed)
+	f.lib.sim.Report.At(darshan.HDF5).AddMeta(items, elapsed)
 }
 
 // metaTouch charges repeated metadata accesses (chunk index walks, object
@@ -244,7 +245,7 @@ func (f *File) flushMetadata() {
 	if err != nil {
 		panic("hdf5: flushMetadata: " + err.Error())
 	}
-	f.lib.sim.Report.AddMeta("hdf5", f.metaPendingItems, elapsed)
+	f.lib.sim.Report.At(darshan.HDF5).AddMeta(f.metaPendingItems, elapsed)
 	f.metaPendingBytes = 0
 	f.metaPendingItems = 0
 }

@@ -25,6 +25,7 @@ import (
 	"math"
 
 	"tunio/internal/cluster"
+	"tunio/internal/darshan"
 	"tunio/internal/ioreq"
 )
 
@@ -95,7 +96,10 @@ type FS struct {
 // phaseScratch holds the dense accumulators split and plan reuse call to
 // call, replacing the per-call maps that dominated the evaluation hot path.
 // Epoch stamps mark which entries belong to the current extent/phase, so a
-// "reset" is a counter increment rather than a clear.
+// "reset" is a counter increment rather than a clear. Generation 0 is what
+// untouched stamps hold and is never current: the scratch outlives FS.Reset
+// in pooled stacks, so the counters do wrap, and nextSlotGen/nextPhaseGen
+// then clear the stamps and restart at 1.
 type phaseScratch struct {
 	pieces []ostPiece // split output buffer
 
@@ -131,6 +135,28 @@ type phaseScratch struct {
 	// until the following plan.
 	table PhaseTable
 	wide  []wideLoad
+}
+
+// nextSlotGen starts a new extent in split.
+func (sp *phaseScratch) nextSlotGen() uint32 {
+	sp.slotGen++
+	if sp.slotGen == 0 {
+		clear(sp.slotEpoch)
+		sp.slotGen = 1
+	}
+	return sp.slotGen
+}
+
+// nextPhaseGen starts a new phase in plan.
+func (sp *phaseScratch) nextPhaseGen() uint32 {
+	sp.phaseGen++
+	if sp.phaseGen == 0 {
+		clear(sp.loadEpoch)
+		clear(sp.cliEpoch)
+		clear(sp.nodeEpoch)
+		sp.phaseGen = 1
+	}
+	return sp.phaseGen
 }
 
 // grow ensures the epoch/value slice pair covers index n.
@@ -276,8 +302,7 @@ func (f *File) split(e ioreq.Extent, fileSize int64) []ostPiece {
 	// stripe%stripeCount (equivalent to keying by OST: the slot->OST map is
 	// injective) into epoch-stamped scratch arrays, in first-touch order.
 	sp := &f.fs.scratch
-	sp.slotGen++
-	gen := sp.slotGen
+	gen := sp.nextSlotGen()
 	growStamps(&sp.slotEpoch, int(sc)-1)
 	growInt64(&sp.slotSpan, int(sc)-1)
 	growInt64(&sp.slotEdges, int(sc)-1)
@@ -424,8 +449,7 @@ func (f *File) phase(extents []ioreq.Extent, isWrite bool) (float64, error) {
 // overflows the table's compact fields; it then carries every load instead.
 func (f *File) plan(extents []ioreq.Extent, isWrite bool) (*PhaseTable, []wideLoad, error) {
 	sp := &f.fs.scratch
-	sp.phaseGen++
-	gen := sp.phaseGen
+	gen := sp.nextPhaseGen()
 	sp.loadOrder = sp.loadOrder[:0]
 	sp.nodeOrder = sp.nodeOrder[:0]
 	procsPerNode := f.fs.sim.Cluster.ProcsPerNode
@@ -600,7 +624,7 @@ func (f *File) charge(t *PhaseTable, wide []wideLoad) float64 {
 	elapsed = f.fs.sim.Perturb(elapsed)
 	f.fs.sim.Advance(elapsed)
 
-	lc := f.fs.sim.Report.Layer("lustre")
+	lc := f.fs.sim.Report.At(darshan.Lustre)
 	if t.isWrite {
 		f.size = t.sizeAfter
 		lc.WriteOps += t.requests
@@ -642,7 +666,7 @@ func (fs *FS) MetaOps(n, nclients int) float64 {
 	}
 	d = fs.sim.Perturb(d)
 	fs.sim.Advance(d)
-	fs.sim.Report.AddMeta("lustre", int64(n), d)
+	fs.sim.Report.At(darshan.Lustre).AddMeta(int64(n), d)
 	return d
 }
 

@@ -397,3 +397,48 @@ func TestPublishedTableSize(t *testing.T) {
 		t.Fatalf("ostLoad is %d bytes, want 16", got)
 	}
 }
+
+// TestEpochStampsSurviveWrap pins the scratch generations at their wrap.
+// The scratch outlives FS.Reset in pooled stacks, so a long-lived session
+// does reach 2³² splits; when a counter wraps, entries nothing ever stamped
+// (epoch 0) and entries stamped in the counter's first generations must not
+// pass for current, or a phase loses pieces and inherits client counts. The
+// reference is the oracle on a machine whose counters are nowhere near.
+func TestEpochStampsSurviveWrap(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	const procs = 32
+	for i := 0; i < 100; i++ {
+		tc := drawTableCase(r, procs)
+		warmup := drawTableCase(r, procs).extents
+		if i%2 == 0 {
+			warmup = nil // a scratch no phase has stamped yet
+		}
+
+		sim, f, _ := tc.machine(t)
+		if _, err := f.phaseOracle(warmup, true); err != nil {
+			t.Fatal(err)
+		}
+		d, err := f.phaseOracle(tc.extents, tc.isWrite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := outcomeOf(d, sim, f)
+
+		sim, f, _ = tc.machine(t)
+		if _, err := f.phase(warmup, true); err != nil {
+			t.Fatal(err)
+		}
+		sp := &f.fs.scratch
+		sp.phaseGen = math.MaxUint32                    // the next plan wraps
+		sp.slotGen = math.MaxUint32 - uint32(r.Intn(3)) // as does one of its first splits
+		if d, err = f.phase(tc.extents, tc.isWrite); err != nil {
+			t.Fatal(err)
+		}
+		if got := outcomeOf(d, sim, f); got != want {
+			t.Fatalf("case %d: phase across the wrap\n got  %+v\n want %+v\n case %+v", i, got, want, tc)
+		}
+		if sp.phaseGen == 0 || sp.slotGen == 0 {
+			t.Fatalf("case %d: generation 0 is current (phase %d, slot %d)", i, sp.phaseGen, sp.slotGen)
+		}
+	}
+}

@@ -17,6 +17,7 @@ import (
 	"slices"
 
 	"tunio/internal/cluster"
+	"tunio/internal/darshan"
 	"tunio/internal/ioreq"
 	"tunio/internal/lustre"
 )
@@ -127,10 +128,11 @@ func (f *File) independent(extents []ioreq.Extent, isWrite bool) (float64, error
 
 // record books one completed transfer on the mpiio counters.
 func (f *File) record(isWrite bool, bytes int64, elapsed float64) {
+	lc := f.sim.Report.At(darshan.MPIIO)
 	if isWrite {
-		f.sim.Report.AddWrite("mpiio", bytes, elapsed)
+		lc.AddWrite(bytes, elapsed)
 	} else {
-		f.sim.Report.AddRead("mpiio", bytes, elapsed)
+		lc.AddRead(bytes, elapsed)
 	}
 }
 
@@ -167,7 +169,7 @@ func (f *File) transferAll(extents []ioreq.Extent, isWrite bool) (float64, error
 	if !collective {
 		return f.independent(extents, isWrite)
 	}
-	return f.ExecCollective(PlanCollective(extents, f.hints, f.nprocs, f.sim.Cluster.ProcsPerNode), isWrite), nil
+	return f.ExecCollective(PlanCollective(extents, f.hints, f.nprocs, f.sim.Cluster.ProcsPerNode), isWrite, nil, nil), nil
 }
 
 // CollRound is one two-phase round of a collective plan: the aggregator
@@ -213,14 +215,18 @@ func PlanCollective(extents []ioreq.Extent, h Hints, nprocs, ppn int) *CollPlan 
 	}
 
 	// Aggregators are spread evenly over the ranks (ROMIO picks one per
-	// node where possible), so count the distinct nodes they land on.
+	// node where possible), so count the distinct nodes they land on: the
+	// node index never falls as a rises, so every change is a new node.
 	spacing := nprocs / agg
 	if spacing < 1 {
 		spacing = 1
 	}
-	aggNodeSet := make(map[int]struct{}, agg)
+	aggNodes, lastNode := 0, -1
 	for a := 0; a < agg; a++ {
-		aggNodeSet[(a*spacing)/ppn] = struct{}{}
+		if node := (a * spacing) / ppn; node != lastNode {
+			aggNodes++
+			lastNode = node
+		}
 	}
 	srcNodes := nprocs / ppn
 	if nprocs%ppn != 0 {
@@ -230,7 +236,7 @@ func PlanCollective(extents []ioreq.Extent, h Hints, nprocs, ppn int) *CollPlan 
 	plan := &CollPlan{
 		Rounds:   make([]CollRound, 0, rounds),
 		SrcNodes: srcNodes,
-		AggNodes: len(aggNodeSet),
+		AggNodes: aggNodes,
 		Total:    ioreq.TotalBytes(extents),
 	}
 	perRound := h.CBBufferSize
@@ -267,17 +273,38 @@ func PlanCollective(extents []ioreq.Extent, h Hints, nprocs, ppn int) *CollPlan 
 
 // ExecCollective services a precomputed collective plan against the live
 // backend, charging shuffle, storage, and barrier time in the same order as
-// a directly issued collective transfer.
-func (f *File) ExecCollective(p *CollPlan, isWrite bool) float64 {
+// a directly issued collective transfer. slots, when non-nil, holds one
+// phase-table slot per round (belonging to that round's extents and this
+// direction under the backend's layout): a Lustre backend then serves each
+// round's storage phase through its slot, as IndependentVia does, and how
+// each slot was used is tallied in uses. With nil slots — a live transfer —
+// every round is planned at the backend as always and uses is not touched.
+func (f *File) ExecCollective(p *CollPlan, isWrite bool, slots []lustre.TableSlot, uses *[lustre.TableUses]int64) float64 {
+	var lb *lustre.Backend // the backend, if the rounds go through slots
+	if slots != nil {
+		lb, _ = f.backend.(*lustre.Backend)
+	}
+	storage := func(i int) float64 {
+		rd := &p.Rounds[i]
+		if lb != nil {
+			elapsed, _, use := lb.PhaseVia(&slots[i], f.name, rd.Extents, isWrite)
+			uses[use]++
+			return elapsed
+		}
+		if isWrite {
+			return f.backend.WritePhase(f.name, rd.Extents)
+		}
+		return f.backend.ReadPhase(f.name, rd.Extents)
+	}
 	elapsed := 0.0
-	for _, rd := range p.Rounds {
+	for i, rd := range p.Rounds {
 		if isWrite {
 			// Phase 1: shuffle rank data to aggregators; ~one message per
 			// (rank, aggregator) pair that exchanges data, bounded by ranks.
 			elapsed += f.sim.NetworkShuffle(rd.Bytes, p.SrcNodes, p.AggNodes, f.nprocs)
-			elapsed += f.backend.WritePhase(f.name, rd.Extents)
+			elapsed += storage(i)
 		} else {
-			elapsed += f.backend.ReadPhase(f.name, rd.Extents)
+			elapsed += storage(i)
 			elapsed += f.sim.NetworkShuffle(rd.Bytes, p.AggNodes, p.SrcNodes, f.nprocs)
 		}
 	}

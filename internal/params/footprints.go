@@ -17,12 +17,22 @@ package params
 //     The aggregation schedule is computed over the plan-stage artifact, so
 //     its cache key is the union of both footprints.
 //   - ServiceStage: Lustre/cluster service of the wire plan. Its integer
-//     half is cached: how a transfer's extents split over the stripe layout
-//     reads only the striping pair, so the engine keeps per-OST phase
-//     tables per (wire plan, striping) and reuses them across seeds and
-//     drift epochs (replay stage 3a). The float half is not: the
-//     metadata-cache level decides misses with the run's RNG, and the cost
-//     of every phase consumes the run seed (noise) and the drift schedule.
+//     half is cached: how a storage phase's extents — an independent
+//     transfer's, or one two-phase round's of a collective transfer — split
+//     over the stripe layout reads only the striping pair, so the engine
+//     keeps per-OST phase tables per (wire plan, striping) and reuses them
+//     across seeds and drift epochs (replay stage 3a; the service_hits /
+//     service_misses / service_fallbacks of replay.StageStats count those
+//     phases, rounds included). The float half is not: the metadata-cache
+//     level decides misses with the run's RNG, and the cost of every phase
+//     consumes the run seed (noise) and the drift schedule.
+//
+// A footprint is an upper bound on what a stage reads, and the cache key of
+// a projection — not of an artifact: the stage cache holds each distinct
+// artifact once, so projections that produce equal content (most plan
+// projections of a kernel; aggregate projections that differ only in hints
+// an independent transfer never reads) are separate keys, counted as
+// separate misses, onto one stack plan, wire plan and set of phase tables.
 var (
 	PlanStage = []string{Alignment, SieveBufSize, ChunkCache}
 

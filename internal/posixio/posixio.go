@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"tunio/internal/cluster"
+	"tunio/internal/darshan"
 	"tunio/internal/ioreq"
 )
 
@@ -71,7 +72,7 @@ func (m *MemFS) phase(name string, extents []ioreq.Extent, isWrite bool) float64
 	elapsed := worst + float64(ops)*m.opLat
 	elapsed = m.sim.Perturb(elapsed)
 	m.sim.Advance(elapsed)
-	lc := m.sim.Report.Layer("mem")
+	lc := m.sim.Report.At(darshan.Mem)
 	if isWrite {
 		lc.WriteOps += int64(ops)
 		lc.BytesWritten += total
@@ -101,7 +102,7 @@ func (m *MemFS) MetaOps(n, nclients int) float64 {
 	}
 	d := float64(n) * m.opLat
 	m.sim.Advance(d)
-	m.sim.Report.AddMeta("mem", int64(n), d)
+	m.sim.Report.At(darshan.Mem).AddMeta(int64(n), d)
 	return d
 }
 

@@ -11,8 +11,13 @@ import (
 // benchKernel is the small VPIC dump every replay micro-benchmark runs.
 func benchKernel(b *testing.B) workload.Workload {
 	b.Helper()
+	return vpicDump(b, 16<<10)
+}
+
+func vpicDump(b *testing.B, particlesPerRank int64) workload.Workload {
+	b.Helper()
 	v := kernel(b, "vpic").(*workload.VPIC)
-	v.ParticlesPerRank = 16 << 10
+	v.ParticlesPerRank = particlesPerRank
 	v.ComputeFlops = 1e9
 	return v
 }
@@ -53,7 +58,16 @@ func BenchmarkStagedExecPooled(b *testing.B) {
 // state of a tuning session, where stage 3 charges tables instead of
 // splitting extents.
 func BenchmarkStagedExecWarmTables(b *testing.B) {
-	benchTables(b, true)
+	benchTables(b, true, false)
+}
+
+// BenchmarkStagedExecWarmTablesCollective is WarmTables with every data
+// transfer collective, a 1 MiB buffer on two aggregators and a dump 16
+// times the size, so each 16 MiB variable goes out in eight two-phase
+// rounds: the tables charged are the rounds', and what is left of a round
+// is its shuffle and the charge itself.
+func BenchmarkStagedExecWarmTablesCollective(b *testing.B) {
+	benchTables(b, true, true)
 }
 
 // BenchmarkStagedExecColdTables is the same replay with every table slot
@@ -62,16 +76,26 @@ func BenchmarkStagedExecWarmTables(b *testing.B) {
 // under a (wire plan, layout) pays. The contrast with WarmTables is what
 // stage 3a saves; the contrast with the pre-3a engine is publish's copies.
 func BenchmarkStagedExecColdTables(b *testing.B) {
-	benchTables(b, false)
+	benchTables(b, false, false)
 }
 
-func benchTables(b *testing.B, warm bool) {
+func benchTables(b *testing.B, warm, collective bool) {
 	a := params.DefaultAssignment(params.Space())
-	if err := a.SetIndex(params.StripingFactor, 6); err != nil {
-		b.Fatal(err)
+	idx := map[string]int{params.StripingFactor: 6}
+	if collective {
+		idx[params.CollectiveWrite], idx[params.CBNodes], idx[params.CBBufferSize] = 1, 1, 0
+	}
+	for name, i := range idx {
+		if err := a.SetIndex(name, i); err != nil {
+			b.Fatal(err)
+		}
 	}
 	s := a.Settings()
-	lower, _ := tableHarness(b, benchKernel(b), a)
+	w := benchKernel(b)
+	if collective {
+		w = vpicDump(b, 256<<10)
+	}
+	lower, _ := tableHarness(b, w, a)
 	pool := workload.NewStackPool(cluster.CoriHaswell(2, 8))
 	var rt Runtime
 	// Lowering shares the stack plan's extents, so a plan per iteration is

@@ -91,7 +91,10 @@ func (s *cacheShard[V]) len() int { return len(*s.m.Load()) }
 // published map pointer and bumps an atomic counter — no mutex — while a
 // cold build serializes only with other builds on the same stripe. A
 // wire-stripe build may take a plan-stripe lock (wire→plan order only),
-// so the two lock families cannot deadlock.
+// so the two lock families cannot deadlock. What a cold build publishes
+// under its projection key is the artifact the cache already holds for
+// that content, when it holds one (canon): the shard maps count keys, the
+// artifacts behind them are far fewer.
 type StageCache struct {
 	mu        sync.Mutex // guards kernelKey and traces
 	kernelKey string     // key the single-trace API (WireFor, Trace) is bound to
@@ -99,6 +102,7 @@ type StageCache struct {
 
 	plans [stageShardCount]cacheShard[*StackPlan]
 	wires [stageShardCount]cacheShard[*WirePlan]
+	canon canon // each distinct artifact once; its lock is a leaf
 
 	service serviceCounters // stage-3 table traffic of every plan built here
 
@@ -109,15 +113,22 @@ type StageCache struct {
 	serial *sync.Mutex
 }
 
-// StageStats counts cache traffic per stage. The service counters are
-// stage 3a's: independent data transfers charged from a published phase
-// table (hits), planned live and published (misses), or planned live
-// because the published table did not fit the live file (fallbacks).
+// StageStats counts cache traffic per stage. Hits and misses count
+// projection keys answered; PlanDistinct and WireDistinct count the
+// artifacts those misses added to the cache — a miss whose content the
+// cache already held adds none — so for a whole cache they are the stack
+// and wire plans it holds. The service counters are stage 3a's: storage
+// phases of data transfers — an independent transfer, or one round of a
+// collective one — charged from a published phase table (hits), planned
+// live and published (misses), or planned live because the published table
+// did not fit the live file (fallbacks).
 type StageStats struct {
 	PlanHits         int64 `json:"plan_hits"`
 	PlanMisses       int64 `json:"plan_misses"`
+	PlanDistinct     int64 `json:"plan_distinct"`
 	WireHits         int64 `json:"wire_hits"`
 	WireMisses       int64 `json:"wire_misses"`
+	WireDistinct     int64 `json:"wire_distinct"`
 	ServiceHits      int64 `json:"service_hits"`
 	ServiceMisses    int64 `json:"service_misses"`
 	ServiceFallbacks int64 `json:"service_fallbacks"`
@@ -183,8 +194,10 @@ func (s StageStats) WireHitRate() float64 {
 func (s *StageStats) add(o StageStats) {
 	s.PlanHits += o.PlanHits
 	s.PlanMisses += o.PlanMisses
+	s.PlanDistinct += o.PlanDistinct
 	s.WireHits += o.WireHits
 	s.WireMisses += o.WireMisses
+	s.WireDistinct += o.WireDistinct
 	s.ServiceHits += o.ServiceHits
 	s.ServiceMisses += o.ServiceMisses
 	s.ServiceFallbacks += o.ServiceFallbacks
@@ -293,6 +306,8 @@ func (c *StageCache) Stats() StageStats {
 		s.WireHits += c.wires[i].hits.Load()
 		s.WireMisses += c.wires[i].misses.Load()
 	}
+	plans, wires := c.canon.distinct()
+	s.PlanDistinct, s.WireDistinct = int64(plans), int64(wires)
 	c.service.into(&s)
 	return s
 }
@@ -313,11 +328,13 @@ type CacheView struct {
 	c         *StageCache
 	kernelKey string
 
-	planHits   atomic.Int64
-	planMisses atomic.Int64
-	wireHits   atomic.Int64
-	wireMisses atomic.Int64
-	service    serviceCounters // credited by Runtimes whose View is this view
+	planHits     atomic.Int64
+	planMisses   atomic.Int64
+	planDistinct atomic.Int64
+	wireHits     atomic.Int64
+	wireMisses   atomic.Int64
+	wireDistinct atomic.Int64
+	service      serviceCounters // credited by Runtimes whose View is this view
 }
 
 // KernelKey returns the view's kernel key.
@@ -334,8 +351,10 @@ func (v *CacheView) WireFor(a *params.Assignment, s params.StackSettings, ppn in
 	}
 	if delta.WireMisses != 0 {
 		v.wireMisses.Add(delta.WireMisses)
+		v.wireDistinct.Add(delta.WireDistinct)
 		v.planHits.Add(delta.PlanHits)
 		v.planMisses.Add(delta.PlanMisses)
+		v.planDistinct.Add(delta.PlanDistinct)
 	}
 	return wp, err
 }
@@ -344,10 +363,12 @@ func (v *CacheView) WireFor(a *params.Assignment, s params.StackSettings, ppn in
 // the whole shared cache) generated.
 func (v *CacheView) Stats() StageStats {
 	s := StageStats{
-		PlanHits:   v.planHits.Load(),
-		PlanMisses: v.planMisses.Load(),
-		WireHits:   v.wireHits.Load(),
-		WireMisses: v.wireMisses.Load(),
+		PlanHits:     v.planHits.Load(),
+		PlanMisses:   v.planMisses.Load(),
+		PlanDistinct: v.planDistinct.Load(),
+		WireHits:     v.wireHits.Load(),
+		WireMisses:   v.wireMisses.Load(),
+		WireDistinct: v.wireDistinct.Load(),
 	}
 	v.service.into(&s)
 	return s
@@ -367,8 +388,10 @@ func (c *StageCache) WireFor(a *params.Assignment, s params.StackSettings, ppn i
 // The fast path builds the wire key into stack scratch, loads the
 // stripe's published map, and returns on a hit — zero locks, zero
 // allocations. A miss takes only that stripe's mutex, re-checks (another
-// session may have published while we waited), builds the plan (itself a
-// striped lookup), lowers, and republishes.
+// session may have published while we waited), fetches the stack plan
+// (itself a striped lookup), and publishes under the projection key the
+// wire plan the cache holds for that stack plan and what lowering reads of
+// the settings (wireKeyOf) — lowering it only if there is none yet.
 func (c *StageCache) wireFor(kernelKey string, a *params.Assignment, s params.StackSettings, delta *StageStats, ppn int) (*WirePlan, error) {
 	if c.serial != nil {
 		c.serial.Lock()
@@ -414,14 +437,22 @@ func (c *StageCache) wireFor(kernelKey string, a *params.Assignment, s params.St
 	if err != nil {
 		return nil, err
 	}
-	wp := LowerPlan(sp, s.Hints, s.HDF5, ppn)
-	wp.service = &c.service
+	wp, added := c.canon.wire(wireKeyOf(sp, s, ppn), func() *WirePlan {
+		wp := LowerPlan(sp, s.Hints, s.HDF5, ppn)
+		wp.service = &c.service
+		return wp
+	})
+	if added && delta != nil {
+		delta.WireDistinct++
+	}
 	return shard.insertLocked(key, wp), nil
 }
 
 // planFor returns the stage-1 stack plan for the assignment's plan
-// projection, building and publishing it on a miss. Callers may hold a
-// wire-stripe mutex; plan stripes are a distinct lock family ordered
+// projection. A miss builds the plan and publishes, under the projection
+// key, the plan the cache holds for that content: the first one built, so
+// every projection of equal content hands out one pointer. Callers may
+// hold a wire-stripe mutex; plan stripes are a distinct lock family ordered
 // after wire stripes, so this cannot deadlock.
 func (c *StageCache) planFor(kernelKey string, a *params.Assignment, cfg hdf5.Config, delta *StageStats) (*StackPlan, error) {
 	var scratch [64]byte
@@ -460,6 +491,10 @@ func (c *StageCache) planFor(kernelKey string, a *params.Assignment, cfg hdf5.Co
 	sp, err := BuildStackPlan(t, cfg)
 	if err != nil {
 		return nil, err
+	}
+	sp, added := c.canon.plan(sp, sp.contentHash())
+	if added && delta != nil {
+		delta.PlanDistinct++
 	}
 	return shard.insertLocked(key, sp), nil
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"tunio/internal/darshan"
 	"tunio/internal/hdf5"
 	"tunio/internal/ioreq"
 	"tunio/internal/lustre"
@@ -40,14 +41,14 @@ import (
 // time and counters through the same cluster/lustre/mpiio code paths in the
 // same order as a live run, so its report is bit-identical to one.
 //
-// Stage 3 has an integer half of its own (stage 3a): splitting a transfer's
+// Stage 3 has an integer half of its own (stage 3a): splitting a phase's
 // extents over the stripe layout reads the striping but no clock, RNG or
-// drift schedule. The wire plan memoizes that half for its independent data
-// transfers — nearly all of a plan's extents — as lustre phase tables, one
-// slot per transfer per lustre.Layout, filled by the first execution that
-// reaches the transfer. Everything else (metadata, collective rounds,
-// non-Lustre files) is split live every time, as is any transfer whose
-// table the live file does not accept.
+// drift schedule. The wire plan memoizes that half for every storage phase
+// of its data transfers — an independent transfer is one phase, a collective
+// one a phase per two-phase round — as lustre phase tables, one slot per
+// phase per lustre.Layout, filled by the first execution that reaches the
+// phase. Everything else (metadata, non-Lustre files) is split live every
+// time, as is any phase whose table the live file does not accept.
 
 type planOpKind uint8
 
@@ -314,7 +315,7 @@ const (
 	wOpen  wireOpKind = iota
 	wIndep            // independent data transfer: served through a phase-table slot
 	wMeta             // independent metadata transfer, charged to the hdf5 meta counters
-	wColl
+	wColl             // collective data transfer: a phase-table slot per round
 	wMetaTouch
 	wBarrier
 	wCompute
@@ -347,9 +348,11 @@ type WirePlan struct {
 	CollMetaOps bool
 	ops         []wireOp
 
-	// dataOps counts the independent data transfers (wIndep); the n-th of
-	// them in op order owns slot n of every layout's slot array.
-	dataOps  int
+	// phases counts the storage phases of the data transfers: one per
+	// independent transfer (wIndep), one per round of a collective one
+	// (wColl). The n-th of them in op order owns slot n of every layout's
+	// slot array.
+	phases   int
 	tables   atomic.Pointer[map[lustre.Layout][]lustre.TableSlot]
 	tablesMu sync.Mutex // serializes adding a layout; reads take no lock
 
@@ -378,7 +381,7 @@ func (wp *WirePlan) slotsFor(l lustre.Layout) []lustre.TableSlot {
 	for k, v := range old {
 		next[k] = v
 	}
-	slots := make([]lustre.TableSlot, wp.dataOps)
+	slots := make([]lustre.TableSlot, wp.phases)
 	next[l] = slots
 	wp.tables.Store(&next)
 	return slots
@@ -417,12 +420,13 @@ func LowerPlan(sp *StackPlan, hints mpiio.Hints, cfg hdf5.Config, ppn int) *Wire
 				collective = h.CollectiveRead
 			}
 			if collective {
-				wp.ops = append(wp.ops, wireOp{kind: wColl, file: op.file, isWrite: op.isWrite,
-					coll: mpiio.PlanCollective(op.extents, h, sp.Nprocs, ppn)})
+				coll := mpiio.PlanCollective(op.extents, h, sp.Nprocs, ppn)
+				wp.ops = append(wp.ops, wireOp{kind: wColl, file: op.file, isWrite: op.isWrite, coll: coll})
+				wp.phases += len(coll.Rounds)
 			} else {
 				wp.ops = append(wp.ops, wireOp{kind: wIndep, file: op.file, isWrite: op.isWrite,
 					extents: op.extents})
-				wp.dataOps++
+				wp.phases++
 			}
 		case opBarrier:
 			wp.ops = append(wp.ops, wireOp{kind: wBarrier, n: op.n})
@@ -495,9 +499,9 @@ func (rt *Runtime) ExecWhile(wp *WirePlan, st *workload.Stack, keep func() bool)
 }
 
 // exec replays the wire plan, aborting with ErrBudgetExceeded whenever
-// the abort predicate (nil = never) reports true, and books how its
-// independent data transfers used the plan's phase tables. An aborted
-// replay has published the tables of the prefix it ran.
+// the abort predicate (nil = never) reports true, and books how the phases
+// of its data transfers used the plan's phase tables. An aborted replay has
+// published the tables of the prefix it ran.
 func (rt *Runtime) exec(wp *WirePlan, st *workload.Stack, abort func() bool) error {
 	var uses [lustre.TableUses]int64
 	err := rt.run(wp, st, abort, &uses)
@@ -521,8 +525,8 @@ func (rt *Runtime) run(wp *WirePlan, st *workload.Stack, abort func() bool, uses
 	}
 	mpfs := rt.mpfs[:len(wp.Files)]
 	clear(mpfs)
-	var slots []lustre.TableSlot // of the independent data transfers, in op order
-	if wp.dataOps > 0 {
+	var slots []lustre.TableSlot // of the data transfers' phases, in op order
+	if wp.phases > 0 {
 		slots = wp.slotsFor(st.Layout())
 	}
 
@@ -556,9 +560,11 @@ func (rt *Runtime) run(wp *WirePlan, st *workload.Stack, abort func() bool, uses
 			if err != nil {
 				return err
 			}
-			sim.Report.AddMeta("hdf5", op.metaItems, elapsed)
+			sim.Report.At(darshan.HDF5).AddMeta(op.metaItems, elapsed)
 		case wColl:
-			acc += mpfs[op.file].ExecCollective(op.coll, op.isWrite)
+			n := len(op.coll.Rounds)
+			acc += mpfs[op.file].ExecCollective(op.coll, op.isWrite, slots[:n:n], uses)
+			slots = slots[n:]
 		case wMetaTouch:
 			misses := hdf5.MetaMisses(op.metaItems, hitRate, sim.Rand().Float64())
 			if misses > 0 {
@@ -568,14 +574,14 @@ func (rt *Runtime) run(wp *WirePlan, st *workload.Stack, abort func() bool, uses
 				if err != nil {
 					return err
 				}
-				sim.Report.AddMeta("hdf5", misses, elapsed)
+				sim.Report.At(darshan.HDF5).AddMeta(misses, elapsed)
 			}
 		case wBarrier:
 			sim.Barrier(op.n)
 		case wCompute:
 			sim.Compute(op.flops)
 		case wAccount:
-			lc := sim.Report.Layer("hdf5")
+			lc := sim.Report.At(darshan.HDF5)
 			if op.isWrite {
 				lc.WriteOps += op.ops
 				lc.BytesWritten += op.bytes

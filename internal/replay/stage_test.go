@@ -117,8 +117,8 @@ func TestStagedExecMatchesLiveRun(t *testing.T) {
 							t.Errorf("%s, %s: counted %d hits, %d misses on the cache", label, run.how, hits, misses)
 						}
 					case "warm tables":
-						if misses != 0 || hits != int64(cached.dataOps) {
-							t.Errorf("%s, %s: %d hits, %d misses, want %d hits", label, run.how, hits, misses, cached.dataOps)
+						if misses != 0 || hits != int64(cached.phases) {
+							t.Errorf("%s, %s: %d hits, %d misses, want %d hits", label, run.how, hits, misses, cached.phases)
 						}
 					}
 					if after.ServiceFallbacks != 0 {

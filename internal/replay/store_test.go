@@ -113,8 +113,8 @@ func TestSharedStageCacheViews(t *testing.T) {
 		t.Fatalf("shared stats = %+v, want 1 hit + 1 miss", st)
 	}
 
-	// A view on a different kernel key must not see k1's artifacts.
-	shared.Register("sig:k2", tr)
+	// A view on a different kernel must not see k1's artifacts.
+	shared.Register("sig:k2", recordTrace(t, "vpic", 3))
 	v3 := shared.View("sig:k2")
 	wp3, err := v3.WireFor(a, s, 8)
 	if err != nil {
@@ -123,8 +123,27 @@ func TestSharedStageCacheViews(t *testing.T) {
 	if wp3 == wp1 {
 		t.Fatal("kernel keys did not partition the shared cache")
 	}
-	if st := v3.Stats(); st.WireMisses != 1 {
-		t.Fatalf("view3 stats = %+v, want 1 wire miss", st)
+	if st := v3.Stats(); st.WireMisses != 1 || st.WireDistinct != 1 || st.PlanDistinct != 1 {
+		t.Fatalf("view3 stats = %+v, want 1 wire miss adding 1 plan and 1 wire", st)
+	}
+
+	// The same trace under another key is a miss of its own — keys are
+	// never answered across kernels — that adds nothing: the artifacts are
+	// pure data, held once per content.
+	shared.Register("sig:k1-again", tr)
+	v4 := shared.View("sig:k1-again")
+	wp4, err := v4.WireFor(a, s, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wp4 != wp1 {
+		t.Fatal("equal content under two kernel keys was built twice")
+	}
+	if st := v4.Stats(); st.WireMisses != 1 || st.PlanMisses != 1 || st.WireDistinct != 0 || st.PlanDistinct != 0 {
+		t.Fatalf("view4 stats = %+v, want 1 wire miss and 1 plan miss adding nothing", st)
+	}
+	if st := shared.Stats(); st.PlanDistinct != 2 || st.WireDistinct != 2 || st.WireMisses != 3 {
+		t.Fatalf("shared stats = %+v, want 3 wire misses over 2 plans and 2 wires", st)
 	}
 }
 

@@ -62,13 +62,41 @@ func serviceOf(wp *WirePlan) StageStats {
 	return s
 }
 
+// phasesOf counts the table slots an op consumes.
+func phasesOf(op *wireOp) int64 {
+	switch op.kind {
+	case wIndep:
+		return 1
+	case wColl:
+		return int64(len(op.coll.Rounds))
+	}
+	return 0
+}
+
+// tableConfigs are the two shapes a data transfer takes on the wire: every
+// transfer independent (one phase each), and every transfer collective with
+// a buffer small enough that each runs several two-phase rounds.
+func tableConfigs(t *testing.T) map[string]*params.Assignment {
+	return map[string]*params.Assignment{
+		"independent": mutate(t, map[string]int{params.StripingFactor: 3, params.StripingUnit: 2}),
+		"collective": mutate(t, map[string]int{params.StripingFactor: 3, params.StripingUnit: 2,
+			params.CollectiveWrite: 1, params.CBNodes: 2, params.CBBufferSize: 0}),
+	}
+}
+
 // TestAbortedExecPublishesPrefix aborts an ExecWhile at every op index of
 // a plan with empty tables, then runs the plan in full: the full run must
 // be bit-identical to one on an untouched plan, reuse exactly the tables
 // the aborted prefix published, and plan only the rest — nothing runs
-// twice, nothing is lost.
+// twice, nothing is lost. An abort falls between ops, so a collective
+// transfer has published all of its rounds or none.
 func TestAbortedExecPublishesPrefix(t *testing.T) {
-	a := mutate(t, map[string]int{params.StripingFactor: 3, params.StripingUnit: 2})
+	for name, a := range tableConfigs(t) {
+		t.Run(name, func(t *testing.T) { abortedExecPublishesPrefix(t, a) })
+	}
+}
+
+func abortedExecPublishesPrefix(t *testing.T, a *params.Assignment) {
 	s := a.Settings()
 	lower, stack := tableHarness(t, kernel(t, "flash"), a)
 	var rt Runtime
@@ -78,18 +106,19 @@ func TestAbortedExecPublishesPrefix(t *testing.T) {
 	if err := rt.Exec(refPlan, ref); err != nil {
 		t.Fatal(err)
 	}
-	if refPlan.dataOps == 0 {
-		t.Fatal("flash lowered without independent data transfers: the test exercises nothing")
+	if refPlan.phases == 0 {
+		t.Fatal("flash lowered without data transfers: the test exercises nothing")
+	}
+	if colls := countOps(refPlan, wColl); s.Hints.CollectiveWrite && refPlan.phases <= colls {
+		t.Fatalf("%d collective transfers lowered to %d rounds: multi-round publication goes untested", colls, refPlan.phases)
 	}
 
 	for k := 0; k <= len(refPlan.ops); k++ {
 		wp := lower()
-		// data transfers among the first k ops: what the abort publishes
+		// phases among the first k ops: what the abort publishes
 		var prefix int64
 		for i := 0; i < k; i++ {
-			if wp.ops[i].kind == wIndep {
-				prefix++
-			}
+			prefix += phasesOf(&wp.ops[i])
 		}
 		calls := 0
 		err := rt.ExecWhile(wp, stack(s, 3), func() bool { calls++; return calls <= k })
@@ -108,11 +137,22 @@ func TestAbortedExecPublishesPrefix(t *testing.T) {
 			t.Fatalf("full run after abort at op %d: clock %v, untouched plan %v", k, full.Sim.Now(), ref.Sim.Now())
 		}
 		reportsEqual(t, fmt.Sprintf("after abort at op %d", k), ref.Sim.Report, full.Sim.Report)
-		want := StageStats{ServiceHits: prefix, ServiceMisses: int64(wp.dataOps)}
+		want := StageStats{ServiceHits: prefix, ServiceMisses: int64(wp.phases)}
 		if got := serviceOf(wp); got != want {
 			t.Fatalf("full run after abort at op %d: %+v, want %+v", k, got, want)
 		}
 	}
+}
+
+// countOps counts the plan's ops of one kind.
+func countOps(wp *WirePlan, kind wireOpKind) int {
+	n := 0
+	for i := range wp.ops {
+		if wp.ops[i].kind == kind {
+			n++
+		}
+	}
+	return n
 }
 
 // flipPlan hand-lowers a plan over two Lustre files whose creation order
@@ -138,7 +178,7 @@ func flipPlan() *WirePlan {
 			{kind: wAccount, isWrite: true, bytes: 9 << 20, ops: 3},
 			{kind: wBarrier, n: 16},
 		},
-		dataOps: 4,
+		phases:  4,
 		service: &serviceCounters{},
 	}
 }
@@ -172,11 +212,11 @@ func TestFlippedCreationOrderFallsBack(t *testing.T) {
 		reportsEqual(t, fmt.Sprintf("seed %d", seed), want.Sim.Report, got.Sim.Report)
 	}
 	st := serviceOf(shared)
-	if st.ServiceMisses != int64(shared.dataOps) || st.ServiceHits == 0 || st.ServiceFallbacks == 0 {
+	if st.ServiceMisses != int64(shared.phases) || st.ServiceHits == 0 || st.ServiceFallbacks == 0 {
 		t.Fatalf("24 seeds should build each table once and both reuse and reject them: %+v", st)
 	}
-	if total := st.ServiceHits + st.ServiceMisses + st.ServiceFallbacks; total != 24*int64(shared.dataOps) {
-		t.Fatalf("%d transfers accounted, want %d", total, 24*shared.dataOps)
+	if total := st.ServiceHits + st.ServiceMisses + st.ServiceFallbacks; total != 24*int64(shared.phases) {
+		t.Fatalf("%d transfers accounted, want %d", total, 24*shared.phases)
 	}
 }
 
@@ -242,8 +282,8 @@ func TestStagedExecConcurrentFirstTouch(t *testing.T) {
 	}
 	st := serviceOf(shared)
 	execs := int64(goroutines * len(layouts) * len(seeds))
-	if got := st.ServiceHits + st.ServiceMisses; got != execs*int64(shared.dataOps) || st.ServiceFallbacks != 0 {
-		t.Fatalf("%+v: want %d transfers, no fallbacks", st, execs*int64(shared.dataOps))
+	if got := st.ServiceHits + st.ServiceMisses; got != execs*int64(shared.phases) || st.ServiceFallbacks != 0 {
+		t.Fatalf("%+v: want %d transfers, no fallbacks", st, execs*int64(shared.phases))
 	}
 	if m := *shared.tables.Load(); len(m) != len(layouts) {
 		t.Fatalf("%d layouts hold tables, want %d", len(m), len(layouts))
@@ -270,7 +310,7 @@ func TestMemBackendKeepsNoTables(t *testing.T) {
 				{kind: wIndep, file: 0, isWrite: true, extents: []ioreq.Extent{{Offset: 0, Size: 1 << 20, Rank: 3}}},
 				{kind: wAccount, isWrite: true, bytes: 1 << 20, ops: 1},
 			},
-			dataOps: 1,
+			phases:  1,
 			service: &serviceCounters{},
 		}
 	}
@@ -304,31 +344,35 @@ func TestMemBackendKeepsNoTables(t *testing.T) {
 }
 
 // TestWarmExecAllocs pins the warm inner loop — stack reset plus execution
-// from published tables — at no more than one allocation. The stack is
-// reset in place, as StackPool.Get does on a pooled one (sync.Pool itself
-// drops items at random under the race detector).
+// from published tables — at no more than one allocation, whether the
+// tables stand for independent transfers or for collective rounds. The
+// stack is reset in place, as StackPool.Get does on a pooled one (sync.Pool
+// itself drops items at random under the race detector).
 func TestWarmExecAllocs(t *testing.T) {
-	a := params.DefaultAssignment(params.Space())
-	s := a.Settings()
-	lower, stack := tableHarness(t, kernel(t, "vpic"), a)
-	wp := lower()
-	st := stack(s, 0)
-	var rt Runtime
-	seed := int64(0)
-	exec := func() {
-		seed++
-		if err := st.Reset(s, seed); err != nil {
-			t.Fatal(err)
-		}
-		if err := rt.Exec(wp, st); err != nil {
-			t.Fatal(err)
-		}
-	}
-	exec() // fills the tables
-	if allocs := testing.AllocsPerRun(50, exec); allocs > 1 {
-		t.Fatalf("warm Exec allocates %.1f times per run, want <= 1", allocs)
-	}
-	if st := serviceOf(wp); st.ServiceMisses != int64(wp.dataOps) || st.ServiceFallbacks != 0 {
-		t.Fatalf("warm runs planned live: %+v", st)
+	for name, a := range tableConfigs(t) {
+		t.Run(name, func(t *testing.T) {
+			s := a.Settings()
+			lower, stack := tableHarness(t, kernel(t, "vpic"), a)
+			wp := lower()
+			st := stack(s, 0)
+			var rt Runtime
+			seed := int64(0)
+			exec := func() {
+				seed++
+				if err := st.Reset(s, seed); err != nil {
+					t.Fatal(err)
+				}
+				if err := rt.Exec(wp, st); err != nil {
+					t.Fatal(err)
+				}
+			}
+			exec() // fills the tables
+			if allocs := testing.AllocsPerRun(50, exec); allocs > 1 {
+				t.Fatalf("warm Exec allocates %.1f times per run, want <= 1", allocs)
+			}
+			if st := serviceOf(wp); st.ServiceMisses != int64(wp.phases) || st.ServiceFallbacks != 0 {
+				t.Fatalf("warm runs planned live: %+v", st)
+			}
+		})
 	}
 }

@@ -414,6 +414,10 @@ func TestServerCrossSessionSharingAndStats(t *testing.T) {
 	if stats.StageHitRate <= 0 || stats.StageHitRate >= 1 {
 		t.Fatalf("aggregate stage hit rate = %.2f", stats.StageHitRate)
 	}
+	// Two sessions' projection keys are answered from fewer artifacts.
+	if sg := stats.Stage; sg.PlanDistinct == 0 || sg.PlanDistinct > sg.PlanMisses || sg.WireDistinct == 0 || sg.WireDistinct > sg.WireMisses {
+		t.Fatalf("stage stats = %+v, want artifacts held within keys built", sg)
+	}
 }
 
 // Request validation and routing errors map to the right status codes.

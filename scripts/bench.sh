@@ -36,7 +36,7 @@ driftout="${3:-BENCH_drift.json}"
 serveout="${4:-BENCH_serve.json}"
 
 echo "== micro-benchmarks (ns/op, B/op) =="
-go test -run '^$' -bench 'BenchmarkStagedExec(Pooled|WarmTables|ColdTables|FreshStack)|BenchmarkEval(DirectInterp|TraceReplay)|BenchmarkWarmHit' \
+go test -run '^$' -bench 'BenchmarkStagedExec(Pooled|WarmTables|WarmTablesCollective|ColdTables|FreshStack)|BenchmarkEval(DirectInterp|TraceReplay)|BenchmarkWarmHit' \
     -benchmem ./internal/replay ./internal/tuner
 
 echo "== population benchmark (32 genomes x 5 workloads) -> $out =="

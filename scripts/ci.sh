@@ -39,8 +39,14 @@ echo "== go test -race (stage 3a phase tables) =="
 # wire plan: the plan/charge equivalence proof, the first-touch race, the
 # aborted-prefix and stale-table fallbacks run under the race detector
 # even when a narrower package pattern was requested.
-go test -race -run 'TestPlanCharge|TestStaleTable|TestWideLoad|TestLayout' ./internal/lustre
+go test -race -run 'TestPlanCharge|TestStaleTable|TestWideLoad|TestLayout|TestEpochStamps' ./internal/lustre
 go test -race -run 'TestStagedExec|TestAbortedExec|TestFlippedCreationOrder|TestMemBackend|TestWarmExecAllocs' ./internal/replay
+# Collective rounds charge tables through the one mpiio round loop, and the
+# stage cache hands equal content out as one artifact: the round oracle and
+# the canonical-plan proofs (8 goroutines racing first touch) run here too.
+go test -race -run 'TestCollectiveRounds' ./internal/lustre
+go test -race ./internal/mpiio
+go test -race -count=3 -run 'TestCanonical' ./internal/replay
 
 echo "== go test -race (tuning server) =="
 # The server multiplexes concurrent tenants onto one shared engine
