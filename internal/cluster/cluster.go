@@ -56,6 +56,11 @@ func (c *Cluster) Validate() error {
 	if c.Nodes <= 0 || c.ProcsPerNode <= 0 {
 		return fmt.Errorf("cluster: need positive Nodes/ProcsPerNode, got %d/%d", c.Nodes, c.ProcsPerNode)
 	}
+	for _, v := range []float64{c.NICBandwidth, c.NICLatency, c.MemBandwidth, c.FlopRate, c.Noise} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("cluster: rates, latency and noise must be finite, got %v", v)
+		}
+	}
 	if c.NICBandwidth <= 0 || c.MemBandwidth <= 0 || c.FlopRate <= 0 {
 		return fmt.Errorf("cluster: bandwidths and flop rate must be positive")
 	}
@@ -102,7 +107,8 @@ type Sim struct {
 
 	now   float64
 	epoch float64
-	rng   *rand.Rand
+	noise noiseSource
+	rng   *rand.Rand // draws from noise
 }
 
 // NewSim returns a fresh simulation over the cluster.
@@ -110,11 +116,10 @@ func NewSim(c *Cluster, seed int64) (*Sim, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	return &Sim{
-		Cluster: c,
-		Report:  darshan.NewReport(),
-		rng:     rand.New(rand.NewSource(seed)),
-	}, nil
+	s := &Sim{Cluster: c, Report: darshan.NewReport()}
+	s.noise.Seed(seed)
+	s.rng = rand.New(&s.noise)
+	return s, nil
 }
 
 // Now returns the simulated time in seconds since the start of this run.

@@ -21,6 +21,12 @@ func TestValidate(t *testing.T) {
 		{Nodes: 1, ProcsPerNode: 1, NICBandwidth: 0, MemBandwidth: 1, FlopRate: 1},
 		{Nodes: 1, ProcsPerNode: 1, NICBandwidth: 1, MemBandwidth: 1, FlopRate: 1, Noise: 0.9},
 		{Nodes: 1, ProcsPerNode: 1, NICBandwidth: 1, MemBandwidth: 1, FlopRate: 1, NICLatency: -1},
+		// every comparison with NaN is false, so range checks alone let it by
+		{Nodes: 1, ProcsPerNode: 1, NICBandwidth: 1, MemBandwidth: 1, FlopRate: 1, Noise: math.NaN()},
+		{Nodes: 1, ProcsPerNode: 1, NICBandwidth: math.NaN(), MemBandwidth: 1, FlopRate: 1},
+		{Nodes: 1, ProcsPerNode: 1, NICBandwidth: 1, MemBandwidth: math.Inf(1), FlopRate: 1},
+		{Nodes: 1, ProcsPerNode: 1, NICBandwidth: 1, MemBandwidth: 1, FlopRate: math.Inf(1)},
+		{Nodes: 1, ProcsPerNode: 1, NICBandwidth: 1, MemBandwidth: 1, FlopRate: 1, NICLatency: math.Inf(1)},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -41,10 +41,19 @@ type Config struct {
 	MaxContention    float64 // cap on the contention multiplier
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. File.charge prices only a phase's
+// undominated loads (PhaseTable.front), which is exact because the time an
+// OST takes never falls as its clients, requests or bytes rise: that needs
+// ContentionFactor >= 0, OSTLatency >= 0, OSTBandwidth > 0 and
+// MaxContention >= 1, all finite, and Validate is what guarantees them.
 func (c Config) Validate() error {
 	if c.OSTs <= 0 {
 		return fmt.Errorf("lustre: OSTs must be positive, got %d", c.OSTs)
+	}
+	for _, v := range []float64{c.OSTBandwidth, c.OSTLatency, c.MDSLatency, c.ContentionFactor, c.MaxContention} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("lustre: timing and contention constants must be finite, got %v", v)
+		}
 	}
 	if c.OSTBandwidth <= 0 || c.OSTLatency < 0 || c.MDSLatency < 0 {
 		return fmt.Errorf("lustre: invalid timing constants")
@@ -82,6 +91,7 @@ type FS struct {
 	cfg   Config
 	sim   *cluster.Sim
 	files map[string]*File
+	last  *File // the file Backend.file resolved last, nil once it may be stale
 	// nextOST round-robins the starting OST of new files, like Lustre's
 	// allocator spreading files across the pool.
 	nextOST int
@@ -216,6 +226,7 @@ func (fs *FS) Create(name string, stripeCount int, stripeSize int64) (*File, err
 	}
 	fs.nextOST = (fs.nextOST + stripeCount) % fs.cfg.OSTs
 	fs.files[name] = f
+	fs.last = nil
 	fs.MetaOps(1, 1) // create is one MDS op
 	return f, nil
 }
@@ -584,6 +595,11 @@ func (f *File) charge(t *PhaseTable, wide []wideLoad) float64 {
 	n := len(t.loads)
 	if wide != nil {
 		n = len(wide)
+	} else if dr == nil && t.front != 0 {
+		// Without a drift schedule every OST prices a load alike and never
+		// prices a larger one lower (Config.Validate), so the slowest OST
+		// carries an undominated load. A schedule can degrade any one OST.
+		n = int(t.front)
 	}
 	for i := 0; i < n; i++ {
 		var l wideLoad
@@ -684,14 +700,21 @@ var _ ioreq.Backend = (*Backend)(nil)
 // Name implements ioreq.Backend.
 func (b *Backend) Name() string { return "lustre" }
 
+// file resolves name, creating the file if this run has not yet. Phases
+// come in runs against one file, so the last resolution is kept and the map
+// is consulted only when the name changes.
 func (b *Backend) file(name string) *File {
-	if f, ok := b.FS.files[name]; ok {
+	if f := b.FS.last; f != nil && f.name == name {
 		return f
 	}
-	f, err := b.FS.Create(name, b.StripeCount, b.StripeSize)
-	if err != nil {
-		panic("lustre: backend create: " + err.Error())
+	f, ok := b.FS.files[name]
+	if !ok {
+		var err error
+		if f, err = b.FS.Create(name, b.StripeCount, b.StripeSize); err != nil {
+			panic("lustre: backend create: " + err.Error())
+		}
 	}
+	b.FS.last = f
 	return f
 }
 

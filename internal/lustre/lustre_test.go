@@ -40,6 +40,16 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.MDSParallel = 0 },
 		func(c *Config) { c.MaxContention = 0.5 },
 		func(c *Config) { c.ContentionFactor = -1 },
+		// every comparison with NaN is false, so range checks alone let it by
+		func(c *Config) { c.OSTBandwidth = math.NaN() },
+		func(c *Config) { c.OSTBandwidth = math.Inf(1) },
+		func(c *Config) { c.OSTLatency = math.NaN() },
+		func(c *Config) { c.OSTLatency = math.Inf(1) },
+		func(c *Config) { c.MDSLatency = math.NaN() },
+		func(c *Config) { c.ContentionFactor = math.NaN() },
+		func(c *Config) { c.ContentionFactor = math.Inf(1) },
+		func(c *Config) { c.MaxContention = math.NaN() },
+		func(c *Config) { c.MaxContention = math.Inf(1) },
 	}
 	for i, mut := range cases {
 		c := CoriScratch()

@@ -5,5 +5,6 @@ package lustre
 // kept; stack pooling uses this to reuse one FS across evaluations.
 func (fs *FS) Reset() {
 	clear(fs.files)
+	fs.last = nil
 	fs.nextOST = 0
 }

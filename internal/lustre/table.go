@@ -1,6 +1,7 @@
 package lustre
 
 import (
+	"math"
 	"sync/atomic"
 
 	"tunio/internal/ioreq"
@@ -9,13 +10,13 @@ import (
 // PhaseTable is the integer half of one phase (see File.plan): what each
 // OST and the busiest client node are asked to move, with the totals the
 // darshan counters need. A table is immutable once published; charging it
-// is sound exactly when the file it meets has the first OST and size
-// recorded here (File.accepts) and the striping of the Layout the table
-// was planned under. Published tables are kept for the life of a wire
-// plan, thousands of them on a busy daemon: the header fits the 80-byte
-// size class and is kept there.
+// is sound exactly when the file it meets has the first OST and, for a
+// write, the size recorded here (File.accepts) and the striping of the
+// Layout the table was planned under. Published tables are kept for the
+// life of a wire plan, thousands of them on a busy daemon: the header fits
+// the 80-byte size class and is kept there.
 type PhaseTable struct {
-	loads []ostLoad // first-touch order
+	loads []ostLoad // first-touch order until published, then front first
 
 	appBytes     int64 // payload bytes of the extents
 	requests     int64 // storage requests over all OSTs
@@ -24,7 +25,13 @@ type PhaseTable struct {
 	sizeBefore   int64 // file size the extents met
 	sizeAfter    int64 // file size once they are written
 	firstOST     int32
-	isWrite      bool
+	// front, when nonzero, says loads[:front] hold every undominated load —
+	// one no other load matches or exceeds in clients, requests and bytes
+	// alike — so on a machine that treats all OSTs the same the slowest OST
+	// is among them. Zero (a table not published, or a count past the
+	// field) means any load may be the slowest.
+	front   uint16
+	isWrite bool
 }
 
 // ostLoad is the load a phase places on one OST, 16 bytes so a published
@@ -49,11 +56,42 @@ func (l ostLoad) widen() wideLoad {
 	return wideLoad{ost: int(l.ost), clients: int64(l.clients), requests: int64(l.requests), bytes: l.bytes}
 }
 
-// publish returns an exact-size immutable copy of the scratch table.
+// covers reports whether l is at least o in clients, requests and bytes.
+func (l ostLoad) covers(o ostLoad) bool {
+	return l.clients >= o.clients && l.requests >= o.requests && l.bytes >= o.bytes
+}
+
+// publish returns an exact-size immutable copy of the scratch table with
+// the undominated loads moved to the front (of equal loads, one). Each load
+// is compared with the front as it stands when the load is reached, never
+// with every other load: a phase striped evenly over 248 OSTs has a front of
+// one or two, and pays for 248 comparisons or so.
 func (t *PhaseTable) publish() *PhaseTable {
 	c := *t
 	c.loads = make([]ostLoad, len(t.loads))
 	copy(c.loads, t.loads)
+	loads, nf := c.loads, 0 // loads[:nf] is the front of loads[:i]
+next:
+	for i, l := range loads {
+		// No front load covers another, so one that covers l rules out
+		// any that l covers: the two cases never meet in one pass.
+		for j := 0; j < nf; {
+			switch {
+			case loads[j].covers(l):
+				continue next
+			case l.covers(loads[j]):
+				nf--
+				loads[j], loads[nf] = loads[nf], loads[j]
+			default:
+				j++
+			}
+		}
+		loads[i], loads[nf] = loads[nf], l
+		nf++
+	}
+	if nf <= math.MaxUint16 {
+		c.front = uint16(nf)
+	}
 	return &c
 }
 
@@ -61,9 +99,11 @@ func (t *PhaseTable) publish() *PhaseTable {
 // the extents t was built from against f as it is now. First OST and size
 // depend on the order files were created and written in this run, which a
 // replay does not model (metadata-cache misses can create a file early); a
-// mismatch just sends the phase down the live path.
+// mismatch just sends the phase down the live path. Size only matters to a
+// write — it decides which edges read back before they modify and where the
+// file ends afterwards — so a read's table serves the file at any size.
 func (f *File) accepts(t *PhaseTable, isWrite bool) bool {
-	return t.isWrite == isWrite && int(t.firstOST) == f.firstOST && t.sizeBefore == f.size
+	return t.isWrite == isWrite && int(t.firstOST) == f.firstOST && (!isWrite || t.sizeBefore == f.size)
 }
 
 // TableSlot holds the published table of one replayed phase — one fixed

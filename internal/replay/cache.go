@@ -118,10 +118,11 @@ type StageCache struct {
 // artifacts those misses added to the cache — a miss whose content the
 // cache already held adds none — so for a whole cache they are the stack
 // and wire plans it holds. The service counters are stage 3a's: storage
-// phases of data transfers — an independent transfer, or one round of a
-// collective one — charged from a published phase table (hits), planned
-// live and published (misses), or planned live because the published table
-// did not fit the live file (fallbacks).
+// phases — an independent transfer of data or metadata, the read behind a
+// metadata touch that missed, or one round of a collective transfer —
+// charged from a published phase table (hits), planned live and published
+// (misses), or planned live because the published table did not fit the
+// live file (fallbacks).
 type StageStats struct {
 	PlanHits         int64 `json:"plan_hits"`
 	PlanMisses       int64 `json:"plan_misses"`

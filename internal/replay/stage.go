@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -43,12 +44,16 @@ import (
 //
 // Stage 3 has an integer half of its own (stage 3a): splitting a phase's
 // extents over the stripe layout reads the striping but no clock, RNG or
-// drift schedule. The wire plan memoizes that half for every storage phase
-// of its data transfers — an independent transfer is one phase, a collective
-// one a phase per two-phase round — as lustre phase tables, one slot per
-// phase per lustre.Layout, filled by the first execution that reaches the
-// phase. Everything else (metadata, non-Lustre files) is split live every
-// time, as is any phase whose table the live file does not accept.
+// drift schedule. The wire plan memoizes that half for every storage phase —
+// an independent transfer of data or metadata is one phase, a collective one
+// a phase per two-phase round — as lustre phase tables, one slot per phase
+// per lustre.Layout, filled by the first execution that reaches the phase.
+// The read behind a metadata touch is the one phase whose extents a run
+// decides: they follow from how many of the touched items miss the metadata
+// cache, which the cache level and one rounding draw settle, so the touches
+// of one file and item count share a slot per (level, rounded up or not).
+// Phases on non-Lustre files are split live every time, as is any phase
+// whose table the live file does not accept.
 
 type planOpKind uint8
 
@@ -312,11 +317,11 @@ func cloneExtents(extents []ioreq.Extent) []ioreq.Extent {
 type wireOpKind uint8
 
 const (
-	wOpen  wireOpKind = iota
-	wIndep            // independent data transfer: served through a phase-table slot
-	wMeta             // independent metadata transfer, charged to the hdf5 meta counters
-	wColl             // collective data transfer: a phase-table slot per round
-	wMetaTouch
+	wOpen      wireOpKind = iota
+	wIndep                // independent data transfer: served through a phase-table slot
+	wMeta                 // independent metadata transfer, charged to the hdf5 meta counters: likewise
+	wColl                 // collective data transfer: a phase-table slot per round
+	wMetaTouch            // metadata-cache lookup; its misses are read through a slot of its touch group
 	wBarrier
 	wCompute
 	wAccount
@@ -327,6 +332,7 @@ type wireOp struct {
 	kind      wireOpKind
 	file      int32
 	isWrite   bool
+	slot      int32 // wMetaTouch: first slot of the op's group within the touch slots
 	metaItems int64
 	n         int
 	flops     float64
@@ -348,11 +354,14 @@ type WirePlan struct {
 	CollMetaOps bool
 	ops         []wireOp
 
-	// phases counts the storage phases of the data transfers: one per
-	// independent transfer (wIndep), one per round of a collective one
-	// (wColl). The n-th of them in op order owns slot n of every layout's
-	// slot array.
+	// phases counts the storage phases with extents fixed at lowering: one
+	// per independent transfer (wIndep, wMeta), one per round of a
+	// collective one (wColl). The n-th of them in op order owns slot n of
+	// every layout's slot array. touches counts the touch groups — the
+	// distinct (file, items) of the wMetaTouch ops — whose touchSlots slots
+	// each follow the phases'.
 	phases   int
+	touches  int
 	tables   atomic.Pointer[map[lustre.Layout][]lustre.TableSlot]
 	tablesMu sync.Mutex // serializes adding a layout; reads take no lock
 
@@ -381,10 +390,21 @@ func (wp *WirePlan) slotsFor(l lustre.Layout) []lustre.TableSlot {
 	for k, v := range old {
 		next[k] = v
 	}
-	slots := make([]lustre.TableSlot, wp.phases)
+	slots := make([]lustre.TableSlot, wp.phases+touchSlots*wp.touches)
 	next[l] = slots
 	wp.tables.Store(&next)
 	return slots
+}
+
+// touchSlots is the number of slots a touch group holds: a touch of given
+// items reads floor(items·missRate) items or one more, per cache level.
+const touchSlots = 2 * (int(hdf5.MDCAggressive) + 1)
+
+// touchSlot returns, within a group's slots, the one for a touch that missed
+// misses of items items at the cache level.
+func touchSlot(level hdf5.MDCLevel, items, misses int64) int {
+	// a draw of 1 never rounds up
+	return 2*int(level) + int(misses-hdf5.MetaMisses(items, level.HitRate(), 1))
 }
 
 // LowerPlan lowers a stack plan onto the wire for the given (unfilled)
@@ -398,6 +418,11 @@ func LowerPlan(sp *StackPlan, hints mpiio.Hints, cfg hdf5.Config, ppn int) *Wire
 		CollMetaOps: cfg.CollMetadataOps,
 		ops:         make([]wireOp, 0, len(sp.ops)),
 	}
+	type touchGroup struct {
+		file  int32
+		items int64
+	}
+	var groups []touchGroup // a handful per plan: scanned, not hashed
 	for i := range sp.ops {
 		op := &sp.ops[i]
 		switch op.kind {
@@ -407,13 +432,21 @@ func LowerPlan(sp *StackPlan, hints mpiio.Hints, cfg hdf5.Config, ppn int) *Wire
 			wp.ops = append(wp.ops, wireOp{kind: wMeta, file: op.file,
 				metaItems: op.items,
 				extents:   hdf5.MetaReadExtents(cfg.CollMetadataOps, sp.Nprocs, ppn, op.items, nil)})
+			wp.phases++
 		case opMetaTouch:
-			wp.ops = append(wp.ops, wireOp{kind: wMetaTouch, file: op.file, metaItems: op.items})
+			g := slices.Index(groups, touchGroup{op.file, op.items})
+			if g < 0 {
+				g = len(groups)
+				groups = append(groups, touchGroup{op.file, op.items})
+			}
+			wp.ops = append(wp.ops, wireOp{kind: wMetaTouch, file: op.file, metaItems: op.items,
+				slot: int32(touchSlots * g)})
 		case opMetaFlush:
 			requests := hdf5.MetaFlushRequests(cfg.CollMetadataWrite, cfg.MetaBlockSize, op.bytes, op.items)
 			wp.ops = append(wp.ops, wireOp{kind: wMeta, file: op.file, isWrite: true,
 				metaItems: op.items,
 				extents:   []ioreq.Extent{{Offset: op.offset, Size: op.bytes, Rank: 0, Count: requests}}})
+			wp.phases++
 		case opData:
 			collective := h.CollectiveWrite
 			if !op.isWrite {
@@ -437,6 +470,7 @@ func LowerPlan(sp *StackPlan, hints mpiio.Hints, cfg hdf5.Config, ppn int) *Wire
 				bytes: op.bytes, ops: op.ops})
 		}
 	}
+	wp.touches = len(groups)
 	return wp
 }
 
@@ -499,9 +533,9 @@ func (rt *Runtime) ExecWhile(wp *WirePlan, st *workload.Stack, keep func() bool)
 }
 
 // exec replays the wire plan, aborting with ErrBudgetExceeded whenever
-// the abort predicate (nil = never) reports true, and books how the phases
-// of its data transfers used the plan's phase tables. An aborted replay has
-// published the tables of the prefix it ran.
+// the abort predicate (nil = never) reports true, and books how its storage
+// phases used the plan's phase tables. An aborted replay has published the
+// tables of the prefix it ran.
 func (rt *Runtime) exec(wp *WirePlan, st *workload.Stack, abort func() bool) error {
 	var uses [lustre.TableUses]int64
 	err := rt.run(wp, st, abort, &uses)
@@ -518,16 +552,18 @@ func (rt *Runtime) run(wp *WirePlan, st *workload.Stack, abort func() bool, uses
 	if lib.Nprocs() != wp.Nprocs {
 		return fmt.Errorf("replay: wire plan for %d procs, stack has %d", wp.Nprocs, lib.Nprocs())
 	}
-	hitRate := lib.Config().MDC.HitRate()
+	mdc := lib.Config().MDC
+	hitRate := mdc.HitRate()
 	if cap(rt.mpfs) < len(wp.Files) {
 		rt.mpfs = make([]*mpiio.File, len(wp.Files))
 		rt.fileBuf = make([]mpiio.File, len(wp.Files))
 	}
 	mpfs := rt.mpfs[:len(wp.Files)]
 	clear(mpfs)
-	var slots []lustre.TableSlot // of the data transfers' phases, in op order
-	if wp.phases > 0 {
+	var slots, touch []lustre.TableSlot // of the phases in op order, of the touch groups
+	if wp.phases+wp.touches > 0 {
 		slots = wp.slotsFor(st.Layout())
+		slots, touch = slots[:wp.phases], slots[wp.phases:]
 	}
 
 	var acc float64 // current transfer's data-phase elapsed time
@@ -550,16 +586,9 @@ func (rt *Runtime) run(wp *WirePlan, st *workload.Stack, abort func() bool, uses
 			uses[use]++
 			acc += elapsed
 		case wMeta:
-			var elapsed float64
-			var err error
-			if op.isWrite {
-				elapsed, err = mpfs[op.file].WriteIndependent(op.extents)
-			} else {
-				elapsed, err = mpfs[op.file].ReadIndependent(op.extents)
-			}
-			if err != nil {
-				return err
-			}
+			elapsed, use := mpfs[op.file].IndependentVia(&slots[0], op.extents, op.isWrite)
+			slots = slots[1:]
+			uses[use]++
 			sim.Report.At(darshan.HDF5).AddMeta(op.metaItems, elapsed)
 		case wColl:
 			n := len(op.coll.Rounds)
@@ -570,10 +599,9 @@ func (rt *Runtime) run(wp *WirePlan, st *workload.Stack, abort func() bool, uses
 			if misses > 0 {
 				extents := hdf5.MetaReadExtents(wp.CollMetaOps, wp.Nprocs, wp.PPN, misses, rt.metaBuf[:0])
 				rt.metaBuf = extents[:0]
-				elapsed, err := mpfs[op.file].ReadIndependent(extents)
-				if err != nil {
-					return err
-				}
+				slot := &touch[int(op.slot)+touchSlot(mdc, op.metaItems, misses)]
+				elapsed, use := mpfs[op.file].IndependentVia(slot, extents, false)
+				uses[use]++
 				sim.Report.At(darshan.HDF5).AddMeta(misses, elapsed)
 			}
 		case wBarrier:

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"tunio/internal/cluster"
+	"tunio/internal/hdf5"
 	"tunio/internal/ioreq"
+	"tunio/internal/lustre"
 	"tunio/internal/params"
 	"tunio/internal/workload"
 )
@@ -62,10 +64,28 @@ func serviceOf(wp *WirePlan) StageStats {
 	return s
 }
 
-// phasesOf counts the table slots an op consumes.
+// usesOf counts the phases that went through a table slot.
+func usesOf(s StageStats) int64 { return s.ServiceHits + s.ServiceMisses + s.ServiceFallbacks }
+
+// filledSlots counts the tables the plan holds, over all layouts.
+func filledSlots(wp *WirePlan) (n int64) {
+	if m := wp.tables.Load(); m != nil {
+		for _, slots := range *m {
+			for i := range slots {
+				if slots[i].Load() != nil {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// phasesOf counts the slots an op with fixed extents consumes (a metadata
+// touch goes through one of its group's slots when its draw misses).
 func phasesOf(op *wireOp) int64 {
 	switch op.kind {
-	case wIndep:
+	case wIndep, wMeta:
 		return 1
 	case wColl:
 		return int64(len(op.coll.Rounds))
@@ -86,9 +106,9 @@ func tableConfigs(t *testing.T) map[string]*params.Assignment {
 
 // TestAbortedExecPublishesPrefix aborts an ExecWhile at every op index of
 // a plan with empty tables, then runs the plan in full: the full run must
-// be bit-identical to one on an untouched plan, reuse exactly the tables
-// the aborted prefix published, and plan only the rest — nothing runs
-// twice, nothing is lost. An abort falls between ops, so a collective
+// be bit-identical to one on an untouched plan, reuse the tables the
+// aborted prefix published, and plan only the rest — no table is built
+// twice, none is lost. An abort falls between ops, so a collective
 // transfer has published all of its rounds or none.
 func TestAbortedExecPublishesPrefix(t *testing.T) {
 	for name, a := range tableConfigs(t) {
@@ -106,16 +126,19 @@ func abortedExecPublishesPrefix(t *testing.T, a *params.Assignment) {
 	if err := rt.Exec(refPlan, ref); err != nil {
 		t.Fatal(err)
 	}
-	if refPlan.phases == 0 {
+	if countOps(refPlan, wIndep)+countOps(refPlan, wColl) == 0 {
 		t.Fatal("flash lowered without data transfers: the test exercises nothing")
 	}
-	if colls := countOps(refPlan, wColl); s.Hints.CollectiveWrite && refPlan.phases <= colls {
-		t.Fatalf("%d collective transfers lowered to %d rounds: multi-round publication goes untested", colls, refPlan.phases)
+	if colls, metas := countOps(refPlan, wColl), countOps(refPlan, wMeta); s.Hints.CollectiveWrite && refPlan.phases <= colls+metas {
+		t.Fatalf("%d collective transfers lowered to %d rounds: multi-round publication goes untested", colls, refPlan.phases-metas)
 	}
+	refUses := usesOf(serviceOf(refPlan))
 
 	for k := 0; k <= len(refPlan.ops); k++ {
 		wp := lower()
-		// phases among the first k ops: what the abort publishes
+		// Phases among the first k ops: what the abort publishes at the
+		// least. The touches among them add a table for each (group, way
+		// the draw rounded) that read, and hit it when they meet it again.
 		var prefix int64
 		for i := 0; i < k; i++ {
 			prefix += phasesOf(&wp.ops[i])
@@ -125,8 +148,9 @@ func abortedExecPublishesPrefix(t *testing.T, a *params.Assignment) {
 		if !errors.Is(err, ErrBudgetExceeded) {
 			t.Fatalf("abort at op %d: err = %v", k, err)
 		}
-		if got := serviceOf(wp); got.ServiceMisses != prefix || got.ServiceHits != 0 {
-			t.Fatalf("abort at op %d: %+v, want %d tables built", k, got, prefix)
+		aborted := serviceOf(wp)
+		if aborted.ServiceMisses < prefix || aborted.ServiceMisses != filledSlots(wp) || aborted.ServiceFallbacks != 0 {
+			t.Fatalf("abort at op %d: %+v, %d tables held, want >= %d built and all of them held", k, aborted, filledSlots(wp), prefix)
 		}
 
 		full := stack(s, 9)
@@ -137,9 +161,12 @@ func abortedExecPublishesPrefix(t *testing.T, a *params.Assignment) {
 			t.Fatalf("full run after abort at op %d: clock %v, untouched plan %v", k, full.Sim.Now(), ref.Sim.Now())
 		}
 		reportsEqual(t, fmt.Sprintf("after abort at op %d", k), ref.Sim.Report, full.Sim.Report)
-		want := StageStats{ServiceHits: prefix, ServiceMisses: int64(wp.phases)}
-		if got := serviceOf(wp); got != want {
-			t.Fatalf("full run after abort at op %d: %+v, want %+v", k, got, want)
+		got := serviceOf(wp)
+		if got.ServiceMisses < int64(wp.phases) || got.ServiceMisses != filledSlots(wp) || got.ServiceFallbacks != 0 {
+			t.Fatalf("full run after abort at op %d: %+v, %d tables held, want >= %d built and all of them held", k, got, filledSlots(wp), wp.phases)
+		}
+		if hits := got.ServiceHits - aborted.ServiceHits; hits < prefix || usesOf(got) != usesOf(aborted)+refUses {
+			t.Fatalf("full run after abort at op %d: %+v after %+v, want >= %d hits and %d slots used", k, got, aborted, prefix, refUses)
 		}
 	}
 }
@@ -170,7 +197,7 @@ func flipPlan() *WirePlan {
 		ops: []wireOp{
 			{kind: wOpen, file: 0},
 			{kind: wOpen, file: 1},
-			{kind: wMetaTouch, file: 0, metaItems: 1},
+			{kind: wMetaTouch, file: 0, metaItems: 1, slot: 0},
 			{kind: wIndep, file: 1, isWrite: true, extents: ext(0, 3<<20, 0)},
 			{kind: wIndep, file: 0, isWrite: true, extents: ext(1<<19, 5<<20, 2)},
 			{kind: wIndep, file: 1, isWrite: true, extents: ext(7<<20, 1<<20, 4)},
@@ -179,6 +206,7 @@ func flipPlan() *WirePlan {
 			{kind: wBarrier, n: 16},
 		},
 		phases:  4,
+		touches: 1,
 		service: &serviceCounters{},
 	}
 }
@@ -194,6 +222,7 @@ func TestFlippedCreationOrderFallsBack(t *testing.T) {
 	s := a.Settings()
 	shared := flipPlan()
 	var rt Runtime
+	var uses int64 // slots the 24 runs go through, counted on plans of their own
 	for seed := int64(1); seed <= 24; seed++ {
 		run := func(wp *WirePlan) *workload.Stack {
 			st, err := workload.BuildStack(c, s, seed)
@@ -205,18 +234,170 @@ func TestFlippedCreationOrderFallsBack(t *testing.T) {
 			}
 			return st
 		}
-		got, want := run(shared), run(flipPlan())
+		private := flipPlan()
+		got, want := run(shared), run(private)
 		if got.Sim.Now() != want.Sim.Now() {
 			t.Errorf("seed %d: clock %v on shared tables, %v on none", seed, got.Sim.Now(), want.Sim.Now())
 		}
 		reportsEqual(t, fmt.Sprintf("seed %d", seed), want.Sim.Report, got.Sim.Report)
+		uses += usesOf(serviceOf(private))
 	}
+	// The four transfers' tables and the one a touch that reads goes through
+	// (one item at 50 %: it reads one item or nothing).
 	st := serviceOf(shared)
-	if st.ServiceMisses != int64(shared.phases) || st.ServiceHits == 0 || st.ServiceFallbacks == 0 {
+	if st.ServiceMisses != int64(shared.phases)+1 || st.ServiceMisses != filledSlots(shared) || st.ServiceHits == 0 || st.ServiceFallbacks == 0 {
 		t.Fatalf("24 seeds should build each table once and both reuse and reject them: %+v", st)
 	}
-	if total := st.ServiceHits + st.ServiceMisses + st.ServiceFallbacks; total != 24*int64(shared.phases) {
-		t.Fatalf("%d transfers accounted, want %d", total, 24*shared.phases)
+	if uses <= 24*int64(shared.phases) || usesOf(st) != uses {
+		t.Fatalf("%d phases accounted, want %d (more than %d: some touches read)", usesOf(st), uses, 24*shared.phases)
+	}
+}
+
+// metaPlan hand-lowers a plan whose metadata goes through every kind of
+// slot: fixed metadata reads and a flush (wMeta), and two touch groups — one
+// touched before, between and after the writes that grow the file, so its
+// tables meet the file at three sizes, and one on a second file. 133 items
+// miss 66.5, 26.6, 6.65 or 1.33 times at the four cache levels: every level
+// reads at least one item, and rounds either way.
+func metaPlan() *WirePlan {
+	data := func(off int64) []ioreq.Extent {
+		return []ioreq.Extent{{Offset: off, Size: 3 << 20, Rank: 0}, {Offset: off + 3<<20, Size: 3 << 20, Rank: 9}}
+	}
+	metaRead := hdf5.MetaReadExtents(false, 16, 8, 4, nil)
+	return &WirePlan{
+		Nprocs: 16, PPN: 8, Files: []string{"a.h5", "b.h5"},
+		ops: []wireOp{
+			{kind: wOpen, file: 0},
+			{kind: wMeta, file: 0, metaItems: 4, extents: metaRead},
+			{kind: wMetaTouch, file: 0, metaItems: 133, slot: 0},
+			{kind: wIndep, file: 0, isWrite: true, extents: data(0)},
+			{kind: wMetaTouch, file: 0, metaItems: 133, slot: 0},
+			{kind: wIndep, file: 0, isWrite: true, extents: data(6 << 20)},
+			{kind: wMetaTouch, file: 0, metaItems: 133, slot: 0},
+			{kind: wAccount, isWrite: true, bytes: 12 << 20, ops: 2},
+			{kind: wOpen, file: 1},
+			{kind: wMetaTouch, file: 1, metaItems: 133, slot: int32(touchSlots)},
+			{kind: wMeta, file: 0, isWrite: true, metaItems: 3,
+				extents: []ioreq.Extent{{Offset: 12 << 20, Size: 1536, Rank: 0, Count: 3}}},
+			{kind: wBarrier, n: 16},
+		},
+		phases:  4,
+		touches: 2,
+		service: &serviceCounters{},
+	}
+}
+
+// TestMetaTablesMatchLivePlanning runs metaPlan at each metadata-cache level
+// on 24 seeds, sharing one plan: every run must match — clock and every
+// darshan counter — the same seed on a plan of its own, whose empty tables
+// plan every phase live. The shared plan builds a table the first time a
+// phase is reached, or a touch group is read at a (level, rounding), and
+// charges it from then on; nothing falls back, because a read's table serves
+// the file at any size.
+func TestMetaTablesMatchLivePlanning(t *testing.T) {
+	c := cluster.CoriHaswell(2, 8)
+	for level := hdf5.MDCMinimal; level <= hdf5.MDCAggressive; level++ {
+		a := mutate(t, map[string]int{params.MDCConfig: int(level), params.StripingFactor: 3})
+		s := a.Settings()
+		if s.HDF5.MDC != level {
+			t.Fatalf("mdc_conf index %d selects level %v", int(level), s.HDF5.MDC)
+		}
+		shared := metaPlan()
+		var rt Runtime
+		var uses int64
+		var layout lustre.Layout
+		for seed := int64(1); seed <= 24; seed++ {
+			run := func(wp *WirePlan) *workload.Stack {
+				st, err := workload.BuildStack(c, s, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := rt.Exec(wp, st); err != nil {
+					t.Fatal(err)
+				}
+				return st
+			}
+			before := serviceOf(shared)
+			held := filledSlots(shared)
+			private := metaPlan()
+			got, want := run(shared), run(private)
+			if got.Sim.Now() != want.Sim.Now() {
+				t.Errorf("%v seed %d: clock %v on shared tables, %v on none", level, seed, got.Sim.Now(), want.Sim.Now())
+			}
+			reportsEqual(t, fmt.Sprintf("%v seed %d", level, seed), want.Sim.Report, got.Sim.Report)
+			uses += usesOf(serviceOf(private))
+			layout = got.Layout()
+
+			// This run built exactly the tables it found missing.
+			after := serviceOf(shared)
+			if built := after.ServiceMisses - before.ServiceMisses; built != filledSlots(shared)-held {
+				t.Fatalf("%v seed %d: built %d tables, plan holds %d more", level, seed, built, filledSlots(shared)-held)
+			}
+		}
+		st := serviceOf(shared)
+		if st.ServiceFallbacks != 0 || usesOf(st) != uses {
+			t.Fatalf("%v: %+v, want %d phases through slots and no fallback", level, st, uses)
+		}
+		// All four phases, and both roundings of both groups at this level
+		// and no other.
+		slots := shared.slotsFor(layout)
+		for i := range slots {
+			touch := i - shared.phases
+			want := touch < 0 || touch%touchSlots/2 == int(level)
+			if got := slots[i].Load() != nil; got != want {
+				t.Fatalf("%v: slot %d (touch slot %d) filled: %v, want %v", level, i, touch, got, want)
+			}
+		}
+		if st.ServiceMisses != int64(shared.phases+2*shared.touches) {
+			t.Fatalf("%v: %d tables built, want %d", level, st.ServiceMisses, shared.phases+2*shared.touches)
+		}
+	}
+}
+
+// TestLowerPlanSlotAccounting pins the slot layout LowerPlan hands the
+// runtime: a slot per storage phase with fixed extents, and touch ops
+// grouped by (file, items) — equal pairs share a group's slots, distinct
+// pairs get disjoint ones.
+func TestLowerPlanSlotAccounting(t *testing.T) {
+	for name, a := range tableConfigs(t) {
+		for _, w := range []string{"flash", "vpic", "bdcats"} {
+			lower, _ := tableHarness(t, kernel(t, w), a)
+			wp := lower()
+			var phases int64
+			type group struct {
+				file  int32
+				items int64
+			}
+			slotOf := map[group]int32{}
+			taken := map[int32]bool{}
+			for i := range wp.ops {
+				op := &wp.ops[i]
+				phases += phasesOf(op)
+				if op.kind != wMetaTouch {
+					continue
+				}
+				g := group{op.file, op.metaItems}
+				if slot, ok := slotOf[g]; ok {
+					if slot != op.slot {
+						t.Fatalf("%s/%s: touches of %+v use slots %d and %d", w, name, g, slot, op.slot)
+					}
+					continue
+				}
+				if taken[op.slot] || int(op.slot)%touchSlots != 0 || int(op.slot) >= touchSlots*wp.touches {
+					t.Fatalf("%s/%s: group %+v got slot %d of %d groups (taken: %v)", w, name, g, op.slot, wp.touches, taken[op.slot])
+				}
+				slotOf[g], taken[op.slot] = op.slot, true
+			}
+			if int64(wp.phases) != phases || wp.touches != len(slotOf) {
+				t.Fatalf("%s/%s: plan counts %d phases and %d touch groups, its ops %d and %d", w, name, wp.phases, wp.touches, phases, len(slotOf))
+			}
+			if len(slotOf) == 0 || countOps(wp, wMeta) == 0 {
+				t.Fatalf("%s/%s: no metadata in the plan: the test exercises nothing", w, name)
+			}
+			if got := len(wp.slotsFor(lustre.Layout{})); got != wp.phases+touchSlots*wp.touches {
+				t.Fatalf("%s/%s: %d slots for %d phases and %d touch groups", w, name, got, wp.phases, wp.touches)
+			}
+		}
 	}
 }
 
@@ -240,13 +421,16 @@ func TestStagedExecConcurrentFirstTouch(t *testing.T) {
 	}
 	want := map[key]float64{}
 	var rt Runtime
+	var uses int64 // slots one pass over layouts × seeds goes through
 	for li, s := range layouts {
 		for _, seed := range seeds {
 			st := stack(s, seed)
-			if err := rt.Exec(lower(), st); err != nil {
+			private := lower()
+			if err := rt.Exec(private, st); err != nil {
 				t.Fatal(err)
 			}
 			want[key{li, seed}] = st.Sim.Now()
+			uses += usesOf(serviceOf(private))
 		}
 	}
 
@@ -281,17 +465,16 @@ func TestStagedExecConcurrentFirstTouch(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := serviceOf(shared)
-	execs := int64(goroutines * len(layouts) * len(seeds))
-	if got := st.ServiceHits + st.ServiceMisses; got != execs*int64(shared.phases) || st.ServiceFallbacks != 0 {
-		t.Fatalf("%+v: want %d transfers, no fallbacks", st, execs*int64(shared.phases))
+	if got := st.ServiceHits + st.ServiceMisses; got != goroutines*uses || st.ServiceFallbacks != 0 {
+		t.Fatalf("%+v: want %d phases through slots, no fallbacks", st, goroutines*uses)
 	}
 	if m := *shared.tables.Load(); len(m) != len(layouts) {
 		t.Fatalf("%d layouts hold tables, want %d", len(m), len(layouts))
 	}
 	for l, slots := range *shared.tables.Load() {
-		for i := range slots {
+		for i := range slots[:shared.phases] {
 			if slots[i].Load() == nil {
-				t.Fatalf("layout %+v: slot %d still empty after %d executions", l, i, execs)
+				t.Fatalf("layout %+v: slot %d still empty after %d executions", l, i, goroutines*len(layouts)*len(seeds))
 			}
 		}
 	}
@@ -370,8 +553,10 @@ func TestWarmExecAllocs(t *testing.T) {
 			if allocs := testing.AllocsPerRun(50, exec); allocs > 1 {
 				t.Fatalf("warm Exec allocates %.1f times per run, want <= 1", allocs)
 			}
-			if st := serviceOf(wp); st.ServiceMisses != int64(wp.phases) || st.ServiceFallbacks != 0 {
-				t.Fatalf("warm runs planned live: %+v", st)
+			// Each table was built once: the phases' by the first run, a
+			// touch group's by the first run whose draw rounded that way.
+			if st := serviceOf(wp); st.ServiceMisses != filledSlots(wp) || st.ServiceFallbacks != 0 {
+				t.Fatalf("warm runs planned live: %+v, %d tables held", st, filledSlots(wp))
 			}
 		})
 	}

@@ -39,8 +39,11 @@ echo "== go test -race (stage 3a phase tables) =="
 # wire plan: the plan/charge equivalence proof, the first-touch race, the
 # aborted-prefix and stale-table fallbacks run under the race detector
 # even when a narrower package pattern was requested.
-go test -race -run 'TestPlanCharge|TestStaleTable|TestWideLoad|TestLayout|TestEpochStamps' ./internal/lustre
-go test -race -run 'TestStagedExec|TestAbortedExec|TestFlippedCreationOrder|TestMemBackend|TestWarmExecAllocs' ./internal/replay
+go test -race -run 'TestPlanCharge|TestStaleTable|TestWideLoad|TestLayout|TestEpochStamps|TestFront|TestDriftWalks|TestReadTable|TestBackendFile' ./internal/lustre
+go test -race -run 'TestStagedExec|TestAbortedExec|TestFlippedCreationOrder|TestMemBackend|TestWarmExecAllocs|TestMetaTables|TestLowerPlanSlot' ./internal/replay
+# Stage 3b: the noise stream every one of those runs draws from is seeded
+# on demand, and must stay math/rand's own.
+go test -race -run 'TestNoiseSource|TestSimReset' ./internal/cluster
 # Collective rounds charge tables through the one mpiio round loop, and the
 # stage cache hands equal content out as one artifact: the round oracle and
 # the canonical-plan proofs (8 goroutines racing first touch) run here too.
@@ -77,13 +80,15 @@ go -C bench test ./...
 echo "== statecheck (no package-level mutable state) =="
 # The evaluation engine packages are shared across worker goroutines;
 # allowlisted names are init-once lookup tables that are never written
-# afterwards, plus ErrBudgetExceeded — a conventional sentinel error
-# (assigned once, compared with errors.Is).
-go run ./cmd/statecheck -allow wireFootprint,sigEventKind,ErrBudgetExceeded internal/replay internal/tuner internal/server internal/train
+# afterwards — wireFootprint, sigEventKind, and the noise stream's seeding
+# tables noisePow and noiseCooked — plus ErrBudgetExceeded, a conventional
+# sentinel error (assigned once, compared with errors.Is).
+go run ./cmd/statecheck -allow wireFootprint,sigEventKind,ErrBudgetExceeded,noisePow,noiseCooked internal/replay internal/tuner internal/server internal/train internal/cluster internal/lustre
 
-echo "== fuzz smoke (interval lattice, format expansion) =="
+echo "== fuzz smoke (interval lattice, format expansion, noise stream) =="
 go test -run=NONE -fuzz=FuzzIntervalJoinWiden -fuzztime=3s ./internal/analysis
 go test -run=NONE -fuzz=FuzzExpandFormat -fuzztime=3s ./internal/analysis
+go test -run=NONE -fuzz=FuzzNoiseSource -fuzztime=3s ./internal/cluster
 
 echo "== go test -race =="
 go test -race "$pkgs"
