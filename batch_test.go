@@ -40,9 +40,11 @@ func sameResult(a, b *Result) bool {
 	return a.BestPerf == b.BestPerf && a.Best.String() == b.Best.String()
 }
 
-// TestTuneParallelDeterminism is the batch engine's core guarantee end to
-// end: for every paper workload, a parallel run reproduces the serial
-// batch run bit for bit — same curve, same subset trace, same best.
+// TestTuneParallelDeterminism is the engine's core guarantee end to end:
+// Parallelism is a worker count and nothing else. For every paper workload
+// the default (0, one worker per CPU) and a four-worker run reproduce the
+// one-worker run bit for bit — same curve, same subset trace, same best —
+// and all of them are scored by memoized staged replay.
 func TestTuneParallelDeterminism(t *testing.T) {
 	for _, w := range []string{"vpic", "hacc", "flash", "bdcats", "macsio"} {
 		t.Run(w, func(t *testing.T) {
@@ -50,13 +52,16 @@ func TestTuneParallelDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, par := range []int{2, 4} {
+			for _, par := range []int{0, 4} {
 				got, err := Tune(smallTune(w, par))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !sameResult(serial, got) {
-					t.Fatalf("parallelism=%d diverged from serial batch run", par)
+					t.Fatalf("parallelism=%d diverged from the one-worker run", par)
+				}
+				if info := got.EngineInfo; !info.TraceReady || info.KernelHash == "" || info.MemoMisses == 0 {
+					t.Fatalf("parallelism=%d was not scored by memoized replay: %+v", par, info)
 				}
 			}
 		})
@@ -79,20 +84,6 @@ func TestTuneMemoizationCountsHits(t *testing.T) {
 	if res.CacheHits+res.CacheMisses != res.Evaluations {
 		t.Fatalf("hits(%d)+misses(%d) != evaluations(%d)",
 			res.CacheHits, res.CacheMisses, res.Evaluations)
-	}
-}
-
-func TestTuneLegacyPathHasNoCache(t *testing.T) {
-	res, err := Tune(TuneOptions{
-		Workload: "macsio",
-		Nodes:    1, ProcsPerNode: 8,
-		PopSize: 4, MaxIterations: 3, Reps: 1, Seed: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CacheHits != 0 || res.CacheMisses != 0 {
-		t.Fatalf("legacy path reported cache traffic: %d/%d", res.CacheHits, res.CacheMisses)
 	}
 }
 

@@ -16,11 +16,10 @@ import (
 	"time"
 
 	"tunio/internal/experiments"
-	"tunio/internal/servebench"
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 1, 2, 5, 8, 8c, 9, 10, 11, 12, slice, eval, train, drift, serve, all")
+	fig := flag.String("fig", "all", "figure to regenerate: 1, 2, 5, 8, 8c, 9, 10, 11, 12, slice, eval, train, drift, all")
 	scaleName := flag.String("scale", "smoke", "experiment scale: smoke or paper")
 	seed := flag.Int64("seed", 7, "experiment seed")
 	jsonPath := flag.String("json", "", "write the last requested figure's result as JSON to this file")
@@ -59,7 +58,6 @@ func main() {
 		{"eval", func() (fmt.Stringer, error) { r, err := experiments.EvalBench(cfg); return r, err }},
 		{"train", func() (fmt.Stringer, error) { r, err := experiments.TrainBench(cfg); return r, err }},
 		{"drift", func() (fmt.Stringer, error) { r, err := experiments.DriftBench(cfg); return r, err }},
-		{"serve", func() (fmt.Stringer, error) { r, err := servebench.Run(cfg); return r, err }},
 	}
 
 	ran := 0

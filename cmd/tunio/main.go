@@ -31,8 +31,7 @@ func main() {
 	iters := flag.Int("iters", 50, "maximum tuning generations")
 	reps := flag.Int("reps", 3, "runs averaged per evaluation")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	parallel := flag.Int("parallel", 0, "evaluation workers; >= 1 selects the batch engine (staged trace replay), 0 the legacy serial path")
-	noTrace := flag.Bool("notrace", false, "with -parallel, score by direct simulation instead of trace replay")
+	parallel := flag.Int("parallel", 0, "evaluation workers (0 = one per CPU); the curve is the same for every count")
 	agentIn := flag.String("agent", "", "load a trained agent from this JSON file")
 	report := flag.Bool("report", false, "print the darshan I/O report of the best configuration")
 	agentOut := flag.String("train-out", "", "save the trained agent to this JSON file")
@@ -72,7 +71,7 @@ func main() {
 		Workload: *workloadName,
 		Nodes:    *nodes, ProcsPerNode: *ppn,
 		PopSize: *pop, MaxIterations: *iters, Reps: *reps,
-		Seed: *seed, Parallelism: *parallel, NoTrace: *noTrace,
+		Seed: *seed, Parallelism: *parallel,
 	}
 	switch *pipeline {
 	case "tunio":

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"sync"
 
-	"tunio/internal/cinterp"
 	"tunio/internal/cluster"
 	"tunio/internal/core"
 	"tunio/internal/csrc"
@@ -42,6 +41,16 @@ type (
 // ErrQuotaExceeded is returned by Engine.Tune when the spec's tenant
 // already holds its quota of concurrently running sessions.
 var ErrQuotaExceeded = errors.New("tunio: tenant quota exceeded")
+
+// ErrUntraceable is what Run.Wait returns (wrapped around the cause) when
+// the job's kernel cannot be turned into a trustworthy trace: recording it
+// failed, or its exact static I/O signature disagrees with what it
+// recorded. Every genome is scored by replaying that trace, so there is
+// nothing to tune on; the session fails rather than score some other way.
+// A Discover job gets the paper's §III-B recovery first — the full
+// submitted source is recorded in the kernel's place — and fails only if
+// that cannot be traced either.
+var ErrUntraceable = errors.New("tunio: kernel cannot be traced")
 
 // EngineOptions configure a tuning engine. The zero value is a private
 // engine: fresh caches, unbounded workers, no quotas — exactly what a
@@ -183,8 +192,9 @@ type JobSpec struct {
 	// simulated stack.
 	Source string
 	// Discover runs Application I/O Discovery on Source before tuning,
-	// so evaluations interpret the reduced kernel instead of the full
-	// program.
+	// so the reduced kernel is what gets recorded and replayed. If the
+	// kernel cannot be traced the full Source is (§III-B); the result's
+	// EngineInfo.FellBack says so.
 	Discover bool
 	// Tenant attributes the session for quota accounting ("" is a valid
 	// tenant).
@@ -206,13 +216,10 @@ type JobSpec struct {
 	Reps int
 	// Seed drives the whole session.
 	Seed int64
-	// Parallelism is the session's worker count, as in TuneOptions: 0
-	// keeps the legacy serial evaluator, >= 1 the batch engine with
-	// staged trace replay. The engine's shared gate additionally bounds
-	// the sum across sessions.
+	// Parallelism is the session's worker count (0 = GOMAXPROCS). Curves
+	// are identical for every count. The engine's shared gate additionally
+	// bounds the sum across sessions.
 	Parallelism int
-	// NoTrace opts the batch engine out of trace replay.
-	NoTrace bool
 	// Fix pins named parameters to fixed raw values, restricting the
 	// tuned space: the value must appear in the parameter's value list.
 	Fix map[string]int64
@@ -306,16 +313,25 @@ func applySpaceOverrides(space []params.Parameter, fix map[string]int64) ([]para
 	return out, nil
 }
 
-// sessionKernel is a resolved job kernel: exactly one of w and prog set,
-// plus its content-addressed store identity.
+// sessionKernel is a job's kernel selection: exactly one of w and prog
+// set, plus its content-addressed store identity.
 type sessionKernel struct {
 	w        workload.Workload
 	prog     *csrc.File
 	storeKey string
+	// full is the submitted source when prog is only its discovered I/O
+	// kernel: what §III-B recovery records if prog cannot be traced.
+	full string
 }
 
-// resolveKernel validates and resolves the spec's kernel selection.
-func resolveKernel(spec JobSpec, c *cluster.Cluster) (sessionKernel, error) {
+// sourceKey is the kernel-store identity of C source on the cluster.
+func sourceKey(src string, c *cluster.Cluster) string {
+	sum := sha256.Sum256([]byte(src))
+	return "src:" + hex.EncodeToString(sum[:8]) + "/" + strconv.Itoa(c.Procs())
+}
+
+// selectKernel validates the spec's kernel selection and parses it.
+func selectKernel(spec JobSpec, c *cluster.Cluster) (sessionKernel, error) {
 	switch {
 	case spec.Workload != "" && spec.Source != "":
 		return sessionKernel{}, fmt.Errorf("tunio: Workload and Source are mutually exclusive")
@@ -329,23 +345,21 @@ func resolveKernel(spec JobSpec, c *cluster.Cluster) (sessionKernel, error) {
 			storeKey: "workload:" + spec.Workload + "/" + strconv.Itoa(c.Procs()),
 		}, nil
 	case spec.Source != "":
+		kern := sessionKernel{}
 		src := spec.Source
 		if spec.Discover {
 			k, err := core.DiscoverIO(src, discovery.Options{})
 			if err != nil {
 				return sessionKernel{}, fmt.Errorf("tunio: discovery: %w", err)
 			}
-			src = k.Source
+			src, kern.full = k.Source, spec.Source
 		}
 		prog, err := csrc.Parse(src)
 		if err != nil {
 			return sessionKernel{}, fmt.Errorf("tunio: parsing source: %w", err)
 		}
-		sum := sha256.Sum256([]byte(src))
-		return sessionKernel{
-			prog:     prog,
-			storeKey: "src:" + hex.EncodeToString(sum[:8]) + "/" + strconv.Itoa(c.Procs()),
-		}, nil
+		kern.prog, kern.storeKey = prog, sourceKey(src, c)
+		return kern, nil
 	}
 	return sessionKernel{}, fmt.Errorf("tunio: job needs a Workload name or C Source")
 }
@@ -376,10 +390,7 @@ func (e *Engine) Tune(ctx context.Context, spec JobSpec) (*Run, error) {
 			return nil, err
 		}
 	}
-	if spec.Online != nil && spec.NoTrace {
-		return nil, fmt.Errorf("tunio: online sessions replay the recorded trace; NoTrace is incompatible")
-	}
-	kern, err := resolveKernel(spec, c)
+	kern, err := selectKernel(spec, c)
 	if err != nil {
 		return nil, err
 	}
@@ -443,8 +454,8 @@ func (e *Engine) release(tenant string, res *Result, err error) {
 	}
 }
 
-// runSession is the session goroutine: the wiring formerly inlined in
-// Tune, pointed at the engine's shared caches and gate.
+// runSession is the session goroutine of a one-shot job: trace the
+// kernel, then run the genetic pipeline over staged replay of it.
 func (e *Engine) runSession(ctx context.Context, r *Run, spec JobSpec, space []params.Parameter, c *cluster.Cluster, kern sessionKernel) {
 	cfg := tuner.Config{
 		Space:         space,
@@ -467,93 +478,52 @@ func (e *Engine) runSession(ctx context.Context, r *Run, spec JobSpec, space []p
 		cfg.Stopper = tuner.NewHeuristicStopper()
 	}
 
+	k, info, err := e.trace(kern, c, space, spec.Seed)
 	var res *Result
-	var err error
-	if spec.Parallelism >= 1 {
-		// Batch engine: order-independent seeds, worker pool under the
-		// shared gate, memoization. Evaluations default to staged trace
-		// replay against the engine-wide stage cache and kernel store,
-		// with direct simulation as the permanent fallback if recording
-		// fails.
-		var seeded, eval tuner.Evaluator
-		var trace *tuner.TraceEvaluator
-		if kern.prog != nil {
-			seeded = &tuner.SeededCSourceEvaluator{Prog: kern.prog, Cluster: c, Reps: spec.Reps, Seed: spec.Seed}
-		} else {
-			seeded = &tuner.SeededWorkloadEvaluator{Workload: kern.w, Cluster: c, Reps: spec.Reps, Seed: spec.Seed}
+	if err == nil {
+		// Order-independent seeds, a worker pool under the shared gate, and
+		// a genome memo keyed by the kernel's content hash from the first
+		// generation on.
+		batch := tuner.NewTraceEvaluator(k, c, spec.Reps, spec.Seed).Batch(spec.Parallelism, e.gate)
+		if res, err = tuner.RunBatch(ctx, cfg, batch); res != nil {
+			info.MemoHits, info.MemoMisses = res.CacheHits, res.CacheMisses
+			info.StageStats = k.View.Stats()
+			res.EngineInfo = info
 		}
-		eval = seeded
-		var fb *tuner.FallbackEvaluator
-		if !spec.NoTrace {
-			trace = &tuner.TraceEvaluator{
-				Workload: kern.w, Prog: kern.prog,
-				Cluster: c, Reps: spec.Reps, Seed: spec.Seed,
-				KernelStyle: kern.prog != nil,
-				Shared:      e.stages,
-				Store:       e.store,
-				StoreKey:    kern.storeKey,
-			}
-			fb = &tuner.FallbackEvaluator{Primary: trace, Fallback: seeded}
-			eval = fb
-		}
-		batch := tuner.NewMemo(&tuner.Pool{Eval: eval, Workers: spec.Parallelism, Gate: e.gate})
-		var prepErr error
-		if trace != nil {
-			// Record (or adopt from the store) eagerly so the kernel
-			// content hash is part of every memo key from the first
-			// generation on; a recording failure is surfaced on
-			// Result.EngineInfo instead of being discarded.
-			if prepErr = trace.Prepare(cfg.Space); prepErr == nil {
-				batch.SetKernelKey(trace.KernelHash())
-			}
-		}
-		res, err = tuner.RunBatch(ctx, cfg, batch)
-		if res != nil {
-			applyEngineInfo(res, trace, fb, prepErr)
-		}
-	} else {
-		var eval tuner.Evaluator
-		if kern.prog != nil {
-			eval = &tuner.CSourceEvaluator{Prog: kern.prog, Cluster: c, Reps: spec.Reps, Seed: spec.Seed}
-		} else {
-			eval = &tuner.WorkloadEvaluator{Workload: kern.w, Cluster: c, Reps: spec.Reps, Seed: spec.Seed}
-		}
-		res, err = tuner.RunBatch(ctx, cfg, &tuner.Pool{Eval: eval, Workers: 1, Gate: e.gate})
 	}
 
 	e.release(spec.Tenant, res, err)
 	r.finish(res, err)
 }
 
-// traceForOnline resolves the kernel's trace for an online session:
-// served from the shared kernel store when the kernel was seen before,
-// recorded once otherwise, and registered in the shared stage cache so
-// the controller's replays hit cross-session stage plans.
-func (e *Engine) traceForOnline(kern sessionKernel, c *cluster.Cluster, space []params.Parameter, seed int64) (*replay.Trace, *replay.CacheView, error) {
-	if ent, ok := e.store.Get(kern.storeKey); ok {
-		e.stages.Register(ent.KernelHash, ent.Trace)
-		return ent.Trace, e.stages.View(ent.KernelHash), nil
+// trace resolves the session's kernel through the engine's kernel store
+// and stage cache (tuner.ResolveKernel) — on the session goroutine, so a
+// cold kernel's recording run never delays Tune's return. It carries the
+// paper's §III-B rule: a discovered I/O kernel that fails to record or to
+// cross-validate is given up for the full submitted source, and the
+// returned EngineInfo says so. What is still untraceable after that fails
+// the session with ErrUntraceable.
+func (e *Engine) trace(kern sessionKernel, c *cluster.Cluster, space []params.Parameter, seed int64) (*tuner.Kernel, tuner.EngineInfo, error) {
+	src := tuner.KernelSource{
+		Workload: kern.w, Prog: kern.prog,
+		Cluster: c, Seed: seed,
+		Store: e.store, StoreKey: kern.storeKey,
+		Stages: e.stages,
 	}
-	st, err := workload.BuildStack(c, params.DefaultAssignment(space).Settings(), seed)
+	var info tuner.EngineInfo
+	k, err := tuner.ResolveKernel(src, space)
+	if err != nil && kern.full != "" {
+		if full, perr := csrc.Parse(kern.full); perr == nil {
+			info.FellBack, info.FallbackErr = true, err.Error()
+			src.Prog, src.StoreKey = full, sourceKey(kern.full, c)
+			k, err = tuner.ResolveKernel(src, space)
+		}
+	}
 	if err != nil {
-		return nil, nil, err
+		return nil, info, fmt.Errorf("%w: %w", ErrUntraceable, err)
 	}
-	var t *replay.Trace
-	if kern.prog != nil {
-		t, err = replay.RecordFunc(st, func(st *workload.Stack) error {
-			_, err := cinterp.Run(kern.prog, st.Lib)
-			return err
-		})
-	} else {
-		t, err = replay.Record(kern.w, st)
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("tunio: online trace recording: %w", err)
-	}
-	key := replay.TraceKey(t)
-	e.store.Put(kern.storeKey, replay.KernelEntry{Trace: t, KernelHash: key})
-	e.stages.Register(key, t)
-	return t, e.stages.View(key), nil
+	info.TraceReady, info.KernelHash, info.KernelStoreHit = true, k.Hash, k.StoreHit
+	return k, info, nil
 }
 
 // runOnlineSession is the session goroutine for online (drift-aware)
@@ -561,7 +531,7 @@ func (e *Engine) traceForOnline(kern sessionKernel, c *cluster.Cluster, space []
 // drift controller. Window points double as synthesized curve points so
 // point-based clients keep seeing progress.
 func (e *Engine) runOnlineSession(ctx context.Context, r *Run, spec JobSpec, space []params.Parameter, c *cluster.Cluster, kern sessionKernel) {
-	trace, view, err := e.traceForOnline(kern, c, space, spec.Seed)
+	k, info, err := e.trace(kern, c, space, spec.Seed)
 	if err != nil {
 		e.release(spec.Tenant, nil, err)
 		r.finish(nil, err)
@@ -571,8 +541,8 @@ func (e *Engine) runOnlineSession(ctx context.Context, r *Run, spec JobSpec, spa
 	dcfg := tuner.DriftConfig{
 		Space:       space,
 		Cluster:     c,
-		Trace:       trace,
-		Cache:       view,
+		Trace:       k.Trace,
+		Cache:       k.View,
 		Seed:        spec.Seed,
 		Windows:     o.Windows,
 		WindowGap:   o.WindowGap,
@@ -627,36 +597,11 @@ func (e *Engine) runOnlineSession(ctx context.Context, r *Run, spec JobSpec, spa
 			StoppedAt:   len(dres.Windows),
 			Curve:       metrics.Curve(r.Points(0)),
 		}
+		info.StageStats = k.View.Stats()
+		res.EngineInfo = info
 	}
 	e.release(spec.Tenant, res, err)
 	r.finish(res, err)
-}
-
-// applyEngineInfo fills Result.EngineInfo from the session's evaluator
-// wiring once evaluations have quiesced. trace and fb may be nil (NoTrace
-// or legacy-serial sessions).
-func applyEngineInfo(res *Result, trace *tuner.TraceEvaluator, fb *tuner.FallbackEvaluator, prepErr error) {
-	info := tuner.EngineInfo{
-		MemoHits:   res.CacheHits,
-		MemoMisses: res.CacheMisses,
-	}
-	if trace != nil {
-		info.TraceReady = prepErr == nil
-		if prepErr != nil {
-			info.PrepareErr = prepErr.Error()
-		}
-		info.KernelHash = trace.KernelHash()
-		info.KernelStoreHit = trace.StoreHit()
-		info.StageStats = trace.Stats()
-	}
-	if fb != nil && fb.FellBack {
-		info.FellBack = true
-		info.TraceReady = false
-		if fb.KernelErr != nil {
-			info.FallbackErr = fb.KernelErr.Error()
-		}
-	}
-	res.EngineInfo = info
 }
 
 // Run is a live (or finished) tuning session: a progress stream, a cancel

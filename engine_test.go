@@ -8,8 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"tunio/internal/cluster"
-	"tunio/internal/tuner"
 	"tunio/internal/workload"
 )
 
@@ -293,59 +291,6 @@ func TestEngineSourceJob(t *testing.T) {
 	}
 }
 
-// The legacy serial path (Parallelism 0) still works through the engine
-// and reports a zero EngineInfo: no trace, no memo.
-func TestEngineLegacySerialPath(t *testing.T) {
-	eng := NewEngine(EngineOptions{})
-	spec := sharedSpec(19)
-	spec.Parallelism = 0
-	spec.PopSize, spec.MaxIterations = 4, 2
-	run, err := eng.Tune(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := run.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EngineInfo != (EngineInfo{}) {
-		t.Fatalf("legacy path EngineInfo = %+v, want zero", res.EngineInfo)
-	}
-}
-
-// The bug Tune used to have: the error from TraceEvaluator.Prepare was
-// discarded, so a run silently reverting to direct simulation was
-// indistinguishable from a replay run. applyEngineInfo must surface it.
-func TestApplyEngineInfoSurfacesPrepareErr(t *testing.T) {
-	// Neither Workload nor Prog: Prepare must fail.
-	trace := &tuner.TraceEvaluator{Cluster: cluster.CoriHaswell(1, 2)}
-	prepErr := trace.Prepare(ParameterSpace())
-	if prepErr == nil {
-		t.Fatal("want a prepare error from an empty TraceEvaluator")
-	}
-	res := &Result{CacheHits: 4, CacheMisses: 6}
-	applyEngineInfo(res, trace, nil, prepErr)
-	if res.EngineInfo.TraceReady {
-		t.Fatal("TraceReady must be false after a prepare failure")
-	}
-	if !strings.Contains(res.EngineInfo.PrepareErr, "Workload or a Prog") {
-		t.Fatalf("PrepareErr = %q, want the recording error surfaced", res.EngineInfo.PrepareErr)
-	}
-	if res.EngineInfo.MemoHits != 4 || res.EngineInfo.MemoMisses != 6 {
-		t.Fatalf("memo stats not mirrored: %+v", res.EngineInfo)
-	}
-
-	// A mid-run fallback marks the run as not trace-scored too.
-	fb := &tuner.FallbackEvaluator{}
-	fb.FellBack = true
-	fb.KernelErr = errors.New("kernel exploded")
-	res2 := &Result{}
-	applyEngineInfo(res2, nil, fb, nil)
-	if res2.EngineInfo.TraceReady || !res2.EngineInfo.FellBack || res2.EngineInfo.FallbackErr != "kernel exploded" {
-		t.Fatalf("fallback not surfaced: %+v", res2.EngineInfo)
-	}
-}
-
 // soloResult runs the spec on an engine nothing else has touched.
 func soloResult(t *testing.T, spec JobSpec) *Result {
 	t.Helper()
@@ -463,5 +408,155 @@ func TestEngineReportsServiceStats(t *testing.T) {
 	}
 	if all := eng.Stats().Stage; all.PlanDistinct != own.PlanDistinct || all.WireDistinct != own.WireDistinct {
 		t.Fatalf("engine-wide %+v != the only session's %+v", all, own)
+	}
+}
+
+// smallMACSio is a MACSio source small enough to record in milliseconds,
+// with edit applied to one of its lines.
+func smallMACSio(t *testing.T, old, new string) string {
+	t.Helper()
+	w := workload.NewMACSio(16)
+	w.Dumps = 1
+	w.PartBytes = 64 << 10
+	src := w.CSource()
+	if old == "" {
+		return src
+	}
+	if !strings.Contains(src, old) {
+		t.Fatalf("fixture drifted: MACSio source no longer contains %q", old)
+	}
+	return strings.Replace(src, old, new, 1)
+}
+
+// mismatchedSource is a program whose exact static signature disagrees
+// with what it records: the signature walker ends the program at the
+// exit() inside bail(), the interpreter only returns from bail() and goes
+// on to close the file and finalize. Whichever of the two is wrong, the
+// trace cannot be trusted.
+func mismatchedSource(t *testing.T) string {
+	return withBail(smallMACSio(t, "", ""))
+}
+
+func withBail(src string) string {
+	src = strings.Replace(src, "    H5Fclose(file);\n", "    bail();\n    H5Fclose(file);\n", 1)
+	return strings.Replace(src, "int main(", "void bail() { exit(0); }\nint main(", 1)
+}
+
+// sourceSpec is a small one-shot job over C source; online turns it into
+// an online session over the same kernel.
+func sourceSpec(src string, online bool) JobSpec {
+	spec := JobSpec{
+		Source: src,
+		Nodes:  2, ProcsPerNode: 8,
+		PopSize: 4, MaxIterations: 3, Reps: 1,
+		Seed: 21, Parallelism: 2,
+	}
+	if online {
+		spec.Online = &OnlineSpec{Windows: 4, Neighbors: 3, Rounds: 1, InitRounds: 1}
+	}
+	return spec
+}
+
+// A kernel has one identity whichever kind of job saw it first: online
+// sessions used to record without the signature cross-validation and file
+// the kernel under its trace: hash alone, so the hash — and with it every
+// stage-cache key — depended on arrival order.
+func TestEngineKernelIdentityIsOrderIndependent(t *testing.T) {
+	src := smallMACSio(t, "", "")
+	var hashes []string
+	for _, onlineFirst := range []bool{true, false} {
+		eng := NewEngine(EngineOptions{})
+		first := tuneOn(t, eng, sourceSpec(src, onlineFirst))
+		second := tuneOn(t, eng, sourceSpec(src, !onlineFirst))
+		if first.EngineInfo.KernelStoreHit || !second.EngineInfo.KernelStoreHit {
+			t.Fatalf("online first=%v: store hits %v then %v, want a recording then a hit",
+				onlineFirst, first.EngineInfo.KernelStoreHit, second.EngineInfo.KernelStoreHit)
+		}
+		if first.EngineInfo.KernelHash != second.EngineInfo.KernelHash {
+			t.Fatalf("online first=%v: kernel hashes %q then %q", onlineFirst,
+				first.EngineInfo.KernelHash, second.EngineInfo.KernelHash)
+		}
+		if st := eng.Stats(); st.Kernels.Kernels != 1 || st.Stage.PlanMisses == 0 {
+			t.Fatalf("online first=%v: engine holds %d kernels, stage stats %+v", onlineFirst, st.Kernels.Kernels, st.Stage)
+		}
+		for _, res := range []*Result{first, second} {
+			if own := res.EngineInfo.StageStats; own.WireHits+own.WireMisses == 0 || own.ServiceHits+own.ServiceMisses == 0 {
+				t.Fatalf("online first=%v: a session reports no stage traffic of its own: %+v", onlineFirst, own)
+			}
+		}
+		hashes = append(hashes, first.EngineInfo.KernelHash)
+	}
+	sig, trace, ok := strings.Cut(hashes[0], "/")
+	if hashes[0] != hashes[1] || !ok || !strings.HasPrefix(sig, "sig:") || trace == "" {
+		t.Fatalf("kernel hashes %q, want one sig:<signature>/<trace> key in both orders", hashes)
+	}
+}
+
+// A program whose exact signature disagrees with its trace is refused by
+// both kinds of job, with a typed error, and is never counted as done.
+func TestEngineUntraceableFailsJob(t *testing.T) {
+	src := mismatchedSource(t)
+	eng := NewEngine(EngineOptions{})
+	for _, online := range []bool{false, true} {
+		run, err := eng.Tune(context.Background(), sourceSpec(src, online))
+		if err != nil {
+			t.Fatalf("online=%v: the program parses, submission must succeed: %v", online, err)
+		}
+		res, err := run.Wait()
+		if res != nil || !errors.Is(err, ErrUntraceable) {
+			t.Fatalf("online=%v: res=%v err=%v, want nil + ErrUntraceable", online, res, err)
+		}
+		if !strings.Contains(err.Error(), "signature/trace mismatch") {
+			t.Fatalf("online=%v: err = %v, want the cross-validation failure as the cause", online, err)
+		}
+	}
+	if st := eng.Stats(); st.SessionsFailed != 2 || st.SessionsDone != 0 || st.Kernels.Kernels != 0 {
+		t.Fatalf("engine stats %+v, want 2 failed, none done, nothing stored", st)
+	}
+}
+
+// The paper's §III-B rule on the one path: Application I/O Discovery does
+// not see a write through a pointer alias, so this program's kernel loses
+// the statement that sizes its dataset and cannot record. The job records
+// the full submitted source instead, says so, and tunes exactly as a job
+// submitting the full source without discovery does.
+func TestEngineKernelFallsBackToFullSource(t *testing.T) {
+	src := smallMACSio(t, "        hsize_t dims[2] = {PARTS, 0};\n",
+		"        int np = 0;\n        int *pp = &np;\n        *pp = PARTS;\n        hsize_t dims[2] = {PARTS, 0};\n        dims[0] = np;\n")
+
+	spec := sourceSpec(src, false)
+	spec.Discover = true
+	eng := NewEngine(EngineOptions{})
+	res := tuneOn(t, eng, spec)
+	info := res.EngineInfo
+	if !info.FellBack || !strings.Contains(info.FallbackErr, "trace recording") {
+		t.Fatalf("EngineInfo %+v: want FellBack with the kernel's recording error (if discovery now follows the alias, pick another blind spot)", info)
+	}
+
+	direct := soloResult(t, sourceSpec(src, false))
+	if direct.EngineInfo.FellBack {
+		t.Fatal("the full source fell back on its own")
+	}
+	if !reflect.DeepEqual(res.Curve, direct.Curve) || !reflect.DeepEqual(res.Best.Genome(), direct.Best.Genome()) {
+		t.Fatalf("fallback curve differs from tuning the full source directly:\n got  %v\n want %v", res.Curve, direct.Curve)
+	}
+	if info.KernelHash != direct.EngineInfo.KernelHash {
+		t.Fatalf("fallback kernel %q, the full source is %q", info.KernelHash, direct.EngineInfo.KernelHash)
+	}
+	// The full source is what the store now holds: the next such job skips
+	// both recordings' worth of interpretation only for the full source.
+	again := tuneOn(t, eng, spec)
+	if !again.EngineInfo.FellBack || !again.EngineInfo.KernelStoreHit {
+		t.Fatalf("repeat job: %+v, want the fallback served from the kernel store", again.EngineInfo)
+	}
+
+	// When the full source cannot be traced either, the job fails.
+	spec.Source = withBail(src)
+	run, err := eng.Tune(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := run.Wait(); res != nil || !errors.Is(err, ErrUntraceable) {
+		t.Fatalf("untraceable kernel and source: res=%v err=%v, want ErrUntraceable", res, err)
 	}
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,7 +43,7 @@ func main() {
 			a.Picker.Reset()
 			cfg.Picker = a.Picker
 		}
-		res, err := tuner.Run(cfg, &tuner.WorkloadEvaluator{Workload: w, Cluster: c, Reps: 1, Seed: 3})
+		res, err := tuner.RunReplay(context.Background(), cfg, tuner.KernelSource{Workload: w, Cluster: c, Seed: 3}, 1)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,10 +31,10 @@ func main() {
 
 	c := cluster.CoriHaswell(4, 32)
 	w := workload.NewHACC(c.Procs())
-	full, err := tuner.Run(tuner.Config{
+	full, err := tuner.RunReplay(context.Background(), tuner.Config{
 		Space:   params.Space(),
 		PopSize: 8, MaxIterations: 25, Seed: 5,
-	}, &tuner.WorkloadEvaluator{Workload: w, Cluster: c, Reps: 1, Seed: 5})
+	}, tuner.KernelSource{Workload: w, Cluster: c, Seed: 5}, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -61,7 +61,6 @@ func main() {
 	fmt.Println()
 	fmt.Println("== transform-safety report (VPIC kernel, loop reduction + path switch) ==")
 	kernel, err := tunio.DiscoverIO(src, tunio.DiscoveryOptions{
-		PreciseSlice:  true,
 		LoopReduction: 0.25,
 		PathSwitch:    true,
 	})

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sess, err := tunio.NewSession(agent, tunio.ParameterSpace())
+	sess, err := tunio.NewRefinement(agent, tunio.ParameterSpace())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,10 +35,15 @@ func main() {
 	c := cluster.CoriHaswell(2, 16)
 	w := workload.NewHACC(c.Procs())
 	w.ParticlesPerRank = 128 << 10
+	// The application is traced once; every round replays that trace.
+	kernel, err := tuner.ResolveKernel(tuner.KernelSource{Workload: w, Cluster: c}, sess.Space)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	for round := 1; round <= 3; round++ {
-		res, err := sess.Refine(
-			&tuner.WorkloadEvaluator{Workload: w, Cluster: c, Reps: 1, Seed: int64(round)},
+		res, err := sess.RefineBatch(context.Background(),
+			tuner.NewTraceEvaluator(kernel, c, 1, int64(round)).Batch(0, nil),
 			6, 8, int64(round),
 		)
 		if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -58,58 +59,6 @@ func TestStopBias(t *testing.T) {
 	}
 }
 
-// failingEvaluator errors on every call (a broken kernel).
-type failingEvaluator struct{ calls int }
-
-func (f *failingEvaluator) Evaluate(*params.Assignment, int) (float64, float64, error) {
-	f.calls++
-	return 0, 0, errKernel
-}
-
-var errKernel = &kernelError{}
-
-type kernelError struct{}
-
-func (*kernelError) Error() string { return "kernel exploded" }
-
-func TestFallbackEvaluatorRevertsToFullApp(t *testing.T) {
-	c := cluster.CoriHaswell(1, 8)
-	c.Noise = 0
-	w := workload.NewMACSio(c.Procs())
-	w.Dumps = 2
-	primary := &failingEvaluator{}
-	fb := &tuner.FallbackEvaluator{
-		Primary:  primary,
-		Fallback: &tuner.WorkloadEvaluator{Workload: w, Cluster: c, Reps: 1, Seed: 5},
-	}
-	a := params.DefaultAssignment(params.Space())
-	perf, cost, err := fb.Evaluate(a, 0)
-	if err != nil {
-		t.Fatalf("fallback did not rescue the evaluation: %v", err)
-	}
-	if perf <= 0 || cost <= 0 {
-		t.Fatal("fallback produced no measurement")
-	}
-	if !fb.FellBack || fb.KernelErr == nil {
-		t.Fatal("fallback not recorded")
-	}
-	// subsequent evaluations go straight to the fallback
-	fb.Evaluate(a, 1)
-	if primary.calls != 1 {
-		t.Fatalf("primary called %d times after falling back, want 1", primary.calls)
-	}
-	// a full pipeline over a broken kernel completes via the fallback
-	res, err := tuner.Run(tuner.Config{
-		Space: params.Space(), PopSize: 4, MaxIterations: 3, Seed: 6,
-	}, &tuner.FallbackEvaluator{
-		Primary:  &failingEvaluator{},
-		Fallback: &tuner.WorkloadEvaluator{Workload: w, Cluster: c, Reps: 1, Seed: 6},
-	})
-	if err != nil || res.BestPerf <= 0 {
-		t.Fatalf("pipeline over broken kernel: %v, %v", res, err)
-	}
-}
-
 func TestSessionValidation(t *testing.T) {
 	if _, err := NewSession(nil, params.Space()); err == nil {
 		t.Fatal("nil agent: want error")
@@ -139,11 +88,16 @@ func TestSessionRefinesAcrossRounds(t *testing.T) {
 	c := cluster.CoriHaswell(2, 8)
 	w := workload.NewMACSio(c.Procs())
 	w.Dumps = 3
-	mkEval := func(seed int64) tuner.Evaluator {
-		return &tuner.WorkloadEvaluator{Workload: w, Cluster: c, Reps: 1, Seed: seed}
+	kernel, err := tuner.ResolveKernel(tuner.KernelSource{Workload: w, Cluster: c}, space)
+	if err != nil {
+		t.Fatal(err)
 	}
+	mkEval := func(seed int64) tuner.BatchEvaluator {
+		return tuner.NewTraceEvaluator(kernel, c, 1, seed).Batch(1, nil)
+	}
+	ctx := context.Background()
 
-	r1, err := sess.Refine(mkEval(1), 6, 6, 1)
+	r1, err := sess.RefineBatch(ctx, mkEval(1), 6, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +106,7 @@ func TestSessionRefinesAcrossRounds(t *testing.T) {
 	}
 	firstBest := sess.BestPerf
 
-	r2, err := sess.Refine(mkEval(2), 6, 6, 2)
+	r2, err := sess.RefineBatch(ctx, mkEval(2), 6, 6, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

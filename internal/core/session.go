@@ -11,7 +11,7 @@ import (
 
 // Session is the interactive tuning feature the paper proposes as future
 // work (§VI): "an interactive session feature where a configuration can be
-// refined over time across a series of runs". Each Refine round resumes
+// refined over time across a series of runs". Each RefineBatch round resumes
 // the pipeline from the best configuration found so far; the RL agents
 // carry their online learning across rounds; the session accumulates one
 // continuous tuning history for RoTI accounting.
@@ -43,25 +43,15 @@ func NewSession(agent *TunIO, space []params.Parameter) (*Session, error) {
 	return &Session{Agent: agent, Space: space}, nil
 }
 
-// Rounds returns the number of completed Refine rounds.
+// Rounds returns the number of completed RefineBatch rounds.
 func (s *Session) Rounds() int { return s.rounds }
 
-// Refine runs one tuning round of at most maxIterations generations with
-// the given evaluator, resuming from the session's best configuration.
-// The round's curve is appended to the session history with time carried
-// over; Best/BestPerf update if the round improved on them.
-func (s *Session) Refine(eval tuner.Evaluator, popSize, maxIterations int, seed int64) (*tuner.Result, error) {
-	if eval == nil {
-		return nil, fmt.Errorf("core: nil evaluator")
-	}
-	return s.RefineBatch(context.Background(), tuner.AdaptEvaluator(eval), popSize, maxIterations, seed)
-}
-
-// RefineBatch is Refine over the batch evaluation engine: the round's
-// generations are handed to eval as batches (fan out with tuner.Pool,
-// memoize with tuner.Memo), and ctx cancels the round between
-// evaluations. Refine is equivalent to RefineBatch with a background
-// context and the serial adapter.
+// RefineBatch runs one tuning round of at most maxIterations generations,
+// resuming from the session's best configuration. The round's generations
+// are handed to eval as batches (a tuner.Pool over a TraceEvaluator,
+// memoized with tuner.Memo), and ctx cancels the round between
+// evaluations. The round's curve is appended to the session history with
+// time carried over; Best/BestPerf update if the round improved on them.
 func (s *Session) RefineBatch(ctx context.Context, eval tuner.BatchEvaluator, popSize, maxIterations int, seed int64) (*tuner.Result, error) {
 	s.Agent.Reset()
 	res, err := tuner.RunBatch(ctx, tuner.Config{

@@ -23,10 +23,10 @@ type EvalVariant struct {
 	BytesPerEval float64 `json:"b_per_genome"`
 }
 
-// EvalRow compares the two evaluation engines on one workload.
+// EvalRow compares replay against the live reference on one workload.
 type EvalRow struct {
 	Workload string      `json:"workload"`
-	Direct   EvalVariant `json:"direct"` // re-interpret the kernel per genome
+	Direct   EvalVariant `json:"direct"` // the live reference: re-interpret the kernel per genome
 	Traced   EvalVariant `json:"traced"` // staged trace replay (recording included)
 	Speedup  float64     `json:"speedup"`
 
@@ -34,16 +34,17 @@ type EvalRow struct {
 	PlanHitRate float64 `json:"plan_hit_rate"`
 	WireHitRate float64 `json:"wire_hit_rate"`
 
-	// Identical reports whether every genome scored bit-identically under
-	// both engines (the correctness half of the claim, re-checked in situ).
+	// Identical reports whether every genome scored bit-identically both
+	// ways (the correctness half of the claim, re-checked in situ).
 	Identical bool `json:"identical"`
 }
 
 // EvalBenchResult is the staged trace-replay evaluation benchmark: for
 // every paper workload it scores the same random population with the
-// direct C-source evaluator and with the TraceEvaluator (whose one-time
-// recording cost is charged to its total), comparing per-genome wall
-// time, per-genome allocation, cache hit rates, and score identity.
+// live reference (tuner.SeededCSourceEvaluator) and with the
+// TraceEvaluator (whose one-time recording cost is charged to its total),
+// comparing per-genome wall time, per-genome allocation, cache hit rates,
+// and score identity.
 type EvalBenchResult struct {
 	Population int       `json:"population"`
 	Reps       int       `json:"reps"`
@@ -69,10 +70,12 @@ func evalBench(cfg Config, names []string) (*EvalBenchResult, error) {
 		if !ok {
 			return nil, fmt.Errorf("evalbench: %s has no C source", name)
 		}
+		// The reference folds its program in place; replay gets its own.
 		prog, err := csrc.Parse(cw.CSource())
 		if err != nil {
 			return nil, fmt.Errorf("evalbench: %s: %w", name, err)
 		}
+		refProg, _ := csrc.Parse(cw.CSource())
 
 		// The population mirrors a converging GA's: each genome is 1-3
 		// mutations off the incumbent default. That is the regime the
@@ -92,18 +95,28 @@ func evalBench(cfg Config, names []string) (*EvalBenchResult, error) {
 			genomes[i] = a
 		}
 
-		// Both engines use the legacy per-call seed counter, so scoring the
-		// same genomes in the same order compares bit-identical work.
-		direct := &tuner.CSourceEvaluator{Prog: prog, Cluster: c, Reps: cfg.reps(), Seed: cfg.Seed + 500}
-		traced := &tuner.TraceEvaluator{Prog: prog, Cluster: c, Reps: cfg.reps(), Seed: cfg.Seed + 500,
-			Legacy: true, KernelStyle: true}
+		// Both derive their seeds from (seed, iteration, genome), so the
+		// same genomes compare bit-identical work. Replay's recording run
+		// happens inside its first timed evaluation.
+		direct := &tuner.SeededCSourceEvaluator{Prog: refProg, Cluster: c, Reps: cfg.reps(), Seed: cfg.Seed + 500}
+		var traced *tuner.TraceEvaluator
+		replayed := func(a *params.Assignment, iteration int) (float64, float64, error) {
+			if traced == nil {
+				k, err := tuner.ResolveKernel(tuner.KernelSource{Prog: prog, Cluster: c, Seed: cfg.Seed + 500}, space)
+				if err != nil {
+					return 0, 0, err
+				}
+				traced = tuner.NewTraceEvaluator(k, c, cfg.reps(), cfg.Seed+500)
+			}
+			return traced.Evaluate(a, iteration)
+		}
 
 		row := EvalRow{Workload: name, Identical: true}
-		dPerf, dCost, err := scorePopulation(direct, genomes, &row.Direct)
+		dPerf, dCost, err := scorePopulation(direct.Evaluate, genomes, &row.Direct)
 		if err != nil {
 			return nil, fmt.Errorf("evalbench: %s direct: %w", name, err)
 		}
-		tPerf, tCost, err := scorePopulation(traced, genomes, &row.Traced)
+		tPerf, tCost, err := scorePopulation(replayed, genomes, &row.Traced)
 		if err != nil {
 			return nil, fmt.Errorf("evalbench: %s traced: %w", name, err)
 		}
@@ -125,14 +138,14 @@ func evalBench(cfg Config, names []string) (*EvalBenchResult, error) {
 
 // scorePopulation evaluates every genome once, filling the variant's
 // per-genome wall time and allocation, and returns the scores.
-func scorePopulation(e tuner.Evaluator, genomes []*params.Assignment, v *EvalVariant) (perf, cost []float64, err error) {
+func scorePopulation(eval tuner.EvalFunc, genomes []*params.Assignment, v *EvalVariant) (perf, cost []float64, err error) {
 	perf = make([]float64, len(genomes))
 	cost = make([]float64, len(genomes))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
 	for i, g := range genomes {
-		if perf[i], cost[i], err = e.Evaluate(g, i); err != nil {
+		if perf[i], cost[i], err = eval(g, i); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -146,7 +159,7 @@ func scorePopulation(e tuner.Evaluator, genomes []*params.Assignment, v *EvalVar
 // String renders the benchmark table.
 func (r *EvalBenchResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Evaluation engines: direct interpretation vs staged trace replay (population %d, %d reps)\n",
+	fmt.Fprintf(&b, "Evaluation: the live reference (direct interpretation) vs staged trace replay (population %d, %d reps)\n",
 		r.Population, r.Reps)
 	fmt.Fprintf(&b, "%-8s %14s %14s %8s %12s %12s %10s %10s %6s\n",
 		"workload", "direct ns/g", "traced ns/g", "speedup", "direct B/g", "traced B/g",

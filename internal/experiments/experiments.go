@@ -2,6 +2,8 @@
 // evaluation section (§IV) on the simulated stack. Each FigNN function
 // runs the corresponding experiment and returns a typed result with the
 // same rows/series the paper reports; String() renders it for terminals.
+// Every tuning run goes through tuner.RunReplay — the kernel recorded once,
+// genomes scored by staged replay — which is what a served job runs on.
 //
 // Absolute numbers depend on the simulated cluster constants — the shape
 // (who wins, by what factor, where crossovers fall) is what reproduces.
@@ -13,6 +15,7 @@ import (
 
 	"tunio/internal/cluster"
 	"tunio/internal/core"
+	"tunio/internal/train"
 )
 
 // Scale selects experiment sizing.
@@ -94,7 +97,7 @@ func Agent(cfg Config) (*core.TunIO, error) {
 	if a, ok := agentCache[key]; ok {
 		return a, nil
 	}
-	tc := core.TrainConfig{Seed: cfg.Seed, StopperHorizon: cfg.endToEndIterations()}
+	tc := train.Config{Seed: cfg.Seed, StopperHorizon: cfg.endToEndIterations()}
 	if cfg.Scale == Smoke {
 		// lighter training for smoke runs; the sweep still runs at the
 		// component-test scale so impact rankings transfer to deployment
@@ -103,7 +106,7 @@ func Agent(cfg Config) (*core.TunIO, error) {
 		tc.StopperEpochs = 25
 		tc.PickerEpochs = 15
 	}
-	a, err := core.Train(tc)
+	a, err := train.Train(tc)
 	if err != nil {
 		return nil, err
 	}

@@ -3,10 +3,15 @@ package experiments
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
 var smoke = Config{Scale: Smoke, Seed: 7}
+
+// fig11Smoke computes Fig11(smoke) once for the two tests that read it:
+// Figure 12 is derived from Figure 11's runs, not from runs of its own.
+var fig11Smoke = sync.OnceValues(func() (*Fig11Result, error) { return Fig11(smoke) })
 
 func TestFig01(t *testing.T) {
 	r := Fig01(smoke)
@@ -209,7 +214,7 @@ func TestFig10StoppingPolicies(t *testing.T) {
 }
 
 func TestFig11EndToEnd(t *testing.T) {
-	r, err := Fig11(smoke)
+	r, err := fig11Smoke()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +252,7 @@ func TestFig11EndToEnd(t *testing.T) {
 }
 
 func TestFig12Lifecycle(t *testing.T) {
-	fig11, err := Fig11(smoke)
+	fig11, err := fig11Smoke()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -58,12 +59,12 @@ func Fig02(cfg Config) (*Fig02Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := tuner.Run(tuner.Config{
+		res, err := tuner.RunReplay(context.Background(), tuner.Config{
 			Space:         params.Space(),
 			PopSize:       cfg.popSize(),
 			MaxIterations: cfg.maxIterations(),
 			Seed:          cfg.Seed + int64(i),
-		}, &tuner.WorkloadEvaluator{Workload: w, Cluster: c, Reps: cfg.reps(), Seed: cfg.Seed + int64(i)})
+		}, tuner.KernelSource{Workload: w, Cluster: c, Seed: cfg.Seed + int64(i)}, cfg.reps())
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -67,7 +68,7 @@ type Fig08Result struct {
 
 // Fig08 tunes MACSio (compute ratio baselined on VPIC Dipole) three ways:
 // the full application, its discovered I/O kernel, and the kernel with 1%
-// loop reduction — all through the C-source evaluation path.
+// loop reduction — each program recorded once and replayed per genome.
 func Fig08(cfg Config) (*Fig08Result, error) {
 	c := cfg.componentCluster()
 	m := workload.NewMACSio(c.Procs())
@@ -98,12 +99,12 @@ func Fig08(cfg Config) (*Fig08Result, error) {
 		{"I/O kernel", kernel.File, kernel.LoopScale, len(kernel.MarkedLines), &out.Kernel},
 		{"kernel + loop reduction (1%)", reduced.File, reduced.LoopScale, len(reduced.MarkedLines), &out.Reduced},
 	} {
-		res, err := tuner.Run(tuner.Config{
+		res, err := tuner.RunReplay(context.Background(), tuner.Config{
 			Space:         params.Space(),
 			PopSize:       cfg.popSize(),
 			MaxIterations: cfg.maxIterations(),
 			Seed:          cfg.Seed + 100, // same seed: identical search trajectory
-		}, &tuner.CSourceEvaluator{Prog: v.prog, Cluster: c, Reps: cfg.reps(), Seed: cfg.Seed + int64(i)})
+		}, tuner.KernelSource{Prog: v.prog, Cluster: c, Seed: cfg.Seed + int64(i)}, cfg.reps())
 		if err != nil {
 			return nil, fmt.Errorf("fig08 %s: %w", v.name, err)
 		}

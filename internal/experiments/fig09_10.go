@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -54,7 +55,7 @@ func Fig09(cfg Config) (*Fig09Result, error) {
 			agent.Picker.Reset()
 			tc.Picker = agent.Picker
 		}
-		return tuner.Run(tc, &tuner.WorkloadEvaluator{Workload: w, Cluster: c, Reps: cfg.reps(), Seed: cfg.Seed + 200})
+		return tuner.RunReplay(context.Background(), tc, tuner.KernelSource{Workload: w, Cluster: c, Seed: cfg.Seed + 200}, cfg.reps())
 	}
 
 	with, err := run(true)
@@ -139,12 +140,12 @@ func Fig10(cfg Config) (*Fig10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	full, err := tuner.Run(tuner.Config{
+	full, err := tuner.RunReplay(context.Background(), tuner.Config{
 		Space:         params.Space(),
 		PopSize:       cfg.popSize(),
 		MaxIterations: cfg.maxIterations(),
 		Seed:          cfg.Seed + 300,
-	}, &tuner.WorkloadEvaluator{Workload: w, Cluster: c, Reps: cfg.reps(), Seed: cfg.Seed + 300})
+	}, tuner.KernelSource{Workload: w, Cluster: c, Seed: cfg.Seed + 300}, cfg.reps())
 	if err != nil {
 		return nil, err
 	}

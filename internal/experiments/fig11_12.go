@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -96,7 +97,7 @@ func Fig11(cfg Config) (*Fig11Result, error) {
 			agent.Picker.Reset()
 			tc.Picker = agent.Picker
 		}
-		res, err := tuner.Run(tc, &tuner.WorkloadEvaluator{Workload: w, Cluster: c, Reps: cfg.reps(), Seed: cfg.Seed + 400})
+		res, err := tuner.RunReplay(context.Background(), tc, tuner.KernelSource{Workload: w, Cluster: c, Seed: cfg.Seed + 400}, cfg.reps())
 		if err != nil {
 			return nil, fmt.Errorf("fig11 %s: %w", v.name, err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -21,7 +22,7 @@ type SliceVariant struct {
 	DiscoveryMs     float64 // wall time of Discover (mean of discoveryRuns)
 	KernelLines     int     // marked lines kept in the kernel
 	TotalLines      int     // formatted source lines
-	EvalMs          float64 // wall time of one configuration evaluation
+	EvalMs          float64 // wall time of the first configuration evaluation, recording run included
 	ReplayIdentical bool    // kernel replays the app's exact I/O stream
 	PeakRoTI        float64
 	FinalPerf       float64 // MB/s after the tuning run
@@ -36,7 +37,7 @@ type SliceRow struct {
 }
 
 // SliceBenchResult is the precise-vs-heuristic slicing benchmark backing
-// the PreciseSlice default promotion: for every paper workload it measures
+// the promotion of precise slicing to the default: for every paper workload it measures
 // discovery cost, kernel size, evaluation cost, replay fidelity, and the
 // tuning outcome (RoTI, final perf) under both strategies.
 type SliceBenchResult struct {
@@ -114,19 +115,24 @@ func sliceVariant(cfg Config, c *cluster.Cluster, src string, orig *replay.Trace
 	}
 	dst.ReplayIdentical = reflect.DeepEqual(orig.Events, trace.Events)
 
-	eval := &tuner.CSourceEvaluator{Prog: k.File, Cluster: c, Reps: cfg.reps(), Seed: cfg.Seed + 300}
+	ksrc := tuner.KernelSource{Prog: k.File, Cluster: c, Seed: cfg.Seed + 300}
 	start = time.Now()
-	if _, _, err := eval.Evaluate(params.DefaultAssignment(params.Space()), 0); err != nil {
+	rk, err := tuner.ResolveKernel(ksrc, params.Space())
+	if err != nil {
+		return err
+	}
+	first := tuner.NewTraceEvaluator(rk, c, cfg.reps(), ksrc.Seed)
+	if _, _, err := first.Evaluate(params.DefaultAssignment(params.Space()), 0); err != nil {
 		return err
 	}
 	dst.EvalMs = float64(time.Since(start).Microseconds()) / 1000
 
-	res, err := tuner.Run(tuner.Config{
+	res, err := tuner.RunReplay(context.Background(), tuner.Config{
 		Space:         params.Space(),
 		PopSize:       cfg.popSize(),
 		MaxIterations: cfg.maxIterations(),
 		Seed:          cfg.Seed + 300, // same trajectory for both variants
-	}, eval)
+	}, ksrc, cfg.reps())
 	if err != nil {
 		return err
 	}

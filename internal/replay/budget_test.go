@@ -10,6 +10,14 @@ import (
 	"tunio/internal/workload"
 )
 
+// within is a time budget as an ExecWhile continuation test: keep going
+// while the stack's clock has not passed budget seconds. Every layer only
+// ever advances the clock, so a partial time above the budget proves the
+// full run would finish above it too.
+func within(st *workload.Stack, budget float64) func() bool {
+	return func() bool { return st.Sim.Now() <= budget }
+}
+
 // budgetHarness records flash once and returns a wire plan plus a fresh
 // stack builder.
 func budgetHarness(t *testing.T) (*WirePlan, func() *workload.Stack) {
@@ -28,7 +36,7 @@ func budgetHarness(t *testing.T) (*WirePlan, func() *workload.Stack) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wp, err := NewStageCache(trace).WireFor(a, a.Settings(), c.ProcsPerNode)
+	wp, err := lowerFresh(trace, a.Settings(), c.ProcsPerNode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +60,7 @@ func TestExecBudgetInfIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	budgeted := fresh()
-	if err := rt.ExecBudget(wp, budgeted, math.Inf(1)); err != nil {
+	if err := rt.ExecWhile(wp, budgeted, within(budgeted, math.Inf(1))); err != nil {
 		t.Fatal(err)
 	}
 	if plain.Sim.Now() != budgeted.Sim.Now() {
@@ -77,7 +85,7 @@ func TestExecBudgetAborts(t *testing.T) {
 
 	budget := total / 2
 	partial := fresh()
-	err := rt.ExecBudget(wp, partial, budget)
+	err := rt.ExecWhile(wp, partial, within(partial, budget))
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -87,15 +95,15 @@ func TestExecBudgetAborts(t *testing.T) {
 
 	// Exactly the full runtime is within budget (the check is strict).
 	exact := fresh()
-	if err := rt.ExecBudget(wp, exact, total); err != nil {
+	if err := rt.ExecWhile(wp, exact, within(exact, total)); err != nil {
 		t.Fatalf("budget == runtime must pass, got %v", err)
 	}
 }
 
 // TestExecWhile pins the generalized abort: a nil keep is Exec op for
 // op, keep=false aborts before the first op, and a keep derived from a
-// monotone metric (elapsed clock) aborts at the same point as the
-// equivalent time budget.
+// monotone metric aborts at the first op boundary past its threshold, on
+// every run alike.
 func TestExecWhile(t *testing.T) {
 	wp, fresh := budgetHarness(t)
 	var rt Runtime
@@ -125,13 +133,13 @@ func TestExecWhile(t *testing.T) {
 	}
 
 	budget := total / 2
-	byBudget, byKeep := fresh(), fresh()
-	errB := rt.ExecBudget(wp, byBudget, budget)
-	errK := rt.ExecWhile(wp, byKeep, func() bool { return byKeep.Sim.Now() <= budget })
-	if !errors.Is(errB, ErrBudgetExceeded) || !errors.Is(errK, ErrBudgetExceeded) {
-		t.Fatalf("errs = %v / %v, want ErrBudgetExceeded", errB, errK)
+	first, second := fresh(), fresh()
+	errA := rt.ExecWhile(wp, first, within(first, budget))
+	errB := rt.ExecWhile(wp, second, within(second, budget))
+	if !errors.Is(errA, ErrBudgetExceeded) || !errors.Is(errB, ErrBudgetExceeded) {
+		t.Fatalf("errs = %v / %v, want ErrBudgetExceeded", errA, errB)
 	}
-	if byBudget.Sim.Now() != byKeep.Sim.Now() {
-		t.Fatalf("abort points differ: budget %v vs keep %v", byBudget.Sim.Now(), byKeep.Sim.Now())
+	if first.Sim.Now() != second.Sim.Now() {
+		t.Fatalf("abort points differ: %v vs %v", first.Sim.Now(), second.Sim.Now())
 	}
 }

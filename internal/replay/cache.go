@@ -96,21 +96,14 @@ func (s *cacheShard[V]) len() int { return len(*s.m.Load()) }
 // that content, when it holds one (canon): the shard maps count keys, the
 // artifacts behind them are far fewer.
 type StageCache struct {
-	mu        sync.Mutex // guards kernelKey and traces
-	kernelKey string     // key the single-trace API (WireFor, Trace) is bound to
-	traces    map[string]*Trace
+	mu     sync.Mutex // guards traces
+	traces map[string]*Trace
 
 	plans [stageShardCount]cacheShard[*StackPlan]
 	wires [stageShardCount]cacheShard[*WirePlan]
 	canon canon // each distinct artifact once; its lock is a leaf
 
 	service serviceCounters // stage-3 table traffic of every plan built here
-
-	// serial, when non-nil, routes every operation — including warm
-	// hits and plan/lower builds — through one global mutex. It exists
-	// solely so benchmarks can measure the pre-sharding single-mutex
-	// behavior against the same workload; see Serialize.
-	serial *sync.Mutex
 }
 
 // StageStats counts cache traffic per stage. Hits and misses count
@@ -204,14 +197,6 @@ func (s *StageStats) add(o StageStats) {
 	s.ServiceFallbacks += o.ServiceFallbacks
 }
 
-// NewStageCache returns a cache over the single trace, bound to the empty
-// kernel key until SetKernelKey rebinds it.
-func NewStageCache(t *Trace) *StageCache {
-	c := NewSharedStageCache()
-	c.traces[""] = t
-	return c
-}
-
 // NewSharedStageCache returns an empty multi-kernel cache, meant to be
 // shared across sessions: callers Register each kernel's trace under its
 // content hash and query through per-session Views.
@@ -222,49 +207,6 @@ func NewSharedStageCache() *StageCache {
 		c.wires[i].init()
 	}
 	return c
-}
-
-// Serialize switches the cache into single-mutex mode: every lookup and
-// build — warm hits included — serializes on one global lock, exactly
-// the pre-sharding behavior. It is a benchmark baseline, not a feature;
-// call it once, before the cache is shared.
-func (c *StageCache) Serialize() *StageCache {
-	c.serial = &sync.Mutex{}
-	return c
-}
-
-// Trace returns the trace the single-trace API is bound to (nil for a
-// shared cache with no trace registered under the bound key).
-func (c *StageCache) Trace() *Trace {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.traces[c.kernelKey]
-}
-
-// SetKernelKey installs a kernel content hash (typically
-// IOSignature.Hash-derived) as the bound key: the trace registered under
-// the previous bound key moves to the new one, and WireFor prefixes every
-// cache key with it. On a cache shared between kernels the prefix is what
-// keeps one kernel's artifacts from answering for another's.
-func (c *StageCache) SetKernelKey(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if key != c.kernelKey {
-		if t, ok := c.traces[c.kernelKey]; ok {
-			delete(c.traces, c.kernelKey)
-			if _, taken := c.traces[key]; !taken {
-				c.traces[key] = t
-			}
-		}
-		c.kernelKey = key
-	}
-}
-
-// KernelKey returns the bound kernel content hash ("" when unset).
-func (c *StageCache) KernelKey() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.kernelKey
 }
 
 // Register installs the trace for a kernel key. The first registration
@@ -293,8 +235,8 @@ func (c *StageCache) Kernels() int {
 	return len(c.traces)
 }
 
-// Stats returns a snapshot of the cache-wide counters (all views and
-// bound-key queries combined), merged across shards. Each counter is a
+// Stats returns a snapshot of the cache-wide counters (all views
+// combined), merged across shards. Each counter is a
 // sum of per-shard atomics, so a snapshot taken while traffic is in
 // flight is approximate in the usual monotonic-counter sense; quiescent
 // reads — every test and report in this repo — are exact, because a
@@ -375,16 +317,8 @@ func (v *CacheView) Stats() StageStats {
 	return s
 }
 
-// WireFor returns the wire plan of the assignment's configuration under
-// the bound kernel key, building (and caching) the stage artifacts its
-// projections miss. s must be a.Settings() and ppn the cluster's
-// processes per node.
-func (c *StageCache) WireFor(a *params.Assignment, s params.StackSettings, ppn int) (*WirePlan, error) {
-	return c.wireFor(c.KernelKey(), a, s, nil, ppn)
-}
-
-// wireFor is the shared implementation: delta, when non-nil, additionally
-// receives the hit/miss traffic of this one call (for per-view stats).
+// wireFor is what every view's WireFor runs: delta receives the hit/miss
+// traffic of this one call (for per-view stats).
 //
 // The fast path builds the wire key into stack scratch, loads the
 // stripe's published map, and returns on a hit — zero locks, zero
@@ -394,11 +328,6 @@ func (c *StageCache) WireFor(a *params.Assignment, s params.StackSettings, ppn i
 // wire plan the cache holds for that stack plan and what lowering reads of
 // the settings (wireKeyOf) — lowering it only if there is none yet.
 func (c *StageCache) wireFor(kernelKey string, a *params.Assignment, s params.StackSettings, delta *StageStats, ppn int) (*WirePlan, error) {
-	if c.serial != nil {
-		c.serial.Lock()
-		defer c.serial.Unlock()
-	}
-
 	var scratch [64]byte
 	key := append(scratch[:0], kernelKey...)
 	key = append(key, 0)
@@ -498,18 +427,4 @@ func (c *StageCache) planFor(kernelKey string, a *params.Assignment, cfg hdf5.Co
 		delta.PlanDistinct++
 	}
 	return shard.insertLocked(key, sp), nil
-}
-
-// Lower is the uncached form of WireFor, used by tests comparing cache-hit
-// artifacts to fresh recomputation. It lowers against the bound trace.
-func (c *StageCache) Lower(s params.StackSettings, ppn int) (*WirePlan, error) {
-	t := c.Trace()
-	if t == nil {
-		return nil, fmt.Errorf("replay: no trace registered for kernel %q", c.KernelKey())
-	}
-	sp, err := BuildStackPlan(t, s.HDF5)
-	if err != nil {
-		return nil, err
-	}
-	return LowerPlan(sp, s.Hints, s.HDF5, ppn), nil
 }

@@ -67,7 +67,6 @@ func TestCanonicalPlanIsFreshPlan(t *testing.T) {
 	for _, name := range []string{"vpic", "hacc", "flash", "bdcats", "macsio"} {
 		tr := recordTrace(t, name, 3)
 		shared.Register("sig:"+name, tr)
-		fresh := NewStageCache(tr)
 		for i := 0; i < 10; i++ {
 			genome := make([]int, len(space))
 			for j, p := range space {
@@ -78,7 +77,7 @@ func TestCanonicalPlanIsFreshPlan(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc := &testCase{kernel: "sig:" + name, a: a, s: a.Settings()}
-			wp, err := fresh.Lower(tc.s, c.ProcsPerNode)
+			wp, err := lowerFresh(tr, tc.s, c.ProcsPerNode)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,10 +163,10 @@ func TestCanonicalPlanIsFreshPlan(t *testing.T) {
 // reads both.
 func TestCanonicalWireKeyBlanksUnreadHints(t *testing.T) {
 	tr := recordTrace(t, "flash", 3)
-	cache := NewStageCache(tr)
+	cache, view := privateCache(tr)
 	wire := func(pairs map[string]int) *WirePlan {
 		a := mutate(t, pairs)
-		wp, err := cache.WireFor(a, a.Settings(), 8)
+		wp, err := view.WireFor(a, a.Settings(), 8)
 		if err != nil {
 			t.Fatal(err)
 		}

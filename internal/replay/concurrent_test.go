@@ -340,11 +340,11 @@ func mutexRecords(t *testing.T) []runtime.BlockProfileRecord {
 	return recs[:n]
 }
 
-// warmBench primes a stage cache and kernel store and times the warm-path
-// hit under RunParallel. The serialized variant routes every operation
-// through one global mutex — the pre-sharding architecture — so the pair
-// is the contention contrast BENCH_serve.json quantifies end to end.
-func warmBench(b *testing.B, cache *StageCache, store *KernelStore) {
+// BenchmarkWarmHitSharded primes a stage cache and kernel store and times
+// the warm-path hit — a wire-plan lookup and a store lookup, no mutex —
+// under RunParallel.
+func BenchmarkWarmHitSharded(b *testing.B) {
+	cache, store := NewSharedStageCache(), NewKernelStore()
 	c := cluster.CoriHaswell(2, 8)
 	w, err := workload.ByName("macsio", c.Procs())
 	if err != nil {
@@ -378,12 +378,4 @@ func warmBench(b *testing.B, cache *StageCache, store *KernelStore) {
 			}
 		}
 	})
-}
-
-func BenchmarkWarmHitSharded(b *testing.B) {
-	warmBench(b, NewSharedStageCache(), NewKernelStore())
-}
-
-func BenchmarkWarmHitSerialized(b *testing.B) {
-	warmBench(b, NewSharedStageCache().Serialize(), NewKernelStore().Serialize())
 }

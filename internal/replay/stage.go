@@ -3,7 +3,6 @@ package replay
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -496,35 +495,19 @@ func (rt *Runtime) Exec(wp *WirePlan, st *workload.Stack) error {
 	return rt.exec(wp, st, nil)
 }
 
-// ExecBudget is Exec with a SHAMan-style time budget: the replay aborts
-// with ErrBudgetExceeded as soon as the stack's clock (st.Sim.Now,
-// seconds since the start of this run) passes budget. Because every
-// layer only ever advances the clock (Advance panics on negative
-// durations), a partial time above the budget proves the full run would
-// finish above it too — so a tuner may soundly discard the candidate
-// without finishing the replay. The stack is left mid-run (clock at the
-// point of abort, partial darshan counters); reset or re-pool it before
-// reuse. A budget of +Inf never fires and makes ExecBudget identical to
-// Exec, op for op.
-func (rt *Runtime) ExecBudget(wp *WirePlan, st *workload.Stack, budget float64) error {
-	if math.IsInf(budget, 1) {
-		return rt.exec(wp, st, nil)
-	}
-	sim := st.Sim
-	return rt.exec(wp, st, func() bool { return sim.Now() > budget })
-}
-
-// ExecWhile is Exec with a caller-supplied continuation test: keep is
-// consulted before every op (and once after the last), and the replay
-// aborts with ErrBudgetExceeded the first time it returns false. It
-// generalizes ExecBudget to any abort criterion that is monotone in the
-// replay's progress — e.g. a bandwidth upper bound computed from the
-// stack's partial darshan counters, which only falls as layer times
-// accumulate. keep must be a pure function of the stack's state, or
-// determinism guarantees built on pruning break. As with ExecBudget,
-// the stack is left mid-run on abort; reset or re-pool it before reuse.
-// A nil keep never aborts and makes ExecWhile identical to Exec, op for
-// op.
+// ExecWhile is Exec with a caller-supplied continuation test
+// (SHAMan-style pruning): keep is consulted before every op (and once
+// after the last), and the replay aborts with ErrBudgetExceeded the first
+// time it returns false. The criterion must be monotone in the replay's
+// progress for the abort to prove anything about the full run — a time
+// budget qualifies because every layer only ever advances the clock
+// (Advance panics on negative durations), and so does a bandwidth upper
+// bound computed from the stack's partial darshan counters, which only
+// falls as layer times accumulate. keep must be a pure function of the
+// stack's state, or determinism guarantees built on pruning break. The
+// stack is left mid-run on abort (clock at the point of abort, partial
+// darshan counters); reset or re-pool it before reuse. A nil keep never
+// aborts and makes ExecWhile identical to Exec, op for op.
 func (rt *Runtime) ExecWhile(wp *WirePlan, st *workload.Stack, keep func() bool) error {
 	if keep == nil {
 		return rt.exec(wp, st, nil)
@@ -628,6 +611,6 @@ func (rt *Runtime) run(wp *WirePlan, st *workload.Stack, abort func() bool, uses
 	return nil
 }
 
-// ErrBudgetExceeded is returned by ExecBudget and ExecWhile when the
-// abort criterion provably fires before the plan completes.
+// ErrBudgetExceeded is returned by ExecWhile when the continuation test
+// fails before the plan completes.
 var ErrBudgetExceeded = errors.New("replay: budget exceeded")

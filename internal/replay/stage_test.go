@@ -11,6 +11,25 @@ import (
 
 // mutate returns the default assignment with the named parameters moved to
 // the given value indices.
+// privateCache is what production code does for a cache of its own: a
+// fresh StageCache with the trace registered under its content key, and a
+// view bound to that key.
+func privateCache(tr *Trace) (*StageCache, *CacheView) {
+	c, key := NewSharedStageCache(), TraceKey(tr)
+	c.Register(key, tr)
+	return c, c.View(key)
+}
+
+// lowerFresh runs stages 1 and 2 with no cache involved: the plan a cache
+// hit must be indistinguishable from.
+func lowerFresh(tr *Trace, s params.StackSettings, ppn int) (*WirePlan, error) {
+	sp, err := BuildStackPlan(tr, s.HDF5)
+	if err != nil {
+		return nil, err
+	}
+	return LowerPlan(sp, s.Hints, s.HDF5, ppn), nil
+}
+
 func mutate(t *testing.T, pairs map[string]int) *params.Assignment {
 	t.Helper()
 	a := params.DefaultAssignment(params.Space())
@@ -68,7 +87,7 @@ func TestStagedExecMatchesLiveRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Record(%s): %v", name, err)
 		}
-		cache := NewStageCache(trace)
+		cache, view := privateCache(trace)
 		var rt Runtime
 
 		for cfgName, a := range configs {
@@ -81,13 +100,13 @@ func TestStagedExecMatchesLiveRun(t *testing.T) {
 					t.Fatalf("%s: live Execute: %v", label, err)
 				}
 
-				cached, err := cache.WireFor(a, s, c.ProcsPerNode)
+				cached, err := view.WireFor(a, s, c.ProcsPerNode)
 				if err != nil {
 					t.Fatalf("%s: WireFor: %v", label, err)
 				}
-				fresh, err := cache.Lower(s, c.ProcsPerNode)
+				fresh, err := lowerFresh(trace, s, c.ProcsPerNode)
 				if err != nil {
-					t.Fatalf("%s: Lower: %v", label, err)
+					t.Fatalf("%s: lowerFresh: %v", label, err)
 				}
 				var firstUses int64 // table slots the first exec went through
 				for _, run := range []struct {
@@ -157,19 +176,19 @@ func TestStageCacheHitMatchesMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewStageCache(trace)
+	cache, view := privateCache(trace)
 	a := mutate(t, map[string]int{params.CollectiveWrite: 1, params.StripingFactor: 5})
 	s := a.Settings()
 
 	// Prime the cache, then fetch again (hit) and recompute uncached.
-	if _, err := cache.WireFor(a, s, c.ProcsPerNode); err != nil {
+	if _, err := view.WireFor(a, s, c.ProcsPerNode); err != nil {
 		t.Fatal(err)
 	}
-	hit, err := cache.WireFor(a, s, c.ProcsPerNode)
+	hit, err := view.WireFor(a, s, c.ProcsPerNode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	miss, err := cache.Lower(s, c.ProcsPerNode)
+	miss, err := lowerFresh(trace, s, c.ProcsPerNode)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,10 +73,6 @@ type KernelStore struct {
 	entries atomic.Pointer[map[string]KernelEntry]
 	hits    atomic.Int64
 	misses  atomic.Int64
-
-	// serial, when non-nil, routes Get/Put through one global mutex —
-	// the pre-COW behavior, kept as a benchmark baseline. See Serialize.
-	serial *sync.Mutex
 }
 
 // KernelStoreStats reports store traffic and occupancy.
@@ -102,21 +98,9 @@ func NewKernelStore() *KernelStore {
 	return s
 }
 
-// Serialize switches the store into single-mutex mode (every Get and Put
-// serializes on one global lock). Benchmark baseline only; call once,
-// before the store is shared.
-func (s *KernelStore) Serialize() *KernelStore {
-	s.serial = &sync.Mutex{}
-	return s
-}
-
 // Get looks up the kernel recorded under the identity key, counting the
 // lookup as a hit or miss. Lock-free on every path.
 func (s *KernelStore) Get(key string) (KernelEntry, bool) {
-	if s.serial != nil {
-		s.serial.Lock()
-		defer s.serial.Unlock()
-	}
 	e, ok := (*s.entries.Load())[key]
 	if ok {
 		s.hits.Add(1)
@@ -131,10 +115,6 @@ func (s *KernelStore) Get(key string) (KernelEntry, bool) {
 func (s *KernelStore) Put(key string, e KernelEntry) {
 	if e.Trace == nil {
 		return
-	}
-	if s.serial != nil {
-		s.serial.Lock()
-		defer s.serial.Unlock()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

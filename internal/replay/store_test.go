@@ -157,22 +157,35 @@ func TestSharedStageCacheUnregisteredKernel(t *testing.T) {
 	}
 }
 
-// SetKernelKey rebinds the single-trace API without losing the trace —
-// the legacy TraceEvaluator construction order (NewStageCache, then
-// SetKernelKey once the hash is known).
+// A trace filed under its trace: key can be filed again under a key
+// learned later (the sig: key, once the signature is in): both views plan
+// from it, and a key, once bound, keeps its first trace.
 func TestStageCacheRebind(t *testing.T) {
 	tr := recordTrace(t, "macsio", 3)
-	c := NewStageCache(tr)
-	c.SetKernelKey("sig:late")
-	if c.Trace() != tr {
-		t.Fatal("rebinding lost the trace")
+	c, early := privateCache(tr)
+	c.Register("sig:late", tr)
+	if !c.HasKernel("sig:late") || c.Kernels() != 2 {
+		t.Fatalf("%d kernels registered, want the trace under both keys", c.Kernels())
 	}
-	if c.KernelKey() != "sig:late" {
-		t.Fatalf("kernel key = %q", c.KernelKey())
+	late := c.View("sig:late")
+	if late.KernelKey() != "sig:late" {
+		t.Fatalf("kernel key = %q", late.KernelKey())
 	}
 	a := params.DefaultAssignment(params.Space())
-	if _, err := c.WireFor(a, a.Settings(), 8); err != nil {
+	for _, v := range []*CacheView{early, late} {
+		if _, err := v.WireFor(a, a.Settings(), 8); err != nil {
+			t.Fatalf("%s: %v", v.KernelKey(), err)
+		}
+	}
+	// First registration wins: another kernel's trace cannot take the key.
+	c.Register("sig:late", recordTrace(t, "vpic", 3))
+	b := mutate(t, map[string]int{params.Alignment: 3})
+	wp, err := late.WireFor(b, b.Settings(), 8)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if want, _ := lowerFresh(tr, b.Settings(), 8); len(wp.ops) != len(want.ops) {
+		t.Fatalf("sig:late plans %d ops, the first trace plans %d", len(wp.ops), len(want.ops))
 	}
 }
 

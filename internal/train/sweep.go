@@ -4,13 +4,12 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"tunio/internal/core"
-	"tunio/internal/params"
 	"tunio/internal/replay"
+	"tunio/internal/tuner"
 	"tunio/internal/workload"
 )
 
@@ -30,10 +29,11 @@ func kernelStoreKey(w workload.Workload, procs int) string {
 // scored by replaying cached stage artifacts against pooled stacks.
 //
 // Per-run results are bit-identical to core.Sweep's direct execution —
-// pooled stacks reset to fresh-build state and Runtime.Exec charges the
-// same layer code paths in the same order as a live run — and per-run
-// seeds come from the plan, so the outcome is independent of Workers.
-// The first failing run's error wins, matching tuner.Pool.
+// pooled stacks reset to fresh-build state and replay charges the same
+// layer code paths in the same order as a live run — and per-run seeds
+// come from the plan, so the outcome is independent of Workers. Traces
+// come from tuner.ResolveKernel, runs go through tuner.Replayer on
+// tuner.FanOut: the same resolve, rep loop and fan-out as a tuning job.
 func replaySweep(ctx context.Context, cfg *Config) (*core.SweepResult, []string, error) {
 	if len(cfg.Kernels) == 0 {
 		return nil, nil, fmt.Errorf("train: sweep needs at least one kernel")
@@ -43,41 +43,23 @@ func replaySweep(ctx context.Context, cfg *Config) (*core.SweepResult, []string,
 		return nil, nil, err
 	}
 
-	// Record (or fetch) each kernel's trace and bind a cache view per
-	// kernel. The cache may be shared process-wide; kernel content hashes
-	// keep one kernel's artifacts from answering for another's.
-	cache := cfg.StageCache
-	if cache == nil {
-		cache = replay.NewSharedStageCache()
-	}
-	defaults := params.DefaultAssignment(cfg.Space).Settings()
-	views := make([]*replay.CacheView, len(cfg.Kernels))
+	// Record (or fetch) each kernel's trace and bind a replayer per kernel:
+	// its own view of the stage cache, one pool of stacks for all. The cache
+	// may be shared process-wide; kernel content hashes keep one kernel's
+	// artifacts from answering for another's.
+	stacks := workload.NewStackPool(cfg.Cluster)
+	kernels := make([]tuner.Replayer, len(cfg.Kernels))
 	kernKeys := make([]string, len(cfg.Kernels))
 	for i, w := range cfg.Kernels {
-		storeKey := kernelStoreKey(w, cfg.Cluster.Procs())
-		var t *replay.Trace
-		var hash string
-		if cfg.Store != nil {
-			if ent, ok := cfg.Store.Get(storeKey); ok {
-				t, hash = ent.Trace, ent.KernelHash
-			}
+		k, err := tuner.ResolveKernel(tuner.KernelSource{
+			Workload: w, Cluster: cfg.Cluster, Seed: cfg.Seed,
+			Store: cfg.Store, StoreKey: kernelStoreKey(w, cfg.Cluster.Procs()),
+			Stages: cfg.StageCache,
+		}, cfg.Space)
+		if err != nil {
+			return nil, nil, fmt.Errorf("train: recording %s: %w", w.Name(), err)
 		}
-		if t == nil {
-			st, err := workload.BuildStack(cfg.Cluster, defaults, cfg.Seed)
-			if err != nil {
-				return nil, nil, err
-			}
-			if t, err = replay.Record(w, st); err != nil {
-				return nil, nil, fmt.Errorf("train: recording %s: %w", w.Name(), err)
-			}
-			hash = replay.TraceKey(t)
-			if cfg.Store != nil {
-				cfg.Store.Put(storeKey, replay.KernelEntry{Trace: t, KernelHash: hash})
-			}
-		}
-		cache.Register(hash, t)
-		views[i] = cache.View(hash)
-		kernKeys[i] = hash
+		kernels[i], kernKeys[i] = tuner.Replayer{View: k.View, Stacks: stacks}, k.Hash
 	}
 
 	out := &core.SweepResult{
@@ -89,67 +71,27 @@ func replaySweep(ctx context.Context, cfg *Config) (*core.SweepResult, []string,
 		out.Features[i] = r.Assignment.Features()
 	}
 
-	stacks := workload.NewStackPool(cfg.Cluster)
-	errs := make([]error, len(runs))
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(runs) {
-		workers = len(runs)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rt := &replay.Runtime{}
-			for i := range idx {
-				cfg.Gate.Enter()
-				errs[i] = scoreRun(rt, stacks, views, cfg, runs[i], out.Perfs, i)
-				cfg.Gate.Leave()
-			}
-		}()
-	}
-feed:
-	for i := range runs {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
+	err = tuner.FanOut(ctx, len(runs), cfg.Workers, cfg.Gate, func() func(int) error {
+		rt := &replay.Runtime{}
+		return func(i int) error {
+			return scoreRun(rt, kernels[runs[i].Kernel], runs[i], &out.Perfs[i])
 		}
+	})
+	var be *tuner.BatchError
+	if errors.As(err, &be) {
+		return nil, nil, fmt.Errorf("train: sweep run %d (%s): %w", be.Index, cfg.Kernels[runs[be.Index].Kernel].Name(), be.Err)
 	}
-	close(idx)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return nil, nil, err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("train: sweep run %d (%s): %w", i, cfg.Kernels[runs[i].Kernel].Name(), err)
-		}
 	}
 	return out, kernKeys, nil
 }
 
-// scoreRun replays one planned configuration: wire plan from the kernel's
-// cache view, pooled stack seeded with the run's plan seed, one Exec.
-func scoreRun(rt *replay.Runtime, stacks *workload.StackPool, views []*replay.CacheView, cfg *Config, r core.SweepRun, perfs []float64, i int) error {
-	s := r.Assignment.Settings()
-	wp, err := views[r.Kernel].WireFor(r.Assignment, s, cfg.Cluster.ProcsPerNode)
-	if err != nil {
-		return err
-	}
-	st, err := stacks.Get(s, r.Seed)
-	if err != nil {
-		return err
-	}
-	defer stacks.Put(st)
-	if err := rt.Exec(wp, st); err != nil {
-		return err
-	}
-	perf, _ := workload.Perf(st.Sim.Report)
-	perfs[i] = perf
-	return nil
+// scoreRun replays one planned configuration once, seeded with the run's
+// plan seed, and stores its bandwidth.
+func scoreRun(rt *replay.Runtime, p tuner.Replayer, r core.SweepRun, perf *float64) error {
+	_, err := p.Reps(rt, r.Assignment, r.Seed, 1, 0, nil, func(st *workload.Stack, _ bool) {
+		*perf, _ = workload.Perf(st.Sim.Report)
+	})
+	return err
 }

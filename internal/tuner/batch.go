@@ -31,8 +31,7 @@ type BatchEvaluator interface {
 }
 
 // BatchError wraps a single configuration's evaluation failure with its
-// batch position, so RunBatch can report which population member failed
-// exactly as the serial pipeline did.
+// batch position, so RunBatch can report which population member failed.
 type BatchError struct {
 	Index int
 	Err   error
@@ -45,36 +44,6 @@ func (e *BatchError) Error() string {
 
 // Unwrap exposes the underlying evaluation error.
 func (e *BatchError) Unwrap() error { return e.Err }
-
-// AdaptEvaluator lifts a per-configuration Evaluator into a BatchEvaluator
-// that evaluates strictly serially, in batch order. It preserves legacy
-// evaluator semantics exactly (stateful evaluators see the same call
-// sequence the serial pipeline produced), which makes it the back-compat
-// shim behind Run. Evaluators that already implement BatchEvaluator are
-// returned unchanged.
-func AdaptEvaluator(e Evaluator) BatchEvaluator {
-	if be, ok := e.(BatchEvaluator); ok {
-		return be
-	}
-	return &serialBatch{eval: e}
-}
-
-type serialBatch struct{ eval Evaluator }
-
-func (s *serialBatch) EvaluateBatch(ctx context.Context, batch []*params.Assignment, iteration int) ([]EvalResult, error) {
-	out := make([]EvalResult, len(batch))
-	for i, a := range batch {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		perf, cost, err := s.eval.Evaluate(a, iteration)
-		if err != nil {
-			return nil, &BatchError{Index: i, Err: err}
-		}
-		out[i] = EvalResult{Perf: perf, CostMinutes: cost}
-	}
-	return out, nil
-}
 
 // Gate bounds the total number of evaluations in flight across every
 // pool that shares it — the process-wide worker budget of a multi-session
@@ -127,15 +96,21 @@ func (g *Gate) Leave() {
 	}
 }
 
-// Pool evaluates a batch on a bounded worker pool. Eval must be safe for
-// concurrent use and deterministic in (assignment, iteration) — i.e. it
-// must not derive behavior from call order (see SeedFor). Under that
-// contract the pool's results are bit-identical to a serial pass for any
-// worker count: results are committed by batch index, and on multiple
+// EvalFunc scores one configuration: the perf it achieved and the
+// (simulated) minutes the measurement consumed, which accumulate into the
+// tuning curve. A Pool calls it from many goroutines, so it must be safe
+// for concurrent use and deterministic in (assignment, iteration) — never
+// in call order (see SeedFor). TraceEvaluator.Evaluate is the production
+// one.
+type EvalFunc func(a *params.Assignment, iteration int) (perfMBs, costMinutes float64, err error)
+
+// Pool evaluates a batch on a bounded worker pool (FanOut). Under
+// EvalFunc's contract its results are bit-identical to a serial pass for
+// any worker count: results are committed by batch index, and on multiple
 // failures the error of the smallest batch index wins, matching where a
 // serial pass would have stopped.
 type Pool struct {
-	Eval Evaluator
+	Eval EvalFunc
 	// Workers bounds concurrency; 0 means GOMAXPROCS.
 	Workers int
 	// Gate, when non-nil, additionally bounds concurrency across every
@@ -146,9 +121,31 @@ type Pool struct {
 
 // EvaluateBatch implements BatchEvaluator.
 func (p *Pool) EvaluateBatch(ctx context.Context, batch []*params.Assignment, iteration int) ([]EvalResult, error) {
-	n := len(batch)
-	out := make([]EvalResult, n)
-	workers := p.Workers
+	out := make([]EvalResult, len(batch))
+	err := FanOut(ctx, len(batch), p.Workers, p.Gate, func() func(int) error {
+		return func(i int) error {
+			perf, cost, err := p.Eval(batch[i], iteration)
+			out[i] = EvalResult{Perf: perf, CostMinutes: cost}
+			return err
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// FanOut runs do(i) for every i in [0, n) on at most workers goroutines
+// (0 means GOMAXPROCS; one worker runs inline, in index order) — the one
+// index fan-out behind Pool, the drift controller's candidate blocks and
+// the training sweep. Each worker calls worker() once for its own do, so
+// per-goroutine scratch (a replay.Runtime) lives in that closure. Every
+// do(i) holds one slot of gate (nil = unbounded) for its duration.
+//
+// Feeding stops when ctx is canceled (indices in flight finish first) and
+// the result is then ctx.Err(); otherwise the failure of the smallest
+// index wins, as a *BatchError — where a serial pass would have stopped.
+func FanOut(ctx context.Context, n, workers int, gate *Gate, worker func() func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -156,19 +153,19 @@ func (p *Pool) EvaluateBatch(ctx context.Context, batch []*params.Assignment, it
 		workers = n
 	}
 	if workers <= 1 {
-		for i, a := range batch {
+		do := worker()
+		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
-			p.Gate.Enter()
-			perf, cost, err := p.Eval.Evaluate(a, iteration)
-			p.Gate.Leave()
+			gate.Enter()
+			err := do(i)
+			gate.Leave()
 			if err != nil {
-				return nil, &BatchError{Index: i, Err: err}
+				return &BatchError{Index: i, Err: err}
 			}
-			out[i] = EvalResult{Perf: perf, CostMinutes: cost}
 		}
-		return out, nil
+		return nil
 	}
 
 	errs := make([]error, n)
@@ -178,15 +175,11 @@ func (p *Pool) EvaluateBatch(ctx context.Context, batch []*params.Assignment, it
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			do := worker()
 			for i := range idx {
-				p.Gate.Enter()
-				perf, cost, err := p.Eval.Evaluate(batch[i], iteration)
-				p.Gate.Leave()
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				out[i] = EvalResult{Perf: perf, CostMinutes: cost}
+				gate.Enter()
+				errs[i] = do(i)
+				gate.Leave()
 			}
 		}()
 	}
@@ -201,14 +194,14 @@ feed:
 	close(idx)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	for i, err := range errs {
 		if err != nil {
-			return nil, &BatchError{Index: i, Err: err}
+			return &BatchError{Index: i, Err: err}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // Memo adds a genome-keyed memoization cache in front of a BatchEvaluator:
@@ -231,10 +224,6 @@ type Memo struct {
 	state  atomic.Pointer[memoState]
 	hits   atomic.Int64
 	misses atomic.Int64
-
-	// serial, when non-nil, restores the pre-COW behavior of taking one
-	// global mutex around the whole batch. Benchmark baseline only.
-	serial *sync.Mutex
 }
 
 // memoState is one immutable published snapshot: the key configuration
@@ -265,16 +254,8 @@ func NewMemo(inner BatchEvaluator) *Memo {
 	return m
 }
 
-// Serialize switches the memo into single-mutex mode (the pre-COW
-// behavior: one global lock around partition, publish, and fill).
-// Benchmark baseline only; call once, before the memo is shared.
-func (m *Memo) Serialize() *Memo {
-	m.serial = &sync.Mutex{}
-	return m
-}
-
-// SetKernelKey installs a kernel content hash (see
-// TraceEvaluator.KernelHash) as a component of every cache key, so a
+// SetKernelKey installs a kernel content hash (see Kernel.Hash)
+// as a component of every cache key, so a
 // cache serialized or shared beyond one kernel can never return another
 // kernel's measurement for the same genome.
 func (m *Memo) SetKernelKey(key string) {
@@ -332,10 +313,6 @@ func appendGenomeKey(b []byte, a *params.Assignment) []byte {
 // from the cache; the remaining distinct genomes are forwarded to the
 // inner evaluator as one (possibly concurrent) sub-batch.
 func (m *Memo) EvaluateBatch(ctx context.Context, batch []*params.Assignment, iteration int) ([]EvalResult, error) {
-	if m.serial != nil {
-		m.serial.Lock()
-		defer m.serial.Unlock()
-	}
 	out := make([]EvalResult, len(batch))
 	keys := make([]string, len(batch))
 	st := m.state.Load()

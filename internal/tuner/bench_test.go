@@ -25,11 +25,11 @@ func benchProg(b *testing.B, c *cluster.Cluster) *csrc.File {
 	return prog
 }
 
-// BenchmarkEvalDirectInterp is the pre-replay cost of scoring one genome:
-// a full SPMD interpretation of the kernel per rep.
+// BenchmarkEvalDirectInterp is what scoring one genome costs the live
+// reference: a full SPMD interpretation of the kernel per rep.
 func BenchmarkEvalDirectInterp(b *testing.B) {
 	c := cluster.CoriHaswell(2, 8)
-	e := &CSourceEvaluator{Prog: benchProg(b, c), Cluster: c, Reps: 1, Seed: 3}
+	e := &SeededCSourceEvaluator{Prog: benchProg(b, c), Cluster: c, Reps: 1, Seed: 3}
 	a := params.DefaultAssignment(params.Space())
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -41,12 +41,15 @@ func BenchmarkEvalDirectInterp(b *testing.B) {
 }
 
 // BenchmarkEvalTraceReplay is the staged engine scoring the same genome:
-// one warm-up call records the trace, then every iteration is a cached
-// wire-plan replay on a pooled stack.
+// the trace is recorded and one warm-up call builds the plans, then every
+// iteration is a cached wire-plan replay on a pooled stack.
 func BenchmarkEvalTraceReplay(b *testing.B) {
 	c := cluster.CoriHaswell(2, 8)
-	e := &TraceEvaluator{Prog: benchProg(b, c), Cluster: c, Reps: 1, Seed: 3,
-		Legacy: true, KernelStyle: true}
+	k, err := ResolveKernel(KernelSource{Prog: benchProg(b, c), Cluster: c, Seed: 3}, params.Space())
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := NewTraceEvaluator(k, c, 1, 3)
 	a := params.DefaultAssignment(params.Space())
 	if _, _, err := e.Evaluate(a, 0); err != nil {
 		b.Fatal(err)

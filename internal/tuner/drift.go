@@ -2,7 +2,6 @@ package tuner
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -64,9 +63,10 @@ type DriftConfig struct {
 	// Trace is the kernel's recorded I/O trace; service windows and
 	// candidate evaluations both replay it.
 	Trace *replay.Trace
-	// Cache, when non-nil, is a shared stage-cache view to serve wire
-	// plans from (stage artifacts are drift-independent: drift only
-	// affects stage-3 execution). Nil builds a private cache.
+	// Cache, when non-nil, is a view on a shared stage cache with Trace
+	// registered under its key (Kernel.View) to serve wire plans from —
+	// stage artifacts are drift-independent: drift only affects stage-3
+	// execution. Nil registers Trace in a private cache.
 	Cache *replay.CacheView
 	// Seed drives every stochastic choice.
 	Seed int64
@@ -231,18 +231,10 @@ const (
 	driftSaltGA     = 5 // warm-started GA pipeline seeds
 )
 
-// wireSource serves stage-2 wire plans (a private StageCache or a
-// shared CacheView).
-type wireSource interface {
-	WireFor(a *params.Assignment, s params.StackSettings, ppn int) (*replay.WirePlan, error)
-}
-
 type driftRun struct {
-	cfg   DriftConfig
-	wire  wireSource
-	pool  *workload.StackPool
-	ppn   int
-	drift *cluster.Drift
+	cfg    DriftConfig
+	replay Replayer
+	drift  *cluster.Drift
 
 	mask  []bool // picker's active-parameter mask
 	round int    // global evaluation-round counter (all modes)
@@ -293,16 +285,16 @@ func RunDrift(ctx context.Context, cfg DriftConfig) (*DriftResult, error) {
 	}
 	cfg.fillDefaults()
 
-	d := &driftRun{
-		cfg:   cfg,
-		pool:  workload.NewStackPool(cfg.Cluster),
-		ppn:   cfg.Cluster.ProcsPerNode,
-		drift: cfg.Cluster.Drift,
+	view := cfg.Cache
+	if view == nil {
+		stages, key := replay.NewSharedStageCache(), replay.TraceKey(cfg.Trace)
+		stages.Register(key, cfg.Trace)
+		view = stages.View(key)
 	}
-	if cfg.Cache != nil {
-		d.wire = cfg.Cache
-	} else {
-		d.wire = replay.NewStageCache(cfg.Trace)
+	d := &driftRun{
+		cfg:    cfg,
+		replay: Replayer{View: view, Stacks: workload.NewStackPool(cfg.Cluster)},
+		drift:  cfg.Cluster.Drift,
 	}
 	if cfg.Picker != nil {
 		cfg.Picker.Reset()
@@ -685,43 +677,14 @@ func (d *driftRun) evalBatch(ctx context.Context, cands []*params.Assignment, t 
 // evalSlice runs one block of candidates under a fixed floor, filling
 // out by index.
 func (d *driftRun) evalSlice(ctx context.Context, cands []*params.Assignment, out []candScore, seeds []int64, t, floor float64) error {
-	workers := d.cfg.Parallelism
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers <= 1 {
+	err := FanOut(ctx, len(cands), d.cfg.Parallelism, nil, func() func(int) error {
 		var rtm replay.Runtime
-		for i, a := range cands {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("tuner: drift evaluation canceled: %w", err)
-			}
-			out[i] = d.evalOne(&rtm, a, t, seeds[i], floor)
+		return func(i int) error {
+			out[i] = d.evalOne(&rtm, cands[i], t, seeds[i], floor)
+			return nil // a candidate's own failure travels in its score
 		}
-		return nil
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var rtm replay.Runtime
-			for i := range idx {
-				out[i] = d.evalOne(&rtm, cands[i], t, seeds[i], floor)
-			}
-		}()
-	}
-feed:
-	for i := range cands {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	})
+	if err != nil {
 		return fmt.Errorf("tuner: drift evaluation canceled: %w", err)
 	}
 	return nil
@@ -732,31 +695,15 @@ feed:
 // candidate's bandwidth upper bound falls below it (floor > 0 implies
 // Reps == 1, enforced at config validation).
 func (d *driftRun) evalOne(rtm *replay.Runtime, a *params.Assignment, t float64, seed int64, floor float64) candScore {
-	s := a.Settings()
-	wp, err := d.wire.WireFor(a, s, d.ppn)
-	if err != nil {
-		return candScore{err: err}
+	var keep func(*workload.Stack) bool
+	if floor > 0 && d.haveTotals {
+		keep = func(st *workload.Stack) bool { return d.perfBound(st.Sim.Report) >= floor }
 	}
 	var total, perfSum float64
-	for r := 0; r < d.cfg.Reps; r++ {
-		st, err := d.pool.Get(s, seed+int64(r)*7919)
-		if err != nil {
-			return candScore{err: err}
-		}
-		st.Sim.SetEpoch(t)
-		var keep func() bool
-		if floor > 0 && d.haveTotals {
-			rep := st.Sim.Report
-			keep = func() bool { return d.perfBound(rep) >= floor }
-		}
-		err = rtm.ExecWhile(wp, st, keep)
+	pruned, err := d.replay.Reps(rtm, a, seed, d.cfg.Reps, t, keep, func(st *workload.Stack, aborted bool) {
 		total += st.Sim.Now()
-		if err != nil {
-			d.pool.Put(st)
-			if errors.Is(err, replay.ErrBudgetExceeded) {
-				return candScore{time: total, pruned: true}
-			}
-			return candScore{err: err}
+		if aborted {
+			return
 		}
 		p, _ := workload.Perf(st.Sim.Report)
 		perfSum += p
@@ -769,7 +716,12 @@ func (d *driftRun) evalOne(rtm *replay.Runtime, a *params.Assignment, t float64,
 			d.alpha = st.Sim.Report.WriteRatio()
 			d.haveTotals = true
 		}
-		d.pool.Put(st)
+	})
+	switch {
+	case err != nil:
+		return candScore{err: err}
+	case pruned:
+		return candScore{time: total, pruned: true}
 	}
 	return candScore{time: total, perf: perfSum / float64(d.cfg.Reps)}
 }
@@ -813,7 +765,7 @@ func (d *driftRun) gaRetune(ctx context.Context, inc *params.Assignment, t float
 	if d.memo == nil {
 		d.memo = NewMemo(nil)
 	}
-	d.memo.Inner = &Pool{Eval: ev, Workers: d.cfg.Parallelism}
+	d.memo.Inner = &Pool{Eval: ev.evaluate, Workers: d.cfg.Parallelism}
 	d.memo.SetEpoch(t)
 	cfg := Config{
 		Space:         d.cfg.Space,
@@ -830,8 +782,8 @@ func (d *driftRun) gaRetune(ctx context.Context, inc *params.Assignment, t float
 	return res.Best, tuneStats{Evaluations: ev.evals, EvalSimSeconds: ev.simSeconds}, nil
 }
 
-// epochEvaluator adapts the drift run's replay path to the Evaluator
-// interface for GA re-tunes, pinning every evaluation to one epoch.
+// epochEvaluator is the GA re-tunes' EvalFunc over the drift run's replay
+// path, pinning every evaluation to one epoch.
 type epochEvaluator struct {
 	d     *driftRun
 	epoch float64
@@ -842,7 +794,7 @@ type epochEvaluator struct {
 	simSeconds float64
 }
 
-func (e *epochEvaluator) Evaluate(a *params.Assignment, iteration int) (float64, float64, error) {
+func (e *epochEvaluator) evaluate(a *params.Assignment, iteration int) (float64, float64, error) {
 	var rtm replay.Runtime
 	sc := e.d.evalOne(&rtm, a, e.epoch, SeedFor(e.base, iteration, a), 0)
 	if sc.err != nil {

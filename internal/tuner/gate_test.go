@@ -46,7 +46,7 @@ func TestGateBoundsConcurrencyAcrossPools(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	for p := 0; p < 3; p++ {
-		pool := &Pool{Eval: probe, Workers: 4, Gate: gate}
+		pool := &Pool{Eval: probe.Evaluate, Workers: 4, Gate: gate}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -71,7 +71,7 @@ func TestNilGate(t *testing.T) {
 		t.Fatal("nil gate must report zero capacity and zero in flight")
 	}
 	probe := &gateProbe{}
-	pool := &Pool{Eval: probe, Workers: 2, Gate: nil}
+	pool := &Pool{Eval: probe.Evaluate, Workers: 2, Gate: nil}
 	batch := []*params.Assignment{
 		params.DefaultAssignment(params.Space()),
 		params.DefaultAssignment(params.Space()),

@@ -11,9 +11,9 @@ import (
 	"tunio/internal/workload"
 )
 
-// TestTraceEvaluatorKernelHash checks that eager preparation derives a
-// signature-based kernel hash for an interpreted kernel and installs it
-// on the stage cache.
+// TestTraceEvaluatorKernelHash checks that resolving an interpreted kernel
+// derives a signature-based kernel hash and binds the stage-cache view and
+// the memo to it.
 func TestTraceEvaluatorKernelHash(t *testing.T) {
 	c := cluster.CoriHaswell(1, 8)
 	w, err := workload.ByName("vpic", c.Procs())
@@ -25,23 +25,25 @@ func TestTraceEvaluatorKernelHash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &TraceEvaluator{Prog: prog, Cluster: c, Reps: 1, Seed: 3}
-	if e.KernelHash() != "" {
-		t.Errorf("kernel hash %q before recording, want empty", e.KernelHash())
-	}
-	if err := e.Prepare(params.Space()); err != nil {
-		t.Fatalf("prepare: %v", err)
-	}
-	h := e.KernelHash()
+	src := KernelSource{Prog: prog, Cluster: c, Seed: 3}
+	e := replayOf(t, src, 1)
+	h := e.kernel.Hash
 	if !strings.HasPrefix(h, "sig:") {
 		t.Errorf("kernel hash = %q, want a signature-derived sig: prefix", h)
 	}
-	if got := e.cache.KernelKey(); got != h {
-		t.Errorf("stage-cache kernel key = %q, want %q", got, h)
+	if !e.kernel.Interpreted {
+		t.Error("a program kernel must be marked Interpreted")
 	}
-	// Prepare is idempotent and the hash is stable.
-	if err := e.Prepare(params.Space()); err != nil || e.KernelHash() != h {
-		t.Errorf("second Prepare changed state: err=%v hash=%q", err, e.KernelHash())
+	if got := e.kernel.View.KernelKey(); got != h {
+		t.Errorf("stage-cache view key = %q, want %q", got, h)
+	}
+	if got := e.Batch(1, nil).state.Load().kernKey; got != h {
+		t.Errorf("memo kernel key = %q, want %q", got, h)
+	}
+	// The hash is a function of the kernel, not of the recording run.
+	src.Seed = 99
+	if again := replayOf(t, src, 1).kernel.Hash; again != h {
+		t.Errorf("re-recording under another seed changed the hash: %q vs %q", again, h)
 	}
 }
 
@@ -54,12 +56,12 @@ func TestTraceEvaluatorWorkloadKernelHash(t *testing.T) {
 		t.Fatal(err)
 	}
 	shrinkWorkload(w)
-	e := &TraceEvaluator{Workload: w, Cluster: c, Reps: 1, Seed: 3}
-	if err := e.Prepare(params.Space()); err != nil {
-		t.Fatalf("prepare: %v", err)
-	}
-	if h := e.KernelHash(); !strings.HasPrefix(h, "trace:") {
+	e := replayOf(t, KernelSource{Workload: w, Cluster: c, Seed: 3}, 1)
+	if h := e.kernel.Hash; !strings.HasPrefix(h, "trace:") {
 		t.Errorf("kernel hash = %q, want a trace: prefix", h)
+	}
+	if e.kernel.Interpreted {
+		t.Error("a workload-model kernel must not be marked Interpreted")
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // reaches its retained entries — the cache keys on epoch, it never flushes.
 func TestMemoEpochInvalidation(t *testing.T) {
 	inner := &seededSynthetic{}
-	memo := NewMemo(AdaptEvaluator(inner))
+	memo := NewMemo(serial(inner.Evaluate))
 	memo.SetKernelKey("sig:k")
 	memo.SetEpoch(100.0)
 
@@ -73,7 +73,7 @@ func TestMemoEpochInvalidation(t *testing.T) {
 // Checked with the runtime mutex profiler under 8 hammering goroutines —
 // any contended lock inside this package's frames fails the test.
 func TestMemoWarmPathLockFree(t *testing.T) {
-	memo := NewMemo(AdaptEvaluator(&seededSynthetic{}))
+	memo := NewMemo(serial((&seededSynthetic{}).Evaluate))
 	memo.SetKernelKey("sig:k")
 	def := params.DefaultAssignment(params.Space())
 	batch := []*params.Assignment{def, def}

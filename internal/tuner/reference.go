@@ -1,0 +1,84 @@
+package tuner
+
+import (
+	"sync"
+
+	"tunio/internal/cinterp"
+	"tunio/internal/cluster"
+	"tunio/internal/csrc"
+	"tunio/internal/params"
+	"tunio/internal/workload"
+)
+
+// The two evaluators in this file are the live-run reference: they score
+// a configuration by actually running the kernel — the workload model, or
+// the interpreted C program — on a freshly built stack, once per rep.
+// Nothing in production calls them. They exist so the bit-identity tests
+// (and the evaluation benchmark) have something to compare staged replay
+// against: TraceEvaluator must return exactly what they return, seeded the
+// same way (SeedFor, then +7919 per rep), averaged in the same order.
+
+// SeededWorkloadEvaluator runs a workload model live. Perf is averaged
+// rep by rep (each rep's perf divided by Reps, then summed) and the runtime
+// summed before it is converted to minutes — workload.ExecuteAveraged's
+// order, which TraceEvaluator reproduces for workload kernels.
+type SeededWorkloadEvaluator struct {
+	Workload workload.Workload
+	Cluster  *cluster.Cluster
+	Reps     int   // default 3
+	Seed     int64 // base seed; evaluation seeds derive from it
+}
+
+// Evaluate is an EvalFunc. It is safe for concurrent use: each call
+// builds fresh simulated stacks and touches no shared state.
+func (e *SeededWorkloadEvaluator) Evaluate(a *params.Assignment, iteration int) (float64, float64, error) {
+	reps := e.Reps
+	if reps == 0 {
+		reps = 3
+	}
+	seed := SeedFor(e.Seed, iteration, a)
+	res, err := workload.ExecuteAveraged(e.Workload, e.Cluster, a.Settings(), seed, reps)
+	if err != nil {
+		return 0, 0, err
+	}
+	return res.Perf, res.Runtime / 60, nil
+}
+
+// SeededCSourceEvaluator interprets a C program (a full application or a
+// discovered I/O kernel) SPMD, live. The program is constant-folded once
+// (cinterp.Fold), which leaves its I/O untouched. Perf is summed and then
+// divided, minutes accumulate per rep — the order TraceEvaluator
+// reproduces for interpreted kernels.
+type SeededCSourceEvaluator struct {
+	Prog    *csrc.File
+	Cluster *cluster.Cluster
+	Reps    int   // default 3
+	Seed    int64 // base seed
+
+	foldOnce sync.Once
+}
+
+// Evaluate is an EvalFunc. Safe for concurrent use once the first call
+// has completed the (synchronized) fold pre-pass.
+func (e *SeededCSourceEvaluator) Evaluate(a *params.Assignment, iteration int) (float64, float64, error) {
+	e.foldOnce.Do(func() { cinterp.Fold(e.Prog) })
+	reps := e.Reps
+	if reps == 0 {
+		reps = 3
+	}
+	base := SeedFor(e.Seed, iteration, a)
+	var perfSum, minutes float64
+	for r := 0; r < reps; r++ {
+		st, err := workload.BuildStack(e.Cluster, a.Settings(), base+int64(r)*7919)
+		if err != nil {
+			return 0, 0, err
+		}
+		if _, err := cinterp.Run(e.Prog, st.Lib); err != nil {
+			return 0, 0, err
+		}
+		perf, _ := workload.Perf(st.Sim.Report)
+		perfSum += perf
+		minutes += st.Sim.Now() / 60
+	}
+	return perfSum / float64(reps), minutes, nil
+}

@@ -19,7 +19,7 @@ func TestCSourceEvaluator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := &CSourceEvaluator{Prog: prog, Cluster: c, Reps: 2, Seed: 3}
+	eval := &SeededCSourceEvaluator{Prog: prog, Cluster: c, Reps: 2, Seed: 3}
 	a := params.DefaultAssignment(params.Space())
 	perf, cost, err := eval.Evaluate(a, 0)
 	if err != nil {
@@ -29,7 +29,7 @@ func TestCSourceEvaluator(t *testing.T) {
 		t.Fatalf("perf %v cost %v", perf, cost)
 	}
 	// 2 reps accumulate cost: a 1-rep evaluation must be cheaper
-	one := &CSourceEvaluator{Prog: prog, Cluster: c, Reps: 1, Seed: 3}
+	one := &SeededCSourceEvaluator{Prog: prog, Cluster: c, Reps: 1, Seed: 3}
 	_, cost1, err := one.Evaluate(a, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestCSourceEvaluatorPropagatesErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := &CSourceEvaluator{Prog: prog, Cluster: c, Reps: 1, Seed: 1}
+	eval := &SeededCSourceEvaluator{Prog: prog, Cluster: c, Reps: 1, Seed: 1}
 	if _, _, err := eval.Evaluate(params.DefaultAssignment(params.Space()), 0); err == nil {
 		t.Fatal("broken program: want error")
 	}
@@ -62,9 +62,9 @@ func TestRunWithCSourceEvaluatorPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{
+	res, err := run(Config{
 		Space: params.Space(), PopSize: 4, MaxIterations: 3, Seed: 4,
-	}, &CSourceEvaluator{Prog: prog, Cluster: c, Reps: 1, Seed: 4})
+	}, (&SeededCSourceEvaluator{Prog: prog, Cluster: c, Reps: 1, Seed: 4}).Evaluate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +81,14 @@ func TestRunStartFrom(t *testing.T) {
 
 	sawWarmFirst := false
 	first := true
-	eval := FuncEvaluator(func(a *params.Assignment, iter int) (float64, float64, error) {
+	eval := func(a *params.Assignment, iter int) (float64, float64, error) {
 		if first {
 			first = false
 			sawWarmFirst = a.Value(params.StripingFactor) == 64 && a.Value(params.CollectiveWrite) == 1
 		}
 		return 100 + float64(a.Genome()[0]), 1, nil
-	})
-	res, err := Run(Config{
+	}
+	res, err := run(Config{
 		Space: space, PopSize: 4, MaxIterations: 3, Seed: 5, StartFrom: warm,
 	}, eval)
 	if err != nil {
@@ -105,12 +105,12 @@ func TestRunStartFrom(t *testing.T) {
 func TestRunStopsImmediatelyWithAggressiveStopper(t *testing.T) {
 	// A stopper that fires on the first opportunity: the pipeline must
 	// stop after iteration 1 with a valid result.
-	res, err := Run(Config{
+	res, err := run(Config{
 		Space: params.Space(), PopSize: 4, MaxIterations: 20, Seed: 6,
 		Stopper: &BudgetStopper{MaxIterations: 1},
-	}, FuncEvaluator(func(a *params.Assignment, _ int) (float64, float64, error) {
+	}, func(a *params.Assignment, _ int) (float64, float64, error) {
 		return 1, 1, nil
-	}))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,14 +121,14 @@ func TestRunStopsImmediatelyWithAggressiveStopper(t *testing.T) {
 
 func TestRunEvaluatorErrorSurfacesWithContext(t *testing.T) {
 	calls := 0
-	eval := FuncEvaluator(func(a *params.Assignment, _ int) (float64, float64, error) {
+	eval := func(a *params.Assignment, _ int) (float64, float64, error) {
 		calls++
 		if calls > 3 {
 			return 0, 0, errBoom
 		}
 		return 1, 1, nil
-	})
-	if _, err := Run(Config{Space: params.Space(), PopSize: 4, MaxIterations: 5, Seed: 7}, eval); err == nil {
+	}
+	if _, err := run(Config{Space: params.Space(), PopSize: 4, MaxIterations: 5, Seed: 7}, eval); err == nil {
 		t.Fatal("want error")
 	}
 }

@@ -2,11 +2,13 @@ package tuner
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"tunio/internal/cluster"
 	"tunio/internal/csrc"
 	"tunio/internal/params"
+	"tunio/internal/replay"
 	"tunio/internal/workload"
 )
 
@@ -29,6 +31,17 @@ func shrinkWorkload(w workload.Workload) {
 	}
 }
 
+// replayOf traces the kernel into private caches and returns its replay
+// evaluator.
+func replayOf(t *testing.T, src KernelSource, reps int) *TraceEvaluator {
+	t.Helper()
+	k, err := ResolveKernel(src, params.Space())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewTraceEvaluator(k, src.Cluster, reps, src.Seed)
+}
+
 // TestTraceEvaluatorMatchesCSourceCurves proves the equivalence the staged
 // engine promises: a full tuning run scored by trace replay of the
 // interpreted C kernel produces a bit-identical curve to one that
@@ -41,18 +54,20 @@ func TestTraceEvaluatorMatchesCSourceCurves(t *testing.T) {
 			t.Fatal(err)
 		}
 		shrinkWorkload(w)
-		prog, err := csrc.Parse(w.(workload.HasCSource).CSource())
+		// The reference folds its program in place; replay records its own.
+		src := w.(workload.HasCSource).CSource()
+		prog, err := csrc.Parse(src)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		refProg, _ := csrc.Parse(src)
 		cfg := Config{Space: params.Space(), PopSize: 4, MaxIterations: 3, Seed: 11}
 
-		direct, err := Run(cfg, &CSourceEvaluator{Prog: prog, Cluster: c, Reps: 2, Seed: 11})
+		direct, err := run(cfg, (&SeededCSourceEvaluator{Prog: refProg, Cluster: c, Reps: 2, Seed: 11}).Evaluate)
 		if err != nil {
 			t.Fatalf("%s direct: %v", name, err)
 		}
-		traced, err := Run(cfg, &TraceEvaluator{Prog: prog, Cluster: c, Reps: 2, Seed: 11,
-			Legacy: true, KernelStyle: true})
+		traced, err := run(cfg, replayOf(t, KernelSource{Prog: prog, Cluster: c, Seed: 11}, 2).Evaluate)
 		if err != nil {
 			t.Fatalf("%s traced: %v", name, err)
 		}
@@ -66,9 +81,9 @@ func TestTraceEvaluatorMatchesCSourceCurves(t *testing.T) {
 	}
 }
 
-// TestTraceEvaluatorMatchesSeededWorkloadEvaluator pins the default batch
-// engine swap: for the Go workload forms, trace replay returns bit-equal
-// (perf, cost) to direct simulation under SeedFor-derived seeds.
+// TestTraceEvaluatorMatchesSeededWorkloadEvaluator pins the same for the Go
+// workload forms: trace replay returns bit-equal (perf, cost) to the live
+// reference under SeedFor-derived seeds.
 func TestTraceEvaluatorMatchesSeededWorkloadEvaluator(t *testing.T) {
 	c := cluster.CoriHaswell(2, 8)
 	for _, name := range []string{"vpic", "hacc", "flash", "bdcats", "macsio"} {
@@ -78,7 +93,7 @@ func TestTraceEvaluatorMatchesSeededWorkloadEvaluator(t *testing.T) {
 		}
 		shrinkWorkload(w)
 		direct := &SeededWorkloadEvaluator{Workload: w, Cluster: c, Reps: 3, Seed: 5}
-		traced := &TraceEvaluator{Workload: w, Cluster: c, Reps: 3, Seed: 5}
+		traced := replayOf(t, KernelSource{Workload: w, Cluster: c, Seed: 5}, 3)
 
 		assignments := []*params.Assignment{params.DefaultAssignment(params.Space())}
 		for i, pairs := range []map[string]int{
@@ -117,31 +132,28 @@ func TestTraceEvaluatorMatchesSeededWorkloadEvaluator(t *testing.T) {
 	}
 }
 
-// TestTraceEvaluatorRecordingFailureFallsBack proves the §III-B recovery
-// path: a kernel that fails to record reverts permanently to the fallback.
-func TestTraceEvaluatorRecordingFailureFallsBack(t *testing.T) {
+// TestResolveKernelRecordingFailure: a kernel that fails to record has no
+// trace, so there is no evaluator to build; ResolveKernel says why. (The
+// §III-B recovery onto the full application lives in tunio.Engine, which
+// owns both sources.)
+func TestResolveKernelRecordingFailure(t *testing.T) {
 	c := cluster.CoriHaswell(1, 2)
 	prog, err := csrc.Parse(`int main() { frobnicate(); return 0; }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls := 0
-	fb := &FallbackEvaluator{
-		Primary: &TraceEvaluator{Prog: prog, Cluster: c, Reps: 1, Seed: 1},
-		Fallback: FuncEvaluator(func(a *params.Assignment, _ int) (float64, float64, error) {
-			calls++
-			return 42, 1, nil
-		}),
+	store := replay.NewKernelStore()
+	k, err := ResolveKernel(KernelSource{Prog: prog, Cluster: c, Seed: 1, Store: store, StoreKey: "src:broken"}, params.Space())
+	if err == nil || k != nil {
+		t.Fatalf("broken program resolved: kernel %+v err %v", k, err)
 	}
-	a := params.DefaultAssignment(params.Space())
-	perf, _, err := fb.Evaluate(a, 0)
-	if err != nil || perf != 42 {
-		t.Fatalf("fallback did not engage: perf %v err %v", perf, err)
+	if !strings.Contains(err.Error(), "trace recording") {
+		t.Fatalf("err = %v, want the recording failure", err)
 	}
-	if !fb.FellBack || fb.KernelErr == nil {
-		t.Fatalf("FellBack %v KernelErr %v", fb.FellBack, fb.KernelErr)
+	if store.Len() != 0 {
+		t.Fatal("a failed recording was published to the kernel store")
 	}
-	if _, _, err := fb.Evaluate(a, 1); err != nil || calls != 2 {
-		t.Fatalf("second call did not stay on fallback: calls %d err %v", calls, err)
+	if _, err := ResolveKernel(KernelSource{Cluster: c}, params.Space()); err == nil {
+		t.Fatal("no Workload and no Prog: want error")
 	}
 }

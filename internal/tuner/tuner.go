@@ -10,8 +10,9 @@
 // BatchEvaluator as one batch, which may fan it out across a worker pool
 // (Pool) and memoize repeated genomes (Memo) while the pipeline commits
 // results in population order — so tuning curves are bit-identical for any
-// worker count. Run adapts the legacy per-configuration Evaluator onto the
-// same engine.
+// worker count. A genome is scored one way: TraceEvaluator replays the
+// kernel's recorded trace (ResolveKernel) through the stage cache, seeded by
+// SeedFor(seed, iteration, genome).
 package tuner
 
 import (
@@ -25,13 +26,6 @@ import (
 	"tunio/internal/params"
 	"tunio/internal/replay"
 )
-
-// Evaluator measures a configuration's objective. Implementations charge
-// the tuning investment: costMinutes is the (simulated) time the
-// evaluation consumed, which accumulates into the tuning curve.
-type Evaluator interface {
-	Evaluate(a *params.Assignment, iteration int) (perfMBs, costMinutes float64, err error)
-}
 
 // Stopper decides whether to stop the pipeline after an iteration — the
 // Table I `stop(current_iteration, best_perf)` interface.
@@ -105,37 +99,39 @@ type Result struct {
 	// SubsetTrace records the active mask per iteration (nil entries when
 	// no picker is attached).
 	SubsetTrace [][]bool
-	// EngineInfo describes how the evaluation engine actually scored the
-	// run — in particular whether staged trace replay was active and, if
-	// not, why. The engine wiring (tunio.Engine) fills it in after the
-	// pipeline returns; plain tuner.Run/RunBatch callers that assemble
-	// their own evaluators leave it zero.
+	// EngineInfo describes what the evaluation engine scored the run on:
+	// the kernel's identity, whether the submitted kernel had to be given
+	// up for the full application, and the cache traffic. The engine wiring
+	// (tunio.Engine) fills it in after the pipeline returns; RunBatch
+	// callers that assemble their own evaluators leave it zero.
 	EngineInfo EngineInfo
 }
 
 // EngineInfo reports the evaluation-engine facts a caller cannot infer
-// from the curve: whether trace replay recorded successfully (a run that
-// silently reverted to direct simulation is correct but ~10x slower),
-// the kernel's content-addressed identity, and the cache traffic behind
-// the measurements.
+// from the curve: the kernel's content-addressed identity, whether the
+// paper's §III-B recovery replaced the discovered kernel by the full
+// application, and the cache traffic behind the measurements.
 type EngineInfo struct {
 	// TraceReady reports that the kernel's trace recorded (or was served
-	// by a kernel store) and staged replay scored the run.
+	// by a kernel store) and staged replay scored the run. Every run that
+	// has a result was scored that way: a kernel that cannot be traced
+	// fails its job (tunio.ErrUntraceable).
 	TraceReady bool `json:"trace_ready"`
-	// PrepareErr is the trace-recording or signature-validation error
-	// that forced direct simulation ("" when none). Historically
-	// tunio.Tune discarded this error; it is now surfaced here.
+	// PrepareErr is always empty. It carried the recording error of runs
+	// that then tuned by direct simulation; there are no such runs any
+	// more. The field stays until bench/, which reads it, is brought
+	// current (ROADMAP item 1).
 	PrepareErr string `json:"prepare_err,omitempty"`
-	// KernelHash is the kernel's content-addressed identity ("sig:…"
-	// from an exact static I/O signature, "trace:…" otherwise; "" when
-	// no trace was recorded).
+	// KernelHash is the kernel's content-addressed identity
+	// ("sig:<signature>/<trace>" from an exact static I/O signature,
+	// "trace:<trace>" otherwise).
 	KernelHash string `json:"kernel_hash,omitempty"`
 	// KernelStoreHit reports that the trace came out of a shared
 	// KernelStore instead of being recorded by this run.
 	KernelStoreHit bool `json:"kernel_store_hit"`
-	// FellBack reports that the trace recorded but a mid-run replay
-	// error reverted the run to direct simulation (see
-	// FallbackEvaluator); FallbackErr records the triggering error.
+	// FellBack reports §III-B recovery: the discovered I/O kernel failed to
+	// record or to cross-validate, so the run recorded and tuned the full
+	// submitted source instead. FallbackErr is the kernel's error.
 	FellBack    bool   `json:"fell_back"`
 	FallbackErr string `json:"fallback_err,omitempty"`
 	// MemoHits/MemoMisses mirror Result.CacheHits/CacheMisses: genome
@@ -146,17 +142,6 @@ type EngineInfo struct {
 	// when the cache is shared across sessions, so the hit rates measure
 	// what sharing bought this session.
 	StageStats replay.StageStats `json:"stage_stats"`
-}
-
-// Run executes the pipeline until the stopper fires or MaxIterations is
-// reached, evaluating each generation serially in population order. It is
-// the legacy entry point, equivalent to RunBatch with a background context
-// and the serial evaluator adapter.
-func Run(cfg Config, eval Evaluator) (*Result, error) {
-	if eval == nil {
-		return nil, fmt.Errorf("tuner: nil evaluator")
-	}
-	return RunBatch(context.Background(), cfg, AdaptEvaluator(eval))
 }
 
 // RunBatch executes the pipeline until the stopper fires or MaxIterations
@@ -286,7 +271,7 @@ func RunBatch(ctx context.Context, cfg Config, eval BatchEvaluator) (*Result, er
 		}
 
 		// Commit in population order: fitness, time accounting, and
-		// best-so-far tie-breaking replicate the serial pipeline exactly.
+		// best-so-far tie-breaking do not depend on completion order.
 		iterBest := 0.0
 		for i, r := range results {
 			res.Evaluations++

@@ -1,6 +1,7 @@
 package tuner
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -21,21 +22,21 @@ func syntheticEval(a *params.Assignment, _ int) (float64, float64, error) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Config{}, FuncEvaluator(syntheticEval)); err == nil {
+	if _, err := run(Config{}, syntheticEval); err == nil {
 		t.Fatal("empty space: want error")
 	}
-	if _, err := Run(Config{Space: params.Space()}, nil); err == nil {
+	if _, err := RunBatch(context.Background(), Config{Space: params.Space()}, nil); err == nil {
 		t.Fatal("nil evaluator: want error")
 	}
 }
 
 func TestPipelineImprovesOnSynthetic(t *testing.T) {
-	res, err := Run(Config{
+	res, err := run(Config{
 		Space:         params.Space(),
 		PopSize:       12,
 		MaxIterations: 20,
 		Seed:          1,
-	}, FuncEvaluator(syntheticEval))
+	}, syntheticEval)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,13 +62,13 @@ func TestDefaultsSeededAsBaseline(t *testing.T) {
 	// curve baseline equals the default's perf.
 	sawDefault := false
 	def := params.DefaultAssignment(params.Space()).String()
-	eval := FuncEvaluator(func(a *params.Assignment, iter int) (float64, float64, error) {
+	eval := func(a *params.Assignment, iter int) (float64, float64, error) {
 		if iter == 0 && a.String() == def {
 			sawDefault = true
 		}
 		return syntheticEval(a, iter)
-	})
-	if _, err := Run(Config{Space: params.Space(), PopSize: 8, MaxIterations: 2, Seed: 2}, eval); err != nil {
+	}
+	if _, err := run(Config{Space: params.Space(), PopSize: 8, MaxIterations: 2, Seed: 2}, eval); err != nil {
 		t.Fatal(err)
 	}
 	if !sawDefault {
@@ -76,11 +77,11 @@ func TestDefaultsSeededAsBaseline(t *testing.T) {
 }
 
 func TestTimeAccounting(t *testing.T) {
-	res, err := Run(Config{
+	res, err := run(Config{
 		Space: params.Space(), PopSize: 4, MaxIterations: 3, Seed: 3, Overhead: 0.5,
-	}, FuncEvaluator(func(a *params.Assignment, _ int) (float64, float64, error) {
+	}, func(a *params.Assignment, _ int) (float64, float64, error) {
 		return 1, 2.0, nil // 2 minutes per eval
-	}))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,13 +95,13 @@ func TestTimeAccounting(t *testing.T) {
 func TestHeuristicStopperFiresOnPlateau(t *testing.T) {
 	// Perf improves for 4 iterations then plateaus: the 5%/5-iteration
 	// heuristic must stop around iteration 9.
-	res, err := Run(Config{
+	res, err := run(Config{
 		Space: params.Space(), PopSize: 4, MaxIterations: 50, Seed: 4,
 		Stopper: NewHeuristicStopper(),
-	}, FuncEvaluator(func(_ *params.Assignment, iter int) (float64, float64, error) {
+	}, func(_ *params.Assignment, iter int) (float64, float64, error) {
 		perf := 100.0 + 50*float64(min(iter, 4))
 		return perf, 1, nil
-	}))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,10 +233,10 @@ func TestSubsetPickerRestrictsSearch(t *testing.T) {
 	mask[params.Index(space, params.StripingFactor)] = true
 	mask[params.Index(space, params.CollectiveWrite)] = true
 
-	res, err := Run(Config{
+	res, err := run(Config{
 		Space: space, PopSize: 8, MaxIterations: 6, Seed: 5,
 		Picker: &fixedPicker{mask: mask},
-	}, FuncEvaluator(syntheticEval))
+	}, syntheticEval)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,7 @@ func TestWorkloadEvaluatorEndToEnd(t *testing.T) {
 	c.Noise = 0
 	w := workload.NewMACSio(c.Procs())
 	w.Dumps = 2
-	eval := &WorkloadEvaluator{Workload: w, Cluster: c, Reps: 1, Seed: 9}
+	eval := &SeededWorkloadEvaluator{Workload: w, Cluster: c, Reps: 1, Seed: 9}
 	a := params.DefaultAssignment(params.Space())
 	perf, cost, err := eval.Evaluate(a, 0)
 	if err != nil {
@@ -276,12 +277,16 @@ func TestWorkloadEvaluatorEndToEnd(t *testing.T) {
 	if perf <= 0 || cost <= 0 {
 		t.Fatalf("perf %v cost %v", perf, cost)
 	}
-	// Distinct evaluations use distinct seeds: results differ under noise.
+	// Seeds derive from (iteration, genome), never from call order: under
+	// noise another iteration measures differently, the same one identically.
 	c.Noise = 0.04
 	p1, _, _ := eval.Evaluate(a, 1)
-	p2, _, _ := eval.Evaluate(a, 1)
+	p2, _, _ := eval.Evaluate(a, 2)
 	if p1 == p2 {
-		t.Fatal("consecutive evaluations identical despite noise")
+		t.Fatal("evaluations at different iterations identical despite noise")
+	}
+	if again, _, _ := eval.Evaluate(a, 1); again != p1 {
+		t.Fatal("re-evaluating the same (genome, iteration) measured differently")
 	}
 }
 
@@ -292,9 +297,9 @@ func TestShortWorkloadTuningImproves(t *testing.T) {
 	w := workload.NewFLASH(c.Procs())
 	w.BlocksPerRank = 16
 	w.Unknowns = 4
-	res, err := Run(Config{
+	res, err := RunReplay(context.Background(), Config{
 		Space: params.Space(), PopSize: 8, MaxIterations: 10, Seed: 10,
-	}, &WorkloadEvaluator{Workload: w, Cluster: c, Reps: 1, Seed: 10})
+	}, KernelSource{Workload: w, Cluster: c, Seed: 10}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

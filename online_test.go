@@ -107,12 +107,6 @@ func TestEngineOnlineValidation(t *testing.T) {
 	e := NewEngine(EngineOptions{})
 
 	bad := onlineSpec(1)
-	bad.NoTrace = true
-	if _, err := e.Tune(context.Background(), bad); err == nil {
-		t.Fatal("NoTrace online session accepted")
-	}
-
-	bad = onlineSpec(1)
 	bad.Drift = &Drift{Regimes: []Regime{{Start: -1}}}
 	if _, err := e.Tune(context.Background(), bad); err == nil {
 		t.Fatal("invalid drift schedule accepted")

@@ -4,7 +4,8 @@
 #
 # Runs the staged trace-replay micro-benchmarks (ns/op and B/op for the
 # replay inner loop — pooled, with warm and with cold phase tables, on a
-# fresh stack — and both evaluators), then the population-32
+# fresh stack — and for one evaluation by replay and by the live
+# reference), then the population-32
 # evaluator benchmark over every paper workload, writing its result —
 # ns/genome, B/genome, stage-cache hit rates, speedup, and score
 # identity per workload — as JSON.
@@ -18,22 +19,21 @@
 # recovery vs a zero-delay oracle, and the stage time saved by
 # SHAMan-style pruning (with bit-identical window curves) — as JSON.
 #
-# Finally runs the concurrent-load serving benchmark — 8 simultaneous
-# sessions per workload against one shared engine (in process and over a
-# live HTTP server), sharded/copy-on-write caches vs a single-global-
-# mutex baseline, with warm-path cache throughput and curve bit-identity
-# against solo Tune — and writes it as JSON.
+# Finally records the host the figures were measured on — nproc,
+# GOMAXPROCS, Go version — beside them, so a committed host-speed figure
+# always says what it was measured with. Serving under concurrent load is
+# bench/'s business (BENCHMARK.json, bench/run.sh), not this script's.
 #
-# Usage: scripts/bench.sh [eval.json] [train.json] [drift.json] [serve.json]
+# Usage: scripts/bench.sh [eval.json] [train.json] [drift.json] [host.json]
 #        (defaults BENCH_eval.json, BENCH_train.json, BENCH_drift.json,
-#        BENCH_serve.json)
+#        BENCH_host.json)
 set -eu
 
 cd "$(dirname "$0")/.."
 out="${1:-BENCH_eval.json}"
 trainout="${2:-BENCH_train.json}"
 driftout="${3:-BENCH_drift.json}"
-serveout="${4:-BENCH_serve.json}"
+hostout="${4:-BENCH_host.json}"
 
 echo "== micro-benchmarks (ns/op, B/op) =="
 go test -run '^$' -bench 'BenchmarkStagedExec(Pooled|WarmTables|WarmTablesCollective|ColdTables|FreshStack)|BenchmarkEval(DirectInterp|TraceReplay)|BenchmarkWarmHit' \
@@ -48,7 +48,8 @@ go run ./cmd/tunebench -fig train -json "$trainout"
 echo "== online re-tuning benchmark (drift + pruning) -> $driftout =="
 go run ./cmd/tunebench -fig drift -json "$driftout"
 
-echo "== concurrent-load serving benchmark (8 sessions, sharded vs mutex) -> $serveout =="
-go run ./cmd/tunebench -fig serve -json "$serveout"
+cpus="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)"
+printf '{\n  "nproc": %s,\n  "gomaxprocs": %s,\n  "go": "%s"\n}\n' \
+    "$cpus" "${GOMAXPROCS:-$cpus}" "$(go env GOVERSION)" > "$hostout"
 
-echo "bench: wrote $out, $trainout, $driftout, and $serveout"
+echo "bench: wrote $out, $trainout, $driftout, and $hostout"

@@ -8,7 +8,7 @@
 # go, and awk.
 #
 # With -f, compares a tunebench JSON figure instead: the figure is
-# regenerated in both trees (e.g. -f serve for BENCH_serve.json), each
+# regenerated in both trees (e.g. -f eval for BENCH_eval.json), each
 # result is flattened to "path value" lines by cmd/benchjson, and every
 # numeric field is diffed side by side. Fields that exist on only one
 # side (a new figure, a renamed column) print as "new"/"gone".
@@ -17,7 +17,7 @@
 #   -b  base revision to compare against (default HEAD)
 #   -p  benchmark regexp passed to -bench  (default BenchmarkTuneEvaluationEngine|BenchmarkFoldInterpreter)
 #   -n  -benchtime value                   (default 3x)
-#   -f  tunebench figure to diff as JSON (e.g. serve, eval, drift)
+#   -f  tunebench figure to diff as JSON (e.g. eval, train, drift)
 set -eu
 
 cd "$(dirname "$0")/.."

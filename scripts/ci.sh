@@ -9,6 +9,25 @@ set -eu
 cd "$(dirname "$0")/.."
 pkgs="${1:-./...}"
 
+# race_run PACKAGES PATTERN...: run the tests the patterns name under the
+# race detector, refusing a pattern that names none — a renamed or deleted
+# test must fail the gate, not silently shrink it.
+race_run() {
+    race_pkgs="$1"
+    shift
+    race_joined=""
+    for race_pat in "$@"; do
+        # shellcheck disable=SC2086
+        if ! go test -list "$race_pat" $race_pkgs | grep -q '^Test'; then
+            echo "ci: -race pattern '$race_pat' names no test in $race_pkgs" >&2
+            exit 1
+        fi
+        race_joined="${race_joined:+$race_joined|}$race_pat"
+    done
+    # shellcheck disable=SC2086
+    go test -race -run "$race_joined" $race_pkgs
+}
+
 echo "== go build =="
 go build "$pkgs"
 
@@ -27,27 +46,30 @@ echo "== go test =="
 go test "$pkgs"
 
 echo "== go test -race (evaluation engine) =="
-# The batch evaluation engine's concurrency and staged-replay equivalence
-# tests always run under the race detector, even when a narrower package
-# pattern was requested: the stage cache and stack pool are shared across
-# workers, so the bit-identity proofs must hold concurrently too.
-go test -race -run 'TestPool|TestMemo|TestSeedFor|TestRunBatch|TestTune(ParallelDeterminism|Cancellation|Memoization)|TestTraceEvaluator|TestGate' ./internal/tuner .
-go test -race -run 'TestStagedExec|TestStageCache|TestSharedStageCache|TestKernelStore|TestPooledStack' ./internal/replay
+# The evaluation engine's concurrency tests (the one fan-out, pool, memo,
+# gate), the staged-replay equivalence proofs and the engine's trace/
+# fallback rules always run under the race detector, even when a narrower
+# package pattern was requested: the stage cache and stack pool are shared
+# across workers, so the bit-identity proofs must hold concurrently too.
+race_run "./internal/tuner ." TestPool TestFanOut TestMemo TestSeedFor TestRunBatch \
+    'TestTune(ParallelDeterminism|Cancellation|Memoization)' TestTraceEvaluator TestResolveKernel TestGate \
+    'TestDrift(WorkerCount|Pruning)' 'TestEngine(KernelIdentity|Untraceable|KernelFallsBack)'
+race_run ./internal/replay TestStagedExec TestStageCache TestSharedStageCache TestKernelStore TestPooledStack
 
 echo "== go test -race (stage 3a phase tables) =="
 # Phase tables are published into slots shared by every execution of a
 # wire plan: the plan/charge equivalence proof, the first-touch race, the
 # aborted-prefix and stale-table fallbacks run under the race detector
 # even when a narrower package pattern was requested.
-go test -race -run 'TestPlanCharge|TestStaleTable|TestWideLoad|TestLayout|TestEpochStamps|TestFront|TestDriftWalks|TestReadTable|TestBackendFile' ./internal/lustre
-go test -race -run 'TestStagedExec|TestAbortedExec|TestFlippedCreationOrder|TestMemBackend|TestWarmExecAllocs|TestMetaTables|TestLowerPlanSlot' ./internal/replay
+race_run ./internal/lustre TestPlanCharge TestStaleTable TestWideLoad TestLayout TestEpochStamps TestFront TestDriftWalks TestReadTable TestBackendFile
+race_run ./internal/replay TestStagedExec TestAbortedExec TestFlippedCreationOrder TestMemBackend TestWarmExecAllocs TestMetaTables TestLowerPlanSlot
 # Stage 3b: the noise stream every one of those runs draws from is seeded
 # on demand, and must stay math/rand's own.
-go test -race -run 'TestNoiseSource|TestSimReset' ./internal/cluster
+race_run ./internal/cluster TestNoiseSource TestSimReset
 # Collective rounds charge tables through the one mpiio round loop, and the
 # stage cache hands equal content out as one artifact: the round oracle and
 # the canonical-plan proofs (8 goroutines racing first touch) run here too.
-go test -race -run 'TestCollectiveRounds' ./internal/lustre
+race_run ./internal/lustre TestCollectiveRounds
 go test -race ./internal/mpiio
 go test -race -count=3 -run 'TestCanonical' ./internal/replay
 
@@ -58,16 +80,10 @@ echo "== go test -race (tuning server) =="
 # the race detector unconditionally.
 go test -race ./internal/server
 
-echo "== serve benchmark smoke (concurrent serving path) =="
-# One workload, 4 concurrent sessions, in process and over HTTP: the
-# serving path must complete and every served curve must stay
-# bit-identical to a solo Tune under both cache architectures.
-go test -race -run 'TestServeBenchSmoke' ./internal/servebench
-
 echo "== go test -race (signature/trace cross-validation) =="
 # The static I/O signature must exactly match the recorded trace on every
 # fixture workload (event counts and byte totals, no tolerance).
-go test -race -run 'TestCrossValidate' ./internal/replay
+race_run ./internal/replay TestCrossValidate
 
 echo "== benchmark module (bench/) =="
 # bench/ is a nested module (tunio/bench, replace tunio => ../), so the

@@ -72,39 +72,23 @@ type (
 	Point = metrics.Point
 	// Parameter is one tunable I/O-stack knob.
 	Parameter = params.Parameter
-	// Result is a tuning-pipeline outcome. Result.EngineInfo reports how
-	// the evaluation engine scored the run (trace replay vs direct
-	// simulation, kernel hash, cache traffic).
+	// Result is a tuning-pipeline outcome. Result.EngineInfo reports what
+	// the evaluation engine scored the run on (kernel hash, §III-B
+	// recovery, cache traffic).
 	Result = tuner.Result
 	// EngineInfo is the evaluation-engine report attached to Result.
 	EngineInfo = tuner.EngineInfo
 	// Refinement refines a configuration interactively across tuning
-	// rounds (§VI of the paper): successive Refine rounds resume from
-	// the best configuration found so far while the agents keep
+	// rounds (§VI of the paper): successive RefineBatch rounds resume
+	// from the best configuration found so far while the agents keep
 	// learning.
 	Refinement = core.Session
 )
 
-// Session is the historical name for Refinement.
-//
-// Deprecated: the name collides with the server-side tuning sessions an
-// Engine runs (one Run per submitted JobSpec); "session" in newer APIs
-// and docs always means those. Use Refinement for interactive
-// configuration refinement. The alias is kept so existing callers
-// compile unchanged.
-type Session = core.Session
-
-// NewRefinement starts an interactive refinement session (§VI of the
-// paper): successive Refine rounds resume from the best configuration
-// found so far while the agents keep learning.
+// NewRefinement starts an interactive refinement (§VI of the paper):
+// successive RefineBatch rounds resume from the best configuration found
+// so far while the agents keep learning.
 func NewRefinement(agent *TunIO, space []Parameter) (*Refinement, error) {
-	return core.NewSession(agent, space)
-}
-
-// NewSession starts an interactive refinement session.
-//
-// Deprecated: use NewRefinement (see the Session alias for why).
-func NewSession(agent *TunIO, space []Parameter) (*Session, error) {
 	return core.NewSession(agent, space)
 }
 
@@ -113,12 +97,11 @@ func NewSession(agent *TunIO, space []Parameter) (*Session, error) {
 // log-curve episodes for the early stopper.
 //
 // Training runs through the staged pipeline (package internal/train): the
-// sweep is scored by parallel trace replay rather than serial direct
-// execution, and each stage trains from an independent seed stream. The
-// result is therefore not bit-identical to the historical core.Train
-// output, but it is deterministic for a given TrainConfig and independent
-// of worker count. To persist and resume training across processes, use
-// the tuniotrain command and LoadAgentArtifacts.
+// sweep is scored by parallel trace replay and each stage trains from an
+// independent seed stream. The result is deterministic for a given
+// TrainConfig and independent of worker count. To persist and resume
+// training across processes, use the tuniotrain command and
+// LoadAgentArtifacts.
 func Train(cfg TrainConfig) (*TunIO, error) {
 	return train.Train(train.Config{
 		Space:           cfg.Space,
@@ -175,24 +158,14 @@ type TuneOptions struct {
 	// Context, when non-nil, cancels the run between evaluations; Tune
 	// then returns an error wrapping ctx.Err(). Nil means no deadline.
 	Context context.Context
-	// Parallelism selects the evaluation engine. 0 keeps the legacy
-	// serial evaluator (per-call seed counter, no memoization) so
-	// existing runs reproduce bit-for-bit. Any value >= 1 switches to
-	// the batch engine: deterministic (iteration, genome)-derived seeds,
-	// a worker pool of that many workers (1 = serial batch), and genome
-	// memoization — curves are identical for every Parallelism >= 1.
-	//
-	// The batch engine scores genomes by staged trace replay (the
-	// workload runs once to record its I/O trace; every configuration
-	// replays it through parameter-projection-cached stage plans), which
-	// produces bit-identical curves to direct simulation at a fraction of
-	// the cost. If recording fails the engine reverts permanently to
-	// direct simulation for the run.
+	// Parallelism is the number of evaluation workers (0 = GOMAXPROCS,
+	// 1 = one at a time). It only schedules: every genome is scored by
+	// staged trace replay — the workload runs once to record its I/O
+	// trace, every configuration replays it through
+	// parameter-projection-cached stage plans — with a seed derived from
+	// (Seed, iteration, genome), and repeated genomes are memoized, so the
+	// curve is the same for every value.
 	Parallelism int
-	// NoTrace opts the batch engine out of trace replay, forcing direct
-	// simulation of every evaluation (the pre-replay behavior; curves are
-	// identical either way).
-	NoTrace bool
 	// Progress, when non-nil, receives each curve point as the
 	// corresponding iteration completes.
 	Progress func(metrics.Point)
@@ -202,10 +175,10 @@ type TuneOptions struct {
 // its result (curve, best configuration, stopping iteration).
 //
 // Tune is a synchronous shim over a private single-use Engine: each call
-// gets fresh caches, so two Tune calls share nothing and curves reproduce
-// the historical behavior bit for bit. Long-lived processes that tune
-// repeatedly should hold one Engine and call Engine.Tune, which shares
-// the kernel store and stage cache across sessions.
+// gets fresh caches, so two Tune calls share nothing. Long-lived
+// processes that tune repeatedly should hold one Engine and call
+// Engine.Tune, which shares the kernel store and stage cache across
+// sessions.
 func Tune(opts TuneOptions) (*Result, error) {
 	run, err := NewEngine(EngineOptions{}).Tune(opts.Context, JobSpec{
 		Workload:      opts.Workload,
@@ -218,7 +191,6 @@ func Tune(opts TuneOptions) (*Result, error) {
 		Reps:          opts.Reps,
 		Seed:          opts.Seed,
 		Parallelism:   opts.Parallelism,
-		NoTrace:       opts.NoTrace,
 		Progress:      opts.Progress,
 	})
 	if err != nil {

@@ -1,12 +1,12 @@
 package tunio
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"tunio/internal/cluster"
 	"tunio/internal/params"
-	"tunio/internal/tuner"
 	"tunio/internal/workload"
 )
 
@@ -92,7 +92,7 @@ func TestSessionPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := NewSession(agent, ParameterSpace())
+	sess, err := NewRefinement(agent, ParameterSpace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,9 +129,10 @@ func TestTuneWithAgent(t *testing.T) {
 }
 
 // TestFullPipelineArchitecture exercises the paper's Figure 3 flow end to
-// end through public-ish seams: source -> Application I/O Discovery ->
+// end through the public surface: source -> Application I/O Discovery ->
 // kernel-driven Configuration Evaluation (with the §III-B error fallback
-// armed) -> tuned configuration validated on the full application.
+// armed: a Discover job) -> tuned configuration validated on the full
+// application.
 func TestFullPipelineArchitecture(t *testing.T) {
 	c := cluster.CoriHaswell(2, 8)
 	w := workload.NewVPIC(c.Procs())
@@ -139,23 +140,23 @@ func TestFullPipelineArchitecture(t *testing.T) {
 	w.Steps = 1
 	w.ComputeFlops = 5e9
 
-	// step 1: discovery
-	kernel, err := DiscoverIO(w.CSource(), DiscoveryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// step 2: tune evaluating the kernel, falling back to the full app on
-	// kernel errors
-	res, err := tuner.Run(tuner.Config{
-		Space: ParameterSpace(), PopSize: 6, MaxIterations: 8, Seed: 31,
-		Stopper: tuner.NewHeuristicStopper(),
-	}, &tuner.FallbackEvaluator{
-		Primary:  &tuner.CSourceEvaluator{Prog: kernel.File, Cluster: c, Reps: 1, Seed: 31},
-		Fallback: &tuner.WorkloadEvaluator{Workload: w, Cluster: c, Reps: 1, Seed: 31},
+	// steps 1 and 2: discover the kernel and tune evaluating it; the
+	// engine would fall back to the full source on kernel errors
+	run, err := NewEngine(EngineOptions{}).Tune(context.Background(), JobSpec{
+		Source: w.CSource(), Discover: true,
+		Nodes: 2, ProcsPerNode: 8,
+		PopSize: 6, MaxIterations: 8, Reps: 1, Seed: 31,
+		Heuristic: true,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	res, err := run.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.EngineInfo.FellBack {
+		t.Fatalf("a sound kernel fell back to the full application: %s", res.EngineInfo.FallbackErr)
 	}
 
 	// step 3: the tuned configuration must beat the defaults on the full
