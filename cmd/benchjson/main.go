@@ -2,8 +2,8 @@
 // the BENCH_*.json files bench.sh writes) into sorted "path value"
 // lines, one scalar per line:
 //
-//	workloads[macsio].sharded.jobs_per_sec 117.88
-//	sessions 8
+//	workloads[vpic].traced.ns_per_genome 2679005.1875
+//	population 32
 //
 // Array elements are keyed by their "workload" field when they have one
 // (so rows align across runs regardless of order) and by index

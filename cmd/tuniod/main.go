@@ -50,9 +50,7 @@ func main() {
 	artifacts := flag.String("artifacts", "", "serve pipeline=tunio jobs with the agent from this tuniotrain artifacts directory")
 	storePath := flag.String("store", "", "kernel store file: loaded at startup if present, saved on shutdown")
 	trainSeed := flag.Int64("train-seed", 1, "seed for lazy agent training")
-	pprofOn := flag.Bool("pprof", false, "expose /debug/pprof/* on the listen address (mutex + block profiling per the fraction/rate flags)")
-	mutexFrac := flag.Int("mutex-profile-fraction", 1, "with -pprof: runtime.SetMutexProfileFraction value (0 disables mutex profiling)")
-	blockRate := flag.Int("block-profile-rate", 0, "with -pprof: runtime.SetBlockProfileRate value in ns (0 disables block profiling)")
+	pprofOn := flag.Bool("pprof", false, "expose /debug/pprof/* on the listen address, with mutex and block profiling on")
 	flag.Parse()
 
 	if *agentIn != "" && *artifacts != "" {
@@ -102,11 +100,12 @@ func main() {
 	// The API handler owns the whole path space, so pprof needs its own
 	// mux in front: /debug/pprof/* is answered locally, everything else
 	// falls through to the API. Mutex/block profiling is sampled only
-	// when asked — both have a (small) steady-state cost.
+	// when asked — both have a (small) steady-state cost: every contended
+	// mutex event, and blocking events of a microsecond or more.
 	var root http.Handler = handler
 	if *pprofOn {
-		runtime.SetMutexProfileFraction(*mutexFrac)
-		runtime.SetBlockProfileRate(*blockRate)
+		runtime.SetMutexProfileFraction(1)
+		runtime.SetBlockProfileRate(1000)
 		mux := http.NewServeMux()
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -115,7 +114,7 @@ func main() {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		mux.Handle("/", handler)
 		root = mux
-		fmt.Fprintf(os.Stderr, "tuniod: pprof enabled (mutex fraction %d, block rate %d)\n", *mutexFrac, *blockRate)
+		fmt.Fprintln(os.Stderr, "tuniod: pprof enabled (mutex fraction 1, block rate 1000 ns)")
 	}
 
 	ln, err := net.Listen("tcp", *addr)

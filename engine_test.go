@@ -560,3 +560,36 @@ func TestEngineKernelFallsBackToFullSource(t *testing.T) {
 		t.Fatalf("untraceable kernel and source: res=%v err=%v, want ErrUntraceable", res, err)
 	}
 }
+
+// An online spec the drift controller would refuse is refused at submit,
+// like every other bad spec — not accepted, recorded and then failed.
+func TestEngineOnlineSpecRefusedAtSubmit(t *testing.T) {
+	eng := NewEngine(EngineOptions{})
+	for name, tc := range map[string]struct {
+		reps   int
+		online OnlineSpec
+		want   string
+	}{
+		"prune over averaged reps": {3, OnlineSpec{Windows: 4, Prune: true}, "Prune requires Reps == 1"},
+		"negative threshold":       {1, OnlineSpec{Windows: 4, Threshold: -0.1}, "must be >= 0"},
+		"negative window gap":      {1, OnlineSpec{Windows: 4, WindowGap: -1}, "must be >= 0"},
+	} {
+		spec := sourceSpec(smallMACSio(t, "", ""), false)
+		spec.Reps, spec.Online = tc.reps, &tc.online
+		run, err := eng.Tune(context.Background(), spec)
+		if err == nil {
+			_, werr := run.Wait()
+			t.Fatalf("%s: Tune accepted the spec; the session then ended with: %v", name, werr)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want substring %q", name, err, tc.want)
+		}
+	}
+	if st := eng.Stats(); st.SessionsStarted != 0 || st.Kernels.Kernels != 0 || st.Kernels.Misses != 0 {
+		t.Fatalf("refused specs started sessions or reached the kernel store: %+v", st)
+	}
+	// Pruning a single-rep objective is what the rule allows.
+	spec := sourceSpec(smallMACSio(t, "", ""), true)
+	spec.Online.Prune = true
+	tuneOn(t, eng, spec)
+}

@@ -47,6 +47,45 @@ func TestOneEvaluationPath(t *testing.T) {
 		},
 	}
 
+	goSources(t, func(path string, src []byte) {
+		forbidden := append(everywhere[:len(everywhere):len(everywhere)], perDir[filepath.ToSlash(filepath.Dir(path))]...)
+		for n, line := range strings.Split(string(src), "\n") {
+			for _, re := range forbidden {
+				if re.MatchString(line) {
+					t.Errorf("%s:%d names %s, which the one evaluation path deleted", path, n+1, re)
+				}
+			}
+		}
+	})
+}
+
+// There is one cache implementation: internal/cowmap holds the only
+// copy-on-write map, and every shared table is one. No other non-test
+// source outside bench/ may publish a map through an atomic pointer by
+// hand, and the names of the sharded cache and the private copies it
+// replaced must not drift back (assembled here, as above, so this file
+// passes its own check).
+func TestOneCacheImplementation(t *testing.T) {
+	cow := regexp.MustCompile(`atomic\.Pointer\[` + `map\[`)
+	deleted := regexp.MustCompile(`stageShard` + `Count|shard` + `Of\b|cache` + `Shard|insert` + `Locked|memo` + `State|tables` + `Mu\b`)
+	var holders []string
+	goSources(t, func(path string, src []byte) {
+		if cow.Match(src) && !strings.HasSuffix(path, "_test.go") {
+			holders = append(holders, filepath.ToSlash(path))
+		}
+		if m := deleted.Find(src); m != nil {
+			t.Errorf("%s names %s, which the one cache implementation deleted", path, m)
+		}
+	})
+	if len(holders) != 1 || holders[0] != "internal/cowmap/cowmap.go" {
+		t.Errorf("hand-published maps in %v: internal/cowmap/cowmap.go must be the only one", holders)
+	}
+}
+
+// goSources calls visit with every Go source of the repository outside
+// bench/ (a module of its own, frozen under the benchmark contract).
+func goSources(t *testing.T, visit func(path string, src []byte)) {
+	t.Helper()
 	var checked int
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -66,14 +105,7 @@ func TestOneEvaluationPath(t *testing.T) {
 			return err
 		}
 		checked++
-		forbidden := append(everywhere[:len(everywhere):len(everywhere)], perDir[filepath.ToSlash(filepath.Dir(path))]...)
-		for n, line := range strings.Split(string(src), "\n") {
-			for _, re := range forbidden {
-				if re.MatchString(line) {
-					t.Errorf("%s:%d names %s, which the one evaluation path deleted", path, n+1, re)
-				}
-			}
-		}
+		visit(path, src)
 		return nil
 	})
 	if err != nil {

@@ -1,0 +1,80 @@
+package cowmap
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+)
+
+// The zero Map is empty and readable.
+func TestZeroValue(t *testing.T) {
+	var m Map[string, int]
+	if s := m.Snapshot(); len(s) != 0 {
+		t.Fatalf("zero map holds %v", s)
+	}
+	if _, ok := m.Snapshot()["x"]; ok {
+		t.Fatal("zero map answered a key")
+	}
+}
+
+// Eight goroutines insert their own value under each of a few keys: every
+// caller is told the same winner per key, and that is the value the map
+// keeps. Runs under -race in CI.
+func TestInsertFirstWriterWins(t *testing.T) {
+	const goroutines, keys = 8, 16
+	var m Map[string, int]
+	saw := make([][keys]int, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < keys; k++ {
+				// stagger the key order so every key is contended
+				k := (k + g) % keys
+				saw[g][k] = m.Insert(fmt.Sprint("key", k), g)
+				if v, ok := m.Snapshot()[fmt.Sprint("key", k)]; !ok || v != saw[g][k] {
+					t.Errorf("goroutine %d key %d: snapshot after Insert holds %v/%v, Insert returned %d", g, k, v, ok, saw[g][k])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	final := m.Snapshot()
+	if len(final) != keys {
+		t.Fatalf("%d keys held, want %d", len(final), keys)
+	}
+	for k := 0; k < keys; k++ {
+		for g := 0; g < goroutines; g++ {
+			if saw[g][k] != final[fmt.Sprint("key", k)] {
+				t.Errorf("key %d: goroutine %d was told %d, the map holds %d", k, g, saw[g][k], final[fmt.Sprint("key", k)])
+			}
+		}
+	}
+}
+
+// A snapshot is immutable: inserts that come after it never show in it.
+func TestSnapshotNeverShowsLaterInserts(t *testing.T) {
+	var m Map[int, string]
+	m.Insert(1, "one")
+	before := m.Snapshot()
+	m.Insert(2, "two")
+	m.InsertAll(map[int]string{3: "three"})
+	if len(before) != 1 || before[1] != "one" {
+		t.Fatalf("snapshot taken before the inserts now reads %v", before)
+	}
+	if after := m.Snapshot(); len(after) != 3 {
+		t.Fatalf("current snapshot %v, want 3 entries", after)
+	}
+}
+
+// InsertAll adds the absent keys and leaves present ones alone.
+func TestInsertAllKeepsExistingKeys(t *testing.T) {
+	var m Map[string, int]
+	m.Insert("held", 1)
+	m.InsertAll(map[string]int{"held": 2, "new": 3})
+	m.InsertAll(nil)
+	if s := m.Snapshot(); len(s) != 2 || s["held"] != 1 || s["new"] != 3 {
+		t.Fatalf("after InsertAll: %v, want held=1 new=3", s)
+	}
+}

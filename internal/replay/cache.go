@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"tunio/internal/cowmap"
 	"tunio/internal/hdf5"
 	"tunio/internal/lustre"
 	"tunio/internal/params"
@@ -15,63 +16,75 @@ import (
 // parameters a wire plan depends on.
 var wireFootprint = append(append([]string{}, params.PlanStage...), params.AggregateStage...)
 
-// stageShardCount is the number of lock stripes per artifact kind. A
-// power of two so shardOf can mask instead of mod; 32 stripes keep the
-// probability of two concurrent cold builds colliding on a stripe low
-// even at high session counts, while costing only a few hundred bytes.
-const stageShardCount = 32
+// slot is a build-once cache entry. Whoever finds a key absent publishes an
+// empty slot under it — a pointer copy under the map lock — and the build
+// runs through the slot, outside every map lock: exactly one caller builds,
+// callers that arrive meanwhile wait for that build, and callers of other
+// keys are not held up at all. An error is an outcome like any other (the
+// builds are pure functions of the key), handed to every caller of the key.
+type slot[V any] struct {
+	once sync.Once
+	v    V
+	err  error
+}
 
-// shardOf hashes a cache key onto a stripe (FNV-1a, masked).
-func shardOf(key []byte) uint32 {
-	h := uint32(2166136261)
-	for _, b := range key {
-		h ^= uint32(b)
-		h *= 16777619
+// get returns the slot's value, running build if no caller has yet; built
+// reports whether this call ran it.
+func (s *slot[V]) get(build func() (V, error)) (v V, built bool, err error) {
+	s.once.Do(func() {
+		built = true
+		s.v, s.err = build()
+	})
+	return s.v, built, s.err
+}
+
+// traffic counts one stage's lookups: answered from a map (hits), built
+// (misses), and the builds that added an artifact the cache did not hold
+// yet (distinct). A kernel keeps one per artifact kind for the cache-wide
+// figures, a view one for its session's.
+type traffic struct{ hits, misses, distinct atomic.Int64 }
+
+func (t *traffic) book(hit bool) {
+	if hit {
+		t.hits.Add(1)
+	} else {
+		t.misses.Add(1)
 	}
-	return h & (stageShardCount - 1)
 }
 
-// cacheShard is one lock stripe of a sharded artifact map. Readers load
-// the published map pointer and look up without any lock; writers take
-// the stripe mutex, clone, insert, and republish (copy-on-write). Hit
-// and miss traffic is counted with atomics so the read path never
-// serializes on accounting either.
-type cacheShard[V any] struct {
-	m      atomic.Pointer[map[string]V]
-	mu     sync.Mutex
-	hits   atomic.Int64
-	misses atomic.Int64
+// artifacts is one kernel's map of one artifact kind, keyed by the
+// projection bytes of the parameters the artifact depends on.
+type artifacts[V any] struct {
+	m cowmap.Map[string, *slot[V]]
+	traffic
 }
 
-func (s *cacheShard[V]) init() {
-	m := map[string]V{}
-	s.m.Store(&m)
-}
-
-// get is the lock-free read path. key aliases caller scratch; the
-// string conversion inside the map index does not allocate.
-func (s *cacheShard[V]) get(key []byte) (V, bool) {
-	v, ok := (*s.m.Load())[string(key)]
-	return v, ok
-}
-
-// insertLocked publishes key→v (first writer wins) and returns the
-// entry now under the key. Callers must hold s.mu.
-func (s *cacheShard[V]) insertLocked(key []byte, v V) V {
-	old := *s.m.Load()
-	if cur, ok := old[string(key)]; ok {
-		return cur
+// lookupOrBuild returns the artifact under the key, building it — once per
+// key, whatever races — when the map has none. A hit is one atomic load, a
+// map index (key aliases caller scratch; the string conversion inside the
+// index does not allocate), a finished sync.Once and two counters: no lock,
+// no allocation. The caller that builds books the miss — here and on its
+// session's counters — everyone else a hit, so misses count distinct keys.
+func (t *artifacts[V]) lookupOrBuild(key []byte, session *traffic, build func() (V, error)) (V, error) {
+	s, ok := t.m.Snapshot()[string(key)]
+	if !ok {
+		s = t.m.Insert(string(key), new(slot[V]))
 	}
-	next := make(map[string]V, len(old)+1)
-	for k, ov := range old {
-		next[k] = ov
-	}
-	next[string(key)] = v
-	s.m.Store(&next)
-	return v
+	v, built, err := s.get(build)
+	t.book(!built)
+	session.book(!built)
+	return v, err
 }
 
-func (s *cacheShard[V]) len() int { return len(*s.m.Load()) }
+// kernelArtifacts is everything the cache holds for one registered kernel:
+// its trace and the stack and wire plans of the projections asked for so
+// far. The kernel is the cache's partition: an insert clones a map bounded
+// by this kernel's own projections, and dropping the kernel is one delete.
+type kernelArtifacts struct {
+	trace *Trace
+	plans artifacts[*StackPlan] // by plan-footprint projection
+	wires artifacts[*WirePlan]  // by plan+aggregate projection, then ppn
+}
 
 // StageCache memoizes the staged artifacts of one or more traces by
 // (kernel, parameter-projection) key: stack plans keyed by the plan
@@ -86,22 +99,15 @@ func (s *cacheShard[V]) len() int { return len(*s.m.Load()) }
 // (trace, projected parameters) and never reads the run seed. Safe for
 // concurrent use.
 //
-// Internally the plan and wire maps are sharded by key hash into
-// lock-striped copy-on-write buckets: a warm lookup loads the shard's
-// published map pointer and bumps an atomic counter — no mutex — while a
-// cold build serializes only with other builds on the same stripe. A
-// wire-stripe build may take a plan-stripe lock (wire→plan order only),
-// so the two lock families cannot deadlock. What a cold build publishes
-// under its projection key is the artifact the cache already holds for
-// that content, when it holds one (canon): the shard maps count keys, the
-// artifacts behind them are far fewer.
+// Every map in it is a cowmap.Map: a warm lookup is lock-free, a cold one
+// locks only to publish an empty slot and builds outside the lock, so
+// distinct keys always build concurrently. What a build publishes is the
+// artifact the cache already holds for that content, when it holds one
+// (canon): the kernels' maps count keys, the artifacts behind them are far
+// fewer. The zero value is an empty cache.
 type StageCache struct {
-	mu     sync.Mutex // guards traces
-	traces map[string]*Trace
-
-	plans [stageShardCount]cacheShard[*StackPlan]
-	wires [stageShardCount]cacheShard[*WirePlan]
-	canon canon // each distinct artifact once; its lock is a leaf
+	kernels cowmap.Map[string, *kernelArtifacts]
+	canon   canon // each distinct artifact once; its lock is a leaf
 
 	service serviceCounters // stage-3 table traffic of every plan built here
 }
@@ -158,30 +164,35 @@ func (c *serviceCounters) into(s *StageStats) {
 	s.ServiceFallbacks = c.fallbacks.Load()
 }
 
-// PlanHitRate returns the stage-1 hit fraction (0 when never queried).
-func (s StageStats) PlanHitRate() float64 {
-	if t := s.PlanHits + s.PlanMisses; t > 0 {
-		return float64(s.PlanHits) / float64(t)
+// hitRate is hits over lookups, 0 when there were none.
+func hitRate(hits, misses int64) float64 {
+	if hits+misses == 0 {
+		return 0
 	}
-	return 0
+	return float64(hits) / float64(hits+misses)
 }
+
+// PlanHitRate returns the stage-1 hit fraction (0 when never queried).
+func (s StageStats) PlanHitRate() float64 { return hitRate(s.PlanHits, s.PlanMisses) }
+
+// WireHitRate returns the stage-2 hit fraction (0 when never queried).
+func (s StageStats) WireHitRate() float64 { return hitRate(s.WireHits, s.WireMisses) }
 
 // HitRate returns the overall hit fraction across both cached stages
 // (0 when never queried) — the headline number for how much of a
 // session's stage work the cache absorbed.
 func (s StageStats) HitRate() float64 {
-	if t := s.PlanHits + s.PlanMisses + s.WireHits + s.WireMisses; t > 0 {
-		return float64(s.PlanHits+s.WireHits) / float64(t)
-	}
-	return 0
+	return hitRate(s.PlanHits+s.WireHits, s.PlanMisses+s.WireMisses)
 }
 
-// WireHitRate returns the stage-2 hit fraction (0 when never queried).
-func (s StageStats) WireHitRate() float64 {
-	if t := s.WireHits + s.WireMisses; t > 0 {
-		return float64(s.WireHits) / float64(t)
-	}
-	return 0
+// count adds the traffic of a plan map and a wire map to the snapshot.
+func (s *StageStats) count(plans, wires *traffic) {
+	s.PlanHits += plans.hits.Load()
+	s.PlanMisses += plans.misses.Load()
+	s.PlanDistinct += plans.distinct.Load()
+	s.WireHits += wires.hits.Load()
+	s.WireMisses += wires.misses.Load()
+	s.WireDistinct += wires.distinct.Load()
 }
 
 // add accumulates o into s.
@@ -200,57 +211,37 @@ func (s *StageStats) add(o StageStats) {
 // NewSharedStageCache returns an empty multi-kernel cache, meant to be
 // shared across sessions: callers Register each kernel's trace under its
 // content hash and query through per-session Views.
-func NewSharedStageCache() *StageCache {
-	c := &StageCache{traces: map[string]*Trace{}}
-	for i := range c.plans {
-		c.plans[i].init()
-		c.wires[i].init()
-	}
-	return c
-}
+func NewSharedStageCache() *StageCache { return new(StageCache) }
 
 // Register installs the trace for a kernel key. The first registration
 // wins: a key already present keeps its trace, which is what lets many
 // sessions race to register the same content-addressed kernel.
 func (c *StageCache) Register(key string, t *Trace) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.traces[key]; !ok {
-		c.traces[key] = t
+	if !c.HasKernel(key) {
+		c.kernels.Insert(key, &kernelArtifacts{trace: t})
 	}
 }
 
 // HasKernel reports whether a trace is registered under the key.
 func (c *StageCache) HasKernel(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.traces[key]
-	return ok
+	return c.kernels.Snapshot()[key] != nil
 }
 
 // Kernels returns the number of registered kernel traces.
-func (c *StageCache) Kernels() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.traces)
-}
+func (c *StageCache) Kernels() int { return len(c.kernels.Snapshot()) }
 
 // Stats returns a snapshot of the cache-wide counters (all views
-// combined), merged across shards. Each counter is a
-// sum of per-shard atomics, so a snapshot taken while traffic is in
-// flight is approximate in the usual monotonic-counter sense; quiescent
+// combined), summed over the registered kernels — each distinct artifact
+// was added by exactly one build, so the distinct sums are what the cache
+// holds. Each counter is an atomic, so a snapshot taken while traffic is
+// in flight is approximate in the usual monotonic-counter sense; quiescent
 // reads — every test and report in this repo — are exact, because a
 // completed WireFor has fully retired its counter updates.
 func (c *StageCache) Stats() StageStats {
 	var s StageStats
-	for i := range c.plans {
-		s.PlanHits += c.plans[i].hits.Load()
-		s.PlanMisses += c.plans[i].misses.Load()
-		s.WireHits += c.wires[i].hits.Load()
-		s.WireMisses += c.wires[i].misses.Load()
+	for _, k := range c.kernels.Snapshot() {
+		s.count(&k.plans.traffic, &k.wires.traffic)
 	}
-	plans, wires := c.canon.distinct()
-	s.PlanDistinct, s.WireDistinct = int64(plans), int64(wires)
 	c.service.into(&s)
 	return s
 }
@@ -260,7 +251,7 @@ func (c *StageCache) Stats() StageStats {
 // is a hit through every other — but each view keeps its own StageStats,
 // so a session can report its personal hit rate against the shared cache.
 func (c *StageCache) View(kernelKey string) *CacheView {
-	return &CacheView{c: c, kernelKey: kernelKey}
+	return &CacheView{c: c, kernelKey: kernelKey, kernel: c.kernels.Snapshot()[kernelKey]}
 }
 
 // CacheView is a per-session window onto a shared StageCache: fixed
@@ -270,13 +261,9 @@ func (c *StageCache) View(kernelKey string) *CacheView {
 type CacheView struct {
 	c         *StageCache
 	kernelKey string
+	kernel    *kernelArtifacts // resolved by View; nil if taken before Register
 
-	planHits     atomic.Int64
-	planMisses   atomic.Int64
-	planDistinct atomic.Int64
-	wireHits     atomic.Int64
-	wireMisses   atomic.Int64
-	wireDistinct atomic.Int64
+	plans, wires traffic         // this view's lookups
 	service      serviceCounters // credited by Runtimes whose View is this view
 }
 
@@ -286,145 +273,69 @@ func (v *CacheView) KernelKey() string { return v.kernelKey }
 // WireFor returns the wire plan of the assignment's configuration under
 // the view's kernel, building (and caching, shared) what its projections
 // miss. s must be a.Settings() and ppn the cluster's processes per node.
+// A miss fetches the stack plan (planFor) and publishes under the key the
+// wire plan the cache holds for that stack plan and what lowering reads of
+// the settings (wireKeyOf) — lowering it only if there is none yet.
 func (v *CacheView) WireFor(a *params.Assignment, s params.StackSettings, ppn int) (*WirePlan, error) {
-	var delta StageStats
-	wp, err := v.c.wireFor(v.kernelKey, a, s, &delta, ppn)
-	if delta.WireHits != 0 {
-		v.wireHits.Add(delta.WireHits)
+	k := v.kernel
+	if k == nil {
+		// Taken before Register: look again on every call, so the view works
+		// from the moment the kernel is registered and nothing is cached
+		// about the time before.
+		if k = v.c.kernels.Snapshot()[v.kernelKey]; k == nil {
+			return nil, fmt.Errorf("replay: no trace registered for kernel %q", v.kernelKey)
+		}
 	}
-	if delta.WireMisses != 0 {
-		v.wireMisses.Add(delta.WireMisses)
-		v.wireDistinct.Add(delta.WireDistinct)
-		v.planHits.Add(delta.PlanHits)
-		v.planMisses.Add(delta.PlanMisses)
-		v.planDistinct.Add(delta.PlanDistinct)
-	}
-	return wp, err
+	var scratch [32]byte
+	key := a.AppendProjection(scratch[:0], wireFootprint)
+	// Lowering bakes ppn into metadata-read extents and the aggregator node
+	// count, so cluster shapes with equal process counts must not share a
+	// wire plan. The stack plan is ppn-free and stays shared (planFor).
+	key = binary.AppendUvarint(key, uint64(ppn))
+	return k.wires.lookupOrBuild(key, &v.wires, func() (*WirePlan, error) {
+		sp, err := v.planFor(k, a, s.HDF5)
+		if err != nil {
+			return nil, err
+		}
+		wp, added := v.c.canon.wire(wireKeyOf(sp, s, ppn), func() *WirePlan {
+			wp := LowerPlan(sp, s.Hints, s.HDF5, ppn)
+			wp.service = &v.c.service
+			return wp
+		})
+		if added {
+			k.wires.distinct.Add(1)
+			v.wires.distinct.Add(1)
+		}
+		return wp, nil
+	})
 }
 
 // Stats returns the view's private counters: the traffic this view (not
 // the whole shared cache) generated.
 func (v *CacheView) Stats() StageStats {
-	s := StageStats{
-		PlanHits:     v.planHits.Load(),
-		PlanMisses:   v.planMisses.Load(),
-		PlanDistinct: v.planDistinct.Load(),
-		WireHits:     v.wireHits.Load(),
-		WireMisses:   v.wireMisses.Load(),
-		WireDistinct: v.wireDistinct.Load(),
-	}
+	var s StageStats
+	s.count(&v.plans, &v.wires)
 	v.service.into(&s)
 	return s
 }
 
-// wireFor is what every view's WireFor runs: delta receives the hit/miss
-// traffic of this one call (for per-view stats).
-//
-// The fast path builds the wire key into stack scratch, loads the
-// stripe's published map, and returns on a hit — zero locks, zero
-// allocations. A miss takes only that stripe's mutex, re-checks (another
-// session may have published while we waited), fetches the stack plan
-// (itself a striped lookup), and publishes under the projection key the
-// wire plan the cache holds for that stack plan and what lowering reads of
-// the settings (wireKeyOf) — lowering it only if there is none yet.
-func (c *StageCache) wireFor(kernelKey string, a *params.Assignment, s params.StackSettings, delta *StageStats, ppn int) (*WirePlan, error) {
-	var scratch [64]byte
-	key := append(scratch[:0], kernelKey...)
-	key = append(key, 0)
-	key = a.AppendProjection(key, wireFootprint)
-	// Lowering bakes ppn into metadata-read extents and the aggregator node
-	// count, so cluster shapes with equal process counts must not share a
-	// wire plan. The stack plan is ppn-free and stays shared (planFor).
-	key = binary.AppendUvarint(key, uint64(ppn))
-	shard := &c.wires[shardOf(key)]
-
-	if wp, ok := shard.get(key); ok {
-		shard.hits.Add(1)
-		if delta != nil {
-			delta.WireHits++
+// planFor answers a plan-projection key of kernel k. A miss builds the
+// stack plan and publishes, under the key, the plan the cache holds for
+// that content: the first one built, so every projection of equal content
+// hands out one pointer.
+func (v *CacheView) planFor(k *kernelArtifacts, a *params.Assignment, cfg hdf5.Config) (*StackPlan, error) {
+	var scratch [32]byte
+	key := a.AppendProjection(scratch[:0], params.PlanStage)
+	return k.plans.lookupOrBuild(key, &v.plans, func() (*StackPlan, error) {
+		sp, err := BuildStackPlan(k.trace, cfg)
+		if err != nil {
+			return nil, err
 		}
-		return wp, nil
-	}
-
-	shard.mu.Lock()
-	defer shard.mu.Unlock()
-	if wp, ok := shard.get(key); ok {
-		// Lost the build race: another session published while we
-		// waited for the stripe. Still a miss from this caller's view —
-		// it queued behind the build — matching pre-sharding accounting
-		// where the second requester blocked on the cache lock.
-		shard.hits.Add(1)
-		if delta != nil {
-			delta.WireHits++
+		sp, added := v.c.canon.plan(sp, sp.contentHash())
+		if added {
+			k.plans.distinct.Add(1)
+			v.plans.distinct.Add(1)
 		}
-		return wp, nil
-	}
-	shard.misses.Add(1)
-	if delta != nil {
-		delta.WireMisses++
-	}
-	sp, err := c.planFor(kernelKey, a, s.HDF5, delta)
-	if err != nil {
-		return nil, err
-	}
-	wp, added := c.canon.wire(wireKeyOf(sp, s, ppn), func() *WirePlan {
-		wp := LowerPlan(sp, s.Hints, s.HDF5, ppn)
-		wp.service = &c.service
-		return wp
+		return sp, nil
 	})
-	if added && delta != nil {
-		delta.WireDistinct++
-	}
-	return shard.insertLocked(key, wp), nil
-}
-
-// planFor returns the stage-1 stack plan for the assignment's plan
-// projection. A miss builds the plan and publishes, under the projection
-// key, the plan the cache holds for that content: the first one built, so
-// every projection of equal content hands out one pointer. Callers may
-// hold a wire-stripe mutex; plan stripes are a distinct lock family ordered
-// after wire stripes, so this cannot deadlock.
-func (c *StageCache) planFor(kernelKey string, a *params.Assignment, cfg hdf5.Config, delta *StageStats) (*StackPlan, error) {
-	var scratch [64]byte
-	key := append(scratch[:0], kernelKey...)
-	key = append(key, 0)
-	key = a.AppendProjection(key, params.PlanStage)
-	shard := &c.plans[shardOf(key)]
-
-	if sp, ok := shard.get(key); ok {
-		shard.hits.Add(1)
-		if delta != nil {
-			delta.PlanHits++
-		}
-		return sp, nil
-	}
-
-	shard.mu.Lock()
-	defer shard.mu.Unlock()
-	if sp, ok := shard.get(key); ok {
-		shard.hits.Add(1)
-		if delta != nil {
-			delta.PlanHits++
-		}
-		return sp, nil
-	}
-	shard.misses.Add(1)
-	if delta != nil {
-		delta.PlanMisses++
-	}
-	c.mu.Lock()
-	t, ok := c.traces[kernelKey]
-	c.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("replay: no trace registered for kernel %q", kernelKey)
-	}
-	sp, err := BuildStackPlan(t, cfg)
-	if err != nil {
-		return nil, err
-	}
-	sp, added := c.canon.plan(sp, sp.contentHash())
-	if added && delta != nil {
-		delta.PlanDistinct++
-	}
-	return shard.insertLocked(key, sp), nil
 }

@@ -9,7 +9,7 @@ import (
 	"tunio/internal/params"
 )
 
-// The projection-keyed shard maps of a StageCache answer "which artifact
+// The projection-keyed maps of a StageCache's kernels answer "which artifact
 // does this configuration get"; most projections of one kernel get the same
 // one. Alignment, sieve and chunk-cache values that leave a kernel's extents
 // alone build equal stack plans, and lowering reads less than the aggregate
@@ -25,11 +25,14 @@ import (
 // projection built them; a wire plan is a function of the stack plan and
 // the values in wireKey, and the tables hanging off it check every other
 // input against the live file (lustre.File.accepts).
+//
+// Both maps are plain maps under one leaf mutex, held for a lookup or an
+// insert and never across a build: canon spans every kernel, so a clone per
+// insert would grow with everything the cache has ever held.
 type canon struct {
-	mu     sync.Mutex
-	plans  map[uint64][]*StackPlan // by content hash; equal hashes are told apart by equal
-	nplans int
-	wires  map[wireKey]*WirePlan
+	mu    sync.Mutex
+	plans map[uint64][]*StackPlan // by content hash; equal hashes are told apart by equal
+	wires map[wireKey]*slot[*WirePlan]
 }
 
 // plan returns the stack plan the cache holds for sp's content — sp itself,
@@ -47,38 +50,25 @@ func (cn *canon) plan(sp *StackPlan, hash uint64) (*StackPlan, bool) {
 		cn.plans = map[uint64][]*StackPlan{}
 	}
 	cn.plans[hash] = append(cn.plans[hash], sp)
-	cn.nplans++
 	return sp, true
 }
 
-// wire returns the wire plan held under k, lowering it with lower when
-// there is none, and whether this call added it. Lowering runs outside the
-// lock; when two callers race to the same key one plan is kept.
+// wire returns the wire plan held under k, lowering it with lower — once,
+// outside the lock, whoever races — when there is none, and whether this
+// call added it.
 func (cn *canon) wire(k wireKey, lower func() *WirePlan) (*WirePlan, bool) {
 	cn.mu.Lock()
-	held, ok := cn.wires[k]
+	s, ok := cn.wires[k]
+	if !ok {
+		if cn.wires == nil {
+			cn.wires = map[wireKey]*slot[*WirePlan]{}
+		}
+		s = new(slot[*WirePlan])
+		cn.wires[k] = s
+	}
 	cn.mu.Unlock()
-	if ok {
-		return held, false
-	}
-	wp := lower()
-	cn.mu.Lock()
-	defer cn.mu.Unlock()
-	if held, ok := cn.wires[k]; ok {
-		return held, false
-	}
-	if cn.wires == nil {
-		cn.wires = map[wireKey]*WirePlan{}
-	}
-	cn.wires[k] = wp
-	return wp, true
-}
-
-// distinct returns how many stack and wire plans are held.
-func (cn *canon) distinct() (plans, wires int) {
-	cn.mu.Lock()
-	defer cn.mu.Unlock()
-	return cn.nplans, len(cn.wires)
+	wp, added, _ := s.get(func() (*WirePlan, error) { return lower(), nil })
+	return wp, added
 }
 
 // wireKey is everything LowerPlan's output depends on: the stack plan (held

@@ -223,7 +223,7 @@ func TestCanonicalHashCollisionKeptApart(t *testing.T) {
 	if got, added := cn.plan(again, hash); got != a || added {
 		t.Fatalf("equal plan: got %p (a %p) added %v", got, a, added)
 	}
-	if plans, _ := cn.distinct(); plans != 2 {
+	if plans := len(cn.plans[hash]); plans != 2 {
 		t.Fatalf("%d plans held, want 2", plans)
 	}
 }

@@ -13,8 +13,8 @@ import (
 	"tunio/internal/workload"
 )
 
-// concurrentConfigs is a spread of assignments whose projections land in
-// different cache shards (plan- and wire-stage footprints both vary).
+// concurrentConfigs is a spread of assignments with distinct cache keys
+// (plan- and wire-stage footprints both vary).
 func concurrentConfigs(t *testing.T) []*params.Assignment {
 	t.Helper()
 	return []*params.Assignment{
@@ -117,8 +117,8 @@ func TestSharedStageCacheConcurrentViews(t *testing.T) {
 	}
 
 	// Aggregate accounting: every WireFor is a hit or a miss; each distinct
-	// wire key is built exactly once (the build happens under the shard
-	// mutex, so racing requesters block and then hit).
+	// wire key is built exactly once (the build runs through the key's
+	// slot, so racing requesters wait for it and then hit).
 	total := int64(goroutines * len(configs))
 	st := shared.Stats()
 	if st.WireHits+st.WireMisses != total {
@@ -274,7 +274,8 @@ func TestStageCacheWarmPathLockFree(t *testing.T) {
 	s := a.Settings()
 	warm := cache.View("sig:k")
 
-	// Warm serially: the one build takes shard locks, the probes must not.
+	// Warm serially: the one build locks to publish its slots, the probes
+	// must not lock at all.
 	if _, err := warm.WireFor(a, s, c.ProcsPerNode); err != nil {
 		t.Fatal(err)
 	}
@@ -340,10 +341,10 @@ func mutexRecords(t *testing.T) []runtime.BlockProfileRecord {
 	return recs[:n]
 }
 
-// BenchmarkWarmHitSharded primes a stage cache and kernel store and times
+// BenchmarkWarmHit primes a stage cache and kernel store and times
 // the warm-path hit — a wire-plan lookup and a store lookup, no mutex —
 // under RunParallel.
-func BenchmarkWarmHitSharded(b *testing.B) {
+func BenchmarkWarmHit(b *testing.B) {
 	cache, store := NewSharedStageCache(), NewKernelStore()
 	c := cluster.CoriHaswell(2, 8)
 	w, err := workload.ByName("macsio", c.Procs())

@@ -4,9 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 
+	"tunio/internal/cowmap"
 	"tunio/internal/darshan"
 	"tunio/internal/hdf5"
 	"tunio/internal/ioreq"
@@ -359,40 +358,21 @@ type WirePlan struct {
 	// every layout's slot array. touches counts the touch groups — the
 	// distinct (file, items) of the wMetaTouch ops — whose touchSlots slots
 	// each follow the phases'.
-	phases   int
-	touches  int
-	tables   atomic.Pointer[map[lustre.Layout][]lustre.TableSlot]
-	tablesMu sync.Mutex // serializes adding a layout; reads take no lock
+	phases  int
+	touches int
+	tables  cowmap.Map[lustre.Layout, []lustre.TableSlot]
 
 	service *serviceCounters // the owning cache's stage-3 counters, if any
 }
 
 // slotsFor returns the plan's phase-table slots under the layout, adding
-// an empty array the first time a layout is seen (copy-on-write, so the
-// warm path is one atomic load and a map lookup).
+// an empty array the first time a layout is seen (the warm path is one
+// atomic load and a map lookup).
 func (wp *WirePlan) slotsFor(l lustre.Layout) []lustre.TableSlot {
-	if m := wp.tables.Load(); m != nil {
-		if slots, ok := (*m)[l]; ok {
-			return slots
-		}
-	}
-	wp.tablesMu.Lock()
-	defer wp.tablesMu.Unlock()
-	var old map[lustre.Layout][]lustre.TableSlot
-	if m := wp.tables.Load(); m != nil {
-		old = *m
-	}
-	if slots, ok := old[l]; ok {
+	if slots, ok := wp.tables.Snapshot()[l]; ok {
 		return slots
 	}
-	next := make(map[lustre.Layout][]lustre.TableSlot, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	slots := make([]lustre.TableSlot, wp.phases+touchSlots*wp.touches)
-	next[l] = slots
-	wp.tables.Store(&next)
-	return slots
+	return wp.tables.Insert(l, make([]lustre.TableSlot, wp.phases+touchSlots*wp.touches))
 }
 
 // touchSlots is the number of slots a touch group holds: a touch of given

@@ -11,8 +11,9 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
+
+	"tunio/internal/cowmap"
 )
 
 // TraceKey returns the content-derived kernel identity of a trace: an
@@ -60,17 +61,14 @@ type KernelEntry struct {
 // simulated hardware times it), so reuse across sessions with different
 // seeds is sound; TestKernelStoreTraceSeedIndependent pins this.
 //
-// Safe for concurrent use. Reads are lock-free: the entry map is
-// published through an atomic pointer and never mutated in place, so a
-// warm Get loads the pointer, indexes the immutable map, and bumps an
-// atomic counter. Writers (Put, Load) clone-insert-republish under a
-// mutex. The first Put under a key wins, so sessions racing to record
-// the same kernel converge on one trace — and Save always serializes a
-// single immutable snapshot, so a save concurrent with puts can never
-// write a torn file.
+// Safe for concurrent use. The entries live in a cowmap.Map, so reads are
+// lock-free: a warm Get indexes the published immutable map and bumps an
+// atomic counter. The first Put under a key wins, so sessions racing to
+// record the same kernel converge on one trace — and Save always
+// serializes a single immutable snapshot, so a save concurrent with puts
+// can never write a torn file. The zero value is an empty store.
 type KernelStore struct {
-	mu      sync.Mutex // serializes writers; readers never take it
-	entries atomic.Pointer[map[string]KernelEntry]
+	entries cowmap.Map[string, KernelEntry]
 	hits    atomic.Int64
 	misses  atomic.Int64
 }
@@ -83,25 +81,15 @@ type KernelStoreStats struct {
 }
 
 // HitRate returns the lookup hit fraction (0 when never queried).
-func (s KernelStoreStats) HitRate() float64 {
-	if t := s.Hits + s.Misses; t > 0 {
-		return float64(s.Hits) / float64(t)
-	}
-	return 0
-}
+func (s KernelStoreStats) HitRate() float64 { return hitRate(s.Hits, s.Misses) }
 
 // NewKernelStore returns an empty store.
-func NewKernelStore() *KernelStore {
-	s := &KernelStore{}
-	m := map[string]KernelEntry{}
-	s.entries.Store(&m)
-	return s
-}
+func NewKernelStore() *KernelStore { return new(KernelStore) }
 
 // Get looks up the kernel recorded under the identity key, counting the
 // lookup as a hit or miss. Lock-free on every path.
 func (s *KernelStore) Get(key string) (KernelEntry, bool) {
-	e, ok := (*s.entries.Load())[key]
+	e, ok := s.entries.Snapshot()[key]
 	if ok {
 		s.hits.Add(1)
 	} else {
@@ -113,26 +101,14 @@ func (s *KernelStore) Get(key string) (KernelEntry, bool) {
 // Put stores the kernel under the identity key. A key already present
 // keeps its entry (first recording wins).
 func (s *KernelStore) Put(key string, e KernelEntry) {
-	if e.Trace == nil {
-		return
+	if e.Trace != nil {
+		s.entries.Insert(key, e)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := *s.entries.Load()
-	if _, taken := old[key]; taken {
-		return
-	}
-	next := make(map[string]KernelEntry, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[key] = e
-	s.entries.Store(&next)
 }
 
 // Len returns the number of stored kernels.
 func (s *KernelStore) Len() int {
-	return len(*s.entries.Load())
+	return len(s.entries.Snapshot())
 }
 
 // Stats returns a snapshot of the store counters.
@@ -140,7 +116,7 @@ func (s *KernelStore) Stats() KernelStoreStats {
 	return KernelStoreStats{
 		Hits:    s.hits.Load(),
 		Misses:  s.misses.Load(),
-		Kernels: len(*s.entries.Load()),
+		Kernels: s.Len(),
 	}
 }
 
@@ -164,7 +140,7 @@ type storeEntry struct {
 	Trace      json.RawMessage `json:"trace"`
 }
 
-// Save writes the store to path atomically (temp file + rename), sorted
+// Save writes the store to path atomically (WriteFileAtomic), sorted
 // by key for a deterministic file, and returns the number of kernels
 // written. Each trace is stored with a content hash so a later Load can
 // detect corruption. Hit/miss counters are not persisted — they describe
@@ -174,7 +150,7 @@ type storeEntry struct {
 // once published, so no lock is held while marshaling, and puts that
 // land mid-save simply miss this file and make the next one.
 func (s *KernelStore) Save(path string) (int, error) {
-	snapshot := *s.entries.Load()
+	snapshot := s.entries.Snapshot()
 	keys := make([]string, 0, len(snapshot))
 	for k := range snapshot {
 		keys = append(keys, k)
@@ -201,22 +177,7 @@ func (s *KernelStore) Save(path string) (int, error) {
 		return 0, err
 	}
 	b = append(b, '\n')
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")
-	if err != nil {
-		return 0, err
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return 0, err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return 0, err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := WriteFileAtomic(path, b); err != nil {
 		return 0, err
 	}
 	return len(out.Kernels), nil
@@ -259,18 +220,41 @@ func (s *KernelStore) Load(path string) (int, error) {
 		}
 		loaded[e.Key] = KernelEntry{Trace: t, KernelHash: e.KernelHash}
 	}
-	s.mu.Lock()
-	old := *s.entries.Load()
-	next := make(map[string]KernelEntry, len(old)+len(loaded))
-	for k, e := range old {
-		next[k] = e
-	}
-	for k, e := range loaded {
-		if _, taken := next[k]; !taken {
-			next[k] = e
-		}
-	}
-	s.entries.Store(&next)
-	s.mu.Unlock()
+	s.entries.InsertAll(loaded)
 	return len(loaded), nil
+}
+
+// WriteFileAtomic replaces the file at path with data: the bytes go to a
+// temporary file beside it, are synced to stable storage, and only then is
+// the file renamed over path. A crash — of the process or of the machine —
+// leaves the previous file or the new one, never a torn one, and a write
+// that fails leaves the previous file untouched and no temporary behind.
+func WriteFileAtomic(path string, data []byte) error {
+	return writeAtomic(path, func(f *os.File) error {
+		_, err := f.Write(data)
+		return err
+	})
+}
+
+// writeAtomic is WriteFileAtomic with the writing handed in, so a test can
+// fail it part-way.
+func writeAtomic(path string, write func(*os.File) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return err
+	}
+	err = write(tmp)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -316,5 +317,47 @@ func TestKernelStoreLoadRejectsVersion(t *testing.T) {
 	}
 	if _, err := NewKernelStore().Load(path); err == nil {
 		t.Fatal("future-versioned store file loaded")
+	}
+}
+
+// A write that fails part-way — after bytes have reached the temporary
+// file — leaves the previous file byte-identical and no temporary behind;
+// one that succeeds replaces the file whole.
+func TestWriteFileAtomicFailureKeepsPreviousFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "store.json")
+	previous := []byte("previous contents\n")
+	if err := WriteFileAtomic(path, previous); err != nil {
+		t.Fatal(err)
+	}
+
+	boom := errors.New("disk full")
+	err := writeAtomic(path, func(f *os.File) error {
+		if _, err := f.Write([]byte("half of the new cont")); err != nil {
+			t.Fatal(err)
+		}
+		return boom
+	})
+	if err != boom {
+		t.Fatalf("writeAtomic returned %v, want the write's error", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, previous) {
+		t.Fatalf("after a failed write the file reads %q, %v; want the previous contents", got, err)
+	}
+	// A rename that cannot happen (the target is a directory) cleans up too.
+	if err := WriteFileAtomic(dir, []byte("x")); err == nil {
+		t.Fatal("writing over a directory: want error")
+	}
+	for _, d := range []string{dir, filepath.Dir(dir)} {
+		if left, _ := filepath.Glob(filepath.Join(d, "*.tmp")); len(left) != 0 {
+			t.Fatalf("failed writes left temporaries behind: %v", left)
+		}
+	}
+
+	if err := WriteFileAtomic(path, []byte("new contents\n")); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "new contents\n" {
+		t.Fatalf("after a successful write the file reads %q", got)
 	}
 }

@@ -69,12 +69,10 @@ func usesOf(s StageStats) int64 { return s.ServiceHits + s.ServiceMisses + s.Ser
 
 // filledSlots counts the tables the plan holds, over all layouts.
 func filledSlots(wp *WirePlan) (n int64) {
-	if m := wp.tables.Load(); m != nil {
-		for _, slots := range *m {
-			for i := range slots {
-				if slots[i].Load() != nil {
-					n++
-				}
+	for _, slots := range wp.tables.Snapshot() {
+		for i := range slots {
+			if slots[i].Load() != nil {
+				n++
 			}
 		}
 	}
@@ -468,10 +466,10 @@ func TestStagedExecConcurrentFirstTouch(t *testing.T) {
 	if got := st.ServiceHits + st.ServiceMisses; got != goroutines*uses || st.ServiceFallbacks != 0 {
 		t.Fatalf("%+v: want %d phases through slots, no fallbacks", st, goroutines*uses)
 	}
-	if m := *shared.tables.Load(); len(m) != len(layouts) {
+	if m := shared.tables.Snapshot(); len(m) != len(layouts) {
 		t.Fatalf("%d layouts hold tables, want %d", len(m), len(layouts))
 	}
-	for l, slots := range *shared.tables.Load() {
+	for l, slots := range shared.tables.Snapshot() {
 		for i := range slots[:shared.phases] {
 			if slots[i].Load() == nil {
 				t.Fatalf("layout %+v: slot %d still empty after %d executions", l, i, goroutines*len(layouts)*len(seeds))
@@ -519,7 +517,7 @@ func TestMemBackendKeepsNoTables(t *testing.T) {
 	if got := serviceOf(wp); got != (StageStats{}) {
 		t.Fatalf("mem transfer counted as table traffic: %+v", got)
 	}
-	for l, slots := range *wp.tables.Load() {
+	for l, slots := range wp.tables.Snapshot() {
 		if slots[0].Load() != nil {
 			t.Fatalf("layout %+v: a table was published for a mem file", l)
 		}

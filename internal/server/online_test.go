@@ -118,3 +118,27 @@ func TestServerOnlineUnknownField(t *testing.T) {
 		t.Fatalf("typo'd online field = %d, want 400", resp.StatusCode)
 	}
 }
+
+// Pruning over averaged reps is a bad spec like any other: 400 at submit,
+// no job row, nothing started — not a 202 and a job that fails once its
+// kernel has been recorded.
+func TestServerOnlinePruneOverRepsIsBadRequest(t *testing.T) {
+	ts := newTestServer(t, tunio.EngineOptions{})
+	req := onlineJob(5)
+	req.Reps = 3
+	if _, resp := submit(t, ts, req, ""); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("submit = %d, want 400", resp.StatusCode)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var jobs []server.JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&jobs); err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 0 {
+		t.Fatalf("a refused submission left job rows behind: %+v", jobs)
+	}
+}

@@ -63,11 +63,11 @@ type Options struct {
 
 // Server is the HTTP handler. Create with New.
 //
-// The job-table lock is a read/write mutex held only around map access —
-// never across a status snapshot, an SSE encode, or a network write — so
-// an arbitrarily slow streaming client cannot stall submissions, listings,
-// or other streams. SSE frames are assembled in pooled buffers and written
-// with a single Write.
+// The job-table lock is a read/write mutex held only around map access
+// and the stats census's state reads — never across a status snapshot, an
+// SSE encode, or a network write — so an arbitrarily slow streaming client
+// cannot stall submissions, listings, or other streams. SSE frames are
+// assembled in pooled buffers and written with a single Write.
 type Server struct {
 	engine *tunio.Engine
 	opts   Options
@@ -163,19 +163,9 @@ type JobRequest struct {
 }
 
 // OnlineRequest configures an online session on the wire; zero values
-// take the controller defaults.
-type OnlineRequest struct {
-	Windows    int     `json:"windows,omitempty"`
-	WindowGap  float64 `json:"window_gap_s,omitempty"`
-	Threshold  float64 `json:"threshold,omitempty"`
-	Patience   int     `json:"patience,omitempty"`
-	Neighbors  int     `json:"neighbors,omitempty"`
-	Rounds     int     `json:"rounds,omitempty"`
-	InitRounds int     `json:"init_rounds,omitempty"`
-	Prune      bool    `json:"prune,omitempty"`
-	GA         bool    `json:"ga,omitempty"`
-	Oracle     bool    `json:"oracle,omitempty"`
-}
+// take the controller defaults. It is the engine's own spec, whose JSON
+// tags are the wire names.
+type OnlineRequest = tunio.OnlineSpec
 
 // PointJSON is one tuning-curve observation on the wire.
 type PointJSON struct {
@@ -224,32 +214,40 @@ type JobStatus struct {
 	Created time.Time  `json:"created"`
 }
 
+// state names where the job stands — running | done | failed | canceled —
+// with the outcome behind it once there is one. It reads the run's result
+// and nothing else, so a census over every retained job costs O(jobs).
+func (j *job) state() (state string, res *tunio.Result, err error) {
+	res, err, finished := j.run.Result()
+	switch {
+	case !finished:
+		return "running", nil, nil
+	case err == nil:
+		return "done", res, nil
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		return "canceled", nil, err
+	}
+	return "failed", nil, err
+}
+
 // status snapshots the job.
 func (j *job) status() JobStatus {
+	state, res, err := j.state()
 	st := JobStatus{
 		ID:      j.id,
 		Tenant:  j.tenant,
 		Kernel:  j.kernel,
-		State:   "running",
+		State:   state,
 		Points:  len(j.run.Points(0)),
 		Created: j.created,
 	}
-	res, err, finished := j.run.Result()
-	if !finished {
-		return st
-	}
-	switch {
-	case err == nil:
-		st.State = "done"
+	if res != nil {
 		st.Result = resultJSON(res)
 		if d, ok := j.run.Drift(); ok {
 			st.Result.Drift = d
 		}
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		st.State = "canceled"
-		st.Error = err.Error()
-	default:
-		st.State = "failed"
+	}
+	if err != nil {
 		st.Error = err.Error()
 	}
 	return st
@@ -333,20 +331,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Parallelism:   req.Parallelism,
 		Fix:           req.Fix,
 		Drift:         req.Drift,
-	}
-	if o := req.Online; o != nil {
-		spec.Online = &tunio.OnlineSpec{
-			Windows:    o.Windows,
-			WindowGap:  o.WindowGap,
-			Threshold:  o.Threshold,
-			Patience:   o.Patience,
-			Neighbors:  o.Neighbors,
-			Rounds:     o.Rounds,
-			InitRounds: o.InitRounds,
-			Prune:      o.Prune,
-			GA:         o.GA,
-			Oracle:     o.Oracle,
-		}
+		Online:        req.Online,
 	}
 	if spec.Parallelism == 0 {
 		spec.Parallelism = s.opts.DefaultParallelism
@@ -561,15 +546,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if t := es.MemoHits + es.MemoMisses; t > 0 {
 		out.MemoHitRate = float64(es.MemoHits) / float64(t)
 	}
+	// Reading a state takes the run's own mutex for a field load — cheap
+	// enough to do under the table's read lock, with no copy of the table.
 	s.mu.RLock()
-	jobs := make([]*job, 0, len(s.jobs))
 	for _, j := range s.jobs {
-		jobs = append(jobs, j)
+		state, _, _ := j.state()
+		out.Jobs[state]++
 	}
 	s.mu.RUnlock()
-	for _, j := range jobs {
-		out.Jobs[j.status().State]++
-	}
 	writeJSON(w, http.StatusOK, out)
 }
 

@@ -528,3 +528,45 @@ int main() {
 		t.Fatalf("census %+v jobs %v, want 1 failed / 0 done", stats.EngineStats, stats.Jobs)
 	}
 }
+
+// statsAllocs runs n finished jobs of the given curve length on a fresh
+// server and returns what one GET /v1/stats allocates, measured at the
+// handler (no network in the way).
+func statsAllocs(t *testing.T, n, iterations int) float64 {
+	t.Helper()
+	srv, err := server.New(server.Options{Engine: tunio.NewEngine(tunio.EngineOptions{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	for i := 0; i < n; i++ {
+		req := tinyJob(int64(i + 1))
+		req.PopSize, req.MaxIterations = 4, iterations
+		st, _ := submit(t, ts, req, "")
+		if final := waitTerminal(t, ts, st.ID); final.State != "done" || final.Points < iterations {
+			t.Fatalf("job %d: %q with %d points, want done with at least %d", i, final.State, final.Points, iterations)
+		}
+	}
+	get := httptest.NewRequest("GET", "/v1/stats", nil)
+	return testing.AllocsPerRun(20, func() {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, get)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /v1/stats = %d", rec.Code)
+		}
+	})
+}
+
+// The job census of /v1/stats reads each job's state, not its status: what
+// it allocates does not depend on how long the retained curves are.
+func TestServerStatsCensusIgnoresCurveLength(t *testing.T) {
+	const jobs = 6
+	short, long := statsAllocs(t, jobs, 2), statsAllocs(t, jobs, 64)
+	// A status per job costs a copy of the curve, its JSON form, the result
+	// and the configuration map: several allocations a job, more for longer
+	// curves. Reading the state costs none.
+	if long-short >= jobs {
+		t.Fatalf("stats over %d jobs allocates %.0f times with 2-point curves and %.0f with 64-point curves: the census scales with the curves", jobs, short, long)
+	}
+}

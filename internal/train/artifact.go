@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"tunio/internal/replay"
 )
 
 // artifactVersion versions the on-disk stage envelope; readArtifact
@@ -56,7 +58,7 @@ func artifactPath(dir, stage string) string {
 }
 
 // writeArtifact writes the stage's payload (already JSON) under the
-// envelope, atomically (temp file + rename), and returns the payload
+// envelope, atomically (replay.WriteFileAtomic), and returns the payload
 // hash downstream stages chain on.
 func writeArtifact(dir, stage, inputHash string, payload []byte) (string, error) {
 	art := Artifact{
@@ -71,7 +73,7 @@ func writeArtifact(dir, stage, inputHash string, payload []byte) (string, error)
 		return "", err
 	}
 	b = append(b, '\n')
-	if err := writeFileAtomic(artifactPath(dir, stage), b); err != nil {
+	if err := replay.WriteFileAtomic(artifactPath(dir, stage), b); err != nil {
 		return "", err
 	}
 	return art.PayloadHash, nil
@@ -108,29 +110,4 @@ func readArtifact(dir, stage string) (*Artifact, error) {
 		return nil, fmt.Errorf("train: artifact %s: payload hash mismatch (stored %.12s…, computed %.12s…)", stage, art.PayloadHash, got)
 	}
 	return &art, nil
-}
-
-// writeFileAtomic writes data to path via a temp file and rename, so a
-// killed run leaves either the old artifact or the new one — never a
-// torn file.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
 }

@@ -318,7 +318,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			return res, err
 		}
 		b = append(b, '\n')
-		if err := writeFileAtomic(AgentPath(cfg.ArtifactsDir), b); err != nil {
+		if err := replay.WriteFileAtomic(AgentPath(cfg.ArtifactsDir), b); err != nil {
 			return res, err
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"tunio/internal/cowmap"
 	"tunio/internal/params"
 )
 
@@ -210,47 +211,52 @@ feed:
 // The first occurrence in batch order defines the cached value, so curves
 // stay bit-identical between serial and parallel execution.
 //
-// Safe for concurrent use. The cache is published copy-on-write through
-// an atomic pointer: a batch whose genomes are all cached partitions,
-// counts, and fills entirely from one immutable snapshot — zero locks.
-// Only batches that actually simulate take the writer mutex, to clone
-// and republish. Two goroutines racing on the same uncached genome may
-// both simulate it, but SeedFor makes the measurements bit-identical, so
-// whichever publish lands last changes nothing.
+// Safe for concurrent use. The cache is a cowmap.Map: a batch whose
+// genomes are all cached partitions, counts, and fills entirely from one
+// immutable snapshot — zero locks; only batches that actually simulate
+// publish. Two goroutines racing on the same uncached genome may both
+// simulate it, but SeedFor makes the measurements bit-identical, so which
+// publish lands first changes nothing.
 type Memo struct {
 	Inner BatchEvaluator
 
-	mu     sync.Mutex // serializes writers (publish, key changes)
-	state  atomic.Pointer[memoState]
+	key    atomic.Pointer[memoKey] // swapped whole by SetKernelKey/SetEpoch
+	cache  cowmap.Map[string, EvalResult]
 	hits   atomic.Int64
 	misses atomic.Int64
 }
 
-// memoState is one immutable published snapshot: the key configuration
-// and the cache built under it. Replaced wholesale on every mutation.
-type memoState struct {
+// memoKey is what every cache key starts with: the kernel hash and, once
+// set, the drift epoch. Keying (rather than flushing) on epoch keeps the
+// invalidation monotonic and race-free — an in-flight batch keeps using
+// the prefix it partitioned under. Immutable once published.
+type memoKey struct {
 	kernKey  string
 	epoch    float64
 	hasEpoch bool
-	prefix   string // kernKey [+ epoch] rendered once, prepended to every key
-	cache    map[string]EvalResult
+	prefix   string // the fields above rendered once, prepended to every key
 }
 
-// prefixFor renders the cache-key prefix: the kernel hash and, when set,
-// the drift epoch. Keying (rather than flushing) on epoch keeps the
-// invalidation monotonic and race-free — an in-flight batch keeps using
-// the snapshot it partitioned against.
-func prefixFor(kernKey string, epoch float64, hasEpoch bool) string {
-	if !hasEpoch {
-		return kernKey + "\x00"
+// rekey publishes the key change applies to the current one.
+func (m *Memo) rekey(change func(*memoKey)) {
+	for {
+		old := m.key.Load()
+		next := *old
+		change(&next)
+		next.prefix = next.kernKey + "\x00"
+		if next.hasEpoch {
+			next.prefix += "e" + strconv.FormatUint(math.Float64bits(next.epoch), 16) + "\x00"
+		}
+		if m.key.CompareAndSwap(old, &next) {
+			return
+		}
 	}
-	return kernKey + "\x00e" + strconv.FormatUint(math.Float64bits(epoch), 16) + "\x00"
 }
 
 // NewMemo wraps inner with an empty cache.
 func NewMemo(inner BatchEvaluator) *Memo {
 	m := &Memo{Inner: inner}
-	m.state.Store(&memoState{prefix: prefixFor("", 0, false), cache: map[string]EvalResult{}})
+	m.key.Store(&memoKey{prefix: "\x00"})
 	return m
 }
 
@@ -259,16 +265,7 @@ func NewMemo(inner BatchEvaluator) *Memo {
 // cache serialized or shared beyond one kernel can never return another
 // kernel's measurement for the same genome.
 func (m *Memo) SetKernelKey(key string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	old := m.state.Load()
-	m.state.Store(&memoState{
-		kernKey:  key,
-		epoch:    old.epoch,
-		hasEpoch: old.hasEpoch,
-		prefix:   prefixFor(key, old.epoch, old.hasEpoch),
-		cache:    old.cache,
-	})
+	m.rekey(func(k *memoKey) { k.kernKey = key })
 }
 
 // SetEpoch installs a drift epoch (a simulated re-tune timestamp) as a
@@ -278,24 +275,7 @@ func (m *Memo) SetKernelKey(key string) {
 // drift schedule are strictly increasing, so a stale regime's entries
 // are unreachable forever, not merely unlikely.
 func (m *Memo) SetEpoch(epoch float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	old := m.state.Load()
-	if old.hasEpoch && old.epoch == epoch {
-		return
-	}
-	m.state.Store(&memoState{
-		kernKey:  old.kernKey,
-		epoch:    epoch,
-		hasEpoch: true,
-		prefix:   prefixFor(old.kernKey, epoch, true),
-		cache:    old.cache,
-	})
-}
-
-// genomeKey renders an assignment's genome as a compact cache key.
-func genomeKey(a *params.Assignment) string {
-	return string(appendGenomeKey(nil, a))
+	m.rekey(func(k *memoKey) { k.epoch, k.hasEpoch = epoch, true })
 }
 
 // appendGenomeKey appends the genome's dot-separated value indices.
@@ -315,38 +295,37 @@ func appendGenomeKey(b []byte, a *params.Assignment) []byte {
 func (m *Memo) EvaluateBatch(ctx context.Context, batch []*params.Assignment, iteration int) ([]EvalResult, error) {
 	out := make([]EvalResult, len(batch))
 	keys := make([]string, len(batch))
-	st := m.state.Load()
+	prefix, served := m.key.Load().prefix, m.cache.Snapshot()
 
 	// Partition against the cache snapshot at batch start: position i is
 	// a miss only if its genome is neither cached nor requested earlier
 	// in this batch. This partition is a pure function of (cache, batch),
 	// so it is identical however the inner evaluator schedules the work.
 	var sub []*params.Assignment
-	var subIdx []int // sub position -> first batch position with that genome
-	var firstAt map[string]int
+	var subIdx []int                // sub position -> first batch position with that genome
+	var fresh map[string]EvalResult // the genomes of sub, by key; measured below
 	var scratch [96]byte
 	for i, a := range batch {
-		kb := append(scratch[:0], st.prefix...)
+		kb := append(scratch[:0], prefix...)
 		kb = appendGenomeKey(kb, a)
 		k := string(kb)
 		keys[i] = k
-		if _, cached := st.cache[k]; cached {
+		if _, cached := served[k]; cached {
 			continue
 		}
-		if firstAt == nil {
-			firstAt = map[string]int{}
-		}
-		if _, queued := firstAt[k]; queued {
+		if _, queued := fresh[k]; queued {
 			continue
 		}
-		firstAt[k] = i
+		if fresh == nil {
+			fresh = map[string]EvalResult{}
+		}
+		fresh[k] = EvalResult{}
 		sub = append(sub, a)
 		subIdx = append(subIdx, i)
 	}
 	m.hits.Add(int64(len(batch) - len(sub)))
 	m.misses.Add(int64(len(sub)))
 
-	served := st.cache
 	if len(sub) > 0 {
 		res, err := m.Inner.EvaluateBatch(ctx, sub, iteration)
 		if err != nil {
@@ -356,24 +335,11 @@ func (m *Memo) EvaluateBatch(ctx context.Context, batch []*params.Assignment, it
 			}
 			return nil, err
 		}
-		m.mu.Lock()
-		cur := m.state.Load()
-		next := make(map[string]EvalResult, len(cur.cache)+len(res))
-		for k, v := range cur.cache {
-			next[k] = v
-		}
 		for j, r := range res {
-			next[keys[subIdx[j]]] = r
+			fresh[keys[subIdx[j]]] = r
 		}
-		m.state.Store(&memoState{
-			kernKey:  cur.kernKey,
-			epoch:    cur.epoch,
-			hasEpoch: cur.hasEpoch,
-			prefix:   cur.prefix,
-			cache:    next,
-		})
-		m.mu.Unlock()
-		served = next
+		m.cache.InsertAll(fresh)
+		served = m.cache.Snapshot()
 	}
 
 	for i := range batch {

@@ -37,7 +37,7 @@ func TestTraceEvaluatorKernelHash(t *testing.T) {
 	if got := e.kernel.View.KernelKey(); got != h {
 		t.Errorf("stage-cache view key = %q, want %q", got, h)
 	}
-	if got := e.Batch(1, nil).state.Load().kernKey; got != h {
+	if got := e.Batch(1, nil).key.Load().kernKey; got != h {
 		t.Errorf("memo kernel key = %q, want %q", got, h)
 	}
 	// The hash is a function of the kernel, not of the recording run.

@@ -55,6 +55,10 @@ race_run "./internal/tuner ." TestPool TestFanOut TestMemo TestSeedFor TestRunBa
     'TestTune(ParallelDeterminism|Cancellation|Memoization)' TestTraceEvaluator TestResolveKernel TestGate \
     'TestDrift(WorkerCount|Pruning)' 'TestEngine(KernelIdentity|Untraceable|KernelFallsBack)'
 race_run ./internal/replay TestStagedExec TestStageCache TestSharedStageCache TestKernelStore TestPooledStack
+# Every shared table above is one internal/cowmap.Map: its first-writer-
+# wins and immutable-snapshot contracts are raced here, the build-once
+# slots on top of it by the TestStageCache pattern above.
+go test -race -count=3 ./internal/cowmap
 
 echo "== go test -race (stage 3a phase tables) =="
 # Phase tables are published into slots shared by every execution of a

@@ -248,7 +248,9 @@ grep -q "stopper: trained" "$tmp/train2.log" ||
 "$tmp/tuniod" -addr 127.0.0.1:0 -artifacts "$tmp/art" -store "$tmp/kernels.json" \
     2> "$tmp/tuniod2.log" &
 tuniod2_pid=$!
-trap 'kill "$tuniod_pid" "$tuniod2_pid" 2>/dev/null || :; rm -rf "$tmp"' EXIT
+# The second daemon saves its kernel store into $tmp on SIGTERM (a synced,
+# renamed write): wait for it to exit before removing the directory.
+trap 'kill "$tuniod_pid" "$tuniod2_pid" 2>/dev/null || :; wait 2>/dev/null || :; rm -rf "$tmp"' EXIT
 
 for _ in $(seq 1 100); do
     grep -q "listening on" "$tmp/tuniod2.log" && break
@@ -281,5 +283,6 @@ done
 grep -q '"best_perf_mbs"' "$tmp/status2.json" ||
     fail "pipeline=tunio terminal status missing the result payload"
 kill "$tuniod2_pid" 2>/dev/null || true
+wait "$tuniod2_pid" 2>/dev/null || true
 
 echo "test_cli: all checks passed"
