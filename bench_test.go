@@ -417,54 +417,6 @@ func BenchmarkTuneEvaluationEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkFoldInterpreter measures the constant-folding pass's effect on
-// interpreter throughput for the paper's kernels: the same kernel is
-// executed unfolded and folded on identically-seeded stacks (the fold
-// itself runs once outside the timed loop, as in SeededCSourceEvaluator).
-func BenchmarkFoldInterpreter(b *testing.B) {
-	c := cluster.CoriHaswell(2, 16)
-	settings := params.DefaultAssignment(params.Space()).Settings()
-	kernels := map[string]string{
-		"vpic":  workload.NewVPIC(c.Procs()).CSource(),
-		"flash": workload.NewFLASH(c.Procs()).CSource(),
-		"hacc":  workload.NewHACC(c.Procs()).CSource(),
-	}
-	for _, name := range []string{"vpic", "flash", "hacc"} {
-		src := kernels[name]
-		run := func(b *testing.B, prog *csrc.File) {
-			b.Helper()
-			for i := 0; i < b.N; i++ {
-				st, err := workload.BuildStack(c, settings, int64(i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := cinterp.Run(prog, st.Lib); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.Run(name+"/unfolded", func(b *testing.B) {
-			prog, err := csrc.Parse(src)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			run(b, prog)
-		})
-		b.Run(name+"/folded", func(b *testing.B) {
-			prog, err := csrc.Parse(src)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rep := cinterp.Fold(prog)
-			b.ResetTimer()
-			run(b, prog)
-			// after the timed loop: ResetTimer discards earlier metrics
-			b.ReportMetric(float64(rep.FoldedExprs), "folded-exprs")
-		})
-	}
-}
-
 // BenchmarkTraceVsSourceKernel materializes the paper's §V-B comparison:
 // evaluating a configuration through a trace-replay kernel vs through the
 // source-derived kernel. Both are exercised on the same configuration; the

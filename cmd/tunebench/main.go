@@ -1,11 +1,15 @@
 // Command tunebench regenerates the paper's tables and figures on the
-// simulated stack.
+// simulated stack: Figures 1, 2, 5, 8, 8c, 9, 10, 11 and 12, the
+// kernel-slicing comparison (slice) and the online re-tuning figure
+// (drift). Every published quantity is simulated; host speed is measured
+// by bench/ (BENCHMARK.json) and by `go test -bench`, not here.
 //
 // Usage:
 //
 //	tunebench                 # run every experiment at smoke scale
 //	tunebench -fig 10         # one figure
 //	tunebench -scale paper    # evaluation-sized runs (slower)
+//	tunebench -fig drift -json out.json   # one figure's result as JSON
 package main
 
 import (
@@ -19,11 +23,16 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 1, 2, 5, 8, 8c, 9, 10, 11, 12, slice, eval, train, drift, all")
+	fig := flag.String("fig", "all", "figure to regenerate: 1, 2, 5, 8, 8c, 9, 10, 11, 12, slice, drift, all")
 	scaleName := flag.String("scale", "smoke", "experiment scale: smoke or paper")
 	seed := flag.Int64("seed", 7, "experiment seed")
-	jsonPath := flag.String("json", "", "write the last requested figure's result as JSON to this file")
+	jsonPath := flag.String("json", "", "write the figure's result as JSON to this file (needs -fig naming one figure)")
 	flag.Parse()
+	if *jsonPath != "" && *fig == "all" {
+		fmt.Fprintln(os.Stderr, "tunebench: -json writes one figure's result: name it with -fig")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	scale := experiments.Smoke
 	switch *scaleName {
@@ -55,8 +64,6 @@ func main() {
 		}},
 		{"12", func() (fmt.Stringer, error) { r, err := experiments.Fig12(cfg, fig11Cache); return r, err }},
 		{"slice", func() (fmt.Stringer, error) { r, err := experiments.SliceBench(cfg); return r, err }},
-		{"eval", func() (fmt.Stringer, error) { r, err := experiments.EvalBench(cfg); return r, err }},
-		{"train", func() (fmt.Stringer, error) { r, err := experiments.TrainBench(cfg); return r, err }},
 		{"drift", func() (fmt.Stringer, error) { r, err := experiments.DriftBench(cfg); return r, err }},
 	}
 

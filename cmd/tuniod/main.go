@@ -89,9 +89,9 @@ func main() {
 
 	engine := tunio.NewEngine(tunio.EngineOptions{Workers: *workers, TenantQuota: *quota, KernelStore: store})
 	handler, err := server.New(server.Options{
-		Engine:    engine,
-		Agent:     agent,
-		TrainSeed: *trainSeed,
+		Engine: engine,
+		Agent:  agent,
+		Train:  &tunio.TrainConfig{Seed: *trainSeed},
 	})
 	if err != nil {
 		fatal(err)

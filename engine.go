@@ -60,9 +60,6 @@ type EngineOptions struct {
 	// share (e.g. between engines, or a pre-warmed one); nil creates a
 	// fresh store owned by this engine.
 	KernelStore *replay.KernelStore
-	// StageCache, when non-nil, is the multi-kernel stage cache to share;
-	// nil creates a fresh one owned by this engine.
-	StageCache *replay.StageCache
 }
 
 // Engine runs tuning sessions over one shared evaluation substrate: a
@@ -96,31 +93,21 @@ type Engine struct {
 	memoMiss int64
 }
 
-// NewEngine returns an engine over the given (or freshly created) shared
-// caches.
+// NewEngine returns an engine over the given (or a freshly created)
+// kernel store and its own stage cache.
 func NewEngine(opts EngineOptions) *Engine {
 	store := opts.KernelStore
 	if store == nil {
 		store = replay.NewKernelStore()
 	}
-	stages := opts.StageCache
-	if stages == nil {
-		stages = replay.NewSharedStageCache()
-	}
 	return &Engine{
 		gate:   tuner.NewGate(opts.Workers),
 		store:  store,
-		stages: stages,
+		stages: replay.NewSharedStageCache(),
 		quota:  opts.TenantQuota,
 		active: map[string]int{},
 	}
 }
-
-// KernelStore returns the engine's shared kernel store.
-func (e *Engine) KernelStore() *replay.KernelStore { return e.store }
-
-// StageCache returns the engine's shared stage cache.
-func (e *Engine) StageCache() *replay.StageCache { return e.stages }
 
 // EngineStats aggregates an engine's session lifecycle counters and the
 // traffic on its shared caches — the observability surface behind

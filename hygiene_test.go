@@ -82,6 +82,46 @@ func TestOneCacheImplementation(t *testing.T) {
 	}
 }
 
+// There is one yardstick for host speed: bench/ (BENCHMARK.json), with
+// `go test -bench` for micro-benchmarks. The in-tree harness that timed
+// evaluation populations and training runs, and what only it kept alive —
+// the constant-folding pass, the interpreted sweep, the JSON-figure differ,
+// the three host-speed BENCH files — must not drift back into a Go source
+// outside bench/ or a script; the live-run reference evaluators stay test
+// code of internal/tuner; the interpreter stays off the analysis layer
+// (names assembled here, as above, so this file passes its own check).
+func TestOneYardstick(t *testing.T) {
+	deleted := regexp.MustCompile(`(?i:eval|train)[Bb]` + `ench|interp` + `Sweep|cinterp\.Fo` + `ld\b|Fold` + `Report|bench` + `json|BENCH_(eval|tr` + `ain|host)`)
+	reference := regexp.MustCompile(`(?m)^type Seeded\w*` + `Evaluator\b`)
+	analysisImport := regexp.MustCompile(`"tunio/internal/` + `analysis"`)
+	check := func(path string, src []byte) {
+		if m := deleted.Find(src); m != nil {
+			t.Errorf("%s names %s, which belonged to the deleted in-tree timing harness", path, m)
+		}
+	}
+	goSources(t, func(path string, src []byte) {
+		check(path, src)
+		switch dir := filepath.ToSlash(filepath.Dir(path)); {
+		case dir == "internal/tuner" && !strings.HasSuffix(path, "_test.go") && reference.Match(src):
+			t.Errorf("%s declares a live-run reference evaluator: internal/tuner exports one way to score a genome", path)
+		case dir == "internal/cinterp" && analysisImport.Match(src):
+			t.Errorf("%s imports internal/analysis: the interpreter runs programs, it does not analyse them", path)
+		}
+	})
+	scripts, err := os.ReadDir("scripts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range scripts {
+		path := filepath.Join("scripts", e.Name())
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(path, src)
+	}
+}
+
 // goSources calls visit with every Go source of the repository outside
 // bench/ (a module of its own, frozen under the benchmark contract).
 func goSources(t *testing.T, visit func(path string, src []byte)) {

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"tunio/internal/csrc"
-	"tunio/internal/discovery"
 	"tunio/internal/hdf5"
 )
 
@@ -430,13 +429,13 @@ func (in *interp) builtin(x *csrc.CallExpr, sc *scope) (Value, error) {
 		}
 		return Value{}, returnSignal{val: args[0]}
 
-	case discovery.LoopReduceBuiltin:
+	case csrc.LoopReduceBuiltin:
 		args, err := evalArgs()
 		if err != nil {
 			return Value{}, err
 		}
 		if len(args) != 2 {
-			return Value{}, fmt.Errorf("cinterp: %s needs (n, fraction)", discovery.LoopReduceBuiltin)
+			return Value{}, fmt.Errorf("cinterp: %s needs (n, fraction)", csrc.LoopReduceBuiltin)
 		}
 		n := args[0].AsInt()
 		frac := args[1].AsFloat()

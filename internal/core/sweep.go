@@ -53,8 +53,7 @@ type SweepRun struct {
 // of every parameter with all others at defaults (one-at-a-time), then
 // extraRandom random assignments for cross-parameter signal. Seeds count
 // up from seed+1 in plan order, and the random genomes come from one
-// rand.New(seed) stream shared across kernels — both exactly the
-// historical Sweep behavior, now stated as data.
+// rand.New(seed) stream shared across kernels.
 func SweepPlan(numKernels int, space []params.Parameter, seed int64, extraRandom int) ([]SweepRun, error) {
 	rng := rand.New(rand.NewSource(seed))
 	runSeed := seed
@@ -89,9 +88,11 @@ func SweepPlan(numKernels int, space []params.Parameter, seed int64, extraRandom
 }
 
 // Sweep runs the offline parameter sweep over SweepPlan's run list by
-// direct execution: each run gets a fresh simulated stack. Cancellation is
-// honored between runs, and the first failing run aborts the sweep — the
-// same smallest-index-error semantics tuner.Pool gives a parallel pass.
+// direct execution: each run gets a fresh simulated stack. Training sweeps
+// by replay (internal/train); this loop is the reference its
+// TestReplaySweepMatchesDirect compares that sweep against. Cancellation
+// is honored between runs, and the first failing run aborts the sweep —
+// the same smallest-index-error semantics tuner.Pool gives a parallel pass.
 func Sweep(ctx context.Context, kernels []workload.Workload, c *cluster.Cluster, space []params.Parameter, seed int64, extraRandom int) (*SweepResult, error) {
 	if len(kernels) == 0 {
 		return nil, fmt.Errorf("core: sweep needs at least one kernel")

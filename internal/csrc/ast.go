@@ -1,5 +1,11 @@
 package csrc
 
+// LoopReduceBuiltin is the helper discovery's loop-reduction transform
+// inserts around loop bounds; the interpreter implements it as
+// max(1, floor(n * fraction)). It is declared here, in the language both
+// of them speak, so the interpreter need not import the transform.
+const LoopReduceBuiltin = "__loop_reduce"
+
 // Expr is a C expression node.
 type Expr interface{ exprNode() }
 

@@ -15,17 +15,9 @@ import (
 	"tunio/internal/csrc"
 )
 
-// LoopReduceBuiltin is the helper the loop-reduction transform inserts
-// around loop bounds; the interpreter implements it as
-// max(1, floor(n * fraction)).
-const LoopReduceBuiltin = "__loop_reduce"
-
 // Options configure the discovery pipeline (the `options` input of the
 // Table I discover_io interface).
 type Options struct {
-	// ExtraIOCalls adds application-specific function names to the I/O
-	// call set (the defaults cover HDF5, MPI-IO, and stdio).
-	ExtraIOCalls []string
 	// KeepFuncs forces entire functions to be kept (the paper's manually
 	// indicated keep regions).
 	KeepFuncs []string
@@ -101,8 +93,8 @@ type ResolvedPath struct {
 	Switched string
 }
 
-// defaultIOPrefixes match I/O library calls.
-var defaultIOPrefixes = []string{"H5", "MPI_File", "fopen", "fclose", "fwrite", "fread", "fprintf", "fseek"}
+// ioPrefixes match I/O library calls.
+var ioPrefixes = []string{"H5", "MPI_File", "fopen", "fclose", "fwrite", "fread", "fprintf", "fseek"}
 
 // stringWriters are libc calls that write a string into their first
 // argument; the marker records that buffer as a definition so path
@@ -117,19 +109,14 @@ var alwaysKeep = map[string]bool{
 	"MPI_Comm_size": true, "MPI_Barrier": true,
 }
 
-// isIOCall reports whether a function name is an I/O call under the
-// options.
-func (o Options) isIOCall(name string) bool {
+// isIOCall reports whether a function name is an I/O call: HDF5, MPI-IO,
+// stdio, or a runtime call any kernel needs.
+func isIOCall(name string) bool {
 	if alwaysKeep[name] {
 		return true
 	}
-	for _, p := range defaultIOPrefixes {
+	for _, p := range ioPrefixes {
 		if strings.HasPrefix(name, p) {
-			return true
-		}
-	}
-	for _, extra := range o.ExtraIOCalls {
-		if name == extra {
 			return true
 		}
 	}
@@ -185,7 +172,7 @@ func Discover(source string, opts Options) (*Kernel, error) {
 	if !opts.Heuristic {
 		// precise path: slice on def-use chains instead of name marking
 		keep := analysis.Slice(file, analysis.SliceOptions{
-			IsIOCall:  opts.isIOCall,
+			IsIOCall:  isIOCall,
 			KeepFuncs: opts.KeepFuncs,
 		})
 		for _, id := range m.order {
@@ -220,9 +207,9 @@ func Discover(source string, opts Options) (*Kernel, error) {
 		LoopReduction:     opts.LoopReduction > 0,
 		PathSwitch:        opts.PathSwitch,
 		RemoveBlindWrites: opts.RemoveBlindWrites,
-		IsIOCall:          opts.isIOCall,
+		IsIOCall:          isIOCall,
 	})
-	preSig := analysis.ComputeSignature(kernel.File, analysis.SignatureOptions{IsIOCall: opts.isIOCall})
+	preSig := analysis.ComputeSignature(kernel.File, analysis.SignatureOptions{IsIOCall: isIOCall})
 	if opts.SimulateCompute {
 		kernel.SimulatedComputeCalls = m.simulateCompute(kernel.File)
 	}
@@ -230,7 +217,7 @@ func Discover(source string, opts Options) (*Kernel, error) {
 		kernel.RemovedBlindWrites = removeBlindWrites(kernel.File)
 	}
 	if opts.LoopReduction > 0 {
-		kernel.ReducedLoops = reduceLoops(kernel.File, opts.LoopReduction, opts.isIOCall)
+		kernel.ReducedLoops = reduceLoops(kernel.File, opts.LoopReduction, isIOCall)
 		if kernel.ReducedLoops > 0 {
 			kernel.LoopScale = 1 / opts.LoopReduction
 		}
@@ -243,7 +230,7 @@ func Discover(source string, opts Options) (*Kernel, error) {
 	// before/after signatures are compared; loop reduction is expected to
 	// scale volume and reports through LoopScale instead.
 	if (opts.RemoveBlindWrites || opts.PathSwitch) && opts.LoopReduction == 0 {
-		postSig := analysis.ComputeSignature(kernel.File, analysis.SignatureOptions{IsIOCall: opts.isIOCall})
+		postSig := analysis.ComputeSignature(kernel.File, analysis.SignatureOptions{IsIOCall: isIOCall})
 		kernel.Warnings = append(kernel.Warnings, analysis.VolumeDiagnostics(preSig, postSig)...)
 	}
 	kernel.Source = csrc.Format(kernel.File)
@@ -300,7 +287,7 @@ func (m *marker) collect() {
 					if m.file.Func(c.Fun) != nil && !shadowed {
 						info.callees = append(info.callees, c.Fun)
 					}
-					if m.opts.isIOCall(c.Fun) && !shadowed {
+					if isIOCall(c.Fun) && !shadowed {
 						info.isIO = true
 					}
 					// &x arguments are outputs of the call

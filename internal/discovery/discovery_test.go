@@ -224,7 +224,7 @@ func TestLoopReduction(t *testing.T) {
 	if k.LoopScale != 100 {
 		t.Fatalf("LoopScale = %v, want 100", k.LoopScale)
 	}
-	if !strings.Contains(k.Source, LoopReduceBuiltin) {
+	if !strings.Contains(k.Source, csrc.LoopReduceBuiltin) {
 		t.Fatalf("builtin missing:\n%s", k.Source)
 	}
 }
@@ -245,8 +245,8 @@ int main() {
 	if k.ReducedLoops != 1 {
 		t.Fatalf("reduced %d loops, want only the outermost", k.ReducedLoops)
 	}
-	if strings.Count(k.Source, LoopReduceBuiltin) != 1 {
-		t.Fatalf("builtin appears %d times:\n%s", strings.Count(k.Source, LoopReduceBuiltin), k.Source)
+	if strings.Count(k.Source, csrc.LoopReduceBuiltin) != 1 {
+		t.Fatalf("builtin appears %d times:\n%s", strings.Count(k.Source, csrc.LoopReduceBuiltin), k.Source)
 	}
 }
 
@@ -268,7 +268,7 @@ int main() {
 }
 `
 	k := mustDiscover(t, src, Options{KeepFuncs: []string{"warm"}, LoopReduction: 0.1})
-	if strings.Contains(k.Source, LoopReduceBuiltin) {
+	if strings.Contains(k.Source, csrc.LoopReduceBuiltin) {
 		t.Fatalf("non-I/O loop reduced:\n%s", k.Source)
 	}
 }

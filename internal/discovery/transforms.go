@@ -119,7 +119,7 @@ func rewriteBound(st *csrc.ForStmt, fraction float64) bool {
 			return false
 		}
 		cond.Y = &csrc.CallExpr{
-			Fun: LoopReduceBuiltin,
+			Fun: csrc.LoopReduceBuiltin,
 			Args: []csrc.Expr{
 				cond.Y,
 				&csrc.NumberLit{Text: fmt.Sprintf("%g", fraction), IsFloat: true, Float: fraction},
@@ -133,7 +133,7 @@ func rewriteBound(st *csrc.ForStmt, fraction float64) bool {
 
 func alreadyReduced(e csrc.Expr) bool {
 	c, ok := e.(*csrc.CallExpr)
-	return ok && c.Fun == LoopReduceBuiltin
+	return ok && c.Fun == csrc.LoopReduceBuiltin
 }
 
 // pathCalls are the calls whose first string argument is a file path.

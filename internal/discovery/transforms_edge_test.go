@@ -86,10 +86,10 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reduceLoops(file, 0.5, Options{}.isIOCall); got != 0 {
+	if got := reduceLoops(file, 0.5, isIOCall); got != 0 {
 		t.Errorf("reduceLoops rewrote %d loops through a shadowed name, want 0", got)
 	}
-	if strings.Contains(csrc.Format(file), LoopReduceBuiltin) {
+	if strings.Contains(csrc.Format(file), csrc.LoopReduceBuiltin) {
 		t.Errorf("shadowed-name loop was rewritten:\n%s", csrc.Format(file))
 	}
 }

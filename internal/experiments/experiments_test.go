@@ -144,29 +144,6 @@ func TestSliceBenchSingleWorkload(t *testing.T) {
 	_ = r.String()
 }
 
-func TestEvalBenchSingleWorkload(t *testing.T) {
-	r, err := evalBench(smoke, []string{"vpic"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 1 || r.Population != evalPopulation {
-		t.Fatalf("rows = %d, population = %d", len(r.Rows), r.Population)
-	}
-	row := r.Rows[0]
-	if !row.Identical {
-		t.Errorf("trace replay scored the population differently from direct interpretation")
-	}
-	if row.Direct.NsPerGenome <= 0 || row.Traced.NsPerGenome <= 0 || row.Speedup <= 0 {
-		t.Errorf("missing timing data: %+v", row)
-	}
-	// 32 random genomes over a 12-parameter space must collide in at least
-	// one stage projection; a zero hit rate means the cache is keyed wrong.
-	if row.PlanHitRate == 0 && row.WireHitRate == 0 {
-		t.Errorf("stage cache never hit over the population: %+v", row)
-	}
-	_ = r.String()
-}
-
 func TestFig09ImpactFirst(t *testing.T) {
 	r, err := Fig09(smoke)
 	if err != nil {

@@ -49,17 +49,18 @@ type Options struct {
 	// for the server's lifetime.
 	Agent *tunio.TunIO
 	// Train configures lazy agent training when Agent is nil. Nil trains
-	// at the default scale with TrainSeed.
+	// at the default scale with seed 1.
 	Train *tunio.TrainConfig
-	// TrainSeed seeds lazy agent training when Train is nil (default 1).
-	TrainSeed int64
-	// MaxBodyBytes caps request bodies (default 8 MiB).
-	MaxBodyBytes int64
-	// DefaultParallelism is the worker count of jobs that do not set
-	// parallelism (default 1: a daemon's concurrency comes from running
-	// many jobs, not from fanning one out).
-	DefaultParallelism int
 }
+
+const (
+	// maxBodyBytes caps request bodies.
+	maxBodyBytes = 8 << 20
+	// defaultParallelism is the worker count of jobs that do not set
+	// parallelism: a daemon's concurrency comes from running many jobs,
+	// not from fanning one out.
+	defaultParallelism = 1
+)
 
 // Server is the HTTP handler. Create with New.
 //
@@ -101,12 +102,6 @@ type job struct {
 func New(opts Options) (*Server, error) {
 	if opts.Engine == nil {
 		return nil, fmt.Errorf("server: Options.Engine is required")
-	}
-	if opts.MaxBodyBytes == 0 {
-		opts.MaxBodyBytes = 8 << 20
-	}
-	if opts.DefaultParallelism == 0 {
-		opts.DefaultParallelism = 1
 	}
 	s := &Server{
 		engine: opts.Engine,
@@ -283,11 +278,7 @@ func (s *Server) agent() (*tunio.TunIO, error) {
 		if a == nil {
 			tc := s.opts.Train
 			if tc == nil {
-				seed := s.opts.TrainSeed
-				if seed == 0 {
-					seed = 1
-				}
-				tc = &tunio.TrainConfig{Seed: seed}
+				tc = &tunio.TrainConfig{Seed: 1}
 			}
 			var err error
 			a, err = tunio.Train(*tc)
@@ -309,7 +300,7 @@ func (s *Server) agent() (*tunio.TunIO, error) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req JobRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
@@ -334,7 +325,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Online:        req.Online,
 	}
 	if spec.Parallelism == 0 {
-		spec.Parallelism = s.opts.DefaultParallelism
+		spec.Parallelism = defaultParallelism
 	}
 	switch req.Pipeline {
 	case "", "hstuner":

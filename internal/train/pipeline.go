@@ -31,7 +31,6 @@ import (
 	"tunio/internal/mat"
 	"tunio/internal/params"
 	"tunio/internal/replay"
-	"tunio/internal/tuner"
 	"tunio/internal/workload"
 )
 
@@ -81,15 +80,9 @@ type Config struct {
 
 	// Workers bounds the sweep's replay parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Gate, when non-nil, additionally bounds sweep evaluations by the
-	// process-wide budget shared with the tuning pools.
-	Gate *tuner.Gate
 	// Store, when non-nil, serves sweep kernel traces across runs (and
 	// receives ones recorded here).
 	Store *replay.KernelStore
-	// StageCache, when non-nil, shares replay stage artifacts with other
-	// sessions; nil uses a pipeline-private cache.
-	StageCache *replay.StageCache
 
 	// ArtifactsDir is where stage artifacts live. Empty runs the pipeline
 	// fully in memory (nothing written, nothing resumable).

@@ -44,9 +44,7 @@ func replaySweep(ctx context.Context, cfg *Config) (*core.SweepResult, []string,
 	}
 
 	// Record (or fetch) each kernel's trace and bind a replayer per kernel:
-	// its own view of the stage cache, one pool of stacks for all. The cache
-	// may be shared process-wide; kernel content hashes keep one kernel's
-	// artifacts from answering for another's.
+	// its own stage cache, one pool of stacks for all.
 	stacks := workload.NewStackPool(cfg.Cluster)
 	kernels := make([]tuner.Replayer, len(cfg.Kernels))
 	kernKeys := make([]string, len(cfg.Kernels))
@@ -54,7 +52,6 @@ func replaySweep(ctx context.Context, cfg *Config) (*core.SweepResult, []string,
 		k, err := tuner.ResolveKernel(tuner.KernelSource{
 			Workload: w, Cluster: cfg.Cluster, Seed: cfg.Seed,
 			Store: cfg.Store, StoreKey: kernelStoreKey(w, cfg.Cluster.Procs()),
-			Stages: cfg.StageCache,
 		}, cfg.Space)
 		if err != nil {
 			return nil, nil, fmt.Errorf("train: recording %s: %w", w.Name(), err)
@@ -71,7 +68,7 @@ func replaySweep(ctx context.Context, cfg *Config) (*core.SweepResult, []string,
 		out.Features[i] = r.Assignment.Features()
 	}
 
-	err = tuner.FanOut(ctx, len(runs), cfg.Workers, cfg.Gate, func() func(int) error {
+	err = tuner.FanOut(ctx, len(runs), cfg.Workers, nil, func() func(int) error {
 		rt := &replay.Runtime{}
 		return func(i int) error {
 			return scoreRun(rt, kernels[runs[i].Kernel], runs[i], &out.Perfs[i])

@@ -826,7 +826,6 @@ func (d *driftRun) oracleConfigs(ctx context.Context) ([]float64, []*params.Assi
 	// unique while staying reproducible.
 	configs := make([]*params.Assignment, len(starts))
 	inc := params.DefaultAssignment(d.cfg.Space)
-	mainEvals, mainPruned, mainSecs := d.res.Evaluations, d.res.PrunedEvals, d.res.EvalSimSeconds
 	for i, t0 := range starts {
 		next, st, err := d.tune(ctx, inc, t0, d.cfg.InitRounds, 0)
 		if err != nil {
@@ -836,8 +835,5 @@ func (d *driftRun) oracleConfigs(ctx context.Context) ([]float64, []*params.Assi
 		inc = next
 		configs[i] = next
 	}
-	// tune() does not touch d.res totals itself; restore defensively in
-	// case that changes.
-	d.res.Evaluations, d.res.PrunedEvals, d.res.EvalSimSeconds = mainEvals, mainPruned, mainSecs
 	return starts, configs, nil
 }

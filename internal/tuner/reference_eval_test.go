@@ -1,8 +1,6 @@
 package tuner
 
 import (
-	"sync"
-
 	"tunio/internal/cinterp"
 	"tunio/internal/cluster"
 	"tunio/internal/csrc"
@@ -13,10 +11,10 @@ import (
 // The two evaluators in this file are the live-run reference: they score
 // a configuration by actually running the kernel — the workload model, or
 // the interpreted C program — on a freshly built stack, once per rep.
-// Nothing in production calls them. They exist so the bit-identity tests
-// (and the evaluation benchmark) have something to compare staged replay
-// against: TraceEvaluator must return exactly what they return, seeded the
-// same way (SeedFor, then +7919 per rep), averaged in the same order.
+// They live in a test file because only this package's bit-identity tests
+// and benchmarks call them: TraceEvaluator must return exactly what they
+// return, seeded the same way (SeedFor, then +7919 per rep), averaged in
+// the same order.
 
 // SeededWorkloadEvaluator runs a workload model live. Perf is averaged
 // rep by rep (each rep's perf divided by Reps, then summed) and the runtime
@@ -45,23 +43,19 @@ func (e *SeededWorkloadEvaluator) Evaluate(a *params.Assignment, iteration int) 
 }
 
 // SeededCSourceEvaluator interprets a C program (a full application or a
-// discovered I/O kernel) SPMD, live. The program is constant-folded once
-// (cinterp.Fold), which leaves its I/O untouched. Perf is summed and then
-// divided, minutes accumulate per rep — the order TraceEvaluator
-// reproduces for interpreted kernels.
+// discovered I/O kernel) SPMD, live. Perf is summed and then divided,
+// minutes accumulate per rep — the order TraceEvaluator reproduces for
+// interpreted kernels.
 type SeededCSourceEvaluator struct {
 	Prog    *csrc.File
 	Cluster *cluster.Cluster
 	Reps    int   // default 3
 	Seed    int64 // base seed
-
-	foldOnce sync.Once
 }
 
-// Evaluate is an EvalFunc. Safe for concurrent use once the first call
-// has completed the (synchronized) fold pre-pass.
+// Evaluate is an EvalFunc. It is safe for concurrent use: the interpreter
+// never mutates the program and every rep builds a fresh stack.
 func (e *SeededCSourceEvaluator) Evaluate(a *params.Assignment, iteration int) (float64, float64, error) {
-	e.foldOnce.Do(func() { cinterp.Fold(e.Prog) })
 	reps := e.Reps
 	if reps == 0 {
 		reps = 3

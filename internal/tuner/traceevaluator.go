@@ -68,10 +68,6 @@ func RunReplay(ctx context.Context, cfg Config, src KernelSource, reps int) (*Re
 	return RunBatch(ctx, cfg, NewTraceEvaluator(k, src.Cluster, reps, src.Seed).Batch(0, nil))
 }
 
-// Stats returns the stage-cache traffic of this evaluator's view: its own
-// hit rate against the (possibly shared) artifacts, not cache-wide traffic.
-func (e *TraceEvaluator) Stats() replay.StageStats { return e.kernel.View.Stats() }
-
 // Evaluate is an EvalFunc. The averaging order follows the reference
 // evaluator of the kernel's kind — perf summed then divided and minutes
 // accumulated per rep for an interpreted program, per-rep divided perf and

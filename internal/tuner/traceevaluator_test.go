@@ -54,16 +54,13 @@ func TestTraceEvaluatorMatchesCSourceCurves(t *testing.T) {
 			t.Fatal(err)
 		}
 		shrinkWorkload(w)
-		// The reference folds its program in place; replay records its own.
-		src := w.(workload.HasCSource).CSource()
-		prog, err := csrc.Parse(src)
+		prog, err := csrc.Parse(w.(workload.HasCSource).CSource())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		refProg, _ := csrc.Parse(src)
 		cfg := Config{Space: params.Space(), PopSize: 4, MaxIterations: 3, Seed: 11}
 
-		direct, err := run(cfg, (&SeededCSourceEvaluator{Prog: refProg, Cluster: c, Reps: 2, Seed: 11}).Evaluate)
+		direct, err := run(cfg, (&SeededCSourceEvaluator{Prog: prog, Cluster: c, Reps: 2, Seed: 11}).Evaluate)
 		if err != nil {
 			t.Fatalf("%s direct: %v", name, err)
 		}
@@ -125,7 +122,7 @@ func TestTraceEvaluatorMatchesSeededWorkloadEvaluator(t *testing.T) {
 				}
 			}
 		}
-		stats := traced.Stats()
+		stats := traced.kernel.View.Stats()
 		if stats.WireMisses == 0 || stats.PlanMisses == 0 {
 			t.Errorf("%s: stage cache never exercised: %+v", name, stats)
 		}

@@ -118,10 +118,17 @@ echo "== iolint self-run (fixture corpus) =="
 # fixtures must stay free of error-severity findings, and the verifier
 # must accept every transform on them (their computed paths propagate to
 # constants, so TR003 stays quiet).
-fixdir="$(mktemp -d)"
-trap 'rm -rf "$fixdir"' EXIT
-go run ./cmd/iofixtures -dir "$fixdir" > /dev/null
-go run ./cmd/iolint -verify "$fixdir"/*.c
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+go run ./cmd/iofixtures -dir "$tmp" > /dev/null
+go run ./cmd/iolint -verify "$tmp"/*.c
+
+echo "== drift figure (BENCH_drift.json) =="
+# Every field of the online re-tuning figure is a simulated quantity, so
+# the committed JSON must be byte for byte what the code regenerates. Host
+# speed is not diffed here: that is bench/'s (BENCHMARK.json).
+go run ./cmd/tunebench -fig drift -json "$tmp/drift.json" > /dev/null
+cmp "$tmp/drift.json" BENCH_drift.json
 
 echo "== CLI exit-code contract =="
 sh scripts/test_cli.sh

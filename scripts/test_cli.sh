@@ -151,6 +151,19 @@ if grep -q "TR003" "$tmp/switch.err"; then
     fail "TR003 raised for a constant-propagatable path"
 fi
 
+echo "== tunebench -json needs one named figure =="
+# -json holds one figure's result, so with -fig all (the default) it is a
+# usage error (exit 2) raised before any figure runs — not a file holding
+# whichever figure ran last. A single named figure writes its JSON.
+go build -o "$tmp/tunebench" ./cmd/tunebench
+rc=0
+"$tmp/tunebench" -json "$tmp/all.json" > /dev/null 2>&1 || rc=$?
+[ "$rc" = "2" ] || fail "tunebench -fig all -json exited $rc, want 2"
+[ ! -e "$tmp/all.json" ] || fail "tunebench -fig all -json wrote a file"
+"$tmp/tunebench" -fig 1 -json "$tmp/fig1.json" > /dev/null ||
+    fail "tunebench -fig 1 -json exited nonzero"
+[ -s "$tmp/fig1.json" ] || fail "tunebench -fig 1 -json wrote no JSON"
+
 echo "== tuniod serves a tuning job over HTTP =="
 # Tuning-as-a-service smoke: boot tuniod on an ephemeral port, submit a
 # tiny macsio job, and poll until it reaches a terminal state with a
