@@ -88,12 +88,15 @@ func TestOneCacheImplementation(t *testing.T) {
 // the constant-folding pass, the interpreted sweep, the JSON-figure differ,
 // the three host-speed BENCH files — must not drift back into a Go source
 // outside bench/ or a script; the live-run reference evaluators stay test
-// code of internal/tuner; the interpreter stays off the analysis layer
-// (names assembled here, as above, so this file passes its own check).
+// code of internal/tuner; the interpreter stays off the analysis layer; the
+// figures of internal/experiments are simulated quantities, so the package
+// reads no host clock (names assembled here, as above, so this file passes
+// its own check).
 func TestOneYardstick(t *testing.T) {
 	deleted := regexp.MustCompile(`(?i:eval|train)[Bb]` + `ench|interp` + `Sweep|cinterp\.Fo` + `ld\b|Fold` + `Report|bench` + `json|BENCH_(eval|tr` + `ain|host)`)
 	reference := regexp.MustCompile(`(?m)^type Seeded\w*` + `Evaluator\b`)
 	analysisImport := regexp.MustCompile(`"tunio/internal/` + `analysis"`)
+	timeImport := regexp.MustCompile(`(?m)^\s*"ti` + `me"$`)
 	check := func(path string, src []byte) {
 		if m := deleted.Find(src); m != nil {
 			t.Errorf("%s names %s, which belonged to the deleted in-tree timing harness", path, m)
@@ -106,6 +109,8 @@ func TestOneYardstick(t *testing.T) {
 			t.Errorf("%s declares a live-run reference evaluator: internal/tuner exports one way to score a genome", path)
 		case dir == "internal/cinterp" && analysisImport.Match(src):
 			t.Errorf("%s imports internal/analysis: the interpreter runs programs, it does not analyse them", path)
+		case dir == "internal/experiments" && !strings.HasSuffix(path, "_test.go") && timeImport.Match(src):
+			t.Errorf("%s imports time: a figure holds simulated quantities, host speed is bench/'s", path)
 		}
 	})
 	scripts, err := os.ReadDir("scripts")
@@ -119,6 +124,38 @@ func TestOneYardstick(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(path, src)
+	}
+}
+
+// There is one HDF5 model: internal/hdf5 alone knows which metadata a call
+// dirties, where a dataset is allocated and aligned, which extents a
+// hyperslab becomes and when metadata flushes. Stage 1 of staged replay is
+// that library built without a simulation, driven by the one trace walker
+// live replay also uses. The planning core's re-exports and the second
+// state machine they fed must not drift back into a non-test source outside
+// internal/hdf5 and bench/, and internal/replay keeps a single walker over
+// the event kinds — validate.go's signature cross-check aside (names
+// assembled here, as above, so this file passes its own check).
+func TestOneHDF5Model(t *testing.T) {
+	deleted := regexp.MustCompile(`\b(Superblock` + `Bytes|ObjectHeader` + `Bytes|GroupHeader` + `Bytes|AttributeHeader` + `Bytes|` +
+		`OpenFile` + `MetaItems|OpenDataset` + `MetaItems|MetaItem` + `Size|MetaItems` + `For|ContiguousSlab` + `Extents|` +
+		`NewChunk` + `Planner|NewChunk` + `Cache|planFile` + `State|plan` + `Dataset)\b`)
+	walks := regexp.MustCompile(`case [^:\n]*\bEvCreate` + `Dataset\b`)
+	var walkers []string
+	goSources(t, func(path string, src []byte) {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if strings.HasSuffix(path, "_test.go") || dir == "internal/hdf5" {
+			return
+		}
+		if m := deleted.Find(src); m != nil {
+			t.Errorf("%s names %s: the HDF5 model lives in internal/hdf5 alone", path, m)
+		}
+		if dir == "internal/replay" && filepath.Base(path) != "validate.go" && walks.Match(src) {
+			walkers = append(walkers, filepath.ToSlash(path))
+		}
+	})
+	if len(walkers) != 1 {
+		t.Errorf("trace walkers in %v: internal/replay drives the live and the planning library with one loop", walkers)
 	}
 }
 

@@ -128,9 +128,6 @@ func TestSliceBenchSingleWorkload(t *testing.T) {
 		if v.sv.KernelLines == 0 || v.sv.TotalLines == 0 {
 			t.Errorf("%s: missing kernel size data", v.name)
 		}
-		if v.sv.DiscoveryMs <= 0 || v.sv.EvalMs <= 0 {
-			t.Errorf("%s: missing timing data", v.name)
-		}
 		if v.sv.FinalPerf <= 0 || v.sv.PeakRoTI <= 0 {
 			t.Errorf("%s: tuning produced no improvement data", v.name)
 		}

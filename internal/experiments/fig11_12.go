@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
 	"tunio/internal/metrics"
@@ -176,10 +178,23 @@ type Fig12Result struct {
 	ViabilityTunIO   float64
 	ViabilityHSTuner float64
 	// Crossover is where HSTuner's (slightly better) tune overtakes
-	// TunIO's total time (paper: ~3.99 million executions).
-	Crossover float64
+	// TunIO's total time (paper: ~3.99 million executions); +Inf when it
+	// never does.
+	Crossover Executions
 	// ViabilityImprovementPct (paper: 73.6% fewer executions).
 	ViabilityImprovementPct float64
+}
+
+// Executions is an execution count that may never be reached: +Inf, which
+// JSON has no number for, encodes as null.
+type Executions float64
+
+// MarshalJSON implements json.Marshaler.
+func (e Executions) MarshalJSON() ([]byte, error) {
+	if math.IsInf(float64(e), 0) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(float64(e))
 }
 
 // Fig12 derives the lifecycle analysis from the Figure 11 runs plus the
@@ -235,7 +250,7 @@ func Fig12(cfg Config, fig11 *Fig11Result) (*Fig12Result, error) {
 	}
 	out.ViabilityTunIO = out.TunIO.ViabilityPoint()
 	out.ViabilityHSTuner = out.HSTuner.ViabilityPoint()
-	out.Crossover = metrics.CrossoverExecutions(out.TunIO, out.HSTuner)
+	out.Crossover = Executions(metrics.CrossoverExecutions(out.TunIO, out.HSTuner))
 	if out.ViabilityHSTuner > 0 {
 		out.ViabilityImprovementPct = 100 * (1 - out.ViabilityTunIO/out.ViabilityHSTuner)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"time"
 
 	"tunio/internal/cinterp"
 	"tunio/internal/cluster"
@@ -19,11 +18,9 @@ import (
 
 // SliceVariant is one slicing strategy's measurements on one workload.
 type SliceVariant struct {
-	DiscoveryMs     float64 // wall time of Discover (mean of discoveryRuns)
-	KernelLines     int     // marked lines kept in the kernel
-	TotalLines      int     // formatted source lines
-	EvalMs          float64 // wall time of the first configuration evaluation, recording run included
-	ReplayIdentical bool    // kernel replays the app's exact I/O stream
+	KernelLines     int  // marked lines kept in the kernel
+	TotalLines      int  // formatted source lines
+	ReplayIdentical bool // kernel replays the app's exact I/O stream
 	PeakRoTI        float64
 	FinalPerf       float64 // MB/s after the tuning run
 	TotalMin        float64 // simulated tuning minutes
@@ -38,17 +35,15 @@ type SliceRow struct {
 
 // SliceBenchResult is the precise-vs-heuristic slicing benchmark backing
 // the promotion of precise slicing to the default: for every paper workload it measures
-// discovery cost, kernel size, evaluation cost, replay fidelity, and the
-// tuning outcome (RoTI, final perf) under both strategies.
+// kernel size, replay fidelity, and the tuning outcome (RoTI, final perf)
+// under both strategies. What discovery and the first evaluation cost the
+// host is bench/'s to say (discovery.discover_ms, cinterp.record_ms).
 type SliceBenchResult struct {
 	Rows []SliceRow
 }
 
 // sliceWorkloads is the paper's workload set (§IV, Table III).
 var sliceWorkloads = []string{"vpic", "hacc", "flash", "macsio", "bdcats"}
-
-// discoveryRuns is how many Discover calls the wall-time average spans.
-const discoveryRuns = 5
 
 // SliceBench runs the benchmark over every paper workload.
 func SliceBench(cfg Config) (*SliceBenchResult, error) {
@@ -96,16 +91,10 @@ func sliceBench(cfg Config, names []string) (*SliceBenchResult, error) {
 
 // sliceVariant fills one variant's measurements.
 func sliceVariant(cfg Config, c *cluster.Cluster, src string, orig *replay.Trace, opts discovery.Options, dst *SliceVariant) error {
-	start := time.Now()
-	var k *discovery.Kernel
-	var err error
-	for i := 0; i < discoveryRuns; i++ {
-		k, err = discovery.Discover(src, opts)
-		if err != nil {
-			return err
-		}
+	k, err := discovery.Discover(src, opts)
+	if err != nil {
+		return err
 	}
-	dst.DiscoveryMs = float64(time.Since(start).Microseconds()) / 1000 / discoveryRuns
 	dst.KernelLines = len(k.MarkedLines)
 	dst.TotalLines = k.TotalLines
 
@@ -116,17 +105,6 @@ func sliceVariant(cfg Config, c *cluster.Cluster, src string, orig *replay.Trace
 	dst.ReplayIdentical = reflect.DeepEqual(orig.Events, trace.Events)
 
 	ksrc := tuner.KernelSource{Prog: k.File, Cluster: c, Seed: cfg.Seed + 300}
-	start = time.Now()
-	rk, err := tuner.ResolveKernel(ksrc, params.Space())
-	if err != nil {
-		return err
-	}
-	first := tuner.NewTraceEvaluator(rk, c, cfg.reps(), ksrc.Seed)
-	if _, _, err := first.Evaluate(params.DefaultAssignment(params.Space()), 0); err != nil {
-		return err
-	}
-	dst.EvalMs = float64(time.Since(start).Microseconds()) / 1000
-
 	res, err := tuner.RunReplay(context.Background(), tuner.Config{
 		Space:         params.Space(),
 		PopSize:       cfg.popSize(),
@@ -169,17 +147,17 @@ func traceOf(cfg Config, c *cluster.Cluster, prog *csrc.File, src string) (*repl
 func (r *SliceBenchResult) String() string {
 	var b strings.Builder
 	b.WriteString("Slice benchmark: precise (CFG def-use) vs heuristic (line marking) kernels\n")
-	fmt.Fprintf(&b, "%-8s %-10s %12s %8s %10s %8s %10s %12s\n",
-		"workload", "variant", "discover ms", "lines", "eval ms", "replay", "peak RoTI", "final perf")
+	fmt.Fprintf(&b, "%-8s %-10s %8s %8s %10s %12s\n",
+		"workload", "variant", "lines", "replay", "peak RoTI", "final perf")
 	preciseWins, heuristicWins := 0, 0
 	for _, row := range r.Rows {
 		for _, v := range []struct {
 			name string
 			sv   SliceVariant
 		}{{"precise", row.Precise}, {"heuristic", row.Heuristic}} {
-			fmt.Fprintf(&b, "%-8s %-10s %12.2f %8d %10.1f %8v %10.2f %12s\n",
-				row.Workload, v.name, v.sv.DiscoveryMs, v.sv.KernelLines,
-				v.sv.EvalMs, v.sv.ReplayIdentical, v.sv.PeakRoTI, fmtMBs(v.sv.FinalPerf))
+			fmt.Fprintf(&b, "%-8s %-10s %8d %8v %10.2f %12s\n",
+				row.Workload, v.name, v.sv.KernelLines,
+				v.sv.ReplayIdentical, v.sv.PeakRoTI, fmtMBs(v.sv.FinalPerf))
 		}
 		if row.Precise.KernelLines <= row.Heuristic.KernelLines && row.Precise.ReplayIdentical {
 			preciseWins++

@@ -3,7 +3,7 @@ package hdf5
 import (
 	"fmt"
 
-	"tunio/internal/darshan"
+	"tunio/internal/ioreq"
 )
 
 // maxExtentsPerSlab bounds how many extents one slab materializes; beyond
@@ -25,8 +25,8 @@ type Dataset struct {
 	dataOffset int64
 
 	// chunked layout: the planner owns the chunk grid, per-chunk
-	// allocation map, and write history (shared with internal/replay).
-	cp *ChunkPlanner
+	// allocation map, and write history.
+	cp *chunkPlanner
 }
 
 // CreateDataset creates a dataset. chunkDims nil selects contiguous layout
@@ -45,7 +45,7 @@ func (f *File) CreateDataset(name string, space Space, chunkDims []int64) (*Data
 	}
 	d := &Dataset{f: f, name: name, space: space}
 	if chunkDims != nil {
-		cp, err := NewChunkPlanner(name, space, chunkDims)
+		cp, err := newChunkPlanner(name, space, chunkDims)
 		if err != nil {
 			return nil, err
 		}
@@ -70,13 +70,19 @@ func (f *File) OpenDataset(name string) (*Dataset, error) {
 	if !ok {
 		return nil, fmt.Errorf("hdf5: dataset %s not found in %s", name, f.name)
 	}
-	f.metaRead(OpenDatasetMetaItems)
+	if err := f.lib.do(f, Op{Kind: OpMetaRead, Items: openDatasetMetaItems}); err != nil {
+		return nil, err
+	}
 	d.f = f // rebind to the current open handle
 	if f.lib.tracer != nil {
 		f.lib.tracer.OnOpenDataset(f.name, name)
 	}
 	return d, nil
 }
+
+// Dataset returns the file's dataset of that name — bound to the handle it
+// was last created or opened on — or nil when the file has none.
+func (f *File) Dataset(name string) *Dataset { return f.datasets[name] }
 
 // Space returns the dataset's dataspace.
 func (d *Dataset) Space() Space { return d.space }
@@ -89,7 +95,7 @@ func (d *Dataset) ChunkBytes() int64 {
 	if d.cp == nil {
 		return 0
 	}
-	return d.cp.ChunkBytes()
+	return d.cp.bytes
 }
 
 // Write services one collective write phase: every participating rank's
@@ -103,9 +109,24 @@ func (d *Dataset) Read(slabs []Slab) (float64, error) {
 	return d.transfer(slabs, false)
 }
 
+// transfer resolves one phase to its ops: the metadata touches, the data
+// extents — sieve-coalesced segments of a contiguous dataset; for a chunked
+// one the touched chunks via the chunk planner, with a read-modify-write
+// prefetch of partially covered, uncached, previously written chunks — and
+// the application-layer accounting, one op per H5Dwrite/H5Dread call.
+// Extents build into library-owned reusable buffers (they are consumed
+// synchronously by do).
 func (d *Dataset) transfer(slabs []Slab, isWrite bool) (float64, error) {
 	if len(slabs) == 0 {
 		return 0, nil
+	}
+	f := d.f
+	lib := f.lib
+	if f.closed {
+		if isWrite {
+			return 0, fmt.Errorf("hdf5: write to closed file %s", f.name)
+		}
+		return 0, fmt.Errorf("hdf5: read from closed file %s", f.name)
 	}
 	var appBytes int64
 	for _, sl := range slabs {
@@ -114,115 +135,71 @@ func (d *Dataset) transfer(slabs []Slab, isWrite bool) (float64, error) {
 		}
 		appBytes += d.space.SlabBytes(sl)
 	}
-
-	if tr := d.f.lib.tracer; tr != nil {
-		tr.OnTransfer(d.f.name, d.name, slabs, isWrite)
+	if lib.tracer != nil {
+		lib.tracer.OnTransfer(f.name, d.name, slabs, isWrite)
 	}
 
-	var elapsed float64
-	var err error
-	if d.Chunked() {
-		elapsed, err = d.transferChunked(slabs, isWrite)
+	lib.acc = 0
+	touches := int64(len(slabs)) // contiguous: object header revisits
+	var rmw, data []ioreq.Extent
+	if d.cp == nil {
+		data = lib.extBuf[:0]
+		for _, sl := range slabs {
+			data = contiguousSlabExtents(d.space, sl, d.dataOffset, lib.cfg.SieveBufSize, data)
+		}
+		lib.extBuf = data[:0]
 	} else {
-		elapsed, err = d.transferContiguous(slabs, isWrite)
+		ph := d.cp.plan(slabs, isWrite, f.cache, f.allocate)
+		for i := int64(0); i < ph.NewChunks; i++ {
+			f.addMetadata(metaItemSize) // chunk index entry
+		}
+		touches, rmw, data = ph.MetaTouches, ph.Read, ph.Data
 	}
-	if err != nil {
+	if touches > 0 {
+		if err := lib.do(f, Op{Kind: OpMetaTouch, Items: touches}); err != nil {
+			return 0, err
+		}
+	}
+	if len(rmw) > 0 {
+		// read-modify-write prefetch: a read phase even on writes
+		if err := lib.do(f, Op{Kind: OpData, Extents: rmw}); err != nil {
+			return 0, err
+		}
+	}
+	if len(data) > 0 {
+		if err := lib.do(f, Op{Kind: OpData, IsWrite: isWrite, Extents: data}); err != nil {
+			return 0, err
+		}
+	}
+	if err := lib.do(nil, Op{Kind: OpAccount, IsWrite: isWrite, Bytes: appBytes, Ops: int64(len(slabs))}); err != nil {
 		return 0, err
 	}
-
-	// Application-layer accounting: one op per H5Dwrite/H5Dread call.
-	lc := d.f.lib.sim.Report.At(darshan.HDF5)
-	if isWrite {
-		lc.WriteOps += int64(len(slabs))
-		lc.BytesWritten += appBytes
-		lc.WriteTime += elapsed
-	} else {
-		lc.ReadOps += int64(len(slabs))
-		lc.BytesRead += appBytes
-		lc.ReadTime += elapsed
-	}
-	return elapsed, nil
+	return lib.acc, nil // zero under a planning library
 }
 
-// transferContiguous maps slabs to file extents with sieve-buffer
-// coalescing of small strided segments. Extents build into a file-owned
-// reusable buffer (they are consumed synchronously by the phase).
-func (d *Dataset) transferContiguous(slabs []Slab, isWrite bool) (float64, error) {
-	d.f.metaTouch(int64(len(slabs))) // object header revisits
-	extents := d.f.extBuf[:0]
-	sieve := d.f.lib.cfg.SieveBufSize
-	for _, sl := range slabs {
-		extents = ContiguousSlabExtents(d.space, sl, d.dataOffset, sieve, extents)
-	}
-	d.f.extBuf = extents[:0]
-	if isWrite {
-		return d.f.writePhase(extents)
-	}
-	return d.f.readPhase(extents)
-}
-
-// transferChunked services a phase against a chunked dataset: it resolves
-// touched chunks via the shared ChunkPlanner, performs read-modify-write
-// for partially covered, uncached, previously written chunks, and writes
-// covered bytes.
-func (d *Dataset) transferChunked(slabs []Slab, isWrite bool) (float64, error) {
-	ph := d.cp.Plan(slabs, isWrite, d.f.cache, d.f.allocate)
-	for i := int64(0); i < ph.NewChunks; i++ {
-		d.f.addMetadata(metaItemSize) // chunk index entry
-	}
-	d.f.metaTouch(ph.MetaTouches)
-
-	var elapsed float64
-	if len(ph.Read) > 0 {
-		e, err := d.f.readPhase(ph.Read)
-		if err != nil {
-			return 0, err
-		}
-		elapsed += e
-	}
-	if len(ph.Data) > 0 {
-		var e float64
-		var err error
-		if isWrite {
-			e, err = d.f.writePhase(ph.Data)
-		} else {
-			e, err = d.f.readPhase(ph.Data)
-		}
-		if err != nil {
-			return 0, err
-		}
-		elapsed += e
-	}
-	return elapsed, nil
-}
-
-// ChunkCache is an LRU cache of chunks, keyed by (dataset, chunk index).
+// chunkCache is an LRU cache of chunks, keyed by (dataset, chunk index).
 // It models the aggregate effect of the per-process raw data chunk cache.
-type ChunkCache struct {
+type chunkCache struct {
 	capacity int64
 	used     int64
 	entries  map[string]int64 // key -> bytes
 	lru      []string
 }
 
-// NewChunkCache returns an empty cache of the given capacity (also used by
-// the replay planner, which keeps its own cache per planned file handle).
-func NewChunkCache(capacity int64) *ChunkCache {
-	return &ChunkCache{capacity: capacity, entries: make(map[string]int64)}
+func newChunkCache(capacity int64) *chunkCache {
+	return &chunkCache{capacity: capacity, entries: make(map[string]int64)}
 }
-
-func newChunkCache(capacity int64) *ChunkCache { return NewChunkCache(capacity) }
 
 func cacheKey(dataset string, linear int64) string {
 	return fmt.Sprintf("%s#%d", dataset, linear)
 }
 
-func (c *ChunkCache) contains(dataset string, linear int64) bool {
+func (c *chunkCache) contains(dataset string, linear int64) bool {
 	_, ok := c.entries[cacheKey(dataset, linear)]
 	return ok
 }
 
-func (c *ChunkCache) insert(dataset string, linear, bytes int64) {
+func (c *chunkCache) insert(dataset string, linear, bytes int64) {
 	if bytes > c.capacity {
 		return // chunk larger than the cache never caches (like HDF5)
 	}
@@ -242,7 +219,7 @@ func (c *ChunkCache) insert(dataset string, linear, bytes int64) {
 	c.lru = append(c.lru, key)
 }
 
-func (c *ChunkCache) touch(key string) {
+func (c *chunkCache) touch(key string) {
 	for i, k := range c.lru {
 		if k == key {
 			c.lru = append(c.lru[:i], c.lru[i+1:]...)

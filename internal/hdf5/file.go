@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tunio/internal/cluster"
-	"tunio/internal/darshan"
 	"tunio/internal/ioreq"
 	"tunio/internal/mpiio"
 )
@@ -31,15 +30,24 @@ type Tracer interface {
 	OnTransfer(file, dataset string, slabs []Slab, isWrite bool)
 }
 
-// Library is the HDF5-like library instance bound to one simulation.
+// Library is the HDF5-like library instance bound to one simulation — or,
+// built by NewPlanner, to none.
 type Library struct {
-	sim     *cluster.Sim
+	sim     *cluster.Sim // nil in a planning library
 	backend func(path string) ioreq.Backend
 	hints   mpiio.Hints
 	cfg     Config
 	nprocs  int
 	files   map[string]*File
+	names   []string // file names by File.idx, in first-creation order
 	tracer  Tracer
+
+	acc float64 // live: elapsed time of the current transfer's data phases
+	ops []Op    // planning: the ops so far
+
+	// reusable extent buffers for transfer and metadata phases
+	extBuf  []ioreq.Extent
+	metaBuf []ioreq.Extent
 }
 
 // SetTracer installs (or with nil removes) an operation tracer.
@@ -51,6 +59,9 @@ func (l *Library) SetTracer(t Tracer) { l.tracer = t }
 func NewLibrary(sim *cluster.Sim, backend func(path string) ioreq.Backend, hints mpiio.Hints, cfg Config, nprocs int) (*Library, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if sim == nil {
+		return nil, fmt.Errorf("hdf5: nil simulation")
 	}
 	if backend == nil {
 		return nil, fmt.Errorf("hdf5: nil backend resolver")
@@ -81,6 +92,7 @@ func (l *Library) Rebind(hints mpiio.Hints, cfg Config) error {
 	l.cfg = cfg
 	l.tracer = nil
 	clear(l.files)
+	l.names = l.names[:0]
 	return nil
 }
 
@@ -93,6 +105,16 @@ func (l *Library) Nprocs() int { return l.nprocs }
 // Sim returns the simulation context.
 func (l *Library) Sim() *cluster.Sim { return l.sim }
 
+// Compute runs an application compute phase of flops per process.
+func (l *Library) Compute(flops float64) {
+	_ = l.do(nil, Op{Kind: OpCompute, Flops: flops}) // cannot fail: no storage behind it
+}
+
+// Barrier synchronizes n processes.
+func (l *Library) Barrier(n int) {
+	_ = l.do(nil, Op{Kind: OpBarrier, N: n}) // cannot fail: no storage behind it
+}
+
 // Backend resolves the storage backend serving a path (exposed for the
 // staged replay engine, which opens MPI-IO handles outside the library).
 func (l *Library) Backend(path string) ioreq.Backend { return l.backend(path) }
@@ -104,8 +126,9 @@ func (l *Library) Hints() mpiio.Hints { return l.hints }
 type File struct {
 	lib    *Library
 	name   string
-	mpf    *mpiio.File
-	eof    int64 // allocator high-water mark
+	idx    int32       // position in the library's file list
+	mpf    *mpiio.File // nil under a planning library
+	eof    int64       // allocator high-water mark
 	closed bool
 
 	datasets map[string]*Dataset
@@ -113,12 +136,8 @@ type File struct {
 	// metadata model
 	metaPendingBytes int64 // dirty metadata awaiting flush
 	metaPendingItems int64
-	cache            *ChunkCache
+	cache            *chunkCache
 	groups           map[string]bool
-
-	// reusable extent buffers for transfer and metadata phases
-	extBuf  []ioreq.Extent
-	metaBuf []ioreq.Extent
 }
 
 // CreateFile creates (truncates) a file; collective across the communicator.
@@ -126,16 +145,20 @@ func (l *Library) CreateFile(name string) (*File, error) {
 	if name == "" {
 		return nil, fmt.Errorf("hdf5: empty file name")
 	}
-	mpf, err := mpiio.Open(l.sim, l.backend(name), name, l.nprocs, l.hints)
-	if err != nil {
-		return nil, err
-	}
 	f := &File{
 		lib:      l,
 		name:     name,
-		mpf:      mpf,
+		idx:      int32(len(l.names)),
 		datasets: make(map[string]*Dataset),
 		cache:    newChunkCache(l.cfg.ChunkCacheBytes),
+	}
+	if prev, ok := l.files[name]; ok {
+		f.idx = prev.idx // truncated: the name keeps its place
+	} else {
+		l.names = append(l.names, name)
+	}
+	if err := l.do(f, Op{Kind: OpOpen}); err != nil {
+		return nil, err
 	}
 	f.addMetadata(superblockBytes) // superblock + root group header
 	l.files[name] = f
@@ -151,19 +174,20 @@ func (l *Library) OpenFile(name string) (*File, error) {
 	if !ok {
 		return nil, fmt.Errorf("hdf5: open %s: no such file", name)
 	}
-	mpf, err := mpiio.Open(l.sim, l.backend(name), name, l.nprocs, l.hints)
-	if err != nil {
-		return nil, err
-	}
 	f := &File{
 		lib:      l,
 		name:     name,
-		mpf:      mpf,
+		idx:      prev.idx,
 		eof:      prev.eof,
 		datasets: prev.datasets,
 		cache:    newChunkCache(l.cfg.ChunkCacheBytes),
 	}
-	f.metaRead(OpenFileMetaItems) // superblock + root group
+	if err := l.do(f, Op{Kind: OpOpen}); err != nil {
+		return nil, err
+	}
+	if err := l.do(f, Op{Kind: OpMetaRead, Items: openFileMetaItems}); err != nil {
+		return nil, err
+	}
 	l.files[name] = f
 	if l.tracer != nil {
 		l.tracer.OnOpenFile(name)
@@ -195,59 +219,21 @@ func (f *File) allocateMeta(size int64) int64 {
 // addMetadata records newly created dirty metadata.
 func (f *File) addMetadata(bytes int64) {
 	f.metaPendingBytes += bytes
-	f.metaPendingItems += MetaItemsFor(bytes)
-}
-
-// metaRead charges the cost of reading items metadata items from the file.
-// Without collective metadata ops every rank issues the reads; with them a
-// single rank reads and broadcasts.
-func (f *File) metaRead(items int64) {
-	if items <= 0 {
-		return
-	}
-	cfg := f.lib.cfg
-	// one representative reader per node without collective metadata
-	// (clients on a node share the Lustre client cache), still a metadata
-	// read storm at scale
-	extents := MetaReadExtents(cfg.CollMetadataOps, f.lib.nprocs, f.lib.sim.Cluster.ProcsPerNode, items, f.metaBuf[:0])
-	f.metaBuf = extents[:0]
-	elapsed, err := f.mpf.ReadIndependent(extents)
-	if err != nil {
-		panic("hdf5: metaRead: " + err.Error())
-	}
-	f.lib.sim.Report.At(darshan.HDF5).AddMeta(items, elapsed)
-}
-
-// metaTouch charges repeated metadata accesses (chunk index walks, object
-// header revisits) through the metadata cache: only misses reach storage.
-func (f *File) metaTouch(items int64) {
-	if items <= 0 {
-		return
-	}
-	misses := MetaMisses(items, f.lib.cfg.MDC.HitRate(), f.lib.sim.Rand().Float64())
-	if misses > 0 {
-		f.metaRead(misses)
-	}
+	f.metaPendingItems += metaItemsFor(bytes)
 }
 
 // flushMetadata writes pending dirty metadata. With collective metadata
 // writes the items are aggregated into MetaBlockSize blocks written in one
 // phase; without, each dirty item is its own small write.
-func (f *File) flushMetadata() {
+func (f *File) flushMetadata() error {
 	if f.metaPendingBytes == 0 {
-		return
+		return nil
 	}
-	cfg := f.lib.cfg
-	off := f.allocateMeta(f.metaPendingBytes)
-	requests := MetaFlushRequests(cfg.CollMetadataWrite, cfg.MetaBlockSize, f.metaPendingBytes, f.metaPendingItems)
-	ext := []ioreq.Extent{{Offset: off, Size: f.metaPendingBytes, Rank: 0, Count: requests}}
-	elapsed, err := f.mpf.WriteIndependent(ext)
-	if err != nil {
-		panic("hdf5: flushMetadata: " + err.Error())
-	}
-	f.lib.sim.Report.At(darshan.HDF5).AddMeta(f.metaPendingItems, elapsed)
+	op := Op{Kind: OpMetaFlush, Offset: f.allocateMeta(f.metaPendingBytes),
+		Bytes: f.metaPendingBytes, Items: f.metaPendingItems}
 	f.metaPendingBytes = 0
 	f.metaPendingItems = 0
+	return f.lib.do(f, op)
 }
 
 // Close flushes metadata and the chunk cache and closes the file.
@@ -255,35 +241,15 @@ func (f *File) Close() error {
 	if f.closed {
 		return fmt.Errorf("hdf5: close %s: already closed", f.name)
 	}
-	f.flushMetadata()
-	f.lib.sim.Barrier(f.lib.nprocs)
+	if err := f.flushMetadata(); err != nil {
+		return err
+	}
+	f.lib.Barrier(f.lib.nprocs)
 	f.closed = true
 	if f.lib.tracer != nil {
 		f.lib.tracer.OnCloseFile(f.name)
 	}
 	return nil
-}
-
-// writePhase routes raw-data write extents through MPI-IO per the hints.
-func (f *File) writePhase(extents []ioreq.Extent) (float64, error) {
-	if f.closed {
-		return 0, fmt.Errorf("hdf5: write to closed file %s", f.name)
-	}
-	if f.lib.hints.CollectiveWrite {
-		return f.mpf.WriteAll(extents)
-	}
-	return f.mpf.WriteIndependent(extents)
-}
-
-// readPhase routes raw-data read extents through MPI-IO per the hints.
-func (f *File) readPhase(extents []ioreq.Extent) (float64, error) {
-	if f.closed {
-		return 0, fmt.Errorf("hdf5: read from closed file %s", f.name)
-	}
-	if f.lib.hints.CollectiveRead {
-		return f.mpf.ReadAll(extents)
-	}
-	return f.mpf.ReadIndependent(extents)
 }
 
 // groupHeaderBytes is the metadata created per group.

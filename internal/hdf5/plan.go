@@ -4,41 +4,175 @@ import (
 	"fmt"
 	"slices"
 
+	"tunio/internal/darshan"
 	"tunio/internal/ioreq"
+	"tunio/internal/mpiio"
 )
 
-// This file holds the pure planning core of the library: the functions
-// that map hyperslab transfers to file extents and metadata operations
-// without touching the simulation clock. The live Dataset/File code paths
-// and the staged trace-replay engine (internal/replay) both execute these
-// same functions, so a replayed plan is extent-for-extent identical to a
-// live run by construction.
+// This file holds the library's output language and the pure planning
+// functions behind it. Every Library, File and Dataset method validates its
+// call and books the file-format state once, then hands the operations that
+// result to Library.do. A library built over a simulation (NewLibrary)
+// charges each op at once through MPI-IO; one built without (NewPlanner)
+// collects them, and that list is the staged replay engine's stage-1 plan
+// (internal/replay). Both run the same methods over the same state, so a
+// replayed plan is extent-for-extent what a live run issues because there is
+// no second copy of the model to drift from it.
 
-// Exported metadata model constants (shared with the replay planner).
+// OpKind classifies the operations a library call resolves to.
+type OpKind uint8
+
+// Operation kinds.
 const (
-	// MetaItemSize is the modeled size of one metadata item.
-	MetaItemSize = metaItemSize
-	// SuperblockBytes is the metadata written when a file is created.
-	SuperblockBytes = superblockBytes
-	// ObjectHeaderBytes is the metadata created per dataset.
-	ObjectHeaderBytes = objectHeaderBytes
-	// GroupHeaderBytes is the metadata created per group.
-	GroupHeaderBytes = groupHeaderBytes
-	// AttributeHeaderBytes is the minimum metadata footprint of an attribute.
-	AttributeHeaderBytes = attributeHeaderBytes
-	// OpenFileMetaItems is the metadata items read when opening a file.
-	OpenFileMetaItems = 4
-	// OpenDatasetMetaItems is the metadata items read when opening a dataset.
-	OpenDatasetMetaItems = 2
+	OpOpen OpKind = iota
+	OpMetaRead
+	OpMetaTouch
+	OpMetaFlush
+	OpData
+	OpBarrier
+	OpCompute
+	OpAccount
 )
 
-// Align rounds offset up per the alignment policy for an allocation of
-// size bytes (the exported form of the allocator's alignment rule).
-func (c Config) Align(offset, size int64) int64 { return c.align(offset, size) }
+// Op is one operation of the library against the layers below it. Field use
+// by kind:
+//
+//	OpOpen:      File
+//	OpMetaRead:  File, Items
+//	OpMetaTouch: File, Items
+//	OpMetaFlush: File, Items, Offset, Bytes
+//	OpData:      File, IsWrite, Extents
+//	OpBarrier:   N
+//	OpCompute:   Flops
+//	OpAccount:   IsWrite, Bytes (app bytes), Ops (app op count)
+//
+// File indexes the library's files in first-creation order.
+type Op struct {
+	Kind    OpKind
+	File    int32
+	IsWrite bool
+	Items   int64
+	Offset  int64
+	Bytes   int64
+	Ops     int64
+	N       int
+	Flops   float64
+	Extents []ioreq.Extent
+}
 
-// MetaItemsFor returns the number of metadata items bytes of new dirty
+// NewPlanner builds a planning library: one with no simulation under it,
+// which runs the same calls over the same file-format state as a live
+// library and collects the ops they resolve to instead of charging them
+// (Plan returns them). The ops depend on cfg's plan-footprint fields only —
+// alignment, sieve buffer, chunk cache capacity.
+func NewPlanner(cfg Config, nprocs int) (*Library, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if nprocs <= 0 {
+		return nil, fmt.Errorf("hdf5: nprocs must be positive, got %d", nprocs)
+	}
+	return &Library{cfg: cfg, nprocs: nprocs, files: make(map[string]*File)}, nil
+}
+
+// Plan returns what a planning library has collected so far: its files in
+// first-creation order and its ops, each with an exact-size copy of its
+// extents. The op list is exact-size too — plans are cached for good.
+func (l *Library) Plan() (files []string, ops []Op) {
+	return l.names, append(make([]Op, 0, len(l.ops)), l.ops...)
+}
+
+// do hands one op to the layers below: a planning library keeps it, a live
+// one charges it now. f is the file of a file-level op (nil otherwise);
+// op.Extents may be scratch, which both consume before returning.
+func (l *Library) do(f *File, op Op) error {
+	if l.sim != nil {
+		return l.charge(f, op)
+	}
+	if f != nil {
+		op.File = f.idx
+	}
+	if op.Extents != nil {
+		// exact-size: a cached plan must not keep append's growth slack
+		op.Extents = append(make([]ioreq.Extent, 0, len(op.Extents)), op.Extents...)
+	}
+	l.ops = append(l.ops, op)
+	return nil
+}
+
+// charge executes one op against the simulation, in the order and with the
+// RNG draws the staged engine's stage 3 reproduces.
+func (l *Library) charge(f *File, op Op) error {
+	switch op.Kind {
+	case OpOpen:
+		mpf, err := mpiio.Open(l.sim, l.backend(f.name), f.name, l.nprocs, l.hints)
+		f.mpf = mpf
+		return err
+	case OpMetaTouch:
+		// repeated accesses go through the metadata cache: only misses
+		// reach storage
+		op.Items = MetaMisses(op.Items, l.cfg.MDC.HitRate(), l.sim.Rand().Float64())
+		fallthrough
+	case OpMetaRead:
+		if op.Items <= 0 {
+			return nil
+		}
+		extents := MetaReadExtents(l.cfg.CollMetadataOps, l.nprocs, l.sim.Cluster.ProcsPerNode, op.Items, l.metaBuf[:0])
+		l.metaBuf = extents[:0]
+		elapsed, err := f.mpf.ReadIndependent(extents)
+		l.sim.Report.At(darshan.HDF5).AddMeta(op.Items, elapsed)
+		return err
+	case OpMetaFlush:
+		requests := MetaFlushRequests(l.cfg.CollMetadataWrite, l.cfg.MetaBlockSize, op.Bytes, op.Items)
+		ext := []ioreq.Extent{{Offset: op.Offset, Size: op.Bytes, Rank: 0, Count: requests}}
+		elapsed, err := f.mpf.WriteIndependent(ext)
+		l.sim.Report.At(darshan.HDF5).AddMeta(op.Items, elapsed)
+		return err
+	case OpData:
+		var elapsed float64
+		var err error
+		switch {
+		case op.IsWrite && l.hints.CollectiveWrite:
+			elapsed, err = f.mpf.WriteAll(op.Extents)
+		case op.IsWrite:
+			elapsed, err = f.mpf.WriteIndependent(op.Extents)
+		case l.hints.CollectiveRead:
+			elapsed, err = f.mpf.ReadAll(op.Extents)
+		default:
+			elapsed, err = f.mpf.ReadIndependent(op.Extents)
+		}
+		l.acc += elapsed
+		return err
+	case OpBarrier:
+		l.sim.Barrier(op.N)
+	case OpCompute:
+		l.sim.Compute(op.Flops)
+	case OpAccount:
+		// application-layer accounting: one op per H5Dwrite/H5Dread call
+		lc := l.sim.Report.At(darshan.HDF5)
+		if op.IsWrite {
+			lc.WriteOps += op.Ops
+			lc.BytesWritten += op.Bytes
+			lc.WriteTime += l.acc
+		} else {
+			lc.ReadOps += op.Ops
+			lc.BytesRead += op.Bytes
+			lc.ReadTime += l.acc
+		}
+	}
+	return nil
+}
+
+// Metadata items read when opening a file (superblock + root group) and a
+// dataset.
+const (
+	openFileMetaItems    = 4
+	openDatasetMetaItems = 2
+)
+
+// metaItemsFor returns the number of metadata items bytes of new dirty
 // metadata occupy (the unit addMetadata accounts in).
-func MetaItemsFor(bytes int64) int64 {
+func metaItemsFor(bytes int64) int64 {
 	items := (bytes + metaItemSize - 1) / metaItemSize
 	if items < 1 {
 		items = 1
@@ -95,10 +229,10 @@ func MetaMisses(items int64, hitRate, draw float64) int64 {
 	return misses
 }
 
-// ContiguousSlabExtents converts one slab of a contiguous-layout dataset
+// contiguousSlabExtents converts one slab of a contiguous-layout dataset
 // into file extents, applying sieve-buffer coalescing of small strided
 // segments. Extents are appended to dst (which may be a reused buffer).
-func ContiguousSlabExtents(space Space, sl Slab, dataOffset, sieve int64, dst []ioreq.Extent) []ioreq.Extent {
+func contiguousSlabExtents(space Space, sl Slab, dataOffset, sieve int64, dst []ioreq.Extent) []ioreq.Extent {
 	g := space.Geometry(sl)
 	totalBytes := g.SegBytes * g.NSegments
 
@@ -156,10 +290,9 @@ func ContiguousSlabExtents(space Space, sl Slab, dataOffset, sieve int64, dst []
 	return dst
 }
 
-// ChunkPlanner holds the chunk layout and allocation bookkeeping of one
-// chunked dataset and turns transfer phases into extents. It is the single
-// implementation behind both the live Dataset path and the replay planner.
-type ChunkPlanner struct {
+// chunkPlanner holds the chunk layout and allocation bookkeeping of one
+// chunked dataset and turns transfer phases into extents.
+type chunkPlanner struct {
 	name  string
 	space Space
 	dims  []int64 // chunk dims
@@ -188,13 +321,13 @@ type chunkWork struct {
 	pieces  []ioreq.Extent // in-chunk extents (chunk-relative)
 }
 
-// NewChunkPlanner validates the chunk dims against the dataspace and
+// newChunkPlanner validates the chunk dims against the dataspace and
 // returns a planner.
-func NewChunkPlanner(name string, space Space, chunkDims []int64) (*ChunkPlanner, error) {
+func newChunkPlanner(name string, space Space, chunkDims []int64) (*chunkPlanner, error) {
 	if len(chunkDims) != len(space.Dims) {
 		return nil, fmt.Errorf("hdf5: chunk rank %d does not match dataspace rank %d", len(chunkDims), len(space.Dims))
 	}
-	p := &ChunkPlanner{
+	p := &chunkPlanner{
 		name:    name,
 		space:   space,
 		dims:    append([]int64(nil), chunkDims...),
@@ -221,12 +354,9 @@ func NewChunkPlanner(name string, space Space, chunkDims []int64) (*ChunkPlanner
 	return p, nil
 }
 
-// ChunkBytes returns the chunk size in bytes.
-func (p *ChunkPlanner) ChunkBytes() int64 { return p.bytes }
-
 // forEachTouchedChunk invokes fn for every chunk a slab intersects, with
 // the chunk's linear index and grid coordinates.
-func (p *ChunkPlanner) forEachTouchedChunk(sl Slab, fn func(linear int64, gridCoord []int64)) {
+func (p *chunkPlanner) forEachTouchedChunk(sl Slab, fn func(linear int64, gridCoord []int64)) {
 	n := len(p.dims)
 	lo, hi := p.lo, p.hi
 	for i := 0; i < n; i++ {
@@ -256,12 +386,12 @@ func (p *ChunkPlanner) forEachTouchedChunk(sl Slab, fn func(linear int64, gridCo
 	}
 }
 
-// ChunkPhase is the I/O a chunked transfer phase performs: an optional
+// chunkPhase is the I/O a chunked transfer phase performs: an optional
 // read-modify-write prefetch, the data extents, the chunk-index metadata
 // touches, and how many chunks were newly allocated (each adds one
-// MetaItemSize metadata item). The Read/Data slices are planner-owned
+// metaItemSize metadata item). The Read/Data slices are planner-owned
 // scratch, valid until the next Plan call.
-type ChunkPhase struct {
+type chunkPhase struct {
 	Read        []ioreq.Extent
 	Data        []ioreq.Extent
 	MetaTouches int64
@@ -272,7 +402,7 @@ type ChunkPhase struct {
 // which chunks are touched, which need read-modify-write, what lands in
 // the chunk cache, and where newly allocated chunks go (via alloc, which
 // must apply the file's alignment policy and advance its allocator).
-func (p *ChunkPlanner) Plan(slabs []Slab, isWrite bool, cache *ChunkCache, alloc func(size int64) int64) ChunkPhase {
+func (p *chunkPlanner) plan(slabs []Slab, isWrite bool, cache *chunkCache, alloc func(size int64) int64) chunkPhase {
 	p.works = p.works[:0]
 	clear(p.workIdx)
 
@@ -329,14 +459,14 @@ func (p *ChunkPlanner) Plan(slabs []Slab, isWrite bool, cache *ChunkCache, alloc
 	}
 	slices.Sort(p.order)
 
-	ph := ChunkPhase{Read: p.readBuf[:0], Data: p.dataBuf[:0]}
+	ph := chunkPhase{Read: p.readBuf[:0], Data: p.dataBuf[:0]}
 	for _, linear := range p.order {
 		w := &p.works[p.workIdx[linear]]
 		off, allocated := p.off[linear]
 		if !allocated {
 			off = alloc(p.bytes)
 			p.off[linear] = off
-			ph.NewChunks++ // chunk index entry (MetaItemSize of metadata)
+			ph.NewChunks++ // chunk index entry (metaItemSize of metadata)
 		}
 		ph.MetaTouches++ // chunk index lookup
 

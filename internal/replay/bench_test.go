@@ -138,3 +138,36 @@ func BenchmarkStagedExecFreshStack(b *testing.B) {
 		}
 	}
 }
+
+var stackPlanSink *StackPlan
+
+// BenchmarkBuildStackPlan prices one stage-1 miss — what a cold job pays
+// per distinct plan projection — on the four trace shapes that stress it
+// differently: contiguous datasets (vpic), chunked ones with
+// read-modify-write (flash), the read side (bdcats) and many small datasets
+// (macsio), each at its default size for 16 ranks under the default
+// configuration.
+func BenchmarkBuildStackPlan(b *testing.B) {
+	c := cluster.CoriHaswell(2, 8)
+	s := params.DefaultAssignment(params.Space()).Settings()
+	for _, name := range []string{"vpic", "flash", "bdcats", "macsio"} {
+		st, err := workload.BuildStack(c, s, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		trace, err := Record(kernel(b, name), st)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sp, err := BuildStackPlan(trace, s.HDF5)
+				if err != nil {
+					b.Fatal(err)
+				}
+				stackPlanSink = sp
+			}
+		})
+	}
+}

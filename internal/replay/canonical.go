@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 
+	"tunio/internal/hdf5"
 	"tunio/internal/mpiio"
 	"tunio/internal/params"
 )
@@ -120,20 +121,20 @@ func (sp *StackPlan) contentHash() uint64 {
 	}
 	for i := range sp.ops {
 		op := &sp.ops[i]
-		kind := uint64(op.kind) << 1
-		if op.isWrite {
+		kind := uint64(op.Kind) << 1
+		if op.IsWrite {
 			kind |= 1
 		}
 		mix(kind)
-		mix(uint64(op.file))
-		mix(uint64(op.items))
-		mix(uint64(op.offset))
-		mix(uint64(op.bytes))
-		mix(uint64(op.ops))
-		mix(uint64(op.n))
-		mix(math.Float64bits(op.flops))
-		mix(uint64(len(op.extents)))
-		for _, e := range op.extents {
+		mix(uint64(op.File))
+		mix(uint64(op.Items))
+		mix(uint64(op.Offset))
+		mix(uint64(op.Bytes))
+		mix(uint64(op.Ops))
+		mix(uint64(op.N))
+		mix(math.Float64bits(op.Flops))
+		mix(uint64(len(op.Extents)))
+		for _, e := range op.Extents {
 			mix(uint64(e.Offset))
 			mix(uint64(e.Size))
 			mix(uint64(e.Rank))
@@ -147,10 +148,10 @@ func (sp *StackPlan) contentHash() uint64 {
 // equal reports whether two stack plans have the same content.
 func (sp *StackPlan) equal(o *StackPlan) bool {
 	return sp.Nprocs == o.Nprocs && slices.Equal(sp.Files, o.Files) &&
-		slices.EqualFunc(sp.ops, o.ops, func(a, b planOp) bool {
-			return a.kind == b.kind && a.file == b.file && a.isWrite == b.isWrite &&
-				a.items == b.items && a.offset == b.offset && a.bytes == b.bytes &&
-				a.ops == b.ops && a.n == b.n && math.Float64bits(a.flops) == math.Float64bits(b.flops) &&
-				slices.Equal(a.extents, b.extents)
+		slices.EqualFunc(sp.ops, o.ops, func(a, b hdf5.Op) bool {
+			return a.Kind == b.Kind && a.File == b.File && a.IsWrite == b.IsWrite &&
+				a.Items == b.Items && a.Offset == b.Offset && a.Bytes == b.Bytes &&
+				a.Ops == b.Ops && a.N == b.N && math.Float64bits(a.Flops) == math.Float64bits(b.Flops) &&
+				slices.Equal(a.Extents, b.Extents)
 		})
 }

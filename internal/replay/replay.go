@@ -10,6 +10,13 @@
 // configuration it was recorded under (a new app configuration needs a new
 // run to re-trace), while TunIO's source-derived kernels adapt with the
 // source.
+//
+// It is also the evaluation engine: every genome of every job is scored by
+// staged replay of one recorded trace (stage.go). The package reads a trace
+// in one place — walk, below — and knows nothing of the HDF5 file format:
+// the same loop drives a live hdf5.Library (Player, the reference run) and
+// a planning one (BuildStackPlan, stage 1), so what a call dirties, where
+// it lands and whether it is refused is decided once, in internal/hdf5.
 package replay
 
 import (
@@ -221,79 +228,58 @@ func (p *Player) Run(st *workload.Stack) error {
 		return fmt.Errorf("replay: trace recorded at %d procs, stack has %d (re-trace required)",
 			p.T.Nprocs, st.Lib.Nprocs())
 	}
-	files := map[string]*hdf5.File{}
-	datasets := map[string]*hdf5.Dataset{}
-	key := func(file, ds string) string { return file + "\x00" + ds }
-	var slabBuf []hdf5.Slab // reused across transfer events
+	return walk(p.T, st.Lib, p.SkipCompute)
+}
 
-	for i, ev := range p.T.Events {
+// walk drives the library through the trace's events, in order. It is the
+// one reader of a trace: over a live library it is a run of the recorded
+// workload, over a planning one (hdf5.NewPlanner) it is stage 1 of the
+// staged engine, and which of the two it has it never asks — what a call
+// costs, books or refuses is the library's business either way.
+func walk(t *Trace, lib *hdf5.Library, skipCompute bool) error {
+	files := map[string]*hdf5.File{} // the latest handle under each name
+	var slabBuf []hdf5.Slab          // reused across transfer events
+
+	for i, ev := range t.Events {
+		f := files[ev.File]
+		switch ev.Kind {
+		case EvCloseFile, EvCreateDataset, EvOpenDataset, EvCreateGroup, EvAttribute:
+			if f == nil {
+				return fmt.Errorf("replay: event %d: %s on unopened %s", i, ev.Kind, ev.File)
+			}
+		}
+		var err error
 		switch ev.Kind {
 		case EvCreateFile:
-			f, err := st.Lib.CreateFile(ev.File)
-			if err != nil {
-				return fmt.Errorf("replay: event %d: %w", i, err)
-			}
-			files[ev.File] = f
+			files[ev.File], err = lib.CreateFile(ev.File)
 		case EvOpenFile:
-			f, err := st.Lib.OpenFile(ev.File)
-			if err != nil {
-				return fmt.Errorf("replay: event %d: %w", i, err)
-			}
-			files[ev.File] = f
+			files[ev.File], err = lib.OpenFile(ev.File)
 		case EvCloseFile:
-			f := files[ev.File]
-			if f == nil {
-				return fmt.Errorf("replay: event %d: close of unopened %s", i, ev.File)
-			}
-			if err := f.Close(); err != nil {
-				return fmt.Errorf("replay: event %d: %w", i, err)
-			}
+			err = f.Close()
 		case EvCreateDataset:
-			f := files[ev.File]
-			if f == nil {
-				return fmt.Errorf("replay: event %d: dataset on unopened %s", i, ev.File)
-			}
-			space, err := hdf5.NewSpace(ev.Dims, ev.Elem)
-			if err != nil {
-				return fmt.Errorf("replay: event %d: %w", i, err)
+			var space hdf5.Space
+			if space, err = hdf5.NewSpace(ev.Dims, ev.Elem); err != nil {
+				break
 			}
 			var chunk []int64
 			if len(ev.Chunk) > 0 {
 				chunk = ev.Chunk
 			}
-			ds, err := f.CreateDataset(ev.Dataset, space, chunk)
-			if err != nil {
-				return fmt.Errorf("replay: event %d: %w", i, err)
-			}
-			datasets[key(ev.File, ev.Dataset)] = ds
+			_, err = f.CreateDataset(ev.Dataset, space, chunk)
 		case EvOpenDataset:
-			f := files[ev.File]
-			if f == nil {
-				return fmt.Errorf("replay: event %d: dataset on unopened %s", i, ev.File)
-			}
-			ds, err := f.OpenDataset(ev.Dataset)
-			if err != nil {
-				return fmt.Errorf("replay: event %d: %w", i, err)
-			}
-			datasets[key(ev.File, ev.Dataset)] = ds
+			_, err = f.OpenDataset(ev.Dataset)
 		case EvCreateGroup:
-			f := files[ev.File]
-			if f == nil {
-				return fmt.Errorf("replay: event %d: group on unopened %s", i, ev.File)
-			}
-			if err := f.CreateGroup(ev.Dataset); err != nil {
-				return fmt.Errorf("replay: event %d: %w", i, err)
-			}
+			err = f.CreateGroup(ev.Dataset)
 		case EvAttribute:
-			f := files[ev.File]
-			if f == nil {
-				return fmt.Errorf("replay: event %d: attribute on unopened %s", i, ev.File)
-			}
-			if err := f.WriteAttribute(ev.Dataset, ev.Bytes); err != nil {
-				return fmt.Errorf("replay: event %d: %w", i, err)
-			}
+			err = f.WriteAttribute(ev.Dataset, ev.Bytes)
 		case EvWrite, EvRead:
-			ds := datasets[key(ev.File, ev.Dataset)]
+			// A trace names datasets, not handles: the transfer goes to the
+			// dataset the file holds under the name, through the handle it
+			// was last created or opened on.
+			var ds *hdf5.Dataset
+			if f != nil {
+				ds = f.Dataset(ev.Dataset)
+			}
 			if ds == nil {
 				return fmt.Errorf("replay: event %d: transfer on unknown dataset %s", i, ev.Dataset)
 			}
@@ -302,23 +288,22 @@ func (p *Player) Run(st *workload.Stack) error {
 				slabs = append(slabs, hdf5.Slab{Rank: sl.Rank, Start: sl.Start, Count: sl.Count})
 			}
 			slabBuf = slabs[:0]
-			var err error
 			if ev.Kind == EvWrite {
 				_, err = ds.Write(slabs)
 			} else {
 				_, err = ds.Read(slabs)
 			}
-			if err != nil {
-				return fmt.Errorf("replay: event %d: %w", i, err)
-			}
 		case EvCompute:
-			if !p.SkipCompute {
-				st.Sim.Compute(ev.Flops)
+			if !skipCompute {
+				lib.Compute(ev.Flops)
 			}
 		case EvBarrier:
-			st.Sim.Barrier(ev.N)
+			lib.Barrier(ev.N)
 		default:
 			return fmt.Errorf("replay: event %d: unknown kind %q", i, ev.Kind)
+		}
+		if err != nil {
+			return fmt.Errorf("replay: event %d: %w", i, err)
 		}
 	}
 	return nil

@@ -23,8 +23,12 @@ import (
 // Stage 1 resolves HDF5-level behavior — allocation/alignment, sieve
 // coalescing, chunk planning with read-modify-write and chunk-cache
 // decisions, metadata dirtying — into file extents and abstract metadata
-// operations. It reads only the plan-footprint parameters (alignment,
-// sieve buffer, chunk cache; params.PlanStage).
+// operations. It holds no model of its own: the trace is walked through the
+// hdf5 library built without a simulation (hdf5.NewPlanner), by the loop
+// that walks it through a live one (walk, replay.go), and the plan is the
+// list of hdf5.Op the library resolved the calls to. It reads only the
+// plan-footprint parameters (alignment, sieve buffer, chunk cache;
+// params.PlanStage).
 //
 // Stage 2 lowers planned operations onto the MPI-IO wire: collective
 // transfers get their two-phase aggregation schedule (mpiio.PlanCollective),
@@ -53,263 +57,34 @@ import (
 // Phases on non-Lustre files are split live every time, as is any phase
 // whose table the live file does not accept.
 
-type planOpKind uint8
-
-const (
-	opOpen planOpKind = iota
-	opMetaRead
-	opMetaTouch
-	opMetaFlush
-	opData
-	opBarrier
-	opCompute
-	opAccount
-)
-
-// planOp is one stage-1 operation. Field use by kind:
-//
-//	opOpen:      file
-//	opMetaRead:  file, items
-//	opMetaTouch: file, items
-//	opMetaFlush: file, items, offset, bytes
-//	opData:      file, isWrite, extents
-//	opBarrier:   n
-//	opCompute:   flops
-//	opAccount:   isWrite, bytes (app bytes), ops (app op count)
-type planOp struct {
-	kind    planOpKind
-	file    int32
-	isWrite bool
-	items   int64
-	offset  int64
-	bytes   int64
-	ops     int64
-	n       int
-	flops   float64
-	extents []ioreq.Extent
-}
-
 // StackPlan is the stage-1 artifact: the trace resolved to file extents and
-// abstract metadata operations under one plan-footprint projection.
+// abstract metadata operations under one plan-footprint projection — the ops
+// the library itself resolves the trace's calls to.
 type StackPlan struct {
 	Nprocs int
 	Files  []string
-	ops    []planOp
-}
-
-// planFileState tracks one file's evolution while planning. Dataset state
-// is shared across close/reopen (like the live library's preserved dataset
-// map); the chunk cache is per-handle.
-type planFileState struct {
-	idx          int32
-	eof          int64
-	pendingBytes int64
-	pendingItems int64
-	datasets     map[string]*planDataset
-	cache        *hdf5.ChunkCache
-}
-
-type planDataset struct {
-	space      hdf5.Space
-	dataOffset int64
-	cp         *hdf5.ChunkPlanner
-}
-
-func (st *planFileState) addMeta(bytes int64) {
-	st.pendingBytes += bytes
-	st.pendingItems += hdf5.MetaItemsFor(bytes)
+	ops    []hdf5.Op
 }
 
 // BuildStackPlan resolves the trace under cfg's plan-footprint fields
-// (alignment policy, sieve buffer, chunk cache capacity). The returned plan
-// is immutable and safe to lower concurrently.
+// (alignment policy, sieve buffer, chunk cache capacity) by walking it
+// through a planning library: the calls, the file-format state and the
+// refusals are those of a live run. The returned plan is immutable and safe
+// to lower concurrently.
 func BuildStackPlan(t *Trace, cfg hdf5.Config) (*StackPlan, error) {
 	if t == nil || t.Nprocs <= 0 {
 		return nil, fmt.Errorf("replay: plan of empty trace")
 	}
+	lib, err := hdf5.NewPlanner(cfg, t.Nprocs)
+	if err != nil {
+		return nil, err
+	}
+	if err := walk(t, lib, false); err != nil {
+		return nil, err
+	}
 	plan := &StackPlan{Nprocs: t.Nprocs}
-	states := map[string]*planFileState{}
-	fileIdx := map[string]int32{}
-	var slabBuf []hdf5.Slab
-	var extBuf []ioreq.Extent // gathers each transfer's extents; plans keep exact-size copies
-
-	fileOf := func(name string) int32 {
-		idx, ok := fileIdx[name]
-		if !ok {
-			idx = int32(len(plan.Files))
-			plan.Files = append(plan.Files, name)
-			fileIdx[name] = idx
-		}
-		return idx
-	}
-	emit := func(op planOp) { plan.ops = append(plan.ops, op) }
-
-	for i, ev := range t.Events {
-		switch ev.Kind {
-		case EvCreateFile:
-			idx := fileOf(ev.File)
-			st := &planFileState{
-				idx:      idx,
-				datasets: map[string]*planDataset{},
-				cache:    hdf5.NewChunkCache(cfg.ChunkCacheBytes),
-			}
-			states[ev.File] = st
-			emit(planOp{kind: opOpen, file: idx})
-			st.addMeta(hdf5.SuperblockBytes)
-
-		case EvOpenFile:
-			prev := states[ev.File]
-			if prev == nil {
-				return nil, fmt.Errorf("replay: event %d: open of unknown %s", i, ev.File)
-			}
-			st := &planFileState{
-				idx:      prev.idx,
-				eof:      prev.eof,
-				datasets: prev.datasets,
-				cache:    hdf5.NewChunkCache(cfg.ChunkCacheBytes),
-			}
-			states[ev.File] = st
-			emit(planOp{kind: opOpen, file: st.idx})
-			emit(planOp{kind: opMetaRead, file: st.idx, items: hdf5.OpenFileMetaItems})
-
-		case EvCloseFile:
-			st := states[ev.File]
-			if st == nil {
-				return nil, fmt.Errorf("replay: event %d: close of unopened %s", i, ev.File)
-			}
-			if st.pendingBytes > 0 {
-				off := st.eof // metadata is never aligned
-				st.eof += st.pendingBytes
-				emit(planOp{kind: opMetaFlush, file: st.idx,
-					offset: off, bytes: st.pendingBytes, items: st.pendingItems})
-				st.pendingBytes, st.pendingItems = 0, 0
-			}
-			emit(planOp{kind: opBarrier, n: t.Nprocs})
-
-		case EvCreateDataset:
-			st := states[ev.File]
-			if st == nil {
-				return nil, fmt.Errorf("replay: event %d: dataset on unopened %s", i, ev.File)
-			}
-			space, err := hdf5.NewSpace(ev.Dims, ev.Elem)
-			if err != nil {
-				return nil, fmt.Errorf("replay: event %d: %w", i, err)
-			}
-			ds := &planDataset{space: space}
-			if len(ev.Chunk) > 0 {
-				cp, err := hdf5.NewChunkPlanner(ev.Dataset, space, ev.Chunk)
-				if err != nil {
-					return nil, fmt.Errorf("replay: event %d: %w", i, err)
-				}
-				ds.cp = cp
-			} else {
-				size := space.TotalBytes()
-				ds.dataOffset = cfg.Align(st.eof, size)
-				st.eof = ds.dataOffset + size
-			}
-			st.addMeta(hdf5.ObjectHeaderBytes)
-			st.datasets[ev.Dataset] = ds
-
-		case EvOpenDataset:
-			st := states[ev.File]
-			if st == nil || st.datasets[ev.Dataset] == nil {
-				return nil, fmt.Errorf("replay: event %d: open of unknown dataset %s", i, ev.Dataset)
-			}
-			emit(planOp{kind: opMetaRead, file: st.idx, items: hdf5.OpenDatasetMetaItems})
-
-		case EvCreateGroup:
-			st := states[ev.File]
-			if st == nil {
-				return nil, fmt.Errorf("replay: event %d: group on unopened %s", i, ev.File)
-			}
-			st.addMeta(hdf5.GroupHeaderBytes)
-
-		case EvAttribute:
-			st := states[ev.File]
-			if st == nil {
-				return nil, fmt.Errorf("replay: event %d: attribute on unopened %s", i, ev.File)
-			}
-			st.addMeta(ev.Bytes)
-
-		case EvWrite, EvRead:
-			st := states[ev.File]
-			if st == nil {
-				return nil, fmt.Errorf("replay: event %d: transfer on unopened %s", i, ev.File)
-			}
-			ds := st.datasets[ev.Dataset]
-			if ds == nil {
-				return nil, fmt.Errorf("replay: event %d: transfer on unknown dataset %s", i, ev.Dataset)
-			}
-			if len(ev.Slabs) == 0 {
-				continue
-			}
-			isWrite := ev.Kind == EvWrite
-			slabs := slabBuf[:0]
-			for _, sl := range ev.Slabs {
-				slabs = append(slabs, hdf5.Slab{Rank: sl.Rank, Start: sl.Start, Count: sl.Count})
-			}
-			slabBuf = slabs[:0]
-			var appBytes int64
-			for _, sl := range slabs {
-				if err := ds.space.ValidateSlab(sl); err != nil {
-					return nil, fmt.Errorf("replay: event %d: %w", i, err)
-				}
-				appBytes += ds.space.SlabBytes(sl)
-			}
-
-			if ds.cp == nil {
-				// Contiguous: object-header revisits, then the sieved extents.
-				emit(planOp{kind: opMetaTouch, file: st.idx, items: int64(len(slabs))})
-				extBuf = extBuf[:0]
-				for _, sl := range slabs {
-					extBuf = hdf5.ContiguousSlabExtents(ds.space, sl, ds.dataOffset, cfg.SieveBufSize, extBuf)
-				}
-				emit(planOp{kind: opData, file: st.idx, isWrite: isWrite, extents: cloneExtents(extBuf)})
-			} else {
-				ph := ds.cp.Plan(slabs, isWrite, st.cache, func(size int64) int64 {
-					off := cfg.Align(st.eof, size)
-					st.eof = off + size
-					return off
-				})
-				for n := int64(0); n < ph.NewChunks; n++ {
-					st.addMeta(hdf5.MetaItemSize) // chunk index entry
-				}
-				if ph.MetaTouches > 0 {
-					emit(planOp{kind: opMetaTouch, file: st.idx, items: ph.MetaTouches})
-				}
-				if len(ph.Read) > 0 {
-					// read-modify-write prefetch: a read phase even on writes
-					emit(planOp{kind: opData, file: st.idx, isWrite: false,
-						extents: cloneExtents(ph.Read)})
-				}
-				if len(ph.Data) > 0 {
-					emit(planOp{kind: opData, file: st.idx, isWrite: isWrite,
-						extents: cloneExtents(ph.Data)})
-				}
-			}
-			emit(planOp{kind: opAccount, isWrite: isWrite, bytes: appBytes, ops: int64(len(slabs))})
-
-		case EvCompute:
-			emit(planOp{kind: opCompute, flops: ev.Flops})
-
-		case EvBarrier:
-			emit(planOp{kind: opBarrier, n: ev.N})
-
-		default:
-			return nil, fmt.Errorf("replay: event %d: unknown kind %q", i, ev.Kind)
-		}
-	}
-	// Like its extents, the op list is cached for good: drop the growth slack.
-	plan.ops = append(make([]planOp, 0, len(plan.ops)), plan.ops...)
+	plan.Files, plan.ops = lib.Plan()
 	return plan, nil
-}
-
-// cloneExtents returns an exact-size copy. Plans live in caches for the
-// life of the process, so they must not keep append's growth slack.
-func cloneExtents(extents []ioreq.Extent) []ioreq.Extent {
-	out := make([]ioreq.Extent, len(extents))
-	copy(out, extents)
-	return out
 }
 
 type wireOpKind uint8
@@ -404,49 +179,49 @@ func LowerPlan(sp *StackPlan, hints mpiio.Hints, cfg hdf5.Config, ppn int) *Wire
 	var groups []touchGroup // a handful per plan: scanned, not hashed
 	for i := range sp.ops {
 		op := &sp.ops[i]
-		switch op.kind {
-		case opOpen:
-			wp.ops = append(wp.ops, wireOp{kind: wOpen, file: op.file})
-		case opMetaRead:
-			wp.ops = append(wp.ops, wireOp{kind: wMeta, file: op.file,
-				metaItems: op.items,
-				extents:   hdf5.MetaReadExtents(cfg.CollMetadataOps, sp.Nprocs, ppn, op.items, nil)})
+		switch op.Kind {
+		case hdf5.OpOpen:
+			wp.ops = append(wp.ops, wireOp{kind: wOpen, file: op.File})
+		case hdf5.OpMetaRead:
+			wp.ops = append(wp.ops, wireOp{kind: wMeta, file: op.File,
+				metaItems: op.Items,
+				extents:   hdf5.MetaReadExtents(cfg.CollMetadataOps, sp.Nprocs, ppn, op.Items, nil)})
 			wp.phases++
-		case opMetaTouch:
-			g := slices.Index(groups, touchGroup{op.file, op.items})
+		case hdf5.OpMetaTouch:
+			g := slices.Index(groups, touchGroup{op.File, op.Items})
 			if g < 0 {
 				g = len(groups)
-				groups = append(groups, touchGroup{op.file, op.items})
+				groups = append(groups, touchGroup{op.File, op.Items})
 			}
-			wp.ops = append(wp.ops, wireOp{kind: wMetaTouch, file: op.file, metaItems: op.items,
+			wp.ops = append(wp.ops, wireOp{kind: wMetaTouch, file: op.File, metaItems: op.Items,
 				slot: int32(touchSlots * g)})
-		case opMetaFlush:
-			requests := hdf5.MetaFlushRequests(cfg.CollMetadataWrite, cfg.MetaBlockSize, op.bytes, op.items)
-			wp.ops = append(wp.ops, wireOp{kind: wMeta, file: op.file, isWrite: true,
-				metaItems: op.items,
-				extents:   []ioreq.Extent{{Offset: op.offset, Size: op.bytes, Rank: 0, Count: requests}}})
+		case hdf5.OpMetaFlush:
+			requests := hdf5.MetaFlushRequests(cfg.CollMetadataWrite, cfg.MetaBlockSize, op.Bytes, op.Items)
+			wp.ops = append(wp.ops, wireOp{kind: wMeta, file: op.File, isWrite: true,
+				metaItems: op.Items,
+				extents:   []ioreq.Extent{{Offset: op.Offset, Size: op.Bytes, Rank: 0, Count: requests}}})
 			wp.phases++
-		case opData:
+		case hdf5.OpData:
 			collective := h.CollectiveWrite
-			if !op.isWrite {
+			if !op.IsWrite {
 				collective = h.CollectiveRead
 			}
 			if collective {
-				coll := mpiio.PlanCollective(op.extents, h, sp.Nprocs, ppn)
-				wp.ops = append(wp.ops, wireOp{kind: wColl, file: op.file, isWrite: op.isWrite, coll: coll})
+				coll := mpiio.PlanCollective(op.Extents, h, sp.Nprocs, ppn)
+				wp.ops = append(wp.ops, wireOp{kind: wColl, file: op.File, isWrite: op.IsWrite, coll: coll})
 				wp.phases += len(coll.Rounds)
 			} else {
-				wp.ops = append(wp.ops, wireOp{kind: wIndep, file: op.file, isWrite: op.isWrite,
-					extents: op.extents})
+				wp.ops = append(wp.ops, wireOp{kind: wIndep, file: op.File, isWrite: op.IsWrite,
+					extents: op.Extents})
 				wp.phases++
 			}
-		case opBarrier:
-			wp.ops = append(wp.ops, wireOp{kind: wBarrier, n: op.n})
-		case opCompute:
-			wp.ops = append(wp.ops, wireOp{kind: wCompute, flops: op.flops})
-		case opAccount:
-			wp.ops = append(wp.ops, wireOp{kind: wAccount, isWrite: op.isWrite,
-				bytes: op.bytes, ops: op.ops})
+		case hdf5.OpBarrier:
+			wp.ops = append(wp.ops, wireOp{kind: wBarrier, n: op.N})
+		case hdf5.OpCompute:
+			wp.ops = append(wp.ops, wireOp{kind: wCompute, flops: op.Flops})
+		case hdf5.OpAccount:
+			wp.ops = append(wp.ops, wireOp{kind: wAccount, isWrite: op.IsWrite,
+				bytes: op.Bytes, ops: op.Ops})
 		}
 	}
 	wp.touches = len(groups)

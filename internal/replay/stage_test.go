@@ -1,6 +1,8 @@
 package replay
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"tunio/internal/cluster"
@@ -253,4 +255,57 @@ func TestPooledStackMatchesFresh(t *testing.T) {
 		t.Errorf("pooled runtime %v != fresh %v", pooled.Sim.Now(), fresh.Runtime)
 	}
 	reportsEqual(t, "pooled-vs-fresh", fresh.Report, pooled.Sim.Report)
+}
+
+// TestStagedPlanRefusesWhatTheLibraryRefuses: a trace reaches stage 1 from
+// outside the program (a loaded kernel store verifies a hash, not a shape),
+// so what the live library refuses the staged engine must refuse too — and,
+// stage 1 being the library itself, with the library's own error.
+func TestStagedPlanRefusesWhatTheLibraryRefuses(t *testing.T) {
+	c := cluster.CoriHaswell(1, 4)
+	s := defaults()
+	const file = "/scratch/refused.h5"
+	create := Event{Kind: EvCreateFile, File: file}
+	dataset := func(name string) Event {
+		return Event{Kind: EvCreateDataset, File: file, Dataset: name, Dims: []int64{64}, Elem: 8}
+	}
+	closeFile := Event{Kind: EvCloseFile, File: file}
+	group := Event{Kind: EvCreateGroup, File: file, Dataset: "g"}
+	write := Event{Kind: EvWrite, File: file, Dataset: "x",
+		Slabs: []Slab{{Rank: 0, Start: []int64{0}, Count: []int64{16}}}}
+
+	for _, tc := range []struct {
+		name   string
+		events []Event
+		at     int // the event refused
+	}{
+		{"dataset created twice", []Event{create, dataset("x"), dataset("x"), closeFile}, 2},
+		{"transfer after close_file", []Event{create, dataset("x"), closeFile, write}, 3},
+		{"file closed twice", []Event{create, closeFile, closeFile}, 2},
+		{"group created twice", []Event{create, group, group, closeFile}, 2},
+		{"empty dataset name", []Event{create, dataset(""), closeFile}, 1},
+	} {
+		tr := &Trace{Nprocs: c.Procs(), Events: tc.events}
+		_, live := workload.Execute(&Player{T: tr}, c, s, 1)
+		sp, plan := BuildStackPlan(tr, s.HDF5)
+		if live == nil || plan == nil {
+			var exec error
+			if plan == nil {
+				st, err := workload.BuildStack(c, s, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				exec = new(Runtime).Exec(LowerPlan(sp, s.Hints, s.HDF5, c.ProcsPerNode), st)
+			}
+			t.Errorf("%s: live=%v, plan=%v, exec=%v; want both refused", tc.name, live, plan, exec)
+			continue
+		}
+		want := fmt.Sprintf("replay: event %d: hdf5: ", tc.at)
+		if !strings.HasPrefix(plan.Error(), want) {
+			t.Errorf("%s: plan error %q, want prefix %q", tc.name, plan, want)
+		}
+		if !strings.HasSuffix(live.Error(), plan.Error()) {
+			t.Errorf("%s: live error %q does not end in the planner's %q", tc.name, live, plan)
+		}
+	}
 }

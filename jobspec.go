@@ -94,9 +94,11 @@ type OnlineSpec struct {
 	Neighbors  int `json:"neighbors,omitempty"`
 	Rounds     int `json:"rounds,omitempty"`
 	InitRounds int `json:"init_rounds,omitempty"`
-	// Prune aborts a candidate's replay once its partial staged time
-	// exceeds the incumbent's total (SHAMan-style; results are
-	// bit-identical with it on or off). Requires Reps <= 1.
+	// Prune aborts a candidate's replay once an upper bound on its
+	// bandwidth — the trace's full byte totals over the replay's partial
+	// read and write times, which only falls as the replay proceeds — is
+	// below the incumbent's (SHAMan-style; results are bit-identical
+	// with it on or off). Requires Reps <= 1.
 	Prune bool `json:"prune,omitempty"`
 	// GA re-tunes with the genetic pipeline warm-started from the
 	// incumbent (sized by the spec's PopSize/MaxIterations) instead of

@@ -18,7 +18,7 @@ race_run() {
     race_joined=""
     for race_pat in "$@"; do
         # shellcheck disable=SC2086
-        if ! go test -list "$race_pat" $race_pkgs | grep -q '^Test'; then
+        if ! go test -list "$race_pat" $race_pkgs | grep -q '^\(Test\|Fuzz\)'; then
             echo "ci: -race pattern '$race_pat' names no test in $race_pkgs" >&2
             exit 1
         fi
@@ -54,7 +54,9 @@ echo "== go test -race (evaluation engine) =="
 race_run "./internal/tuner ." TestPool TestFanOut TestMemo TestSeedFor TestRunBatch \
     'TestTune(ParallelDeterminism|Cancellation|Memoization)' TestTraceEvaluator TestResolveKernel TestGate \
     'TestDrift(WorkerCount|Pruning)' 'TestEngine(KernelIdentity|Untraceable|KernelFallsBack)'
-race_run ./internal/replay TestStagedExec TestStageCache TestSharedStageCache TestKernelStore TestPooledStack
+# Stage 1 is a planning library per miss, built on whichever worker misses:
+# its refusal test and the trace walker's seed corpus race with the rest.
+race_run ./internal/replay TestStagedExec TestStageCache TestSharedStageCache TestKernelStore TestPooledStack TestStagedPlanRefuses FuzzTraceWalk
 # Every shared table above is one internal/cowmap.Map: its first-writer-
 # wins and immutable-snapshot contracts are raced here, the build-once
 # slots on top of it by the TestStageCache pattern above.
@@ -101,14 +103,18 @@ echo "== statecheck (no package-level mutable state) =="
 # The evaluation engine packages are shared across worker goroutines;
 # allowlisted names are init-once lookup tables that are never written
 # afterwards — wireFootprint, sigEventKind, and the noise stream's seeding
-# tables noisePow and noiseCooked — plus ErrBudgetExceeded, a conventional
-# sentinel error (assigned once, compared with errors.Is).
-go run ./cmd/statecheck -allow wireFootprint,sigEventKind,ErrBudgetExceeded,noisePow,noiseCooked internal/replay internal/tuner internal/server internal/train internal/cluster internal/lustre
+# tables noisePow and noiseCooked, and darshan's layerNames — plus
+# ErrBudgetExceeded, a conventional sentinel error (assigned once, compared
+# with errors.Is). The layers under the engine are covered too: a planning
+# library runs on every worker that misses stage 1, a live stack on every
+# worker that replays, and neither may grow package state unnoticed.
+go run ./cmd/statecheck -allow wireFootprint,sigEventKind,ErrBudgetExceeded,noisePow,noiseCooked,layerNames internal/replay internal/tuner internal/server internal/train internal/cluster internal/lustre internal/hdf5 internal/mpiio internal/workload internal/darshan
 
-echo "== fuzz smoke (interval lattice, format expansion, noise stream) =="
+echo "== fuzz smoke (interval lattice, format expansion, noise stream, trace walk) =="
 go test -run=NONE -fuzz=FuzzIntervalJoinWiden -fuzztime=3s ./internal/analysis
 go test -run=NONE -fuzz=FuzzExpandFormat -fuzztime=3s ./internal/analysis
 go test -run=NONE -fuzz=FuzzNoiseSource -fuzztime=3s ./internal/cluster
+go test -run=NONE -fuzz=FuzzTraceWalk -fuzztime=3s ./internal/replay
 
 echo "== go test -race =="
 go test -race "$pkgs"

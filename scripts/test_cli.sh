@@ -163,6 +163,15 @@ rc=0
 "$tmp/tunebench" -fig 1 -json "$tmp/fig1.json" > /dev/null ||
     fail "tunebench -fig 1 -json exited nonzero"
 [ -s "$tmp/fig1.json" ] || fail "tunebench -fig 1 -json wrote no JSON"
+# A result may hold a quantity that is never reached: at this seed HSTuner
+# never overtakes TunIO, the text says "until +Inf executions", and JSON —
+# which has no such number — must say null rather than fail the run.
+"$tmp/tunebench" -fig 12 -seed 7 -scale smoke -json "$tmp/fig12.json" > "$tmp/fig12.txt" ||
+    fail "tunebench -fig 12 -json exited nonzero"
+grep -q "until +Inf executions" "$tmp/fig12.txt" ||
+    fail "figure 12 at seed 7 no longer has a never-reached crossover: pick a seed that does"
+grep -q '"Crossover": null' "$tmp/fig12.json" ||
+    fail "never-reached crossover is not JSON null"
 
 echo "== tuniod serves a tuning job over HTTP =="
 # Tuning-as-a-service smoke: boot tuniod on an ephemeral port, submit a
