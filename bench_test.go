@@ -13,6 +13,7 @@ package tunio
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -369,24 +370,31 @@ func BenchmarkGAGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkInterpreterVPICKernel times one recording-sized job of the
+// interpreter alone — a live stack and cinterp.Run, no recorder — at 32 and
+// at 128 simulated ranks.
 func BenchmarkInterpreterVPICKernel(b *testing.B) {
-	c := cluster.CoriHaswell(2, 16)
-	v := workload.NewVPIC(c.Procs())
-	v.ParticlesPerRank = 64 << 10
-	prog, err := csrc.Parse(v.CSource())
-	if err != nil {
-		b.Fatal(err)
-	}
 	settings := params.DefaultAssignment(params.Space()).Settings()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, err := workload.BuildStack(c, settings, int64(i))
+	for _, shape := range []struct{ nodes, ppn int }{{2, 16}, {4, 32}} {
+		c := cluster.CoriHaswell(shape.nodes, shape.ppn)
+		v := workload.NewVPIC(c.Procs())
+		v.ParticlesPerRank = 64 << 10
+		prog, err := csrc.Parse(v.CSource())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := cinterp.Run(prog, st.Lib); err != nil {
-			b.Fatal(err)
-		}
+		b.Run(fmt.Sprintf("%dx%d", shape.nodes, shape.ppn), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				st, err := workload.BuildStack(c, settings, int64(i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := cinterp.Run(prog, st.Lib); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

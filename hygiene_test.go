@@ -1,6 +1,9 @@
 package tunio
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -157,6 +160,43 @@ func TestOneHDF5Model(t *testing.T) {
 	if len(walkers) != 1 {
 		t.Errorf("trace walkers in %v: internal/replay drives the live and the planning library with one loop", walkers)
 	}
+}
+
+// The interpreter has no scheduler: simulated ranks run one after another on
+// the caller's goroutine and their call logs merge into phases, which only
+// holds while nothing a rank is handed depends on another rank. So no
+// non-test file of internal/cinterp may start a goroutine, declare a
+// channel, select, or import sync — a rank that could wait is a rank that
+// could be parked by submitted C — and the side channel the recorder used
+// to hear of compute and barriers through (hooks on the simulation; they
+// are hdf5.Tracer callbacks now) must not drift back anywhere outside
+// bench/ (names assembled here, as above).
+func TestInterpreterHasNoScheduler(t *testing.T) {
+	deleted := regexp.MustCompile(`\b(Compute` + `Hook|Barrier` + `Hook|App` + `Barrier|done` + `Msg)\b`)
+	goSources(t, func(path string, src []byte) {
+		if m := deleted.Find(src); m != nil {
+			t.Errorf("%s names %s, which went with the interpreter's scheduler", path, m)
+		}
+		if filepath.ToSlash(filepath.Dir(path)) != "internal/cinterp" || strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if strings.HasPrefix(imp.Path.Value, `"sync`) {
+				t.Errorf("%s imports %s", path, imp.Path.Value)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n.(type) {
+			case *ast.GoStmt, *ast.ChanType, *ast.SelectStmt, *ast.SendStmt:
+				t.Errorf("%s holds a %T: ranks run on the caller's goroutine and never wait", path, n)
+			}
+			return true
+		})
+	})
 }
 
 // goSources calls visit with every Go source of the repository outside

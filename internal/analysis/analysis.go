@@ -1,6 +1,6 @@
 // Package analysis is the static-analysis layer over the csrc AST: a
 // per-function control-flow graph with dominators, classic dataflow
-// analyses (reaching definitions, liveness, function purity summaries), a
+// analyses (reaching definitions, function purity summaries), a
 // precise backward program slicer seeded at I/O calls, a transform-safety
 // verifier for the discovery pipeline's source rewrites, and a lint engine
 // that surfaces machine-checkable diagnostics about a program's I/O

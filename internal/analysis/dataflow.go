@@ -144,87 +144,3 @@ func (rd *ReachingDefs) Reaching(s csrc.Stmt, v string) []csrc.Stmt {
 // DefUseOf returns the cached def/use sets of a statement inside this
 // function (zero value for statements of other functions).
 func (rd *ReachingDefs) DefUseOf(s csrc.Stmt) DefUse { return rd.defUses[s.Base().ID] }
-
-// Liveness is the classic backward may-analysis: which variables may be
-// read after each program point before being overwritten.
-type Liveness struct {
-	CFG *CFG
-	// In and Out map block ID -> set of live variable names.
-	In, Out map[int]map[string]bool
-}
-
-// NewLiveness computes live variables over a CFG.
-func NewLiveness(cfg *CFG) *Liveness {
-	lv := &Liveness{CFG: cfg, In: map[int]map[string]bool{}, Out: map[int]map[string]bool{}}
-
-	// block-level use (read before any strong write) and def (strong
-	// write) sets
-	use := map[int]map[string]bool{}
-	def := map[int]map[string]bool{}
-	for _, b := range cfg.Blocks {
-		u, d := map[string]bool{}, map[string]bool{}
-		for _, s := range b.Stmts {
-			du := StmtDefUse(s)
-			for _, v := range du.Uses {
-				if !d[v] {
-					u[v] = true
-				}
-			}
-			for _, vd := range du.Defs {
-				if !vd.Strong {
-					// weak writes read the prior contents they merge into
-					if !d[vd.Var] {
-						u[vd.Var] = true
-					}
-					continue
-				}
-				d[vd.Var] = true
-			}
-		}
-		use[b.ID], def[b.ID] = u, d
-	}
-
-	// backward fixpoint over postorder
-	rpo := cfg.reversePostorder()
-	for changed := true; changed; {
-		changed = false
-		for i := len(rpo) - 1; i >= 0; i-- {
-			b := rpo[i]
-			out := map[string]bool{}
-			for _, s := range b.Succs {
-				for v := range lv.In[s.ID] {
-					out[v] = true
-				}
-			}
-			in := map[string]bool{}
-			for v := range out {
-				if !def[b.ID][v] {
-					in[v] = true
-				}
-			}
-			for v := range use[b.ID] {
-				in[v] = true
-			}
-			if !sameStrSet(in, lv.In[b.ID]) || !sameStrSet(out, lv.Out[b.ID]) {
-				lv.In[b.ID], lv.Out[b.ID] = in, out
-				changed = true
-			}
-		}
-	}
-	return lv
-}
-
-func sameStrSet(a, b map[string]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// LiveOut reports whether v may be read after block b.
-func (lv *Liveness) LiveOut(b *BasicBlock, v string) bool { return lv.Out[b.ID][v] }

@@ -125,109 +125,6 @@ func TestReachingDefs(t *testing.T) {
 	}
 }
 
-func TestLiveness(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		// at: line whose block's live-out is queried
-		at       int
-		liveVars []string
-		deadVars []string
-	}{
-		{
-			name: "read after branch is live",
-			src: `int main() {
-    int a = 1;
-    int b = 2;
-    if (b > 0) {
-        b = 0;
-    }
-    return a;
-}`,
-			at: 2, liveVars: []string{"a"}, deadVars: []string{"b"},
-		},
-		{
-			name: "overwritten before read is dead",
-			src: `int main() {
-    int a = 1;
-    fseek(0, 0, 0);
-    a = 2;
-    return a;
-}`,
-			at: 3, liveVars: nil, deadVars: []string{"a"},
-		},
-		{
-			name: "live around loop back edge",
-			src: `int main() {
-    int s = 0;
-    for (int i = 0; i < 4; i++) {
-        s = s + i;
-    }
-    return s;
-}`,
-			at: 4, liveVars: []string{"s", "i"}, deadVars: nil,
-		},
-		{
-			name: "condition use stays in its own block",
-			src: `int main() {
-    int a = 1;
-    int b = 2;
-    if (a > 0) {
-        b = b + 1;
-    }
-    return b;
-}`,
-			// the if-condition (a's only read) sits in the same block as the
-			// declarations, so a is dead OUT of that block while b survives
-			at: 2, liveVars: []string{"b"}, deadVars: []string{"a"},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			fn := mustFunc(t, mustParse(t, tc.src), "main")
-			cfg := BuildCFG(fn)
-			lv := NewLiveness(cfg)
-			b := cfg.BlockOf(stmtAt(t, fn, tc.at))
-			for _, v := range tc.liveVars {
-				if !lv.LiveOut(b, v) {
-					t.Errorf("%q should be live out of line %d's block", v, tc.at)
-				}
-			}
-			for _, v := range tc.deadVars {
-				if lv.LiveOut(b, v) {
-					t.Errorf("%q should be dead out of line %d's block", v, tc.at)
-				}
-			}
-		})
-	}
-}
-
-func TestLivenessDeadStoreAcrossBlocks(t *testing.T) {
-	// `a = 1` at line 2 is dead: every path to a read passes `a = 2`.
-	src := `int main() {
-    int a = 1;
-    if (a > 0) {
-        a = 2;
-    } else {
-        a = 2;
-    }
-    return a;
-}`
-	fn := mustFunc(t, mustParse(t, src), "main")
-	cfg := BuildCFG(fn)
-	lv := NewLiveness(cfg)
-	// "a" is used by the if-condition itself, so it is live out of the
-	// declaration's block -- but NOT live out of the header block's
-	// successors' entries... assert the branch bodies kill it:
-	thenBlock := cfg.BlockOf(stmtAt(t, fn, 4))
-	if !lv.LiveOut(thenBlock, "a") {
-		t.Errorf("a should be live after the then-branch redefinition (read at return)")
-	}
-	if lv.In[thenBlock.ID]["a"] {
-		t.Errorf("a should not be live entering the then-branch (redefined before any read)")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	src := `int g;
 

@@ -26,7 +26,7 @@ func (in *interp) builtin(x *csrc.CallExpr, sc *scope) (Value, error) {
 	switch x.Fun {
 	// ---- MPI ----
 	case "MPI_Init", "MPI_Finalize", "MPI_Barrier":
-		return in.coord.collective(&request{rank: in.rank, op: opOf(x.Fun), key: x.Fun})
+		return in.collective(request{op: x.Fun}, false)
 
 	case "MPI_Comm_rank", "MPI_Comm_size":
 		args, err := evalArgs()
@@ -52,20 +52,14 @@ func (in *interp) builtin(x *csrc.CallExpr, sc *scope) (Value, error) {
 		if len(args) < 1 || args[0].Kind != KString {
 			return Value{}, fmt.Errorf("cinterp: %s needs a path string", x.Fun)
 		}
-		name := args[0].S
-		return in.coord.collective(&request{
-			rank: in.rank, op: x.Fun, key: x.Fun + ":" + name, name: name,
-		})
+		return in.collective(request{op: x.Fun, name: args[0].S}, true)
 
 	case "H5Fclose":
 		args, err := evalArgs()
 		if err != nil {
 			return Value{}, err
 		}
-		id := args[0].AsInt()
-		return in.coord.collective(&request{
-			rank: in.rank, op: "H5Fclose", key: fmt.Sprintf("H5Fclose:%d", id), id: id,
-		})
+		return in.collective(request{op: "H5Fclose", id: args[0].AsInt()}, false)
 
 	// ---- dataspaces (rank-local) ----
 	case "H5Screate_simple":
@@ -170,26 +164,18 @@ func (in *interp) builtin(x *csrc.CallExpr, sc *scope) (Value, error) {
 				chunk = pl.chunk
 			}
 		}
-		fileID := args[0].AsInt()
-		name := args[1].S
-		return in.coord.collective(&request{
-			rank: in.rank, op: "H5Dcreate",
-			key: fmt.Sprintf("H5Dcreate:%d:%s", fileID, name),
-			id:  fileID, name: name, dims: sp.dims, chunk: chunk,
-		})
+		// dims and chunk alias the rank's space and plist: both replace
+		// their slices, never write into them, so the log keeps what it saw
+		return in.collective(request{
+			op: "H5Dcreate", id: args[0].AsInt(), name: args[1].S, dims: sp.dims, chunk: chunk,
+		}, true)
 
 	case "H5Dopen":
 		args, err := evalArgs()
 		if err != nil {
 			return Value{}, err
 		}
-		fileID := args[0].AsInt()
-		name := args[1].S
-		return in.coord.collective(&request{
-			rank: in.rank, op: "H5Dopen",
-			key: fmt.Sprintf("H5Dopen:%d:%s", fileID, name),
-			id:  fileID, name: name,
-		})
+		return in.collective(request{op: "H5Dopen", id: args[0].AsInt(), name: args[1].S}, true)
 
 	case "H5Dwrite", "H5Dread":
 		args, err := evalArgs()
@@ -199,8 +185,7 @@ func (in *interp) builtin(x *csrc.CallExpr, sc *scope) (Value, error) {
 		if len(args) < 4 {
 			return Value{}, fmt.Errorf("cinterp: %s needs (ds, memtype, memspace, filespace, ...)", x.Fun)
 		}
-		dsID := args[0].AsInt()
-		slab := &hdf5.Slab{Rank: in.rank}
+		slab := hdf5.Slab{Rank: in.rank}
 		if spID := args[3].AsInt(); spID != 0 {
 			sp := in.spaces[spID]
 			if sp == nil {
@@ -216,21 +201,14 @@ func (in *interp) builtin(x *csrc.CallExpr, sc *scope) (Value, error) {
 		} else {
 			return Value{}, fmt.Errorf("cinterp: %s with H5S_ALL file space requires a selection", x.Fun)
 		}
-		return in.coord.collective(&request{
-			rank: in.rank, op: x.Fun,
-			key: fmt.Sprintf("%s:%d", x.Fun, dsID),
-			id:  dsID, slab: slab,
-		})
+		return in.collective(request{op: x.Fun, id: args[0].AsInt(), slab: slab}, false)
 
 	case "H5Dclose":
 		args, err := evalArgs()
 		if err != nil {
 			return Value{}, err
 		}
-		id := args[0].AsInt()
-		return in.coord.collective(&request{
-			rank: in.rank, op: "H5Dclose", key: fmt.Sprintf("H5Dclose:%d", id), id: id,
-		})
+		return in.collective(request{op: "H5Dclose", id: args[0].AsInt()}, false)
 
 	// ---- groups & attributes (metadata objects) ----
 	case "H5Gcreate":
@@ -241,12 +219,7 @@ func (in *interp) builtin(x *csrc.CallExpr, sc *scope) (Value, error) {
 		if len(args) < 2 || args[1].Kind != KString {
 			return Value{}, fmt.Errorf("cinterp: H5Gcreate needs (loc, name, ...)")
 		}
-		locID := args[0].AsInt()
-		return in.coord.collective(&request{
-			rank: in.rank, op: "H5Gcreate",
-			key: fmt.Sprintf("H5Gcreate:%d:%s", locID, args[1].S),
-			id:  locID, name: args[1].S,
-		})
+		return in.collective(request{op: "H5Gcreate", id: args[0].AsInt(), name: args[1].S}, true)
 
 	case "H5Gclose":
 		_, err := evalArgs()
@@ -264,12 +237,7 @@ func (in *interp) builtin(x *csrc.CallExpr, sc *scope) (Value, error) {
 		if len(args) < 2 || args[1].Kind != KString {
 			return Value{}, fmt.Errorf("cinterp: H5Acreate needs (loc, name, ...)")
 		}
-		locID := args[0].AsInt()
-		return in.coord.collective(&request{
-			rank: in.rank, op: "H5Acreate",
-			key: fmt.Sprintf("H5Acreate:%d:%s", locID, args[1].S),
-			id:  locID, name: args[1].S,
-		})
+		return in.collective(request{op: "H5Acreate", id: args[0].AsInt(), name: args[1].S}, true)
 
 	case "H5Aclose":
 		_, err := evalArgs()
@@ -285,9 +253,7 @@ func (in *interp) builtin(x *csrc.CallExpr, sc *scope) (Value, error) {
 		if fl < 0 {
 			return Value{}, fmt.Errorf("cinterp: compute_flops(%v)", fl)
 		}
-		return in.coord.collective(&request{
-			rank: in.rank, op: "compute", key: "compute", flops: fl,
-		})
+		return in.collective(request{op: "compute", flops: fl}, false)
 
 	case "malloc", "calloc":
 		args, err := evalArgs()
@@ -460,8 +426,6 @@ func (in *interp) builtin(x *csrc.CallExpr, sc *scope) (Value, error) {
 		return Value{}, fmt.Errorf("cinterp: unknown function %q", x.Fun)
 	}
 }
-
-func opOf(fun string) string { return fun }
 
 // formatC renders a C format string over interpreter values. Supported:
 // %s, %d/%i/%u/%x (with optional l/z length modifiers), %f/%g, and %%,

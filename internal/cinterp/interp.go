@@ -48,7 +48,6 @@ type interp struct {
 	prog    *csrc.File
 	rank    int
 	nprocs  int
-	coord   *coordinator
 	globals *scope
 	spaces  map[int64]*spaceObj // rank-local dataspaces
 	plists  map[int64]*plistObj // rank-local property lists
@@ -56,6 +55,9 @@ type interp struct {
 	output  []string // printf output (rank 0 retained)
 	maxOps  int64    // safety valve against runaway loops
 	ops     int64
+
+	log []request // the rank's collective calls, in program order
+	err error     // what stopped the rank short of main's return, if anything
 
 	// loop-reduction accounting: original vs actually executed iterations
 	// of __loop_reduce-wrapped bounds, for post-run metric scaling
@@ -75,17 +77,16 @@ type plistObj struct {
 	chunk []int64
 }
 
-func newInterp(prog *csrc.File, rank, nprocs int, coord *coordinator) *interp {
+func newInterp(prog *csrc.File, rank, nprocs int, maxOps int64) *interp {
 	in := &interp{
 		prog:   prog,
 		rank:   rank,
 		nprocs: nprocs,
-		coord:  coord,
 		spaces: map[int64]*spaceObj{},
 		plists: map[int64]*plistObj{},
-		// odd per-rank ID space, disjoint from the coordinator's even IDs
+		// odd per-rank ID space, disjoint from the merge's even IDs
 		nextID: int64(rank+1)<<32 | 1,
-		maxOps: 50_000_000,
+		maxOps: maxOps,
 	}
 	in.globals = newScope(nil)
 	for _, g := range prog.Globals {
@@ -103,23 +104,28 @@ func (in *interp) allocID() int64 {
 	return id
 }
 
-// runMain executes main and reports done to the coordinator.
-func (in *interp) runMain() (err error) {
+// runMain executes main to the end, filling the rank's log; whatever
+// stopped it early is kept in in.err.
+func (in *interp) runMain() {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("cinterp: rank %d panicked: %v", in.rank, r)
+			in.err = fmt.Errorf("cinterp: rank %d panicked: %v", in.rank, r)
 		}
-		in.coord.done(in.rank, err)
 	}()
-	mainFn := in.prog.Func("main")
-	if mainFn == nil {
-		return fmt.Errorf("cinterp: no main function")
+	_, in.err = in.callFunc(in.prog.Func("main"), nil)
+}
+
+// collective logs one call for the merge to execute. What the program
+// gets back owes nothing to the other ranks — 0, or for a call that makes
+// a handle a fresh rank-local token the merge binds to the shared handle —
+// so the rank runs on without waiting for them.
+func (in *interp) collective(r request, makesHandle bool) (Value, error) {
+	r.rank = in.rank
+	if makesHandle {
+		r.token = in.allocID()
 	}
-	_, err = in.callFunc(mainFn, nil)
-	if rs := (returnSignal{}); errors.As(err, &rs) {
-		err = nil
-	}
-	return err
+	in.log = append(in.log, r)
+	return IntVal(r.token), nil
 }
 
 func (in *interp) callFunc(fn *csrc.FuncDecl, args []Value) (Value, error) {

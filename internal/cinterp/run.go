@@ -2,7 +2,6 @@ package cinterp
 
 import (
 	"fmt"
-	"sync"
 
 	"tunio/internal/csrc"
 	"tunio/internal/hdf5"
@@ -19,37 +18,37 @@ type Result struct {
 	LoopScale float64
 }
 
-// Run executes the program SPMD across the library's communicator: one
-// goroutine per rank, synchronized at I/O and MPI calls by a coordinator
-// that turns each collective arrival group into a single simulated phase.
-// Timing and counters land in lib.Sim().
+// Run executes the program SPMD across the library's communicator, on the
+// calling goroutine: each rank is interpreted to the end, logging its I/O
+// and MPI calls, and the logs are then merged into the phases the ranks
+// would have formed side by side, each collective arrival group a single
+// simulated phase. Timing and counters land in lib.Sim().
 func Run(prog *csrc.File, lib *hdf5.Library) (*Result, error) {
+	return run(prog, lib, 50_000_000)
+}
+
+// run is Run with each rank held to maxOps interpreter steps.
+func run(prog *csrc.File, lib *hdf5.Library, maxOps int64) (*Result, error) {
 	if prog == nil {
 		return nil, fmt.Errorf("cinterp: nil program")
 	}
 	if prog.Func("main") == nil {
 		return nil, fmt.Errorf("cinterp: program has no main")
 	}
-	nprocs := lib.Nprocs()
-	coord := newCoordinator(lib, nprocs)
-
-	interps := make([]*interp, nprocs)
-	var wg sync.WaitGroup
-	for r := 0; r < nprocs; r++ {
-		interps[r] = newInterp(prog, r, nprocs, coord)
-		wg.Add(1)
-		go func(in *interp) {
-			defer wg.Done()
-			in.runMain() // errors reported through coord.done
-		}(interps[r])
+	ranks := make([]*interp, lib.Nprocs())
+	for r := range ranks {
+		ranks[r] = newInterp(prog, r, len(ranks), maxOps)
+		if r > 0 {
+			// SPMD: the previous rank's call count is the best guess at this one's
+			ranks[r].log = make([]request, 0, len(ranks[r-1].log))
+		}
+		ranks[r].runMain()
 	}
+	err := newMerger(lib).run(ranks)
 
-	err := coord.run()
-	wg.Wait()
-
-	res := &Result{Output: interps[0].output, LoopScale: 1}
+	res := &Result{Output: ranks[0].output, LoopScale: 1}
 	var orig, reduced int64
-	for _, in := range interps {
+	for _, in := range ranks {
 		orig += in.loopOrig
 		reduced += in.loopReduced
 	}

@@ -1,10 +1,17 @@
 // Package cinterp executes the C-subset programs of TunIO's workloads
-// against the simulated I/O stack: an SPMD tree-walking interpreter where
-// every simulated MPI rank runs the program in its own goroutine and
-// synchronizes with a coordinator at I/O and MPI calls. Collective HDF5
+// against the simulated I/O stack: an SPMD tree-walking interpreter that
+// runs the program once per simulated MPI rank, one rank after another,
+// logging each rank's I/O and MPI calls, and then merges the logs into the
+// phases the ranks would have formed running side by side. Collective HDF5
 // operations gather all live ranks' arguments (e.g. hyperslab selections)
 // into one phase against the hdf5 simulation, exactly as the tuner's
 // Configuration Evaluation step runs a compiled I/O kernel job.
+//
+// Ranks need no scheduler because no call hands a rank anything another
+// rank produced: a logged call returns 0 or a rank-local handle token,
+// reads deliver no data and nothing reads the clock, so a rank's call
+// sequence is a function of (program, rank, nprocs) alone. A new builtin
+// must keep that true.
 package cinterp
 
 import (

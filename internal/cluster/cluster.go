@@ -96,15 +96,6 @@ type Sim struct {
 	Cluster *Cluster
 	Report  *darshan.Report
 
-	// ComputeHook, when set, observes every Compute call (used by the
-	// trace recorder to capture compute phases).
-	ComputeHook func(flops float64)
-
-	// BarrierHook, when set, observes every AppBarrier call (used by the
-	// trace recorder to capture application-level synchronization; internal
-	// library barriers bypass it).
-	BarrierHook func(n int)
-
 	now   float64
 	epoch float64
 	noise noiseSource
@@ -182,9 +173,6 @@ func (s *Sim) Compute(flopsPerProc float64) float64 {
 	if flopsPerProc < 0 {
 		panic(fmt.Sprintf("cluster: Compute(%v)", flopsPerProc))
 	}
-	if s.ComputeHook != nil {
-		s.ComputeHook(flopsPerProc)
-	}
 	d := s.Perturb(flopsPerProc / s.Cluster.FlopRate)
 	s.Advance(d)
 	return d
@@ -228,27 +216,12 @@ func (s *Sim) Barrier(n int) float64 {
 	return d
 }
 
-// AppBarrier charges an application-level barrier (MPI_Init/Finalize or an
-// explicit MPI_Barrier in the application). It costs the same as Barrier but
-// is observable through BarrierHook so trace recording captures it.
-// Like Barrier it panics on a non-positive process count, before the
-// hook fires, so recorders never capture an invalid barrier event.
-func (s *Sim) AppBarrier(n int) float64 {
-	if n <= 0 {
-		panic(fmt.Sprintf("cluster: AppBarrier(%d)", n))
-	}
-	if s.BarrierHook != nil {
-		s.BarrierHook(n)
-	}
-	return s.Barrier(n)
-}
-
 // Rand exposes the simulation RNG for layers that need stochastic
 // decisions tied to the run seed.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
 // Reset rewinds the simulation to a fresh run under the given seed: clock
-// and epoch to zero, RNG reseeded, report counters zeroed, hooks cleared.
+// and epoch to zero, RNG reseeded, report counters zeroed.
 // Used by stack pooling to reuse one Sim across evaluations without
 // reallocating.
 func (s *Sim) Reset(seed int64) {
@@ -256,6 +229,4 @@ func (s *Sim) Reset(seed int64) {
 	s.epoch = 0
 	s.rng.Seed(seed)
 	s.Report.Reset()
-	s.ComputeHook = nil
-	s.BarrierHook = nil
 }

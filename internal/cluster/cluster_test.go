@@ -152,26 +152,15 @@ func TestBarrierScalesWithProcs(t *testing.T) {
 
 func TestBarrierRejectsNonPositive(t *testing.T) {
 	for _, n := range []int{0, -3} {
-		for _, app := range []bool{false, true} {
-			s, _ := NewSim(noiseless(1, 1), 1)
-			hookFired := false
-			s.BarrierHook = func(int) { hookFired = true }
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("Barrier(%d) app=%v: want panic", n, app)
-					}
-				}()
-				if app {
-					s.AppBarrier(n)
-				} else {
-					s.Barrier(n)
+		s, _ := NewSim(noiseless(1, 1), 1)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Barrier(%d): want panic", n)
 				}
 			}()
-			if hookFired {
-				t.Errorf("AppBarrier(%d) fired the hook before validating", n)
-			}
-		}
+			s.Barrier(n)
+		}()
 	}
 }
 

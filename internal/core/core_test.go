@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"tunio/internal/mat"
 	"tunio/internal/params"
 )
 
@@ -267,6 +268,17 @@ func syntheticSweep(space []params.Parameter, rng *rand.Rand, n int) *SweepResul
 		s.Perfs = append(s.Perfs, perf)
 	}
 	return s
+}
+
+// TrainSmartPicker trains a picker straight from a sweep, the way
+// train.Train does from its stage artifacts: PCA impact scores, a fitted
+// surrogate and the sweep's maximum perf into TrainSmartPickerFrom.
+func TrainSmartPicker(cfg PickerConfig, sweep *SweepResult, maxEpochs int, rng *rand.Rand) (*SmartPicker, error) {
+	scores, err := sweep.ImpactScores()
+	if err != nil {
+		return nil, err
+	}
+	return TrainSmartPickerFrom(cfg, scores, FitSurrogate(sweep), mat.MaxVal(sweep.Perfs), maxEpochs, rng)
 }
 
 func TestSweepImpactScoresFindDriver(t *testing.T) {

@@ -55,7 +55,7 @@ type SmartPicker struct {
 }
 
 // NewSmartPicker builds an untrained picker with uniform impact scores.
-// Most callers should use TrainSmartPicker for the offline-trained agent.
+// Most callers should use TrainSmartPickerFrom for the offline-trained agent.
 func NewSmartPicker(cfg PickerConfig) (*SmartPicker, error) {
 	cfg.fillDefaults()
 	if cfg.NumParams <= 0 {

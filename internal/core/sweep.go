@@ -1,11 +1,8 @@
 package core
 
 import (
-	"context"
-	"fmt"
 	"math/rand"
 
-	"tunio/internal/cluster"
 	"tunio/internal/mat"
 	"tunio/internal/params"
 	"tunio/internal/pca"
@@ -40,9 +37,9 @@ func (s *SweepResult) ImpactScores() ([]float64, error) {
 // SweepRun is one scheduled sweep evaluation: which kernel to run, the
 // configuration to run it under, and the deterministic per-run seed. The
 // run list is a pure function of (space, seed, extraRandom, kernel count),
-// so any executor — the serial direct loop here or the parallel replay
-// sweep in internal/train — that scores the same plan produces the same
-// observations in the same order.
+// so any executor — the parallel replay sweep in internal/train, the
+// serial direct loop its tests compare it with — that scores the same plan
+// produces the same observations in the same order.
 type SweepRun struct {
 	Kernel     int
 	Assignment *params.Assignment
@@ -85,35 +82,6 @@ func SweepPlan(numKernels int, space []params.Parameter, seed int64, extraRandom
 		}
 	}
 	return runs, nil
-}
-
-// Sweep runs the offline parameter sweep over SweepPlan's run list by
-// direct execution: each run gets a fresh simulated stack. Training sweeps
-// by replay (internal/train); this loop is the reference its
-// TestReplaySweepMatchesDirect compares that sweep against. Cancellation
-// is honored between runs, and the first failing run aborts the sweep —
-// the same smallest-index-error semantics tuner.Pool gives a parallel pass.
-func Sweep(ctx context.Context, kernels []workload.Workload, c *cluster.Cluster, space []params.Parameter, seed int64, extraRandom int) (*SweepResult, error) {
-	if len(kernels) == 0 {
-		return nil, fmt.Errorf("core: sweep needs at least one kernel")
-	}
-	runs, err := SweepPlan(len(kernels), space, seed, extraRandom)
-	if err != nil {
-		return nil, err
-	}
-	out := &SweepResult{Space: space}
-	for i, r := range runs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res, err := workload.Execute(kernels[r.Kernel], c, r.Assignment.Settings(), r.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("core: sweep run %d (%s): %w", i, kernels[r.Kernel].Name(), err)
-		}
-		out.Features = append(out.Features, r.Assignment.Features())
-		out.Perfs = append(out.Perfs, res.Perf)
-	}
-	return out, nil
 }
 
 // DefaultSweepKernels returns small-scale VPIC, FLASH, and HACC instances
@@ -213,24 +181,13 @@ func (s *Surrogate) bestValue(pi int) int {
 	return best
 }
 
-// TrainSmartPicker builds and offline-trains a SmartPicker: it runs the
-// sweep's PCA to seed impact scores, fits an additive surrogate from the
-// sweep, and trains the bandit + Q agent on synthetic tuning episodes over
-// the surrogate until the average reward stagnates (§III-C). The returned
-// picker keeps learning online.
-func TrainSmartPicker(cfg PickerConfig, sweep *SweepResult, maxEpochs int, rng *rand.Rand) (*SmartPicker, error) {
-	scores, err := sweep.ImpactScores()
-	if err != nil {
-		return nil, err
-	}
-	return TrainSmartPickerFrom(cfg, scores, FitSurrogate(sweep), mat.MaxVal(sweep.Perfs), maxEpochs, rng)
-}
-
-// TrainSmartPickerFrom trains a picker from precomputed sweep products —
-// PCA impact scores, a fitted surrogate, and the perf scale (the sweep's
-// maximum observed perf) — so the training pipeline can resume from stage
-// artifacts without the sweep in memory. TrainSmartPicker is the one-shot
-// wrapper; both produce bit-identical pickers from the same inputs.
+// TrainSmartPickerFrom builds and offline-trains a SmartPicker from sweep
+// products — PCA impact scores to seed it, an additive surrogate fitted
+// from the sweep, and the perf scale (the sweep's maximum observed perf):
+// the bandit + Q agent trains on synthetic tuning episodes over the
+// surrogate until the average reward stagnates (§III-C), and the returned
+// picker keeps learning online. It takes the products, not the sweep, so
+// the training pipeline can resume from stage artifacts.
 func TrainSmartPickerFrom(cfg PickerConfig, scores []float64, sur *Surrogate, perfScale float64, maxEpochs int, rng *rand.Rand) (*SmartPicker, error) {
 	cfg.NumParams = len(sur.Space)
 	p, err := NewSmartPicker(cfg)

@@ -209,7 +209,15 @@ func Discover(source string, opts Options) (*Kernel, error) {
 		RemoveBlindWrites: opts.RemoveBlindWrites,
 		IsIOCall:          isIOCall,
 	})
-	preSig := analysis.ComputeSignature(kernel.File, analysis.SignatureOptions{IsIOCall: isIOCall})
+	// TR008: a transform that changed the kernel's symbolic I/O volume no
+	// longer issues the original request stream. Only provable (exact)
+	// before/after signatures are compared; loop reduction is expected to
+	// scale volume and reports through LoopScale instead.
+	checkVolume := (opts.RemoveBlindWrites || opts.PathSwitch) && opts.LoopReduction == 0
+	var preSig *analysis.IOSignature
+	if checkVolume {
+		preSig = analysis.ComputeSignature(kernel.File, analysis.SignatureOptions{IsIOCall: isIOCall})
+	}
 	if opts.SimulateCompute {
 		kernel.SimulatedComputeCalls = m.simulateCompute(kernel.File)
 	}
@@ -225,11 +233,7 @@ func Discover(source string, opts Options) (*Kernel, error) {
 	if opts.PathSwitch {
 		kernel.ResolvedPaths = switchPaths(kernel.File)
 	}
-	// TR008: a transform that changed the kernel's symbolic I/O volume no
-	// longer issues the original request stream. Only provable (exact)
-	// before/after signatures are compared; loop reduction is expected to
-	// scale volume and reports through LoopScale instead.
-	if (opts.RemoveBlindWrites || opts.PathSwitch) && opts.LoopReduction == 0 {
+	if checkVolume {
 		postSig := analysis.ComputeSignature(kernel.File, analysis.SignatureOptions{IsIOCall: isIOCall})
 		kernel.Warnings = append(kernel.Warnings, analysis.VolumeDiagnostics(preSig, postSig)...)
 	}

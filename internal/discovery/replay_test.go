@@ -47,7 +47,7 @@ func replayFixtures(t *testing.T, nprocs int) map[string]string {
 }
 
 // runTrace executes a program on a fresh simulated stack and records its
-// I/O request stream.
+// I/O request stream: the trace without the compute phases a kernel drops.
 func runTrace(t *testing.T, name, source string, c *cluster.Cluster) *replay.Trace {
 	t.Helper()
 	prog, err := csrc.Parse(source)
@@ -64,7 +64,13 @@ func runTrace(t *testing.T, name, source string, c *cluster.Cluster) *replay.Tra
 	if _, err := cinterp.Run(prog, st.Lib); err != nil {
 		t.Fatalf("%s: run: %v", name, err)
 	}
-	return rec.Trace()
+	io := &replay.Trace{Nprocs: c.Procs()}
+	for _, ev := range rec.Trace().Events {
+		if ev.Kind != replay.EvCompute {
+			io.Events = append(io.Events, ev)
+		}
+	}
+	return io
 }
 
 // TestPreciseSliceReplayIdentical asserts both the heuristic and the

@@ -90,7 +90,7 @@ func sliceBench(cfg Config, names []string) (*SliceBenchResult, error) {
 }
 
 // sliceVariant fills one variant's measurements.
-func sliceVariant(cfg Config, c *cluster.Cluster, src string, orig *replay.Trace, opts discovery.Options, dst *SliceVariant) error {
+func sliceVariant(cfg Config, c *cluster.Cluster, src string, orig []replay.Event, opts discovery.Options, dst *SliceVariant) error {
 	k, err := discovery.Discover(src, opts)
 	if err != nil {
 		return err
@@ -102,7 +102,7 @@ func sliceVariant(cfg Config, c *cluster.Cluster, src string, orig *replay.Trace
 	if err != nil {
 		return err
 	}
-	dst.ReplayIdentical = reflect.DeepEqual(orig.Events, trace.Events)
+	dst.ReplayIdentical = reflect.DeepEqual(orig, trace)
 
 	ksrc := tuner.KernelSource{Prog: k.File, Cluster: c, Seed: cfg.Seed + 300}
 	res, err := tuner.RunReplay(context.Background(), tuner.Config{
@@ -121,8 +121,9 @@ func sliceVariant(cfg Config, c *cluster.Cluster, src string, orig *replay.Trace
 }
 
 // traceOf records the I/O request stream of prog (or of source text when
-// prog is nil) on a fresh default-configured stack.
-func traceOf(cfg Config, c *cluster.Cluster, prog *csrc.File, src string) (*replay.Trace, error) {
+// prog is nil) on a fresh default-configured stack: the run's trace without
+// its compute phases, which a kernel is meant to lose.
+func traceOf(cfg Config, c *cluster.Cluster, prog *csrc.File, src string) ([]replay.Event, error) {
 	if prog == nil {
 		p, err := csrc.Parse(src)
 		if err != nil {
@@ -134,13 +135,20 @@ func traceOf(cfg Config, c *cluster.Cluster, prog *csrc.File, src string) (*repl
 	if err != nil {
 		return nil, err
 	}
-	rec := replay.NewRecorder(c.Procs())
-	detach := rec.Attach(st.Lib)
-	defer detach()
-	if _, err := cinterp.Run(prog, st.Lib); err != nil {
+	t, err := replay.RecordFunc(st, func(st *workload.Stack) error {
+		_, err := cinterp.Run(prog, st.Lib)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
-	return rec.Trace(), nil
+	var stream []replay.Event
+	for _, ev := range t.Events {
+		if ev.Kind != replay.EvCompute {
+			stream = append(stream, ev)
+		}
+	}
+	return stream, nil
 }
 
 // String renders the benchmark table and the promotion verdict.

@@ -16,7 +16,12 @@ const metaItemSize = 512
 const superblockBytes = 2048
 
 // Tracer observes library operations; trace-based kernel generation
-// (internal/replay) attaches one to record a run's I/O phases.
+// (internal/replay) attaches one to record a run's phases. It is told of a
+// call after the library has accepted its arguments and before anything is
+// charged. OnCompute and OnBarrier report what the application does between
+// its I/O calls — Library.Compute and Library.Barrier — so that a recorded
+// trace carries the whole run; barriers the library itself takes inside a
+// collective operation are not reported.
 type Tracer interface {
 	OnCreateFile(name string)
 	OnOpenFile(name string)
@@ -28,6 +33,8 @@ type Tracer interface {
 	// file; bytes is the rounded-up metadata footprint.
 	OnAttribute(file, name string, bytes int64)
 	OnTransfer(file, dataset string, slabs []Slab, isWrite bool)
+	OnCompute(flops float64)
+	OnBarrier(n int)
 }
 
 // Library is the HDF5-like library instance bound to one simulation — or,
@@ -105,13 +112,30 @@ func (l *Library) Nprocs() int { return l.nprocs }
 // Sim returns the simulation context.
 func (l *Library) Sim() *cluster.Sim { return l.sim }
 
-// Compute runs an application compute phase of flops per process.
+// Compute runs an application compute phase of flops per process. Like the
+// simulation it panics on a negative count, which only a broken caller
+// produces, before the tracer hears of it.
 func (l *Library) Compute(flops float64) {
+	if flops < 0 {
+		panic(fmt.Sprintf("hdf5: Compute(%v)", flops))
+	}
+	if l.tracer != nil {
+		l.tracer.OnCompute(flops)
+	}
 	_ = l.do(nil, Op{Kind: OpCompute, Flops: flops}) // cannot fail: no storage behind it
 }
 
-// Barrier synchronizes n processes.
+// Barrier synchronizes n processes of the application (MPI_Init/Finalize or
+// an explicit MPI_Barrier). It panics on a non-positive count before the
+// tracer hears of it, so a recorder never captures a barrier no run can
+// replay.
 func (l *Library) Barrier(n int) {
+	if n <= 0 {
+		panic(fmt.Sprintf("hdf5: Barrier(%d)", n))
+	}
+	if l.tracer != nil {
+		l.tracer.OnBarrier(n)
+	}
 	_ = l.do(nil, Op{Kind: OpBarrier, N: n}) // cannot fail: no storage behind it
 }
 
@@ -244,7 +268,8 @@ func (f *File) Close() error {
 	if err := f.flushMetadata(); err != nil {
 		return err
 	}
-	f.lib.Barrier(f.lib.nprocs)
+	// the library's own barrier: not the application's, so no tracer
+	_ = f.lib.do(nil, Op{Kind: OpBarrier, N: f.lib.nprocs})
 	f.closed = true
 	if f.lib.tracer != nil {
 		f.lib.tracer.OnCloseFile(f.name)

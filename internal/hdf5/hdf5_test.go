@@ -1,6 +1,7 @@
 package hdf5
 
 import (
+	"strings"
 	"testing"
 
 	"tunio/internal/cluster"
@@ -544,5 +545,65 @@ func TestGroupsAndAttributesCostMetadataOnly(t *testing.T) {
 	}
 	if timeExtra <= timePlain {
 		t.Fatal("metadata objects added no time")
+	}
+}
+
+// phaseTracer records the application-phase callbacks and the file calls
+// around them; the embedded nil Tracer panics on anything else.
+type phaseTracer struct {
+	Tracer
+	seen []string
+}
+
+func (p *phaseTracer) OnCreateFile(name string) { p.seen = append(p.seen, "create") }
+func (p *phaseTracer) OnCloseFile(name string)  { p.seen = append(p.seen, "close") }
+func (p *phaseTracer) OnCompute(flops float64)  { p.seen = append(p.seen, "compute") }
+func (p *phaseTracer) OnBarrier(n int)          { p.seen = append(p.seen, "barrier") }
+
+// TestApplicationPhasesReachTheTracer checks the two calls an application
+// makes between its I/O: the tracer hears of each before it is charged,
+// charged like the simulation's own Compute and Barrier; the barrier the
+// library takes inside a close is not the application's and is not
+// reported; and a count no run could replay is refused before the tracer
+// hears of it.
+func TestApplicationPhasesReachTheTracer(t *testing.T) {
+	sim, lib := testStack(t, 1, 4, 4, 1<<20, mpiio.Hints{}, DefaultConfig())
+	ref, _ := testStack(t, 1, 4, 4, 1<<20, mpiio.Hints{}, DefaultConfig())
+	tr := &phaseTracer{}
+	lib.SetTracer(tr)
+
+	lib.Compute(1e9)
+	lib.Barrier(4)
+	if want := ref.Compute(1e9) + ref.Barrier(4); sim.Now() != want {
+		t.Errorf("clock after Compute+Barrier = %v, want %v", sim.Now(), want)
+	}
+	f, err := lib.CreateFile("/scratch/phases.h5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(tr.seen, " "); got != "compute barrier create close" {
+		t.Errorf("tracer saw %q", got)
+	}
+
+	tr.seen = nil
+	for _, call := range []func(){
+		func() { lib.Barrier(0) },
+		func() { lib.Barrier(-3) },
+		func() { lib.Compute(-1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("want panic on a count no run can replay")
+				}
+			}()
+			call()
+		}()
+	}
+	if len(tr.seen) != 0 {
+		t.Errorf("tracer heard of refused calls: %v", tr.seen)
 	}
 }

@@ -1,9 +1,12 @@
 // Package replay implements trace-based I/O kernel generation — the
 // alternative approach the paper contrasts with in §V-B (Skel and Behzad
 // et al. generate replayable kernels from trace files or ADIOS configs
-// rather than from source). A Recorder hooks the simulated HDF5 library
-// and captures every I/O phase of a run; the resulting Trace replays as a
-// workload against any stack configuration.
+// rather than from source). A Recorder is the simulated HDF5 library's
+// tracer and captures every phase of a run — the I/O calls and, through
+// OnCompute and OnBarrier, the compute and synchronization the application
+// puts between them (Library.Compute, Library.Barrier: the one way a Go
+// model, an interpreted kernel or a replay does either); the resulting
+// Trace replays as a workload against any stack configuration.
 //
 // The package exists both as a usable facility and as the comparison
 // baseline for the paper's argument: a trace is pinned to the application
@@ -89,7 +92,7 @@ func Unmarshal(data []byte) (*Trace, error) {
 	return &t, nil
 }
 
-// Recorder captures a run's I/O phases via the hdf5 library's tracer hook.
+// Recorder captures a run's phases as the hdf5 library's tracer.
 type Recorder struct {
 	trace *Trace
 }
@@ -141,9 +144,8 @@ func (r *Recorder) OnAttribute(file, name string, bytes int64) {
 	r.trace.Events = append(r.trace.Events, Event{Kind: EvAttribute, File: file, Dataset: name, Bytes: bytes})
 }
 
-// OnBarrier records an application-level barrier (MPI_Init/Finalize/
-// MPI_Barrier in interpreted kernels), observed through the simulation's
-// barrier hook.
+// OnBarrier implements hdf5.Tracer: an application-level barrier
+// (MPI_Init/Finalize/MPI_Barrier in interpreted kernels).
 func (r *Recorder) OnBarrier(n int) {
 	r.trace.Events = append(r.trace.Events, Event{Kind: EvBarrier, N: n})
 }
@@ -180,8 +182,7 @@ func (r *Recorder) OnCompute(flops float64) {
 }
 
 // Record executes a workload once on a fresh stack and returns its trace,
-// including compute and barrier phases observed through the simulation's
-// hooks.
+// compute and barrier phases included.
 func Record(w workload.Workload, st *workload.Stack) (*Trace, error) {
 	return RecordFunc(st, w.Run)
 }
@@ -191,14 +192,7 @@ func Record(w workload.Workload, st *workload.Stack) (*Trace, error) {
 // interpreter executing a discovered kernel).
 func RecordFunc(st *workload.Stack, run func(st *workload.Stack) error) (*Trace, error) {
 	rec := NewRecorder(st.Lib.Nprocs())
-	detach := rec.Attach(st.Lib)
-	st.Sim.ComputeHook = rec.OnCompute
-	st.Sim.BarrierHook = rec.OnBarrier
-	defer func() {
-		detach()
-		st.Sim.ComputeHook = nil
-		st.Sim.BarrierHook = nil
-	}()
+	defer rec.Attach(st.Lib)()
 	if err := run(st); err != nil {
 		return nil, err
 	}

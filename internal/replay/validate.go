@@ -14,7 +14,7 @@ import (
 )
 
 // sigEventKind maps signature op names to the trace event kind each call
-// produces under the interpreter's SPMD coordinator (one event per
+// produces when the interpreter merges the ranks' calls (one event per
 // collective call site; MPI_Init/Finalize/Barrier all surface as
 // barriers).
 var sigEventKind = map[string]EventKind{

@@ -52,6 +52,26 @@ func fixtureTrace(t *testing.T, name string) (*Trace, *analysis.ConcreteSignatur
 	return trace, conc
 }
 
+// TestReplayRecordsItsOwnTrace re-records a replay: the recorder hears of
+// compute and barrier phases from the library, whoever drives it — an
+// interpreted kernel or the trace walker — so the trace of a replay is the
+// trace. When the recorder listened on the simulation instead, the walker's
+// barriers went past it.
+func TestReplayRecordsItsOwnTrace(t *testing.T) {
+	trace, _ := fixtureTrace(t, "vpic")
+	st, err := workload.BuildStack(cluster.CoriHaswell(2, 8), params.DefaultAssignment(params.Space()).Settings(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := Record(&Player{T: trace}, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := TraceKey(again), TraceKey(trace); got != want {
+		t.Errorf("re-recorded replay is %s (%d events), the trace %s (%d events)", got, len(again.Events), want, len(trace.Events))
+	}
+}
+
 // TestCrossValidateFixtures is the tentpole oracle: on every built-in
 // fixture workload, the statically derived signature at default
 // parameters must exactly match the recorded trace — event counts and

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"tunio/internal/cluster"
 	"tunio/internal/core"
+	"tunio/internal/params"
 	"tunio/internal/replay"
 	"tunio/internal/workload"
 )
@@ -30,6 +32,25 @@ func testConfig(seed int64) Config {
 	}
 }
 
+// directSweep runs SweepPlan's run list by direct execution, serially, each
+// run on a fresh simulated stack: the reference replaySweep is held to.
+func directSweep(kernels []workload.Workload, c *cluster.Cluster, space []params.Parameter, seed int64, extraRandom int) (*core.SweepResult, error) {
+	runs, err := core.SweepPlan(len(kernels), space, seed, extraRandom)
+	if err != nil {
+		return nil, err
+	}
+	out := &core.SweepResult{Space: space}
+	for i, r := range runs {
+		res, err := workload.Execute(kernels[r.Kernel], c, r.Assignment.Settings(), r.Seed)
+		if err != nil {
+			return nil, fmt.Errorf("sweep run %d (%s): %w", i, kernels[r.Kernel].Name(), err)
+		}
+		out.Features = append(out.Features, r.Assignment.Features())
+		out.Perfs = append(out.Perfs, res.Perf)
+	}
+	return out, nil
+}
+
 // TestReplaySweepMatchesDirect pins the tentpole equivalence: the
 // replay-backed parallel sweep produces the same observations as the
 // direct-execution serial sweep — per-run perfs bit-identical, PCA impact
@@ -39,7 +60,7 @@ func TestReplaySweepMatchesDirect(t *testing.T) {
 	cfg.fillDefaults()
 	cfg.Workers = 4
 
-	direct, err := core.Sweep(context.Background(), cfg.Kernels, cfg.Cluster, cfg.Space, cfg.Seed+1, cfg.ExtraRandomRuns)
+	direct, err := directSweep(cfg.Kernels, cfg.Cluster, cfg.Space, cfg.Seed+1, cfg.ExtraRandomRuns)
 	if err != nil {
 		t.Fatalf("direct sweep: %v", err)
 	}

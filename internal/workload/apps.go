@@ -56,7 +56,7 @@ func (v *VPIC) Run(st *Stack) error {
 	dims, slabs := segmented(v.Procs, v.ParticlesPerRank, v.Segments)
 	for step := 0; step < v.Steps; step++ {
 		if v.ComputeFlops > 0 {
-			st.Sim.Compute(v.ComputeFlops)
+			st.Lib.Compute(v.ComputeFlops)
 		}
 		for vi := 0; vi < v.Vars; vi++ {
 			space, err := hdf5.NewSpace(dims, 8)
@@ -118,7 +118,7 @@ func (h *HACC) Run(st *Stack) error {
 	dims, slabs := segmented(h.Procs, h.ParticlesPerRank, h.Segments)
 	for step := 0; step < h.Steps; step++ {
 		if h.ComputeFlops > 0 {
-			st.Sim.Compute(h.ComputeFlops)
+			st.Lib.Compute(h.ComputeFlops)
 		}
 		for _, n := range names {
 			space, err := hdf5.NewSpace(dims, 8)
@@ -181,7 +181,7 @@ func (fl *FLASH) Run(st *Stack) error {
 	totalBlocks := int64(fl.Procs) * fl.BlocksPerRank
 	for step := 0; step < fl.Steps; step++ {
 		if fl.ComputeFlops > 0 {
-			st.Sim.Compute(fl.ComputeFlops)
+			st.Lib.Compute(fl.ComputeFlops)
 		}
 		for u := 0; u < fl.Unknowns; u++ {
 			space, err := hdf5.NewSpace([]int64{totalBlocks, fl.NXB, fl.NYB, fl.NZB}, 8)
@@ -281,7 +281,7 @@ func (b *BDCATS) Run(st *Stack) error {
 		}
 	}
 	if b.ComputeFlops > 0 {
-		st.Sim.Compute(b.ComputeFlops)
+		st.Lib.Compute(b.ComputeFlops)
 	}
 	out, err := lib.CreateFile(b.OutPath)
 	if err != nil {
@@ -350,7 +350,7 @@ func (m *MACSio) Run(st *Stack) error {
 	dims, slabs := segmented(m.Procs, perRank, m.PartsPerRank)
 	for dump := 0; dump < m.Dumps; dump++ {
 		if m.ComputeFlops > 0 {
-			st.Sim.Compute(m.ComputeFlops)
+			st.Lib.Compute(m.ComputeFlops)
 		}
 		space, err := hdf5.NewSpace(dims, 8)
 		if err != nil {

@@ -57,6 +57,10 @@ race_run "./internal/tuner ." TestPool TestFanOut TestMemo TestSeedFor TestRunBa
 # Stage 1 is a planning library per miss, built on whichever worker misses:
 # its refusal test and the trace walker's seed corpus race with the rest.
 race_run ./internal/replay TestStagedExec TestStageCache TestSharedStageCache TestKernelStore TestPooledStack TestStagedPlanRefuses FuzzTraceWalk
+# Recording runs the interpreter on the session's goroutine, many sessions
+# at once: it shares nothing and starts nothing, which its seed corpus and
+# the first-error and goroutine-count tests show under the detector.
+race_run ./internal/cinterp FuzzRun TestRunFirstError TestRunStaysOnTheCallersGoroutine
 # Every shared table above is one internal/cowmap.Map: its first-writer-
 # wins and immutable-snapshot contracts are raced here, the build-once
 # slots on top of it by the TestStageCache pattern above.
@@ -107,14 +111,19 @@ echo "== statecheck (no package-level mutable state) =="
 # ErrBudgetExceeded, a conventional sentinel error (assigned once, compared
 # with errors.Is). The layers under the engine are covered too: a planning
 # library runs on every worker that misses stage 1, a live stack on every
-# worker that replays, and neither may grow package state unnoticed.
-go run ./cmd/statecheck -allow wireFootprint,sigEventKind,ErrBudgetExceeded,noisePow,noiseCooked,layerNames internal/replay internal/tuner internal/server internal/train internal/cluster internal/lustre internal/hdf5 internal/mpiio internal/workload internal/darshan
+# worker that replays, and neither may grow package state unnoticed. So are
+# the parser and the interpreter, which run on every session that records:
+# their allowlisted names are the read-only lookup maps fullyCollective,
+# constants, binaryPrec, keywords and typeNames, and the interpreter's
+# control-flow sentinels errBreak and errContinue.
+go run ./cmd/statecheck -allow wireFootprint,sigEventKind,ErrBudgetExceeded,noisePow,noiseCooked,layerNames,fullyCollective,constants,errBreak,errContinue,binaryPrec,keywords,typeNames internal/replay internal/tuner internal/server internal/train internal/cluster internal/lustre internal/hdf5 internal/mpiio internal/workload internal/darshan internal/cinterp internal/csrc
 
-echo "== fuzz smoke (interval lattice, format expansion, noise stream, trace walk) =="
+echo "== fuzz smoke (interval lattice, format expansion, noise stream, trace walk, interpreter) =="
 go test -run=NONE -fuzz=FuzzIntervalJoinWiden -fuzztime=3s ./internal/analysis
 go test -run=NONE -fuzz=FuzzExpandFormat -fuzztime=3s ./internal/analysis
 go test -run=NONE -fuzz=FuzzNoiseSource -fuzztime=3s ./internal/cluster
 go test -run=NONE -fuzz=FuzzTraceWalk -fuzztime=3s ./internal/replay
+go test -run=NONE -fuzz=FuzzRun -fuzztime=3s ./internal/cinterp
 
 echo "== go test -race =="
 go test -race "$pkgs"
