@@ -34,13 +34,12 @@ type (
 var ErrQuotaExceeded = errors.New("tunio: tenant quota exceeded")
 
 // ErrUntraceable is what Run.Wait returns (wrapped around the cause) when
-// the job's kernel cannot be turned into a trustworthy trace: recording it
-// failed, or its exact static I/O signature disagrees with what it
-// recorded. Every genome is scored by replaying that trace, so there is
-// nothing to tune on; the session fails rather than score some other way.
-// A Discover job gets the paper's §III-B recovery first — the full
-// submitted source is recorded in the kernel's place — and fails only if
-// that cannot be traced either.
+// the job's kernel does not record: the one run that captures its trace
+// ended in an error. Every genome is scored by replaying that trace, so
+// there is nothing to tune on; the session fails rather than score some
+// other way. A Discover job gets the paper's §III-B recovery first — the
+// full submitted source is recorded in the kernel's place — and fails only
+// if that does not record either.
 var ErrUntraceable = errors.New("tunio: kernel cannot be traced")
 
 // EngineOptions configure a tuning engine. The zero value is a private

@@ -3,11 +3,15 @@ package tunio
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"tunio/internal/replay"
 	"tunio/internal/workload"
 )
 
@@ -195,6 +199,21 @@ func TestEngineTenantQuota(t *testing.T) {
 	}
 }
 
+// unboundedIOLoop is scripts/test_cli.sh's tr007.c: the loop counts away
+// from its bound, which the interval analysis proves.
+const unboundedIOLoop = `
+int main() {
+    int i;
+    char buf[16];
+    FILE *fp = fopen("/scratch/div.bin", "w");
+    for (i = 0; i < 8; i--) {
+        fwrite(buf, 4, 1, fp);
+    }
+    fclose(fp);
+    return 0;
+}
+`
+
 func TestEngineValidation(t *testing.T) {
 	eng := NewEngine(EngineOptions{})
 	ctx := context.Background()
@@ -210,6 +229,7 @@ func TestEngineValidation(t *testing.T) {
 		{"bad source", JobSpec{Source: "int main( {"}, "parsing source"},
 		{"unknown fix", JobSpec{Workload: "vpic", Fix: map[string]int64{"warp_drive": 1}}, "unknown parameter"},
 		{"bad fix value", JobSpec{Workload: "vpic", Fix: map[string]int64{"striping_factor": -5}}, "not in the parameter's list"},
+		{"unbounded kernel", JobSpec{Source: unboundedIOLoop, Discover: true}, "TR007"},
 	}
 	for _, tc := range cases {
 		_, err := eng.Tune(ctx, tc.spec)
@@ -270,8 +290,8 @@ func TestEngineSourceJob(t *testing.T) {
 	if !res.EngineInfo.TraceReady {
 		t.Fatalf("source job: trace not ready: %s", res.EngineInfo.PrepareErr)
 	}
-	if h := res.EngineInfo.KernelHash; !strings.HasPrefix(h, "sig:") && !strings.HasPrefix(h, "trace:") {
-		t.Fatalf("kernel hash = %q, want sig:/trace: prefix", h)
+	if h := res.EngineInfo.KernelHash; !strings.HasPrefix(h, "trace:") {
+		t.Fatalf("kernel hash = %q, want a trace: key", h)
 	}
 	if res.BestPerf <= 0 {
 		t.Fatal("no perf measured")
@@ -342,24 +362,17 @@ func TestEngineClusterShapesDoNotShareWirePlans(t *testing.T) {
 	}
 }
 
-// Two programs can share an exact I/O signature — it covers op counts and
-// bytes per transfer, not dataset shape — and still record different
-// traces: FLASH with 32 blocks of 8×8×17 cells and with 34 blocks of
-// 8×8×16. The kernel hash must keep them apart, or the second is served
-// the first one's trace and curve.
-func TestEngineCollidingSignaturesKeptApart(t *testing.T) {
+// Two programs can issue the same calls with the same byte counts and
+// still record different traces: FLASH with 32 blocks of 8×8×17 cells and
+// with 34 blocks of 8×8×16 differ in dataset shape only. The kernel hash
+// keeps them apart, so neither is served the other's trace and curve.
+func TestEngineDistinctTracesKeptApart(t *testing.T) {
 	source := func(blocks, nzb int64) string {
 		return (&workload.FLASH{Procs: 16, BlocksPerRank: blocks, NXB: 8, NYB: 8, NZB: nzb,
 			Unknowns: 6, Steps: 1, ComputeFlops: 1e9, Path: "/scratch/flash.h5"}).CSource()
 	}
-	spec := JobSpec{
-		Nodes: 2, ProcsPerNode: 8,
-		PopSize: 8, MaxIterations: 5, Reps: 1,
-		Seed:        11,
-		Parallelism: 2,
-	}
-	first, second := spec, spec
-	first.Source, second.Source = source(32, 17), source(34, 16)
+	first, second := sourceSpec(source(32, 17), false), sourceSpec(source(34, 16), false)
+	first.PopSize, first.MaxIterations, second.PopSize, second.MaxIterations = 8, 5, 8, 5
 
 	eng := NewEngine(EngineOptions{})
 	a, b := tuneOn(t, eng, first), tuneOn(t, eng, second)
@@ -373,19 +386,37 @@ func TestEngineCollidingSignaturesKeptApart(t *testing.T) {
 			t.Fatalf("%s on the shared engine:\n got  %v\n solo %v", c.name, c.served.Curve, solo.Curve)
 		}
 	}
-	// The pair must still collide on the signature, or this proves nothing.
-	sigOf := func(hash string) string {
-		sig, _, _ := strings.Cut(hash, "/")
-		if !strings.HasPrefix(sig, "sig:") {
-			t.Fatalf("kernel hash %q, want a sig: key", hash)
-		}
-		return sig
-	}
-	if sa, sb := sigOf(a.EngineInfo.KernelHash), sigOf(b.EngineInfo.KernelHash); sa != sb {
-		t.Fatalf("signatures %q and %q no longer collide", sa, sb)
-	}
 	if a.EngineInfo.KernelHash == b.EngineInfo.KernelHash {
 		t.Fatalf("both programs keyed %q", a.EngineInfo.KernelHash)
+	}
+}
+
+// The converse: two sources that record the same trace are one kernel. A
+// comment and a renamed local make a different store entry and the same
+// stage-cache kernel, so the second job builds no plan and still gets the
+// curve a fresh engine gives it.
+func TestEngineEqualTracesShareAKernel(t *testing.T) {
+	src := smallMACSio(t, "", "")
+	if !strings.Contains(src, "quality") {
+		t.Fatal("fixture drifted: MACSio source has no local named quality")
+	}
+	renamed := "// the same program, spelled differently\n" + strings.ReplaceAll(src, "quality", "mesh_quality")
+	eng := NewEngine(EngineOptions{})
+	a := tuneOn(t, eng, sourceSpec(src, false))
+	before := eng.Stats()
+	b := tuneOn(t, eng, sourceSpec(renamed, false))
+	after := eng.Stats()
+	if b.EngineInfo.KernelStoreHit || after.Kernels.Kernels != 2 {
+		t.Fatalf("store hit %v, %d stored kernels: the two sources must be two store entries", b.EngineInfo.KernelStoreHit, after.Kernels.Kernels)
+	}
+	if a.EngineInfo.KernelHash != b.EngineInfo.KernelHash {
+		t.Fatalf("kernel hashes %q and %q, want one", a.EngineInfo.KernelHash, b.EngineInfo.KernelHash)
+	}
+	if after.Stage.PlanDistinct != before.Stage.PlanDistinct || after.Stage.PlanMisses != before.Stage.PlanMisses {
+		t.Fatalf("stage stats %+v -> %+v: the second source built plans of its own", before.Stage, after.Stage)
+	}
+	if solo := soloResult(t, sourceSpec(renamed, false)); !reflect.DeepEqual(b.Curve, solo.Curve) {
+		t.Fatalf("renamed source on the shared engine:\n got  %v\n solo %v", b.Curve, solo.Curve)
 	}
 }
 
@@ -428,18 +459,16 @@ func smallMACSio(t *testing.T, old, new string) string {
 	return strings.Replace(src, old, new, 1)
 }
 
-// mismatchedSource is a program whose exact static signature disagrees
-// with what it records: the signature walker ends the program at the
-// exit() inside bail(), the interpreter only returns from bail() and goes
-// on to close the file and finalize. Whichever of the two is wrong, the
-// trace cannot be trusted.
-func mismatchedSource(t *testing.T) string {
-	return withBail(smallMACSio(t, "", ""))
-}
-
-func withBail(src string) string {
-	src = strings.Replace(src, "    H5Fclose(file);\n", "    bail();\n    H5Fclose(file);\n", 1)
-	return strings.Replace(src, "int main(", "void bail() { exit(0); }\nint main(", 1)
+// withStrayBarrier makes a MACSio source unrecordable: rank 0 alone enters
+// a barrier while the others are in the file close, and neither collective
+// ever has every live rank.
+func withStrayBarrier(t *testing.T, src string) string {
+	t.Helper()
+	const closeFile = "    H5Fclose(file);\n"
+	if !strings.Contains(src, closeFile) {
+		t.Fatalf("fixture drifted: MACSio source no longer contains %q", closeFile)
+	}
+	return strings.Replace(src, closeFile, "    if (rank == 0) {\n        MPI_Barrier(MPI_COMM_WORLD);\n    }\n"+closeFile, 1)
 }
 
 // sourceSpec is a small one-shot job over C source; online turns it into
@@ -457,10 +486,9 @@ func sourceSpec(src string, online bool) JobSpec {
 	return spec
 }
 
-// A kernel has one identity whichever kind of job saw it first: online
-// sessions used to record without the signature cross-validation and file
-// the kernel under its trace: hash alone, so the hash — and with it every
-// stage-cache key — depended on arrival order.
+// A kernel has one identity whichever kind of job saw it first: one-shot
+// and online sessions resolve it the same way, so the hash — and with it
+// every stage-cache key — does not depend on arrival order.
 func TestEngineKernelIdentityIsOrderIndependent(t *testing.T) {
 	src := smallMACSio(t, "", "")
 	var hashes []string
@@ -486,16 +514,15 @@ func TestEngineKernelIdentityIsOrderIndependent(t *testing.T) {
 		}
 		hashes = append(hashes, first.EngineInfo.KernelHash)
 	}
-	sig, trace, ok := strings.Cut(hashes[0], "/")
-	if hashes[0] != hashes[1] || !ok || !strings.HasPrefix(sig, "sig:") || trace == "" {
-		t.Fatalf("kernel hashes %q, want one sig:<signature>/<trace> key in both orders", hashes)
+	if hashes[0] != hashes[1] || !strings.HasPrefix(hashes[0], "trace:") {
+		t.Fatalf("kernel hashes %q, want one trace: key in both orders", hashes)
 	}
 }
 
-// A program whose exact signature disagrees with its trace is refused by
-// both kinds of job, with a typed error, and is never counted as done.
+// A program that does not record fails both kinds of job, with a typed
+// error, and is never counted as done.
 func TestEngineUntraceableFailsJob(t *testing.T) {
-	src := mismatchedSource(t)
+	src := withStrayBarrier(t, smallMACSio(t, "", ""))
 	eng := NewEngine(EngineOptions{})
 	for _, online := range []bool{false, true} {
 		run, err := eng.Tune(context.Background(), sourceSpec(src, online))
@@ -506,8 +533,8 @@ func TestEngineUntraceableFailsJob(t *testing.T) {
 		if res != nil || !errors.Is(err, ErrUntraceable) {
 			t.Fatalf("online=%v: res=%v err=%v, want nil + ErrUntraceable", online, res, err)
 		}
-		if !strings.Contains(err.Error(), "signature/trace mismatch") {
-			t.Fatalf("online=%v: err = %v, want the cross-validation failure as the cause", online, err)
+		if !strings.Contains(err.Error(), "collective mismatch") {
+			t.Fatalf("online=%v: err = %v, want the recording failure as the cause", online, err)
 		}
 	}
 	if st := eng.Stats(); st.SessionsFailed != 2 || st.SessionsDone != 0 || st.Kernels.Kernels != 0 {
@@ -550,8 +577,8 @@ func TestEngineKernelFallsBackToFullSource(t *testing.T) {
 		t.Fatalf("repeat job: %+v, want the fallback served from the kernel store", again.EngineInfo)
 	}
 
-	// When the full source cannot be traced either, the job fails.
-	spec.Source = withBail(src)
+	// When the full source does not record either, the job fails.
+	spec.Source = withStrayBarrier(t, src)
 	run, err := eng.Tune(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -592,4 +619,143 @@ func TestEngineOnlineSpecRefusedAtSubmit(t *testing.T) {
 	spec := sourceSpec(smallMACSio(t, "", ""), true)
 	spec.Online.Prune = true
 	tuneOn(t, eng, spec)
+}
+
+// oddEvenByHandle is internal/tuner's divergentOddEven (tracekeys_test.go):
+// odd ranks write through another dataset handle than even ranks, which the
+// static signature walker does not follow — its exact signature predicts
+// writes the program never makes. oddEvenKey4 is its pinned trace key on 4
+// processes; a copy that drifts from the original moves it.
+const (
+	oddEvenByHandle = `
+int main() {
+    int rank;
+    int nprocs;
+    MPI_Init(0, 0);
+    MPI_Comm_rank(MPI_COMM_WORLD, &rank);
+    MPI_Comm_size(MPI_COMM_WORLD, &nprocs);
+    hid_t file = H5Fcreate("/scratch/oddeven.h5", H5F_ACC_TRUNC, H5P_DEFAULT, H5P_DEFAULT);
+    hsize_t dims[1] = {0};
+    dims[0] = nprocs * 256;
+    hid_t sp = H5Screate_simple(1, dims, NULL);
+    hid_t ds[5] = {0, 0, 0, 0, 0};
+    for (int i = 0; i < 5; i++) {
+        ds[i] = H5Dcreate(file, dsname(i), H5T_NATIVE_DOUBLE, sp, H5P_DEFAULT, H5P_DEFAULT, H5P_DEFAULT);
+    }
+    hsize_t start[1] = {0};
+    hsize_t count[1] = {256};
+    start[0] = rank * 256;
+    H5Sselect_hyperslab(sp, H5S_SELECT_SET, start, NULL, count, NULL);
+    hid_t mine = ds[0];
+    if (rank % 2 == 1) {
+        mine = ds[3];
+    }
+    for (int step = 0; step < 2; step++) {
+        H5Dwrite(mine, H5T_NATIVE_DOUBLE, H5S_ALL, sp, H5P_DEFAULT, 0);
+    }
+    for (int i = 0; i < 5; i++) {
+        H5Dclose(ds[i]);
+    }
+    H5Sclose(sp);
+    H5Fclose(file);
+    MPI_Finalize();
+    return 0;
+}
+`
+	oddEvenKey4 = "trace:068200304ad00c06"
+)
+
+// The recorded trace is a kernel's only identity and only oracle: a valid
+// program the static analyser gets wrong tunes like any other, one-shot and
+// online, with discovery and without, under its trace's key.
+func TestEngineTunesWhatTheSignatureContradicts(t *testing.T) {
+	for _, online := range []bool{false, true} {
+		for _, discover := range []bool{false, true} {
+			spec := sourceSpec(oddEvenByHandle, online)
+			spec.Nodes, spec.ProcsPerNode, spec.Discover = 1, 4, discover
+			res := soloResult(t, spec)
+			if info := res.EngineInfo; info.KernelHash != oddEvenKey4 || info.FellBack {
+				t.Errorf("online=%v discover=%v: kernel %q (fell back: %v), want %q recorded as submitted",
+					online, discover, info.KernelHash, info.FellBack, oddEvenKey4)
+			}
+			if res.BestPerf <= 0 {
+				t.Errorf("online=%v discover=%v: no perf measured", online, discover)
+			}
+		}
+	}
+}
+
+// A store saved by a daemon that keyed kernels by signature converges on
+// load: the entry's hash is recomputed from the verified trace, so the job
+// that hits it reports, and files its artifacts under, the trace's key.
+func TestEngineAdoptsOlderKernelStore(t *testing.T) {
+	warm := NewEngine(EngineOptions{})
+	want := tuneOn(t, warm, sharedSpec(3)).EngineInfo.KernelHash
+	ent, ok := warm.store.Get("workload:macsio/16")
+	if !ok {
+		t.Fatal("the warm engine stored no macsio kernel")
+	}
+	old := replay.NewKernelStore()
+	old.Put("workload:macsio/16", replay.KernelEntry{Trace: ent.Trace, KernelHash: "sig:00c0ffee/0123456789abcdef"})
+	path := filepath.Join(t.TempDir(), "kernels.json")
+	if _, err := old.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := os.ReadFile(path); err != nil || !strings.Contains(string(b), `"sig:00c0ffee/`) {
+		t.Fatalf("the store file does not carry the old key shape (read: %v)", err)
+	}
+
+	store := replay.NewKernelStore()
+	if n, err := store.Load(path); err != nil || n != 1 {
+		t.Fatalf("Load = %d, %v", n, err)
+	}
+	res := tuneOn(t, NewEngine(EngineOptions{KernelStore: store}), sharedSpec(3))
+	if info := res.EngineInfo; !info.KernelStoreHit || info.KernelHash != want || !strings.HasPrefix(want, "trace:") {
+		t.Fatalf("job over the loaded store: hit %v, kernel %q, want a hit on %q", info.KernelStoreHit, info.KernelHash, want)
+	}
+}
+
+// What a stranger can submit ends in a result or a typed error and leaves
+// the engine as it found it: exit() inside a callee (a valid two-event
+// kernel), a collective only one rank reaches (does not record). What is
+// refused at submit (TestEngineValidation) never starts anything.
+func TestEngineHostileSourcesLeaveNothingBehind(t *testing.T) {
+	const exitInCallee = `
+void bail() { exit(0); }
+int main() {
+    MPI_Init(0, 0);
+    hid_t file = H5Fcreate("/scratch/x.h5", H5F_ACC_TRUNC, H5P_DEFAULT, H5P_DEFAULT);
+    bail();
+    H5Fclose(file);
+    MPI_Finalize();
+    return 0;
+}
+`
+	eng := NewEngine(EngineOptions{Workers: 2})
+	before := runtime.NumGoroutine()
+	for _, discover := range []bool{false, true} {
+		spec := sourceSpec(exitInCallee, false)
+		spec.Discover = discover
+		if res := tuneOn(t, eng, spec); res.EngineInfo.FellBack {
+			t.Errorf("discover=%v: exit() in a callee fell back: %s", discover, res.EngineInfo.FallbackErr)
+		}
+	}
+	run, err := eng.Tune(context.Background(), sourceSpec(withStrayBarrier(t, smallMACSio(t, "", "")), false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run.Wait(); !errors.Is(err, ErrUntraceable) {
+		t.Errorf("stray barrier: err = %v, want ErrUntraceable", err)
+	}
+
+	st := eng.Stats()
+	if st.InFlight != 0 || st.SessionsActive != 0 || st.SessionsStarted != 3 || st.SessionsDone != 2 || st.SessionsFailed != 1 {
+		t.Errorf("engine stats %+v, want 3 started, 2 done, 1 failed, nothing held", st)
+	}
+	for i := 0; runtime.NumGoroutine() > before && i < 1000; i++ {
+		time.Sleep(time.Millisecond) // session goroutines finish their Run before they return
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines: %d before, %d after", before, after)
+	}
 }

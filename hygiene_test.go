@@ -199,6 +199,30 @@ func TestInterpreterHasNoScheduler(t *testing.T) {
 	})
 }
 
+// A kernel is its trace: the recorded trace is the job path's only identity
+// and only oracle. The static I/O signature is a tool of the CLIs, of
+// discovery's TR008 and of tests; nothing that resolves, scores or serves a
+// kernel consults it, so an analyser's imprecision cannot fail a valid job.
+// No non-test source outside bench/ names the signature-derived key or
+// spells its prefix, and the packages on the job path below discovery do
+// not import the analysis layer (names assembled here, as above).
+func TestKernelIsItsTrace(t *testing.T) {
+	deleted := regexp.MustCompile(`Signature` + `Key|"si` + `g:`)
+	analysisImport := regexp.MustCompile(`"tunio/internal/` + `analysis"`)
+	jobPath := map[string]bool{"internal/tuner": true, "internal/train": true, "internal/server": true}
+	goSources(t, func(path string, src []byte) {
+		if strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		if m := deleted.Find(src); m != nil {
+			t.Errorf("%s names %s: a kernel is keyed by its trace alone", path, m)
+		}
+		if jobPath[filepath.ToSlash(filepath.Dir(path))] && analysisImport.Match(src) {
+			t.Errorf("%s imports internal/analysis: the job path records and replays, it does not analyse", path)
+		}
+	})
+}
+
 // goSources calls visit with every Go source of the repository outside
 // bench/ (a module of its own, frozen under the benchmark contract).
 func goSources(t *testing.T, visit func(path string, src []byte)) {

@@ -389,11 +389,10 @@ func (in *interp) builtin(x *csrc.CallExpr, sc *scope) (Value, error) {
 		return FloatVal(math.Sqrt(args[0].AsFloat())), nil
 
 	case "exit":
-		args, err := evalArgs()
-		if err != nil {
+		if _, err := evalArgs(); err != nil {
 			return Value{}, err
 		}
-		return Value{}, returnSignal{val: args[0]}
+		return Value{}, exitSignal{}
 
 	case csrc.LoopReduceBuiltin:
 		args, err := evalArgs()

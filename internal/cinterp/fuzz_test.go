@@ -38,9 +38,7 @@ func intLiterals(src string) [][2]int {
 }
 
 // fuzzValues is what an edit may put in a literal's place: the boundaries a
-// count, a size or an index can sit on, small enough that a program made of
-// them stays cheap to run — an array declared in a loop costs its length
-// per iteration, and steps, not bytes, are what the op budget counts.
+// count, a size or an index can sit on.
 var fuzzValues = []int64{-1, 0, 1, 2, 3, 7, 64, 1000, 4096}
 
 // editLiterals applies an edit script to a source, two bytes an edit: which
@@ -69,8 +67,9 @@ func editLiterals(src string, script []byte) string {
 }
 
 // FuzzRun feeds the interpreter programs nobody wrote: the five workloads' C
-// forms on a 1×4 cluster with up to eight integer literals — sizes, counts,
-// loop bounds, indices, ranks compared against — replaced. Whatever the
+// forms and the two runaways of TestLangRunawayLoopCaught on a 1×4 cluster
+// with up to eight integer literals — sizes, counts, loop bounds, indices,
+// ranks compared against — replaced. Whatever the
 // parser accepts, Run must answer for, with a result or an error, never a
 // panic of its own or of the stack under it; and since a rank's calls
 // depend on nothing but the program, a second run must record the same
@@ -89,6 +88,10 @@ func FuzzRun(f *testing.F) {
 		for v := range fuzzValues {
 			f.Add(uint8(k), []byte{byte(3 * v), byte(v), byte(5*v + 1), byte(v + 1)})
 		}
+	}
+	for _, src := range []string{runawayEmptyFor, runawayArrays} {
+		f.Add(uint8(len(seeds)), []byte{})
+		seeds = append(seeds, src)
 	}
 
 	// A rank of the largest seed takes under 2400 steps: an edited loop

@@ -17,6 +17,12 @@ type returnSignal struct{ val Value }
 
 func (returnSignal) Error() string { return "cinterp: return" }
 
+// exitSignal is exit(): it unwinds every call, not just the innermost one,
+// and ends the rank as a return from main does.
+type exitSignal struct{}
+
+func (exitSignal) Error() string { return "cinterp: exit" }
+
 // scope is a lexical variable environment.
 type scope struct {
 	vars   map[string]*Value
@@ -105,14 +111,18 @@ func (in *interp) allocID() int64 {
 }
 
 // runMain executes main to the end, filling the rank's log; whatever
-// stopped it early is kept in in.err.
+// stopped it early, other than exit(), is kept in in.err.
 func (in *interp) runMain() {
 	defer func() {
 		if r := recover(); r != nil {
 			in.err = fmt.Errorf("cinterp: rank %d panicked: %v", in.rank, r)
 		}
 	}()
-	_, in.err = in.callFunc(in.prog.Func("main"), nil)
+	_, err := in.callFunc(in.prog.Func("main"), nil)
+	var exit exitSignal
+	if !errors.As(err, &exit) {
+		in.err = err
+	}
 }
 
 // collective logs one call for the merge to execute. What the program
@@ -148,8 +158,11 @@ func (in *interp) callFunc(fn *csrc.FuncDecl, args []Value) (Value, error) {
 	return Value{}, err
 }
 
-func (in *interp) step() error {
-	in.ops++
+func (in *interp) step() error { return in.charge(1) }
+
+// charge books n steps against the rank's budget.
+func (in *interp) charge(n int64) error {
+	in.ops += n
 	if in.ops > in.maxOps {
 		return fmt.Errorf("cinterp: rank %d exceeded %d operations (runaway loop?)", in.rank, in.maxOps)
 	}
@@ -223,6 +236,11 @@ func (in *interp) exec(s csrc.Stmt, sc *scope) error {
 			default:
 				return err
 			}
+			// the back-edge: a loop with no condition, no post and an empty
+			// body evaluates nothing else
+			if err := in.step(); err != nil {
+				return err
+			}
 			if st.Post != nil {
 				if err := in.exec(st.Post, loopScope); err != nil {
 					return err
@@ -279,6 +297,11 @@ func (in *interp) declValue(st *csrc.DeclStmt, sc *scope) (Value, error) {
 		}
 		if n < 0 || n > 1<<20 {
 			return Value{}, fmt.Errorf("cinterp: array %s has unreasonable length %d", st.Name, n)
+		}
+		// an array costs its length: steps bound the rank's work, and
+		// zeroing n elements is n of it
+		if err := in.charge(n); err != nil {
+			return Value{}, err
 		}
 		arr := make([]Value, n)
 		isF := isFloatType(st.Type)

@@ -1,8 +1,10 @@
 package cinterp
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // runOutput executes a single-rank program and returns rank 0's printf
@@ -182,18 +184,50 @@ int main() {
 	}
 }
 
-func TestLangRunawayLoopCaught(t *testing.T) {
-	lib := newLib(t, 1, 1)
-	_, err := Run(parseProg(t, `
+// Programs that do unbounded work in as few statements as the language
+// allows: a loop with nothing to evaluate but its back-edge, and a loop
+// whose one statement zeroes 2^20 elements.
+const (
+	runawayEmptyFor = `int main() { for (;;) {} return 0; }`
+	runawayArrays   = `
 int main() {
-    while (1) {
-        int x = 1;
+    for (int i = 0; i < 1000000; i++) {
+        double a[1048576];
     }
     return 0;
 }
-`), lib)
-	if err == nil || !strings.Contains(err.Error(), "operations") {
-		t.Fatalf("runaway loop not caught: %v", err)
+`
+)
+
+// The step budget ends every runaway, within a deadline and with nothing
+// left running: a rank that hangs pins the worker that records it.
+func TestLangRunawayLoopCaught(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for name, src := range map[string]string{
+		"while(1)":        `int main() { while (1) { int x = 1; } return 0; }`,
+		"for(;;){}":       runawayEmptyFor,
+		"array in a loop": runawayArrays,
+	} {
+		prog, lib := parseProg(t, src), newLib(t, 1, 1)
+		done := make(chan error, 1)
+		go func() {
+			_, err := run(prog, lib, 100_000)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "exceeded 100000 operations") {
+				t.Errorf("%s: runaway not caught: %v", name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: still running after 10s under a 100k-step budget", name)
+		}
+	}
+	for i := 0; runtime.NumGoroutine() > before && i < 1000; i++ {
+		time.Sleep(time.Millisecond) // the deadline's goroutines have sent and are returning
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines: %d before, %d after", before, after)
 	}
 }
 
@@ -322,10 +356,15 @@ int main() {
 	}
 }
 
+// exit() ends the rank from wherever it is called, a callee included.
 func TestLangExit(t *testing.T) {
-	lib := newLib(t, 1, 1)
-	if _, err := Run(parseProg(t, `int main() { exit(0); return 7; }`), lib); err != nil {
-		t.Fatal(err)
+	for _, src := range []string{
+		`int main() { exit(0); printf("after\n"); return 7; }`,
+		`void bail() { exit(0); } int main() { bail(); printf("after\n"); return 7; }`,
+	} {
+		if out := runOutput(t, src); len(out) != 0 {
+			t.Errorf("%s\nran on past exit(): printed %q", src, out)
+		}
 	}
 }
 

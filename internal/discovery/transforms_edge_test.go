@@ -6,6 +6,7 @@ import (
 
 	"tunio/internal/analysis"
 	"tunio/internal/csrc"
+	"tunio/internal/workload"
 )
 
 // hasWarning reports whether a kernel carries a transform warning with the
@@ -221,5 +222,41 @@ func TestNoTransformsNoWarnings(t *testing.T) {
 	}
 	if len(k.Warnings) != 0 {
 		t.Errorf("no transforms enabled but Warnings = %v", k.Warnings)
+	}
+}
+
+// TestFixtureCorpusDiscoversClean covers what a job with Discover set is
+// admitted on: an error-severity warning refuses it at submit. Every
+// fixture's C form, at the four size classes and both process counts the
+// repository benchmark generates its cold programs at, discovers with no
+// warning at all.
+func TestFixtureCorpusDiscoversClean(t *testing.T) {
+	const path = "/scratch/app.h5"
+	for _, procs := range []int{8, 128} {
+		for class := int64(0); class < 4; class++ {
+			for _, u := range []int64{0, 1023} {
+				perSeg := 16384 + 8192*class + u
+				for _, w := range []workload.HasCSource{
+					&workload.VPIC{Procs: procs, ParticlesPerRank: 16 * perSeg, Vars: int(6 + 2*(class%2)),
+						Steps: int(1 + class/2), Segments: 16, ComputeFlops: 2e9, Path: path},
+					&workload.HACC{Procs: procs, ParticlesPerRank: 16 * perSeg, Steps: int(1 + class/2),
+						Segments: 16, ComputeFlops: 1e9, Path: path},
+					&workload.FLASH{Procs: procs, BlocksPerRank: 32 + u%32, NXB: 8, NYB: 8, NZB: 67 + u/8,
+						Unknowns: int(6 + 2*class), Steps: 1, ComputeFlops: 1e9, Path: path},
+					&workload.MACSio{Procs: procs, PartsPerRank: 4, PartBytes: 8 * (4*perSeg + 65536),
+						Dumps: int(6 + 2*class), ComputeFlops: 6e9, Path: path},
+					&workload.BDCATS{Procs: procs, ParticlesPerRank: 16 * perSeg, Vars: int(3 + class),
+						Segments: 16, ComputeFlops: 1e9, InPath: path, OutPath: path + ".out"},
+				} {
+					k, err := Discover(w.CSource(), Options{})
+					if err != nil {
+						t.Fatalf("%T class %d unit %d at %d procs: %v", w, class, u, procs, err)
+					}
+					if len(k.Warnings) != 0 {
+						t.Errorf("%T class %d unit %d at %d procs: Warnings = %v", w, class, u, procs, k.Warnings)
+					}
+				}
+			}
+		}
 	}
 }

@@ -93,11 +93,10 @@ type kernelArtifacts struct {
 // (striping, mdc_conf) shares a single wire plan across all of them.
 //
 // A cache holds one trace per registered kernel key, so it can be shared
-// process-wide across tuning sessions: two sessions tuning kernels with
-// the same content hash — same signature or same recorded trace — hit
-// each other's artifacts, because stage planning is a pure function of
-// (trace, projected parameters) and never reads the run seed. Safe for
-// concurrent use.
+// process-wide across tuning sessions: two sessions tuning kernels that
+// recorded the same trace hit each other's artifacts, because stage
+// planning is a pure function of (trace, projected parameters) and never
+// reads the run seed. Safe for concurrent use.
 //
 // Every map in it is a cowmap.Map: a warm lookup is lock-free, a cold one
 // locks only to publish an empty slot and builds outside the lock, so

@@ -125,10 +125,10 @@ func TestStageCacheFailedBuildIsReturnedToEveryCaller(t *testing.T) {
 	}
 
 	c := NewSharedStageCache()
-	c.Register("sig:empty", &Trace{})
+	c.Register("trace:empty", &Trace{})
 	a := params.DefaultAssignment(params.Space())
 	var first error
-	for i, v := range []*CacheView{c.View("sig:empty"), c.View("sig:empty"), c.View("sig:empty")} {
+	for i, v := range []*CacheView{c.View("trace:empty"), c.View("trace:empty"), c.View("trace:empty")} {
 		_, err := v.WireFor(a, a.Settings(), 8)
 		if err == nil {
 			t.Fatal("planning an empty trace: want error")
@@ -153,9 +153,9 @@ func mapID[K comparable, V any](m map[K]V) uintptr { return reflect.ValueOf(m).P
 // very same maps afterwards.
 func TestStageCacheInsertBoundedByKernel(t *testing.T) {
 	c := NewSharedStageCache()
-	c.Register("sig:a", recordTrace(t, "macsio", 3))
-	c.Register("sig:b", recordTrace(t, "vpic", 3))
-	va, vb := c.View("sig:a"), c.View("sig:b")
+	c.Register("trace:a", recordTrace(t, "macsio", 3))
+	c.Register("trace:b", recordTrace(t, "vpic", 3))
+	va, vb := c.View("trace:a"), c.View("trace:b")
 	def := params.DefaultAssignment(params.Space())
 	for _, v := range []*CacheView{va, vb} {
 		if _, err := v.WireFor(def, def.Settings(), 8); err != nil {
@@ -163,7 +163,7 @@ func TestStageCacheInsertBoundedByKernel(t *testing.T) {
 		}
 	}
 
-	b := c.kernels.Snapshot()["sig:b"]
+	b := c.kernels.Snapshot()["trace:b"]
 	kernels, plans, wires := mapID(c.kernels.Snapshot()), mapID(b.plans.m.Snapshot()), mapID(b.wires.m.Snapshot())
 	aPlans, aWires := mapID(va.kernel.plans.m.Snapshot()), mapID(va.kernel.wires.m.Snapshot())
 
@@ -186,7 +186,7 @@ func TestStageCacheInsertBoundedByKernel(t *testing.T) {
 // from then on: the "no trace registered" answer is never cached.
 func TestStageCacheViewBeforeRegister(t *testing.T) {
 	c := NewSharedStageCache()
-	early := c.View("sig:late")
+	early := c.View("trace:late")
 	a := params.DefaultAssignment(params.Space())
 	for i := 0; i < 2; i++ {
 		if _, err := early.WireFor(a, a.Settings(), 8); err == nil {
@@ -197,12 +197,12 @@ func TestStageCacheViewBeforeRegister(t *testing.T) {
 		t.Fatalf("lookups of an unregistered kernel left traffic behind: %+v", st)
 	}
 	tr := recordTrace(t, "macsio", 3)
-	c.Register("sig:late", tr)
+	c.Register("trace:late", tr)
 	wp, err := early.WireFor(a, a.Settings(), 8)
 	if err != nil {
 		t.Fatalf("WireFor after Register through a view taken before it: %v", err)
 	}
-	if again, err := c.View("sig:late").WireFor(a, a.Settings(), 8); err != nil || again != wp {
+	if again, err := c.View("trace:late").WireFor(a, a.Settings(), 8); err != nil || again != wp {
 		t.Fatalf("a view taken after Register got %p, %v; the early view got %p", again, err, wp)
 	}
 	if st := early.Stats(); st.WireMisses != 1 || st.WireHits != 0 {

@@ -66,7 +66,7 @@ func TestCanonicalPlanIsFreshPlan(t *testing.T) {
 	var rt Runtime
 	for _, name := range []string{"vpic", "hacc", "flash", "bdcats", "macsio"} {
 		tr := recordTrace(t, name, 3)
-		shared.Register("sig:"+name, tr)
+		shared.Register("trace:"+name, tr)
 		for i := 0; i < 10; i++ {
 			genome := make([]int, len(space))
 			for j, p := range space {
@@ -76,7 +76,7 @@ func TestCanonicalPlanIsFreshPlan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tc := &testCase{kernel: "sig:" + name, a: a, s: a.Settings()}
+			tc := &testCase{kernel: "trace:" + name, a: a, s: a.Settings()}
 			wp, err := lowerFresh(tr, tc.s, c.ProcsPerNode)
 			if err != nil {
 				t.Fatal(err)

@@ -46,8 +46,8 @@ func TestSharedStageCacheConcurrentViews(t *testing.T) {
 	baseline := make(map[runKey]float64)
 	{
 		solo := NewSharedStageCache()
-		solo.Register("sig:k", tr)
-		view := solo.View("sig:k")
+		solo.Register("trace:k", tr)
+		view := solo.View("trace:k")
 		var rt Runtime
 		for ci, a := range configs {
 			s := a.Settings()
@@ -69,13 +69,13 @@ func TestSharedStageCacheConcurrentViews(t *testing.T) {
 	}
 
 	shared := NewSharedStageCache()
-	shared.Register("sig:k", tr)
+	shared.Register("trace:k", tr)
 	const goroutines = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
 	views := make([]*CacheView, goroutines)
 	for g := 0; g < goroutines; g++ {
-		views[g] = shared.View("sig:k")
+		views[g] = shared.View("trace:k")
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
@@ -145,12 +145,13 @@ func TestSharedStageCacheConcurrentViews(t *testing.T) {
 func TestKernelStoreConcurrentAccess(t *testing.T) {
 	trA := recordTrace(t, "macsio", 3)
 	trB := recordTrace(t, "vpic", 3)
+	trDisk := recordTrace(t, "flash", 3)
 
 	// A disk store the loader goroutines merge in while puts race.
 	diskPath := filepath.Join(t.TempDir(), "disk.json")
 	{
 		disk := NewKernelStore()
-		disk.Put("disk:flash/16", KernelEntry{Trace: recordTrace(t, "flash", 3), KernelHash: "hash:disk"})
+		disk.Put("disk:flash/16", KernelEntry{Trace: trDisk, KernelHash: "hash:disk"})
 		if _, err := disk.Save(diskPath); err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +243,8 @@ func TestKernelStoreConcurrentAccess(t *testing.T) {
 			}
 		}
 	}
-	if e, ok := s.Get("disk:flash/16"); !ok || e.KernelHash != "hash:disk" {
+	// A loaded entry's hash is its trace's key, whatever the file said.
+	if e, ok := s.Get("disk:flash/16"); !ok || e.KernelHash != TraceKey(trDisk) {
 		t.Fatal("concurrently loaded disk entry missing or mangled")
 	}
 
@@ -267,12 +269,12 @@ func TestStageCacheWarmPathLockFree(t *testing.T) {
 	c := cluster.CoriHaswell(2, 8)
 	tr := recordTrace(t, "macsio", 3)
 	cache := NewSharedStageCache()
-	cache.Register("sig:k", tr)
+	cache.Register("trace:k", tr)
 	store := NewKernelStore()
 	store.Put("kern", KernelEntry{Trace: tr, KernelHash: TraceKey(tr)})
 	a := params.DefaultAssignment(params.Space())
 	s := a.Settings()
-	warm := cache.View("sig:k")
+	warm := cache.View("trace:k")
 
 	// Warm serially: the one build locks to publish its slots, the probes
 	// must not lock at all.
@@ -302,7 +304,7 @@ func TestStageCacheWarmPathLockFree(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			view := cache.View("sig:k")
+			view := cache.View("trace:k")
 			for i := 0; i < 5000; i++ {
 				if _, err := view.WireFor(a, s, c.ProcsPerNode); err != nil {
 					panic(err)
@@ -359,17 +361,17 @@ func BenchmarkWarmHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cache.Register("sig:k", tr)
+	cache.Register("trace:k", tr)
 	store.Put("kern", KernelEntry{Trace: tr, KernelHash: TraceKey(tr)})
 	a := params.DefaultAssignment(params.Space())
 	s := a.Settings()
-	if _, err := cache.View("sig:k").WireFor(a, s, c.ProcsPerNode); err != nil {
+	if _, err := cache.View("trace:k").WireFor(a, s, c.ProcsPerNode); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		view := cache.View("sig:k")
+		view := cache.View("trace:k")
 		for pb.Next() {
 			if _, err := view.WireFor(a, s, c.ProcsPerNode); err != nil {
 				b.Fatal(err)

@@ -10,17 +10,15 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync/atomic"
 
 	"tunio/internal/cowmap"
 )
 
-// TraceKey returns the content-derived kernel identity of a trace: an
-// FNV-1a hash of its serialized form under the "trace:" prefix. It is the
-// fallback kernel key when no exact static I/O signature exists ("sig:"
-// keys rank first), and the key under which stage-cache and memo entries
-// for trace-only kernels are filed.
+// TraceKey returns the kernel identity of a trace: an FNV-1a hash of its
+// serialized form under the "trace:" prefix. Stage-cache artifacts and memo
+// entries are filed under it, so two kernels that record the same trace are
+// one kernel.
 func TraceKey(t *Trace) string {
 	h := fnv.New64a()
 	if b, err := t.Marshal(); err == nil {
@@ -29,19 +27,8 @@ func TraceKey(t *Trace) string {
 	return fmt.Sprintf("trace:%016x", h.Sum64())
 }
 
-// SignatureKey returns the "sig:" kernel identity of a program with an
-// exact static I/O signature: the signature's hash, then the hash part of
-// the recorded trace's TraceKey. The signature covers op counts and bytes
-// per transfer but neither dataset shape nor chunking, which replay depends
-// on, so two programs can share a signature and still record different
-// traces; the trace hash keeps them apart.
-func SignatureKey(sigHash, traceKey string) string {
-	return "sig:" + sigHash + "/" + strings.TrimPrefix(traceKey, "trace:")
-}
-
-// KernelEntry is one stored kernel: its recorded trace and the content
-// hash derived from it ("sig:…" when the kernel has an exact static I/O
-// signature, "trace:…" otherwise).
+// KernelEntry is one stored kernel: its recorded trace and the trace's
+// TraceKey.
 type KernelEntry struct {
 	Trace      *Trace
 	KernelHash string
@@ -186,9 +173,11 @@ func (s *KernelStore) Save(path string) (int, error) {
 // Load merges the kernels persisted at path into the store and returns
 // how many entries the file held. Every trace's bytes are validated
 // against the stored content hash first; a mismatch fails the whole load
-// (a store that cannot be trusted should not half-apply). Existing keys
-// keep their entries — the usual first-Put-wins rule — so loading a warm
-// store under a live one never replaces traces sessions already use.
+// (a store that cannot be trusted should not half-apply). A kernel's hash
+// is the TraceKey of the trace just verified, whatever the file's
+// kernel_hash field says. Existing keys keep their entries — the usual
+// first-Put-wins rule — so loading a warm store under a live one never
+// replaces traces sessions already use.
 func (s *KernelStore) Load(path string) (int, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -218,7 +207,7 @@ func (s *KernelStore) Load(path string) (int, error) {
 		if err != nil {
 			return 0, fmt.Errorf("replay: kernel store %s: kernel %q: %w", path, e.Key, err)
 		}
-		loaded[e.Key] = KernelEntry{Trace: t, KernelHash: e.KernelHash}
+		loaded[e.Key] = KernelEntry{Trace: t, KernelHash: TraceKey(t)}
 	}
 	s.entries.InsertAll(loaded)
 	return len(loaded), nil

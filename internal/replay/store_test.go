@@ -83,20 +83,20 @@ func TestKernelStore(t *testing.T) {
 func TestSharedStageCacheViews(t *testing.T) {
 	tr := recordTrace(t, "macsio", 3)
 	shared := NewSharedStageCache()
-	shared.Register("sig:k1", tr)
-	shared.Register("sig:k1", recordTrace(t, "vpic", 3)) // first registration must win
-	if !shared.HasKernel("sig:k1") || shared.Kernels() != 1 {
+	shared.Register("trace:k1", tr)
+	shared.Register("trace:k1", recordTrace(t, "vpic", 3)) // first registration must win
+	if !shared.HasKernel("trace:k1") || shared.Kernels() != 1 {
 		t.Fatal("registration bookkeeping wrong")
 	}
 
 	a := params.DefaultAssignment(params.Space())
 	s := a.Settings()
-	v1 := shared.View("sig:k1")
+	v1 := shared.View("trace:k1")
 	wp1, err := v1.WireFor(a, s, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := shared.View("sig:k1")
+	v2 := shared.View("trace:k1")
 	wp2, err := v2.WireFor(a, s, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -115,8 +115,8 @@ func TestSharedStageCacheViews(t *testing.T) {
 	}
 
 	// A view on a different kernel must not see k1's artifacts.
-	shared.Register("sig:k2", recordTrace(t, "vpic", 3))
-	v3 := shared.View("sig:k2")
+	shared.Register("trace:k2", recordTrace(t, "vpic", 3))
+	v3 := shared.View("trace:k2")
 	wp3, err := v3.WireFor(a, s, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -131,8 +131,8 @@ func TestSharedStageCacheViews(t *testing.T) {
 	// The same trace under another key is a miss of its own — keys are
 	// never answered across kernels — that adds nothing: the artifacts are
 	// pure data, held once per content.
-	shared.Register("sig:k1-again", tr)
-	v4 := shared.View("sig:k1-again")
+	shared.Register("trace:k1-again", tr)
+	v4 := shared.View("trace:k1-again")
 	wp4, err := v4.WireFor(a, s, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -153,23 +153,22 @@ func TestSharedStageCacheViews(t *testing.T) {
 func TestSharedStageCacheUnregisteredKernel(t *testing.T) {
 	shared := NewSharedStageCache()
 	a := params.DefaultAssignment(params.Space())
-	if _, err := shared.View("sig:ghost").WireFor(a, a.Settings(), 8); err == nil {
+	if _, err := shared.View("trace:ghost").WireFor(a, a.Settings(), 8); err == nil {
 		t.Fatal("WireFor on an unregistered kernel: want error")
 	}
 }
 
-// A trace filed under its trace: key can be filed again under a key
-// learned later (the sig: key, once the signature is in): both views plan
-// from it, and a key, once bound, keeps its first trace.
+// A trace filed under one key can be filed again under another: both views
+// plan from it, and a key, once bound, keeps its first trace.
 func TestStageCacheRebind(t *testing.T) {
 	tr := recordTrace(t, "macsio", 3)
 	c, early := privateCache(tr)
-	c.Register("sig:late", tr)
-	if !c.HasKernel("sig:late") || c.Kernels() != 2 {
+	c.Register("trace:late", tr)
+	if !c.HasKernel("trace:late") || c.Kernels() != 2 {
 		t.Fatalf("%d kernels registered, want the trace under both keys", c.Kernels())
 	}
-	late := c.View("sig:late")
-	if late.KernelKey() != "sig:late" {
+	late := c.View("trace:late")
+	if late.KernelKey() != "trace:late" {
 		t.Fatalf("kernel key = %q", late.KernelKey())
 	}
 	a := params.DefaultAssignment(params.Space())
@@ -179,14 +178,14 @@ func TestStageCacheRebind(t *testing.T) {
 		}
 	}
 	// First registration wins: another kernel's trace cannot take the key.
-	c.Register("sig:late", recordTrace(t, "vpic", 3))
+	c.Register("trace:late", recordTrace(t, "vpic", 3))
 	b := mutate(t, map[string]int{params.Alignment: 3})
 	wp, err := late.WireFor(b, b.Settings(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want, _ := lowerFresh(tr, b.Settings(), 8); len(wp.ops) != len(want.ops) {
-		t.Fatalf("sig:late plans %d ops, the first trace plans %d", len(wp.ops), len(want.ops))
+		t.Fatalf("trace:late plans %d ops, the first trace plans %d", len(wp.ops), len(want.ops))
 	}
 }
 

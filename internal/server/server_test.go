@@ -15,6 +15,7 @@ import (
 
 	"tunio"
 	"tunio/internal/server"
+	"tunio/internal/workload"
 )
 
 // tinyJob is a small macsio job that finishes in well under a second.
@@ -86,6 +87,21 @@ func getStatus(t *testing.T, ts *httptest.Server, id string) server.JobStatus {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// getStats decodes GET /v1/stats.
+func getStats(t *testing.T, ts *httptest.Server) server.StatsResponse {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats server.StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	return stats
 }
 
 // waitTerminal polls until the job leaves the running state.
@@ -407,15 +423,7 @@ func TestServerCrossSessionSharingAndStats(t *testing.T) {
 		t.Fatalf("second session stage hit rate = %.2f, want > 0.5", rate)
 	}
 
-	resp, err := ts.Client().Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var stats server.StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
+	stats := getStats(t, ts)
 	if stats.SessionsDone != 2 || stats.Jobs["done"] != 2 {
 		t.Fatalf("stats sessions done = %d, jobs = %v", stats.SessionsDone, stats.Jobs)
 	}
@@ -482,21 +490,23 @@ func TestServerErrors(t *testing.T) {
 	}
 }
 
-// A kernel that cannot be traced is accepted (it parses), then fails: the
+// A kernel that does not record is accepted (it parses), then fails: the
 // job ends "failed" with the typed error's text, never "done", and the
 // daemon's census says so.
 func TestServerUntraceableJobFails(t *testing.T) {
 	ts := newTestServer(t, tunio.EngineOptions{})
-	// The static signature ends this program at the exit() inside bail();
-	// the interpreter only returns from bail() and goes on. The exact
-	// signature and the recorded trace disagree.
+	// Rank 0 alone enters a barrier while the others are in the file close:
+	// neither collective ever has every live rank.
 	req := server.JobRequest{
 		Source: `
-void bail() { exit(0); }
 int main() {
+    int rank;
     MPI_Init(0, 0);
+    MPI_Comm_rank(MPI_COMM_WORLD, &rank);
     hid_t file = H5Fcreate("/scratch/x.h5", H5F_ACC_TRUNC, H5P_DEFAULT, H5P_DEFAULT);
-    bail();
+    if (rank == 0) {
+        MPI_Barrier(MPI_COMM_WORLD);
+    }
     H5Fclose(file);
     MPI_Finalize();
     return 0;
@@ -512,20 +522,69 @@ int main() {
 	if final.State != "failed" || final.Result != nil {
 		t.Fatalf("state %q result %v, want failed with no result", final.State, final.Result)
 	}
-	if !strings.Contains(final.Error, "cannot be traced") || !strings.Contains(final.Error, "signature/trace mismatch") {
-		t.Fatalf("error %q, want ErrUntraceable around the cross-validation failure", final.Error)
+	if !strings.Contains(final.Error, "cannot be traced") || !strings.Contains(final.Error, "collective mismatch") {
+		t.Fatalf("error %q, want ErrUntraceable around the recording failure", final.Error)
 	}
-	var stats server.StatsResponse
-	sresp, err := ts.Client().Get(ts.URL + "/v1/stats")
+	if stats := getStats(t, ts); stats.SessionsFailed != 1 || stats.SessionsDone != 0 || stats.Jobs["failed"] != 1 || stats.Jobs["done"] != 0 {
+		t.Fatalf("census %+v jobs %v, want 1 failed / 0 done", stats.EngineStats, stats.Jobs)
+	}
+}
+
+// A Discover job whose kernel the bound analysis proves unbounded (TR007,
+// scripts/test_cli.sh's tr007.c) is refused at submit: a 400 that names the
+// finding, no job row, no session.
+func TestServerRefusesUnboundedKernel(t *testing.T) {
+	ts := newTestServer(t, tunio.EngineOptions{})
+	body, err := json.Marshal(server.JobRequest{
+		Source: `
+int main() {
+    int i;
+    char buf[16];
+    FILE *fp = fopen("/scratch/div.bin", "w");
+    for (i = 0; i < 8; i--) {
+        fwrite(buf, 4, 1, fp);
+    }
+    fclose(fp);
+    return 0;
+}
+`,
+		Discover: true,
+		Nodes:    1, ProcsPerNode: 4, PopSize: 4, MaxIterations: 2, Reps: 1, Seed: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sresp.Body.Close()
-	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
+	resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.SessionsFailed != 1 || stats.SessionsDone != 0 || stats.Jobs["failed"] != 1 || stats.Jobs["done"] != 0 {
-		t.Fatalf("census %+v jobs %v, want 1 failed / 0 done", stats.EngineStats, stats.Jobs)
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "TR007") {
+		t.Fatalf("POST = %d %s, want 400 naming TR007", resp.StatusCode, msg)
+	}
+	if stats := getStats(t, ts); stats.SessionsStarted != 0 || len(stats.Jobs) != 0 {
+		t.Fatalf("census %+v jobs %v, want no session and no job row", stats.EngineStats, stats.Jobs)
+	}
+}
+
+// A source job reports its trace's key: the VPIC fixture as
+// internal/tuner's TestTraceKeysPinned sizes it, on 4 processes, under the
+// literal pinned there.
+func TestServerSourceJobReportsTraceKey(t *testing.T) {
+	ts := newTestServer(t, tunio.EngineOptions{})
+	w := workload.NewVPIC(4)
+	w.ParticlesPerRank, w.ComputeFlops = 16<<10, 1e9
+	st, resp := submit(t, ts, server.JobRequest{
+		Source: w.CSource(),
+		Nodes:  1, ProcsPerNode: 4, PopSize: 4, MaxIterations: 2, Reps: 1, Seed: 1,
+	}, "")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d", resp.StatusCode)
+	}
+	final := waitTerminal(t, ts, st.ID)
+	if final.State != "done" || final.Result.Engine.KernelHash != "trace:204341ceec8a4757" {
+		t.Fatalf("state %q (%s), engine %+v, want done under the pinned trace key", final.State, final.Error, final.Result)
 	}
 }
 

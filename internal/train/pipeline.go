@@ -147,8 +147,8 @@ func (r *Result) StageReport(stage string) StageReport {
 }
 
 // sweepPayload is the sweep stage's artifact: the observations, plus the
-// content keys of the kernels that produced them ("sig:…" or "trace:…"
-// per kernel) for provenance.
+// content keys of the kernels that produced them (replay.TraceKey per
+// kernel) for provenance.
 type sweepPayload struct {
 	Params   []string    `json:"params"`
 	Kernels  []string    `json:"kernels"`

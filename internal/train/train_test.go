@@ -127,12 +127,19 @@ func TestReplaySweepKernelStoreRoundTrip(t *testing.T) {
 	cfg.Kernels = cfg.Kernels[:2]
 	cfg.Store = replay.NewKernelStore()
 
-	cold, _, err := replaySweep(context.Background(), &cfg)
+	cold, keys, err := replaySweep(context.Background(), &cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := cfg.Store.Len(); got != 2 {
 		t.Fatalf("store holds %d kernels after cold sweep, want 2", got)
+	}
+	// The payload names each kernel by its trace's key.
+	for i, w := range cfg.Kernels {
+		ent, _ := cfg.Store.Get(kernelStoreKey(w, cfg.Cluster.Procs()))
+		if ent.Trace == nil || keys[i] != replay.TraceKey(ent.Trace) {
+			t.Fatalf("kernel %d reported as %q, its stored trace keys %v", i, keys[i], ent.KernelHash)
+		}
 	}
 	pre := cfg.Store.Stats()
 	warm, _, err := replaySweep(context.Background(), &cfg)

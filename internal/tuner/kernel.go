@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"tunio/internal/analysis"
 	"tunio/internal/cinterp"
 	"tunio/internal/cluster"
 	"tunio/internal/csrc"
@@ -44,8 +43,7 @@ type KernelSource struct {
 // store, registered in a stage cache under its content hash.
 type Kernel struct {
 	Trace *replay.Trace
-	// Hash is the kernel's content hash: "sig:<signature>/<trace>" for a
-	// program with an exact static I/O signature, "trace:<trace>" otherwise.
+	// Hash is the kernel's content hash: replay.TraceKey of Trace.
 	Hash string
 	// StoreHit reports that the trace came out of the KernelStore instead
 	// of being recorded by this call.
@@ -55,21 +53,17 @@ type Kernel struct {
 	View *replay.CacheView
 	// Interpreted reports that the kernel is a C program rather than a
 	// workload model. It selects which reference evaluator's averaging
-	// order TraceEvaluator reproduces (see reference.go).
+	// order TraceEvaluator reproduces (see reference_eval_test.go).
 	Interpreted bool
 }
 
 // ResolveKernel is the one place a kernel's trace is recorded or adopted:
 // store lookup, else one run under the space's default configuration with
-// a recorder attached; the trace's content hash; for programs the static
-// I/O signature, cross-validated against the trace and folded into the
-// hash; store publication; registration in the stage cache. One-shot
+// a recorder attached; the trace's content hash, which is the kernel's
+// identity; store publication; registration in the stage cache. One-shot
 // sessions, online sessions and the training sweep all come through here,
-// so a kernel has one identity whoever saw it first.
-//
-// An exact signature that disagrees with the recorded trace is an error:
-// the tracer, the interpreter or the signature walker is wrong, and no
-// score built on the trace can be trusted.
+// so a kernel has one identity whoever saw it first, and two sources that
+// record the same trace are one kernel.
 func ResolveKernel(src KernelSource, space []params.Parameter) (*Kernel, error) {
 	k := &Kernel{Interpreted: src.Prog != nil}
 	stored := src.Store != nil && src.StoreKey != ""
@@ -95,8 +89,8 @@ func ResolveKernel(src KernelSource, space []params.Parameter) (*Kernel, error) 
 	return k, nil
 }
 
-// record runs the kernel once under the default configuration and derives
-// its content hash.
+// record runs the kernel once under the default configuration and hashes
+// the trace.
 func (k *Kernel) record(src KernelSource, space []params.Parameter) error {
 	st, err := workload.BuildStack(src.Cluster, params.DefaultAssignment(space).Settings(), src.Seed)
 	if err != nil {
@@ -118,19 +112,6 @@ func (k *Kernel) record(src KernelSource, space []params.Parameter) error {
 		return fmt.Errorf("tuner: trace recording: %w", err)
 	}
 	k.Trace, k.Hash = t, replay.TraceKey(t)
-	if src.Prog == nil {
-		return nil
-	}
-	sig := analysis.ComputeSignature(src.Prog, analysis.SignatureOptions{})
-	if !sig.Exact {
-		return nil
-	}
-	if cs, err := sig.Concrete(map[string]int64{"nprocs": int64(t.Nprocs)}); err == nil {
-		if err := replay.CrossValidate(t, cs); err != nil {
-			return fmt.Errorf("tuner: signature/trace mismatch: %w", err)
-		}
-	}
-	k.Hash = replay.SignatureKey(sig.Hash(), k.Hash)
 	return nil
 }
 

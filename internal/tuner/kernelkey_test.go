@@ -8,12 +8,12 @@ import (
 	"tunio/internal/cluster"
 	"tunio/internal/csrc"
 	"tunio/internal/params"
+	"tunio/internal/replay"
 	"tunio/internal/workload"
 )
 
 // TestTraceEvaluatorKernelHash checks that resolving an interpreted kernel
-// derives a signature-based kernel hash and binds the stage-cache view and
-// the memo to it.
+// hashes its trace and binds the stage-cache view and the memo to the hash.
 func TestTraceEvaluatorKernelHash(t *testing.T) {
 	c := cluster.CoriHaswell(1, 8)
 	w, err := workload.ByName("vpic", c.Procs())
@@ -28,8 +28,8 @@ func TestTraceEvaluatorKernelHash(t *testing.T) {
 	src := KernelSource{Prog: prog, Cluster: c, Seed: 3}
 	e := replayOf(t, src, 1)
 	h := e.kernel.Hash
-	if !strings.HasPrefix(h, "sig:") {
-		t.Errorf("kernel hash = %q, want a signature-derived sig: prefix", h)
+	if h != replay.TraceKey(e.kernel.Trace) {
+		t.Errorf("kernel hash = %q, want its trace's key %q", h, replay.TraceKey(e.kernel.Trace))
 	}
 	if !e.kernel.Interpreted {
 		t.Error("a program kernel must be marked Interpreted")
@@ -47,8 +47,8 @@ func TestTraceEvaluatorKernelHash(t *testing.T) {
 	}
 }
 
-// TestTraceEvaluatorWorkloadKernelHash checks the trace-hash fallback for
-// kernels without a program (no signature to derive).
+// TestTraceEvaluatorWorkloadKernelHash checks that a workload model is
+// keyed the same way.
 func TestTraceEvaluatorWorkloadKernelHash(t *testing.T) {
 	c := cluster.CoriHaswell(1, 8)
 	w, err := workload.ByName("flash", c.Procs())
@@ -57,8 +57,8 @@ func TestTraceEvaluatorWorkloadKernelHash(t *testing.T) {
 	}
 	shrinkWorkload(w)
 	e := replayOf(t, KernelSource{Workload: w, Cluster: c, Seed: 3}, 1)
-	if h := e.kernel.Hash; !strings.HasPrefix(h, "trace:") {
-		t.Errorf("kernel hash = %q, want a trace: prefix", h)
+	if h := e.kernel.Hash; h != replay.TraceKey(e.kernel.Trace) || !strings.HasPrefix(h, "trace:") {
+		t.Errorf("kernel hash = %q, want its trace's key %q", h, replay.TraceKey(e.kernel.Trace))
 	}
 	if e.kernel.Interpreted {
 		t.Error("a workload-model kernel must not be marked Interpreted")
@@ -87,7 +87,7 @@ func TestMemoKernelKeyPartitionsCache(t *testing.T) {
 	batch := []*params.Assignment{a}
 	ctx := context.Background()
 
-	m.SetKernelKey("sig:aaaa")
+	m.SetKernelKey("trace:aaaa")
 	if _, err := m.EvaluateBatch(ctx, batch, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -97,14 +97,14 @@ func TestMemoKernelKeyPartitionsCache(t *testing.T) {
 	if inner.calls != 1 {
 		t.Fatalf("inner calls = %d after same-key repeat, want 1", inner.calls)
 	}
-	m.SetKernelKey("sig:bbbb")
+	m.SetKernelKey("trace:bbbb")
 	if _, err := m.EvaluateBatch(ctx, batch, 2); err != nil {
 		t.Fatal(err)
 	}
 	if inner.calls != 2 {
 		t.Fatalf("inner calls = %d after key change, want 2", inner.calls)
 	}
-	m.SetKernelKey("sig:aaaa")
+	m.SetKernelKey("trace:aaaa")
 	if _, err := m.EvaluateBatch(ctx, batch, 3); err != nil {
 		t.Fatal(err)
 	}

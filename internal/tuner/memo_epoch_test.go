@@ -18,7 +18,7 @@ import (
 func TestMemoEpochInvalidation(t *testing.T) {
 	inner := &seededSynthetic{}
 	memo := NewMemo(serial(inner.Evaluate))
-	memo.SetKernelKey("sig:k")
+	memo.SetKernelKey("trace:k")
 	memo.SetEpoch(100.0)
 
 	def := params.DefaultAssignment(params.Space())
@@ -74,7 +74,7 @@ func TestMemoEpochInvalidation(t *testing.T) {
 // any contended lock inside this package's frames fails the test.
 func TestMemoWarmPathLockFree(t *testing.T) {
 	memo := NewMemo(serial((&seededSynthetic{}).Evaluate))
-	memo.SetKernelKey("sig:k")
+	memo.SetKernelKey("trace:k")
 	def := params.DefaultAssignment(params.Space())
 	batch := []*params.Assignment{def, def}
 	if _, err := memo.EvaluateBatch(context.Background(), batch, 1); err != nil {

@@ -16,8 +16,9 @@ import (
 // that trace through the staged engine (internal/replay), whose per-stage
 // artifacts are cached by parameter projection. Replay charges the same
 // layer code paths in the same order as a live run, so scores are
-// bit-identical to the live reference evaluators' (reference.go) — the
-// interpreter and workload logic just leave the inner loop.
+// bit-identical to the live reference evaluators'
+// (reference_eval_test.go) — the interpreter and workload logic just leave
+// the inner loop.
 //
 // It is the only evaluator production code uses. Safe for concurrent use:
 // workers share the stage cache and recycle stacks and runtimes through

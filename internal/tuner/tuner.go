@@ -122,16 +122,15 @@ type EngineInfo struct {
 	// more. The field stays until bench/, which reads it, is brought
 	// current (ROADMAP item 1).
 	PrepareErr string `json:"prepare_err,omitempty"`
-	// KernelHash is the kernel's content-addressed identity
-	// ("sig:<signature>/<trace>" from an exact static I/O signature,
-	// "trace:<trace>" otherwise).
+	// KernelHash is the kernel's content-addressed identity:
+	// replay.TraceKey of its trace ("trace:<hash>").
 	KernelHash string `json:"kernel_hash,omitempty"`
 	// KernelStoreHit reports that the trace came out of a shared
 	// KernelStore instead of being recorded by this run.
 	KernelStoreHit bool `json:"kernel_store_hit"`
 	// FellBack reports §III-B recovery: the discovered I/O kernel failed to
-	// record or to cross-validate, so the run recorded and tuned the full
-	// submitted source instead. FallbackErr is the kernel's error.
+	// record, so the run recorded and tuned the full submitted source
+	// instead. FallbackErr is the kernel's recording error.
 	FellBack    bool   `json:"fell_back"`
 	FallbackErr string `json:"fallback_err,omitempty"`
 	// MemoHits/MemoMisses mirror Result.CacheHits/CacheMisses: genome

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"tunio/internal/analysis"
 	"tunio/internal/cluster"
 	"tunio/internal/core"
 	"tunio/internal/csrc"
@@ -29,9 +30,10 @@ type JobSpec struct {
 	// simulated stack.
 	Source string
 	// Discover runs Application I/O Discovery on Source before tuning,
-	// so the reduced kernel is what gets recorded and replayed. If the
-	// kernel cannot be traced the full Source is (§III-B); the result's
-	// EngineInfo.FellBack says so.
+	// so the reduced kernel is what gets recorded and replayed. A kernel
+	// with an error-severity diagnostic (TR006, TR007) is refused at
+	// submit. If the kernel does not record, the full Source is recorded
+	// instead (§III-B); the result's EngineInfo.FellBack says so.
 	Discover bool
 	// Tenant attributes the session for quota accounting ("" is a valid
 	// tenant).
@@ -191,6 +193,14 @@ func selectKernel(spec JobSpec, c *cluster.Cluster) (sessionKernel, error) {
 			k, err := core.DiscoverIO(src, discovery.Options{})
 			if err != nil {
 				return sessionKernel{}, fmt.Errorf("tunio: discovery: %w", err)
+			}
+			// What the bound analysis proves about the kernel (an I/O loop
+			// that never ends, an index out of range) would otherwise cost
+			// the recording run its whole step budget to find out.
+			for _, d := range k.Warnings {
+				if d.Severity >= analysis.SevError {
+					return sessionKernel{}, fmt.Errorf("tunio: discovery: kernel refused: %s", d)
+				}
 			}
 			src, kern.full = k.Source, spec.Source
 		}

@@ -53,7 +53,8 @@ echo "== go test -race (evaluation engine) =="
 # across workers, so the bit-identity proofs must hold concurrently too.
 race_run "./internal/tuner ." TestPool TestFanOut TestMemo TestSeedFor TestRunBatch \
     'TestTune(ParallelDeterminism|Cancellation|Memoization)' TestTraceEvaluator TestResolveKernel TestGate \
-    'TestDrift(WorkerCount|Pruning)' 'TestEngine(KernelIdentity|Untraceable|KernelFallsBack)'
+    'TestDrift(WorkerCount|Pruning)' 'TestEngine(KernelIdentity|Untraceable|KernelFallsBack)' \
+    'TestEngine(DistinctTraces|EqualTraces|TunesWhatTheSignatureContradicts|HostileSources)' TestKernelIsItsTrace
 # Stage 1 is a planning library per miss, built on whichever worker misses:
 # its refusal test and the trace walker's seed corpus race with the rest.
 race_run ./internal/replay TestStagedExec TestStageCache TestSharedStageCache TestKernelStore TestPooledStack TestStagedPlanRefuses FuzzTraceWalk
@@ -92,8 +93,11 @@ go test -race ./internal/server
 
 echo "== go test -race (signature/trace cross-validation) =="
 # The static I/O signature must exactly match the recorded trace on every
-# fixture workload (event counts and byte totals, no tolerance).
+# fixture workload (event counts and byte totals, no tolerance), and on the
+# pinned corpus of rank-divergent programs wherever it claims to be exact:
+# a test-time oracle, not a gate on the job path.
 race_run ./internal/replay TestCrossValidate
+race_run ./internal/tuner TestCrossValidatePinnedTraces
 
 echo "== benchmark module (bench/) =="
 # bench/ is a nested module (tunio/bench, replace tunio => ../), so the

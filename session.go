@@ -68,10 +68,10 @@ func (e *Engine) runSession(ctx context.Context, r *Run, spec JobSpec, space []p
 // trace resolves the session's kernel through the engine's kernel store
 // and stage cache (tuner.ResolveKernel) — on the session goroutine, so a
 // cold kernel's recording run never delays Tune's return. It carries the
-// paper's §III-B rule: a discovered I/O kernel that fails to record or to
-// cross-validate is given up for the full submitted source, and the
-// returned EngineInfo says so. What is still untraceable after that fails
-// the session with ErrUntraceable.
+// paper's §III-B rule: a discovered I/O kernel that fails to record is
+// given up for the full submitted source, and the returned EngineInfo says
+// so. What still does not record after that fails the session with
+// ErrUntraceable.
 func (e *Engine) trace(kern sessionKernel, c *cluster.Cluster, space []params.Parameter, seed int64) (*tuner.Kernel, tuner.EngineInfo, error) {
 	src := tuner.KernelSource{
 		Workload: kern.w, Prog: kern.prog,
