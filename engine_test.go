@@ -759,3 +759,50 @@ int main() {
 		t.Errorf("goroutines: %d before, %d after", before, after)
 	}
 }
+
+// A cold job builds stage 1 by footprint: which plan-stage parameters a
+// kernel's planning consults is learned from its first build, and genomes
+// that differ only outside that set are one key. A VPIC-shaped source
+// (contiguous datasets: the chunk cache is never consulted) tuned over
+// chunk_cache alone, and a FLASH-shaped one (chunked: no sieve buffer) over
+// sieve_buf_size alone, each cost one stage-1 build however many values the
+// search visits — and a second job, served the plan the first one's genome
+// built, returns the curve a fresh engine does.
+func TestEngineColdJobBuildsByFootprint(t *testing.T) {
+	vpic := &workload.VPIC{Procs: 16, ParticlesPerRank: 16 * 2048, Vars: 4, Steps: 1, Segments: 16, ComputeFlops: 1e9, Path: "/scratch/v.h5"}
+	flash := &workload.FLASH{Procs: 16, BlocksPerRank: 8, NXB: 8, NYB: 8, NZB: 8, Unknowns: 4, Steps: 1, ComputeFlops: 1e9, Path: "/scratch/f.h5"}
+	for _, tc := range []struct{ name, source, free string }{
+		{"vpic", vpic.CSource(), "chunk_cache"},
+		{"flash", flash.CSource(), "sieve_buf_size"},
+	} {
+		spec := JobSpec{
+			Source: tc.source,
+			Nodes:  2, ProcsPerNode: 8,
+			PopSize: 16, MaxIterations: 8, Reps: 1,
+			Seed:        5,
+			Parallelism: 2,
+			Fix:         map[string]int64{},
+		}
+		for _, p := range ParameterSpace() {
+			if p.Name != tc.free {
+				spec.Fix[p.Name] = p.Values[p.Default]
+			}
+		}
+		eng := NewEngine(EngineOptions{})
+		first := tuneOn(t, eng, spec)
+		if st := first.EngineInfo.StageStats; st.PlanMisses != 1 || st.WireMisses != 1 {
+			t.Errorf("%s over %s: first job's stage stats %+v, want one stack plan and one wire plan built", tc.name, tc.free, st)
+		}
+		spec.Seed = 6
+		second := tuneOn(t, eng, spec)
+		if st := second.EngineInfo.StageStats; st.PlanMisses != 0 || st.WireMisses != 0 {
+			t.Errorf("%s over %s: second job's stage stats %+v, want every lookup a hit", tc.name, tc.free, st)
+		}
+		if st := eng.Stats().Stage; st.PlanMisses != 1 || st.PlanDistinct != 1 {
+			t.Errorf("%s over %s: engine stage stats %+v, want one stage-1 build", tc.name, tc.free, st)
+		}
+		if solo := soloResult(t, spec); !reflect.DeepEqual(second.Curve, solo.Curve) {
+			t.Errorf("%s over %s: curve served from the first job's plan differs from a fresh engine's", tc.name, tc.free)
+		}
+	}
+}

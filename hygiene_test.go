@@ -1,6 +1,7 @@
 package tunio
 
 import (
+	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -219,6 +220,40 @@ func TestKernelIsItsTrace(t *testing.T) {
 		}
 		if jobPath[filepath.ToSlash(filepath.Dir(path))] && analysisImport.Match(src) {
 			t.Errorf("%s imports internal/analysis: the job path records and replays, it does not analyse", path)
+		}
+	})
+}
+
+// A phase is planned in one pass and stage 1 is keyed by what the kernel
+// reads. internal/lustre's planner adds every piece of an extent straight
+// into the per-OST accumulators: the per-extent piece list it used to build
+// first lives on only as the test oracle (plan_oracle_test.go), so no
+// non-test file of the package may declare the piece type or a split
+// method. And the three plan-stage fields of hdf5.Config are read in three
+// places, each of which reports the read (hdf5.PlanReads), which is what
+// lets the stage cache blank the parameters a kernel's planning never
+// consults: outside internal/hdf5's config.go — the declaration and the
+// three reporting accessors — and internal/params, which fills them in, no
+// non-test source may name the fields (names assembled here, as above).
+func TestPhaseIsPlannedInOnePass(t *testing.T) {
+	pieces := regexp.MustCompile(`(?m)^type ost` + `Piece\b|^func \([^)]*\) sp` + `lit\(`)
+	fields := regexp.MustCompile(`\.Align` + `ment\b|\bSieveBuf` + `Size\b|\bChunkCache` + `Bytes\b`)
+	goSources(t, func(path string, src []byte) {
+		if strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		switch dir := filepath.ToSlash(filepath.Dir(path)); {
+		case dir == "internal/lustre":
+			if m := pieces.Find(src); m != nil {
+				t.Errorf("%s declares %q: a phase's pieces go straight into the accumulators", path, m)
+			}
+		case dir == "internal/params" || filepath.ToSlash(path) == "internal/hdf5/config.go":
+			return
+		}
+		// the parameter's name constant is not the field
+		src = bytes.ReplaceAll(src, []byte("params.SieveBuf"+"Size"), nil)
+		if m := fields.Find(src); m != nil {
+			t.Errorf("%s names %s: a plan-stage field is read through the hdf5 accessor that reports it", path, m)
 		}
 	})
 }

@@ -303,15 +303,12 @@ func (in *interp) declValue(st *csrc.DeclStmt, sc *scope) (Value, error) {
 		if err := in.charge(n); err != nil {
 			return Value{}, err
 		}
-		arr := make([]Value, n)
-		isF := isFloatType(st.Type)
-		for i := range arr {
-			if isF {
-				arr[i] = FloatVal(0)
-			} else {
-				arr[i] = IntVal(0)
-			}
+		if st.InitList == nil {
+			// Nothing reads it yet, and `char path[256]` may only ever be
+			// sprintf'd over: it stays a length until something does (load).
+			return unreadArray(n, isFloatType(st.Type)), nil
 		}
+		arr := zeroArray(n, isFloatType(st.Type))
 		for i, e := range st.InitList {
 			if int64(i) >= n {
 				break
@@ -436,7 +433,7 @@ func (in *interp) eval(e csrc.Expr, sc *scope) (Value, error) {
 		return IntVal(int64(x.Value)), nil
 	case *csrc.Ident:
 		if slot := sc.lookup(x.Name); slot != nil {
-			return *slot, nil
+			return slot.load(), nil
 		}
 		if v, ok := constants[x.Name]; ok {
 			return v, nil
@@ -469,7 +466,7 @@ func (in *interp) eval(e csrc.Expr, sc *scope) (Value, error) {
 			if err != nil {
 				return Value{}, err
 			}
-			return *slot, nil
+			return slot.load(), nil
 		}
 		v, err := in.eval(x.X, sc)
 		if err != nil {
@@ -526,7 +523,7 @@ func (in *interp) eval(e csrc.Expr, sc *scope) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		return *slot, nil
+		return slot.load(), nil
 	case *csrc.CallExpr:
 		return in.call(x, sc)
 	}

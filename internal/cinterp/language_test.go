@@ -1,10 +1,13 @@
 package cinterp
 
 import (
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"tunio/internal/csrc"
 )
 
 // runOutput executes a single-rank program and returns rank 0's printf
@@ -446,5 +449,75 @@ int main() {
 `)
 	if len(out) != 2 || out[0] != "/scratch" || out[1] != "/tmp/x.h5" {
 		t.Fatalf("strncpy = %v, want [/scratch /tmp/x.h5]", out)
+	}
+}
+
+// An array declared without an initialiser list stays a length until
+// something reads it, and gets its elements in the variable's own slot: the
+// first read may be a by-value pass to a callee, and what the callee writes
+// through its copy the caller must see — before and after indexing the
+// array itself. A buffer that is only ever written whole, like the path
+// sprintf builds, never gets elements at all.
+func TestLangLazyArray(t *testing.T) {
+	out := runOutput(t, `
+int counts[6];
+void poke(int *a, int i, int v) {
+    a[i] = v;
+}
+int main() {
+    int v[8];
+    poke(v, 3, 7);
+    v[2] = 5;
+    poke(v, 4, 9);
+    if (v[3] == 7 && v[4] == 9 && v[2] == 5 && v[0] == 0) {
+        printf("one array\n");
+    }
+    double d[4];
+    if (d[1] + 0.5 == 0.5 && d[3] / 2 == 0.0) {
+        printf("float zeros\n");
+    }
+    poke(counts, 5, 1);
+    if (counts[5] == 1 && counts[0] == 0) {
+        printf("global too\n");
+    }
+    char path[256];
+    sprintf(path, "/scratch/run%03d.h5", 12);
+    printf(path);
+    return 0;
+}
+`)
+	want := []string{"one array\n", "float zeros\n", "global too\n", "/scratch/run012.h5"}
+	if len(out) != len(want) {
+		t.Fatalf("output = %q, want %q", out, want)
+	}
+	for i := range want {
+		if out[i] != want[i] {
+			t.Fatalf("output = %q, want %q", out, want)
+		}
+	}
+
+	prog := parseProg(t, `
+int main() {
+    char path[256];
+    sprintf(path, "/scratch/%d.h5", 7);
+    return 0;
+}
+`)
+	in := newInterp(prog, 0, 1, 1<<30)
+	sc := newScope(in.globals)
+	decl := prog.Func("main").Body.Stmts[0].(*csrc.DeclStmt)
+	if allocs := testing.AllocsPerRun(100, func() {
+		v, err := in.declValue(decl, sc)
+		if err != nil || v.Kind != KArray || v.Arr != nil {
+			t.Fatalf("declared %+v, %v; want an array without elements", v, err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("declaring an unread array allocates %v times, want 0", allocs)
+	}
+	if err := in.execBlock(prog.Func("main").Body, sc); err != nil && !errors.As(err, new(returnSignal)) {
+		t.Fatal(err)
+	}
+	if in.ops < 256 {
+		t.Fatalf("%d steps charged: an unread array still costs its length", in.ops)
 	}
 }

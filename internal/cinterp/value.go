@@ -39,9 +39,43 @@ type Value struct {
 	I    int64
 	F    float64
 	S    string
-	Arr  []Value // shared by reference
-	Size int64   // KBuf allocation size
+	Arr  []Value // shared by reference; nil with Size > 0 while unread (load)
+	Size int64   // KBuf allocation size; length of an unread KArray
 	Ref  *Value  // KRef target
+}
+
+// unreadArray is an array declared without an initialiser list: a length
+// (and, in I, whether its elements are floats) until something reads it.
+func unreadArray(n int64, isFloat bool) Value {
+	v := Value{Kind: KArray, Size: n}
+	if isFloat {
+		v.I = 1
+	}
+	return v
+}
+
+// zeroArray returns n zero elements of an int or float array.
+func zeroArray(n int64, isFloat bool) []Value {
+	arr := make([]Value, n)
+	zero := IntVal(0)
+	if isFloat {
+		zero = FloatVal(0)
+	}
+	for i := range arr {
+		arr[i] = zero
+	}
+	return arr
+}
+
+// load reads the variable slot v as an rvalue. An unread array gets its
+// elements here, in the slot, so every copy of the value made from now on —
+// an argument passed by value, a struct of handles — shares the one array.
+func (v *Value) load() Value {
+	if v.Kind == KArray && v.Arr == nil && v.Size > 0 {
+		v.Arr = zeroArray(v.Size, v.I != 0)
+		v.Size, v.I = 0, 0
+	}
+	return *v
 }
 
 // IntVal builds an integer value.

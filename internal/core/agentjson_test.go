@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"tunio/internal/params"
@@ -135,5 +136,77 @@ func TestLoadedStopperMatchesOriginalDecisions(t *testing.T) {
 		if sp {
 			break
 		}
+	}
+}
+
+// TunIO.Clone copies the agents without encoding them, and must hand back
+// what the encoding round trip did: the learned state and exploration
+// rates, and everything else as a freshly loaded agent has it — optimizer,
+// replay buffer, target network, step count, exploration stream. A clone of
+// the trained agents (all of that state spent) and agents loaded from their
+// JSON are driven through 400 learning iterations of the same noisy curve:
+// every decision agrees, and afterwards the two serialize to the same bytes,
+// so every weight and rate went through the same updates.
+func TestCloneIsTheJSONRoundTrip(t *testing.T) {
+	trained := &TunIO{Stopper: trainTestStopper(t, 31), Picker: trainTestPicker(t, 31)}
+	blob, err := json.Marshal(trained)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := &TunIO{Stopper: &EarlyStopper{}, Picker: &SmartPicker{}}
+	if err := json.Unmarshal(blob, loaded); err != nil {
+		t.Fatal(err)
+	}
+	cloned, err := trained.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := json.Marshal(cloned); err != nil || !bytes.Equal(again, blob) {
+		t.Fatalf("a clone serializes differently from its original (err %v)", err)
+	}
+
+	n := len(params.Space())
+	masks := [2][]bool{make([]bool, n), make([]bool, n)}
+	for i := 0; i < n; i++ {
+		masks[0][i], masks[1][i] = true, true
+	}
+	r := rand.New(rand.NewSource(7))
+	best := 0.0
+	for it := 0; it < 400; it++ {
+		if it%40 == 0 { // a new episode
+			best = 0
+			loaded.Reset()
+			cloned.Reset()
+		}
+		perf := 500 + 400*float64(it%40) + 300*r.Float64()
+		if perf > best {
+			best = perf
+		}
+		for i, a := range []*TunIO{loaded, cloned} {
+			masks[i] = a.SubsetPicker(perf, masks[i])
+		}
+		if !reflect.DeepEqual(masks[0], masks[1]) {
+			t.Fatalf("iteration %d: subsets diverge: loaded %v, cloned %v", it, masks[0], masks[1])
+		}
+		if l, c := loaded.Stop(it%40, best), cloned.Stop(it%40, best); l != c {
+			t.Fatalf("iteration %d: loaded stop=%v, cloned stop=%v", it, l, c)
+		}
+	}
+	a, err := json.Marshal(loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(cloned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("after the same 400 learning iterations the loaded and the cloned agents differ")
+	}
+	if bytes.Equal(a, blob) {
+		t.Fatal("400 learning iterations left the agents as trained: the test drives nothing")
+	}
+	if again, err := json.Marshal(trained); err != nil || !bytes.Equal(again, blob) {
+		t.Fatalf("driving a clone changed its original (err %v)", err)
 	}
 }

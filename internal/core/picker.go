@@ -300,16 +300,31 @@ func (p *SmartPicker) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(payload.Agent, agent); err != nil {
 		return fmt.Errorf("core: picker agent: %w", err)
 	}
-	p.cfg = payload.Cfg
-	p.impact = payload.Impact
+	p.restore(payload.Cfg, payload.Impact, bandit, agent)
+	return nil
+}
+
+// restore makes p a picker as shipped: the given configuration, impact
+// scores and trained agents, its exploration stream reseeded and no reward
+// pending.
+func (p *SmartPicker) restore(cfg PickerConfig, impact []float64, bandit *rl.ContextualBandit, agent *rl.QAgent) {
+	p.cfg = cfg
+	p.impact = impact
 	p.ranking = pca.RankDescending(p.impact)
 	p.bandit = bandit
 	p.agent = agent
-	p.rng = rand.New(rand.NewSource(payload.Cfg.Seed))
-	p.delayed = rl.NewDelayedReward(payload.Cfg.RewardDelay)
-	p.scale = payload.Cfg.PerfScale
+	p.rng = rand.New(rand.NewSource(cfg.Seed))
+	p.delayed = rl.NewDelayedReward(cfg.RewardDelay)
+	p.scale = cfg.PerfScale
 	p.learn = true
-	return nil
+}
+
+// Clone returns the picker a MarshalJSON/UnmarshalJSON round trip yields,
+// without the encoding.
+func (p *SmartPicker) Clone() *SmartPicker {
+	c := &SmartPicker{}
+	c.restore(p.cfg, append([]float64(nil), p.impact...), p.bandit.Clone(), p.agent.Clone())
+	return c
 }
 
 func countTrue(mask []bool) int {

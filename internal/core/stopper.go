@@ -256,13 +256,27 @@ func (s *EarlyStopper) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(payload.Agent, agent); err != nil {
 		return fmt.Errorf("core: stopper agent: %w", err)
 	}
-	s.cfg = payload.Cfg
-	s.agent = agent
-	s.rng = rand.New(rand.NewSource(payload.Cfg.Seed))
-	s.delayed = rl.NewDelayedReward(payload.Cfg.RewardDelay)
-	s.scale = payload.Cfg.PerfScale
-	s.learn = true
+	s.restore(payload.Cfg, agent)
 	return nil
+}
+
+// restore makes s a stopper as shipped: the given configuration and trained
+// agent, its exploration stream reseeded and no reward pending.
+func (s *EarlyStopper) restore(cfg StopperConfig, agent *rl.QAgent) {
+	s.cfg = cfg
+	s.agent = agent
+	s.rng = rand.New(rand.NewSource(cfg.Seed))
+	s.delayed = rl.NewDelayedReward(cfg.RewardDelay)
+	s.scale = cfg.PerfScale
+	s.learn = true
+}
+
+// Clone returns the stopper a MarshalJSON/UnmarshalJSON round trip yields,
+// without the encoding.
+func (s *EarlyStopper) Clone() *EarlyStopper {
+	c := &EarlyStopper{}
+	c.restore(s.cfg, s.agent.Clone())
+	return c
 }
 
 // LogCurve is a synthetic tuning trajectory used for offline training: the

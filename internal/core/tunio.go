@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/json"
-
 	"tunio/internal/cluster"
 	"tunio/internal/discovery"
 	"tunio/internal/params"
@@ -37,26 +35,13 @@ func (t *TunIO) Reset() {
 
 // Clone deep-copies the trained agents (weights and impact scores) so a
 // tuning run can learn online without mutating the original — experiment
-// harnesses clone per pipeline to keep runs independent.
+// harnesses clone per pipeline, the tuning server per job. The copy is what
+// serializing the agents and loading them back yields: the learned state
+// and exploration rates, a fresh optimizer and replay buffer, exploration
+// streams reseeded, no episode in progress. The error is always nil; it
+// stays in the signature from when the copy went through an encoding.
 func (t *TunIO) Clone() (*TunIO, error) {
-	sb, err := json.Marshal(t.Stopper)
-	if err != nil {
-		return nil, err
-	}
-	pb, err := json.Marshal(t.Picker)
-	if err != nil {
-		return nil, err
-	}
-	out := &TunIO{Stopper: &EarlyStopper{}, Picker: &SmartPicker{}}
-	if err := json.Unmarshal(sb, out.Stopper); err != nil {
-		return nil, err
-	}
-	if err := json.Unmarshal(pb, out.Picker); err != nil {
-		return nil, err
-	}
-	// restored agents default to exploratory deployment settings
-	out.Stopper.SetEpsilon(t.Stopper.Epsilon())
-	return out, nil
+	return &TunIO{Stopper: t.Stopper.Clone(), Picker: t.Picker.Clone()}, nil
 }
 
 // DiscoverIO implements the Table I `discover_io` interface: it reduces

@@ -116,15 +116,62 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// PlanReads is a set of the three plan-stage fields of a Config: the ones
+// that decide where data lands and which extents a transfer becomes
+// (params.PlanStage). A library keeps the set its calls have consulted so
+// far (Library.Reads). Whether a call sequence reaches each of the three
+// read sites below does not depend on any of the three values — the
+// alignment is consulted for an allocation at or over AlignmentThreshold,
+// the sieve buffer for a contiguous slab of more than one segment, the chunk
+// cache capacity by a file's first chunked transfer — so the set a planning
+// library ends with is a property of the trace it walked, and a
+// configuration that differs from another only outside it plans the same.
+type PlanReads uint8
+
+// The plan-stage fields, as members of a PlanReads.
+const (
+	ReadsAlignment PlanReads = 1 << iota
+	ReadsSieveBuf
+	ReadsChunkCache
+)
+
+// Reads returns the plan-stage fields the library's calls have consulted
+// since it was built or rebound.
+func (l *Library) Reads() PlanReads { return l.reads }
+
+// alignment, sieveBufSize and chunkCacheBytes are the library's only
+// readers of the three plan-stage fields: reading one is reporting it, so a
+// new use of a field cannot leave it out of the footprint (root
+// hygiene_test.go keeps the field names out of every other file).
+func (l *Library) alignment() int64 {
+	l.reads |= ReadsAlignment
+	return l.cfg.Alignment
+}
+
+func (l *Library) sieveBufSize() int64 {
+	l.reads |= ReadsSieveBuf
+	return l.cfg.SieveBufSize
+}
+
+func (l *Library) chunkCacheBytes() int64 {
+	l.reads |= ReadsChunkCache
+	return l.cfg.ChunkCacheBytes
+}
+
 // align rounds offset up per the alignment policy for an allocation of
-// size bytes.
-func (c Config) align(offset, size int64) int64 {
-	if c.Alignment <= 1 || size < c.AlignmentThreshold {
+// size bytes. The size is tested first: below the threshold the alignment
+// is not consulted at all.
+func (l *Library) align(offset, size int64) int64 {
+	if size < l.cfg.AlignmentThreshold {
 		return offset
 	}
-	rem := offset % c.Alignment
+	alignment := l.alignment()
+	if alignment <= 1 {
+		return offset
+	}
+	rem := offset % alignment
 	if rem == 0 {
 		return offset
 	}
-	return offset + c.Alignment - rem
+	return offset + alignment - rem
 }

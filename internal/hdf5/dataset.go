@@ -145,10 +145,13 @@ func (d *Dataset) transfer(slabs []Slab, isWrite bool) (float64, error) {
 	if d.cp == nil {
 		data = lib.extBuf[:0]
 		for _, sl := range slabs {
-			data = contiguousSlabExtents(d.space, sl, d.dataOffset, lib.cfg.SieveBufSize, data)
+			data = lib.contiguousSlabExtents(d.space, sl, d.dataOffset, data)
 		}
 		lib.extBuf = data[:0]
 	} else {
+		if f.cache == nil {
+			f.cache = newChunkCache(lib.chunkCacheBytes())
+		}
 		ph := d.cp.plan(slabs, isWrite, f.cache, f.allocate)
 		for i := int64(0); i < ph.NewChunks; i++ {
 			f.addMetadata(metaItemSize) // chunk index entry

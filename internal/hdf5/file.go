@@ -49,8 +49,9 @@ type Library struct {
 	names   []string // file names by File.idx, in first-creation order
 	tracer  Tracer
 
-	acc float64 // live: elapsed time of the current transfer's data phases
-	ops []Op    // planning: the ops so far
+	acc   float64   // live: elapsed time of the current transfer's data phases
+	ops   []Op      // planning: the ops so far
+	reads PlanReads // plan-stage fields consulted so far
 
 	// reusable extent buffers for transfer and metadata phases
 	extBuf  []ioreq.Extent
@@ -98,6 +99,7 @@ func (l *Library) Rebind(hints mpiio.Hints, cfg Config) error {
 	l.hints = hints
 	l.cfg = cfg
 	l.tracer = nil
+	l.reads = 0
 	clear(l.files)
 	l.names = l.names[:0]
 	return nil
@@ -160,7 +162,7 @@ type File struct {
 	// metadata model
 	metaPendingBytes int64 // dirty metadata awaiting flush
 	metaPendingItems int64
-	cache            *chunkCache
+	cache            *chunkCache // of this handle; made by its first chunked transfer
 	groups           map[string]bool
 }
 
@@ -174,7 +176,6 @@ func (l *Library) CreateFile(name string) (*File, error) {
 		name:     name,
 		idx:      int32(len(l.names)),
 		datasets: make(map[string]*Dataset),
-		cache:    newChunkCache(l.cfg.ChunkCacheBytes),
 	}
 	if prev, ok := l.files[name]; ok {
 		f.idx = prev.idx // truncated: the name keeps its place
@@ -204,7 +205,6 @@ func (l *Library) OpenFile(name string) (*File, error) {
 		idx:      prev.idx,
 		eof:      prev.eof,
 		datasets: prev.datasets,
-		cache:    newChunkCache(l.cfg.ChunkCacheBytes),
 	}
 	if err := l.do(f, Op{Kind: OpOpen}); err != nil {
 		return nil, err
@@ -228,7 +228,7 @@ func (f *File) EOF() int64 { return f.eof }
 // allocate reserves size bytes, honoring the alignment policy, and returns
 // the offset.
 func (f *File) allocate(size int64) int64 {
-	off := f.lib.cfg.align(f.eof, size)
+	off := f.lib.align(f.eof, size)
 	f.eof = off + size
 	return off
 }

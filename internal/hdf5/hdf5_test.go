@@ -87,19 +87,35 @@ func TestMDCLevels(t *testing.T) {
 }
 
 func TestAlignHelper(t *testing.T) {
-	c := Config{Alignment: 1 << 20, AlignmentThreshold: 64 << 10}
+	planner := func(c Config) *Library {
+		l, err := NewPlanner(c, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	c := planner(Config{Alignment: 1 << 20, AlignmentThreshold: 64 << 10})
+	if got := c.align(100, 1024); got != 100 {
+		t.Fatal("below threshold must not align")
+	}
+	if c.Reads() != 0 {
+		t.Fatalf("below threshold the alignment is not consulted, reads %b", c.Reads())
+	}
 	if got := c.align(100, 1<<20); got != 1<<20 {
 		t.Fatalf("align = %d", got)
 	}
-	if got := c.align(100, 1024); got != 100 {
-		t.Fatal("below threshold must not align")
+	if c.Reads() != ReadsAlignment {
+		t.Fatalf("reads %b, want the alignment", c.Reads())
 	}
 	if got := c.align(2<<20, 1<<20); got != 2<<20 {
 		t.Fatal("already aligned must not move")
 	}
-	none := Config{Alignment: 1}
+	none := planner(Config{Alignment: 1})
 	if got := none.align(100, 1<<20); got != 100 {
 		t.Fatal("alignment 1 must be identity")
+	}
+	if none.Reads() != ReadsAlignment {
+		t.Fatal("an alignment of 1 is a value read like any other")
 	}
 }
 

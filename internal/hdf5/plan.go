@@ -64,7 +64,8 @@ type Op struct {
 // which runs the same calls over the same file-format state as a live
 // library and collects the ops they resolve to instead of charging them
 // (Plan returns them). The ops depend on cfg's plan-footprint fields only —
-// alignment, sieve buffer, chunk cache capacity.
+// alignment, sieve buffer, chunk cache capacity — and of those on the ones
+// Reads names once the calls are made.
 func NewPlanner(cfg Config, nprocs int) (*Library, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -232,26 +233,27 @@ func MetaMisses(items int64, hitRate, draw float64) int64 {
 // contiguousSlabExtents converts one slab of a contiguous-layout dataset
 // into file extents, applying sieve-buffer coalescing of small strided
 // segments. Extents are appended to dst (which may be a reused buffer).
-func contiguousSlabExtents(space Space, sl Slab, dataOffset, sieve int64, dst []ioreq.Extent) []ioreq.Extent {
+func (l *Library) contiguousSlabExtents(space Space, sl Slab, dataOffset int64, dst []ioreq.Extent) []ioreq.Extent {
 	g := space.Geometry(sl)
 	totalBytes := g.SegBytes * g.NSegments
 
-	// Sieve buffer: small strided segments coalesce into sieve-sized
-	// requests over the slab's span, reducing the effective request count.
-	effSegs := g.NSegments
-	if sieve > 0 && g.NSegments > 1 && g.SegBytes < sieve {
-		perSieve := sieve / g.SegBytes
-		if perSieve > 1 {
-			effSegs = (g.NSegments + perSieve - 1) / perSieve
-		}
-	}
-
+	// one segment is one request whatever the sieve buffer: it is not read
 	if g.NSegments == 1 {
 		return append(dst, ioreq.Extent{
 			Offset: dataOffset + g.FirstByte,
 			Size:   totalBytes,
 			Rank:   sl.Rank,
 		})
+	}
+
+	// Sieve buffer: small strided segments coalesce into sieve-sized
+	// requests over the slab's span, reducing the effective request count.
+	effSegs := g.NSegments
+	if sieve := l.sieveBufSize(); sieve > 0 && g.SegBytes < sieve {
+		perSieve := sieve / g.SegBytes
+		if perSieve > 1 {
+			effSegs = (g.NSegments + perSieve - 1) / perSieve
+		}
 	}
 
 	// Group segments into at most maxExtentsPerSlab representative extents.

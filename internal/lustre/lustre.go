@@ -23,6 +23,7 @@ package lustre
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"tunio/internal/cluster"
 	"tunio/internal/darshan"
@@ -96,26 +97,24 @@ type FS struct {
 	// allocator spreading files across the pool.
 	nextOST int
 
-	// Scratch state reused across split/plan calls. Access to one FS is
+	// Scratch state reused across plan calls. Access to one FS is
 	// serialized (the simulation advances a single clock), so phases never
 	// run concurrently; concurrent tuning evaluations each build their own
 	// stack and FS. Epoch stamps make resets O(touched) instead of O(OSTs).
 	scratch phaseScratch
 }
 
-// phaseScratch holds the dense accumulators split and plan reuse call to
-// call, replacing the per-call maps that dominated the evaluation hot path.
+// phaseScratch holds the dense accumulators plan reuses call to call,
+// replacing the per-call maps that dominated the evaluation hot path.
 // Epoch stamps mark which entries belong to the current extent/phase, so a
 // "reset" is a counter increment rather than a clear. Generation 0 is what
 // untouched stamps hold and is never current: the scratch outlives FS.Reset
 // in pooled stacks, so the counters do wrap, and nextSlotGen/nextPhaseGen
 // then clear the stamps and restart at 1.
 type phaseScratch struct {
-	pieces []ostPiece // split output buffer
-
-	// Per-extent slot accumulation in split, indexed by stripe%stripeCount.
-	// slotOrder keeps first-touch order: the last touched slot absorbs the
-	// payload rounding remainder, exactly as the map-based version did.
+	// Per-extent slot accumulation (planner.slotted), indexed by
+	// stripe%stripeCount. slotOrder keeps first-touch order: the last touched
+	// slot absorbs the payload rounding remainder.
 	slotEpoch []uint32
 	slotSpan  []int64
 	slotEdges []int64
@@ -147,7 +146,7 @@ type phaseScratch struct {
 	wide  []wideLoad
 }
 
-// nextSlotGen starts a new extent in split.
+// nextSlotGen starts a new extent in planner.slotted.
 func (sp *phaseScratch) nextSlotGen() uint32 {
 	sp.slotGen++
 	if sp.slotGen == 0 {
@@ -270,171 +269,6 @@ func (f *File) StripeSize() int64 { return f.stripeSize }
 // Size returns the current file size (high-water mark of writes).
 func (f *File) Size() int64 { return f.size }
 
-// ostPiece is the load one extent places on a single OST. A piece may
-// aggregate several stripes of the same extent that land on the same OST.
-type ostPiece struct {
-	ost      int
-	size     int64
-	requests int64 // sub-requests landing in this piece
-	rank     int
-	rmwEdges int64 // request edges unaligned to RMWUnit (write RMW penalty)
-}
-
-// edgeRMW reports whether a boundary at off is a read-modify-write edge
-// of a file currently size bytes long.
-func (f *File) edgeRMW(off int64, trailing bool, size int64) bool {
-	if off%f.fs.cfg.RMWUnit == 0 {
-		return false
-	}
-	if trailing && off >= size {
-		return false // appending past EOF: nothing to read back
-	}
-	return true
-}
-
-// split maps an extent to per-OST pieces according to the stripe layout.
-// The extent's geometric footprint (SpanLen) decides which stripes are
-// touched; its payload bytes are spread over those stripes in proportion
-// to footprint overlap, and its sub-request count distributes with the
-// payload. Extents spanning many stripe cycles aggregate into one piece
-// per participating OST so cost stays O(stripeCount) rather than
-// O(stripes). fileSize is the file size the extent meets (plan's running
-// high-water mark, not f.size: planning leaves the file untouched).
-func (f *File) split(e ioreq.Extent, fileSize int64) []ostPiece {
-	ss := f.stripeSize
-	sc := int64(f.stripeCount)
-	spanLen := e.SpanLen()
-	end := e.Offset + spanLen
-	firstStripe := e.Offset / ss
-	lastStripe := (end - 1) / ss
-	nStripes := lastStripe - firstStripe + 1
-
-	// Collect geometric footprint per OST slot first. Slots are keyed by
-	// stripe%stripeCount (equivalent to keying by OST: the slot->OST map is
-	// injective) into epoch-stamped scratch arrays, in first-touch order.
-	sp := &f.fs.scratch
-	gen := sp.nextSlotGen()
-	growStamps(&sp.slotEpoch, int(sc)-1)
-	growInt64(&sp.slotSpan, int(sc)-1)
-	growInt64(&sp.slotEdges, int(sc)-1)
-	sp.slotOrder = sp.slotOrder[:0]
-	add := func(stripe, span, edges int64) {
-		slot := int(stripe % sc)
-		if sp.slotEpoch[slot] != gen {
-			sp.slotEpoch[slot] = gen
-			sp.slotSpan[slot] = 0
-			sp.slotEdges[slot] = 0
-			sp.slotOrder = append(sp.slotOrder, int32(slot))
-		}
-		sp.slotSpan[slot] += span
-		sp.slotEdges[slot] += edges
-	}
-
-	if nStripes <= 2*sc {
-		// exact per-stripe walk for small spans; the stripe index and
-		// in-stripe position advance incrementally (no div/mod per stripe)
-		off := e.Offset
-		remaining := spanLen
-		stripeIdx := firstStripe
-		avail := ss - off%ss
-		for remaining > 0 {
-			n := remaining
-			if n > avail {
-				n = avail
-			}
-			var edges int64
-			if f.edgeRMW(off, false, fileSize) {
-				edges++
-			}
-			if f.edgeRMW(off+n, true, fileSize) {
-				edges++
-			}
-			add(stripeIdx, n, edges)
-			off += n
-			remaining -= n
-			stripeIdx++
-			avail = ss
-		}
-	} else {
-		// aggregated path: head/tail partial stripes plus evenly
-		// distributed full stripes
-		headBytes := int64(0)
-		if rem := e.Offset % ss; rem != 0 {
-			headBytes = ss - rem
-		}
-		tailBytes := end % ss
-		fullFirst, fullLast := firstStripe, lastStripe
-		if headBytes > 0 {
-			fullFirst++
-		}
-		if tailBytes > 0 {
-			fullLast--
-		}
-		fullCount := fullLast - fullFirst + 1
-		if headBytes > 0 {
-			var edges int64
-			if f.edgeRMW(e.Offset, false, fileSize) {
-				edges++
-			}
-			add(firstStripe, headBytes, edges)
-		}
-		if tailBytes > 0 {
-			var edges int64
-			if f.edgeRMW(end, true, fileSize) {
-				edges++
-			}
-			add(lastStripe, tailBytes, edges)
-		}
-		base := fullCount / sc
-		extra := fullCount % sc
-		for i := int64(0); i < sc; i++ {
-			stripe := fullFirst + i
-			if stripe > fullLast {
-				break
-			}
-			cnt := base
-			if i < extra {
-				cnt++
-			}
-			if cnt > 0 {
-				add(stripe, cnt*ss, 0)
-			}
-		}
-	}
-
-	// Convert footprint to payload: spread Size bytes and Count requests
-	// proportionally, conserving totals exactly (the last touched slot
-	// absorbs the rounding remainder).
-	out := sp.pieces[:0]
-	var assignedBytes, assignedReqs int64
-	for i, slot := range sp.slotOrder {
-		span := sp.slotSpan[slot]
-		size := span * e.Size / spanLen
-		reqs := span * e.Requests() / spanLen
-		if i == len(sp.slotOrder)-1 {
-			size = e.Size - assignedBytes
-			reqs = e.Requests() - assignedReqs
-		}
-		assignedBytes += size
-		assignedReqs += reqs
-		if size <= 0 {
-			continue
-		}
-		if reqs < 1 {
-			reqs = 1
-		}
-		out = append(out, ostPiece{
-			ost:      (f.firstOST + int(slot)) % f.fs.cfg.OSTs,
-			size:     size,
-			requests: reqs,
-			rank:     e.Rank,
-			rmwEdges: sp.slotEdges[slot],
-		})
-	}
-	sp.pieces = out
-	return out
-}
-
 // phase services a set of extents and returns the elapsed simulated time:
 // plan splits them into per-OST integer loads, charge turns the loads into
 // time on the machine as it is now.
@@ -458,6 +292,11 @@ func (f *File) phase(extents []ioreq.Extent, isWrite bool) (float64, error) {
 // the file untouched (charge applies the size change) and returns the table
 // in FS scratch, valid until the next plan. wide is non-nil when some load
 // overflows the table's compact fields; it then carries every load instead.
+//
+// An extent's geometric footprint (SpanLen) decides which stripes it
+// touches; its payload bytes are spread over those stripes in proportion to
+// footprint overlap, and its sub-request count distributes with the payload
+// (planner.extent). Every piece goes straight into the per-OST accumulators.
 func (f *File) plan(extents []ioreq.Extent, isWrite bool) (*PhaseTable, []wideLoad, error) {
 	sp := &f.fs.scratch
 	gen := sp.nextPhaseGen()
@@ -465,7 +304,6 @@ func (f *File) plan(extents []ioreq.Extent, isWrite bool) (*PhaseTable, []wideLo
 	sp.nodeOrder = sp.nodeOrder[:0]
 	procsPerNode := f.fs.sim.Cluster.ProcsPerNode
 	nOSTs := f.fs.cfg.OSTs
-	rmwUnit := f.fs.cfg.RMWUnit
 	growStamps(&sp.loadEpoch, nOSTs-1)
 	growInt64(&sp.loadBytes, nOSTs-1)
 	growInt64(&sp.loadRMW, nOSTs-1)
@@ -475,9 +313,9 @@ func (f *File) plan(extents []ioreq.Extent, isWrite bool) (*PhaseTable, []wideLo
 	// Distinct-client stamps: one row of ranks per OST. Rank values are
 	// bounded by the cluster size in practice; grow defensively otherwise.
 	maxRank := 0
-	for _, e := range extents {
-		if e.Rank > maxRank {
-			maxRank = e.Rank
+	for i := range extents {
+		if r := extents[i].Rank; r > maxRank {
+			maxRank = r
 		}
 	}
 	if sp.cliStride < maxRank+1 || len(sp.cliEpoch) < nOSTs*sp.cliStride {
@@ -492,51 +330,27 @@ func (f *File) plan(extents []ioreq.Extent, isWrite bool) (*PhaseTable, []wideLo
 		isWrite:    isWrite,
 		sizeBefore: f.size,
 	}
+	p := newPlanner(f, gen, isWrite)
 	size := f.size
-	for _, e := range extents {
-		if err := e.Validate(); err != nil {
-			return nil, nil, err
+	node, nodeOf := -1, 0 // the last extent's node and rank: extents come in runs of one rank
+	for i := range extents {
+		e := &extents[i]
+		if e.Offset < 0 || e.Size <= 0 {
+			return nil, nil, e.Validate()
 		}
 		t.appBytes += e.Size
-		node := e.Rank / procsPerNode
-		growStamps(&sp.nodeEpoch, node)
-		growInt64(&sp.nodeBytes, node)
-		if sp.nodeEpoch[node] != gen {
-			sp.nodeEpoch[node] = gen
-			sp.nodeBytes[node] = 0
-			sp.nodeOrder = append(sp.nodeOrder, int32(node))
+		if node < 0 || e.Rank != nodeOf {
+			node, nodeOf = e.Rank/procsPerNode, e.Rank
+			growStamps(&sp.nodeEpoch, node)
+			growInt64(&sp.nodeBytes, node)
+			if sp.nodeEpoch[node] != gen {
+				sp.nodeEpoch[node] = gen
+				sp.nodeBytes[node] = 0
+				sp.nodeOrder = append(sp.nodeOrder, int32(node))
+			}
 		}
 		sp.nodeBytes[node] += e.Size
-		for _, p := range f.split(e, size) {
-			o := p.ost
-			if sp.loadEpoch[o] != gen {
-				sp.loadEpoch[o] = gen
-				sp.loadBytes[o] = 0
-				sp.loadRMW[o] = 0
-				sp.loadReqs[o] = 0
-				sp.loadClis[o] = 0
-				sp.loadOrder = append(sp.loadOrder, int32(o))
-			}
-			sp.loadBytes[o] += p.size
-			sp.loadReqs[o] += p.requests
-			if cs := o*sp.cliStride + p.rank; sp.cliEpoch[cs] != gen {
-				sp.cliEpoch[cs] = gen
-				sp.loadClis[o]++
-			}
-			if isWrite {
-				subSize := p.size / p.requests
-				if subSize == 0 {
-					subSize = p.size
-				}
-				edges := p.rmwEdges
-				// Strided sub-requests smaller than the RAID segment pay
-				// interior RMW; sequential write combining absorbs half.
-				if p.requests > 1 && subSize%rmwUnit != 0 {
-					edges += p.requests / 2
-				}
-				sp.loadRMW[o] += edges * min64(rmwUnit, subSize)
-			}
-		}
+		p.extent(e, size)
 		if isWrite && e.End() > size {
 			size = e.End()
 		}
@@ -571,6 +385,322 @@ func (f *File) plan(extents []ioreq.Extent, isWrite bool) (*PhaseTable, []wideLo
 			requests: sp.loadReqs[o], bytes: sp.loadBytes[o] + sp.loadRMW[o]})
 	}
 	return t, sp.wide, nil
+}
+
+// planner is what File.plan hoists out of its extent loop: the phase's
+// accumulators and generation, and the layout arithmetic in the cheapest
+// form the layout allows — a shift and a mask where the stripe size or the
+// RAID segment is a power of two (every value params.Space() offers is).
+type planner struct {
+	sp      *phaseScratch
+	gen     uint32
+	isWrite bool
+
+	ss, sc   int64 // stripe size and count
+	ssShift  uint  // log2(ss), meaningful when ssMask >= 0
+	ssMask   int64 // ss-1 when ss is a power of two, else -1
+	rmwUnit  int64
+	rmwMask  int64 // rmwUnit-1 when rmwUnit is a power of two, else -1
+	firstOST int
+	nOSTs    int
+}
+
+func newPlanner(f *File, gen uint32, isWrite bool) planner {
+	p := planner{
+		sp: &f.fs.scratch, gen: gen, isWrite: isWrite,
+		ss: f.stripeSize, sc: int64(f.stripeCount), ssMask: -1,
+		rmwUnit: f.fs.cfg.RMWUnit, rmwMask: -1,
+		firstOST: f.firstOST, nOSTs: f.fs.cfg.OSTs,
+	}
+	if p.ss&(p.ss-1) == 0 {
+		p.ssShift, p.ssMask = uint(bits.TrailingZeros64(uint64(p.ss))), p.ss-1
+	}
+	if p.rmwUnit&(p.rmwUnit-1) == 0 {
+		p.rmwMask = p.rmwUnit - 1
+	}
+	return p
+}
+
+// stripeOf returns the stripe a non-negative file offset falls in.
+func (p *planner) stripeOf(off int64) int64 {
+	if p.ssMask >= 0 {
+		return off >> p.ssShift
+	}
+	return off / p.ss
+}
+
+// unaligned reports whether off is off the RAID segment grid.
+func (p *planner) unaligned(off int64) bool {
+	if p.rmwMask >= 0 {
+		return off&p.rmwMask != 0
+	}
+	return off%p.rmwUnit != 0
+}
+
+// edges counts the read-modify-write edges of the request [off, off+n) on a
+// file currently fileSize bytes long: each end off the RAID segment grid,
+// except a trailing end at or past EOF — appending has nothing to read back.
+func (p *planner) edges(off, n, fileSize int64) int64 {
+	var edges int64
+	if p.unaligned(off) {
+		edges++
+	}
+	if end := off + n; end < fileSize && p.unaligned(end) {
+		edges++
+	}
+	return edges
+}
+
+// ostOf maps a stripe slot (stripe index mod stripe count) to its OST. A
+// slot is below the stripe count, which Create clamps to the pool, and the
+// first OST is below the pool size: one conditional subtract is the modulo.
+func (p *planner) ostOf(slot int64) int {
+	o := p.firstOST + int(slot)
+	if o >= p.nOSTs {
+		o -= p.nOSTs
+	}
+	return o
+}
+
+// touch adds one piece — bytes of payload in reqs requests from rank, with
+// edges request ends that read back before they modify — to OST o's load.
+func (p *planner) touch(o, rank int, bytes, reqs, edges int64) {
+	sp := p.sp
+	if sp.loadEpoch[o] != p.gen {
+		sp.loadEpoch[o] = p.gen
+		sp.loadBytes[o] = 0
+		sp.loadRMW[o] = 0
+		sp.loadReqs[o] = 0
+		sp.loadClis[o] = 0
+		sp.loadOrder = append(sp.loadOrder, int32(o))
+	}
+	sp.loadBytes[o] += bytes
+	sp.loadReqs[o] += reqs
+	if cs := o*sp.cliStride + rank; sp.cliEpoch[cs] != p.gen {
+		sp.cliEpoch[cs] = p.gen
+		sp.loadClis[o]++
+	}
+	if !p.isWrite {
+		return
+	}
+	subSize := bytes
+	if reqs > 1 {
+		if subSize = bytes / reqs; subSize == 0 {
+			subSize = bytes
+		}
+		// Strided sub-requests smaller than the RAID segment pay interior
+		// RMW; sequential write combining absorbs half.
+		if subSize%p.rmwUnit != 0 {
+			edges += reqs / 2
+		}
+	}
+	if edges != 0 {
+		sp.loadRMW[o] += edges * min64(p.rmwUnit, subSize)
+	}
+}
+
+// shares deals an extent's payload out to its pieces in the general form:
+// a piece of span footprint bytes gets span·size/spanLen bytes and
+// span·requests/spanLen requests, at least one, and the last piece whatever
+// is left, so bytes and requests are conserved exactly. A share of no bytes
+// is no piece (the caller skips it).
+type shares struct {
+	size, requests, spanLen int64 // of the extent
+	bytesOut, requestsOut   int64 // dealt so far
+}
+
+func (d *shares) next(span int64, last bool) (size, reqs int64) {
+	if last {
+		size, reqs = d.size-d.bytesOut, d.requests-d.requestsOut
+	} else {
+		size, reqs = span*d.size/d.spanLen, span*d.requests/d.spanLen
+	}
+	d.bytesOut += size
+	d.requestsOut += reqs
+	if reqs < 1 {
+		reqs = 1
+	}
+	return size, reqs
+}
+
+// extent adds one extent's pieces to the phase. fileSize is the file size
+// the extent meets (plan's running high-water mark, not f.size).
+//
+// The pieces of an extent are its stripe slots in first-touch order, each
+// with its share of the payload (shares). A dense single-request extent
+// (SpanLen = Size, one request — nine extents in ten) needs none of that
+// arithmetic: the shares are the spans themselves and every piece is one
+// request. That closed form is taken only below 2³¹ bytes, where the
+// products of the general form cannot wrap, so that either form gives what
+// the general one always gave.
+func (p *planner) extent(e *ioreq.Extent, fileSize int64) {
+	spanLen := e.SpanLen()
+	first := p.stripeOf(e.Offset)
+	nStripes := p.stripeOf(e.Offset+spanLen-1) - first + 1
+	dense := e.Span <= e.Size && e.Count <= 1 && e.Size < 1<<31
+	if nStripes > p.sc {
+		if p.sc == 1 {
+			p.onOneOST(e, fileSize, first, nStripes)
+		} else {
+			p.slotted(e, fileSize, first, nStripes, dense)
+		}
+		return
+	}
+
+	// No slot repeats: each stripe is a piece on an OST of its own, added as
+	// the walk reaches it.
+	var slot int64
+	if p.sc > 1 {
+		slot = first % p.sc
+	}
+	o := p.ostOf(slot)
+	off, remaining := e.Offset, spanLen
+	avail := p.ss - (off - first*p.ss)
+	deal := shares{size: e.Size, requests: e.Requests(), spanLen: spanLen}
+	for {
+		n := min64(remaining, avail)
+		var edges int64
+		if p.isWrite {
+			edges = p.edges(off, n, fileSize)
+		}
+		remaining -= n
+		size, reqs := n, int64(1)
+		if !dense {
+			size, reqs = deal.next(n, remaining == 0)
+		}
+		if size > 0 {
+			p.touch(o, e.Rank, size, reqs, edges)
+		}
+		if remaining == 0 {
+			return
+		}
+		off += n
+		avail = p.ss
+		if slot++; slot == p.sc {
+			slot, o = 0, p.firstOST
+		} else if o++; o == p.nOSTs {
+			o = 0
+		}
+	}
+}
+
+// onOneOST is extent on a file of one stripe per cycle (the Lustre default)
+// for a footprint of several stripes: they all share the one slot, which as
+// the last touched takes every byte and request, so only the edges are left
+// to count — stripe by stripe up to two stripes, at the head and tail
+// partial stripes past that (see slotted).
+func (p *planner) onOneOST(e *ioreq.Extent, fileSize, first, nStripes int64) {
+	var edges int64
+	if p.isWrite {
+		off, end := e.Offset, e.Offset+e.SpanLen()
+		if nStripes == 2 {
+			mid := (first + 1) * p.ss
+			edges = p.edges(off, mid-off, fileSize) + p.edges(mid, end-mid, fileSize)
+		} else {
+			if off != first*p.ss && p.unaligned(off) {
+				edges++
+			}
+			if end != (first+nStripes)*p.ss && end < fileSize && p.unaligned(end) {
+				edges++
+			}
+		}
+	}
+	p.touch(p.firstOST, e.Rank, e.Size, e.Requests(), edges)
+}
+
+// slotted is extent for a footprint of more stripes than the file has
+// OSTs: stripes a whole cycle apart share a slot, so footprint and edges
+// are summed per slot — in epoch-stamped scratch, in first-touch order —
+// before they turn into pieces. Up to two cycles the stripes are walked one
+// by one; past that the head and tail partial stripes are placed and the
+// full stripes between them dealt round the slots, so cost stays
+// O(stripeCount) rather than O(stripes).
+func (p *planner) slotted(e *ioreq.Extent, fileSize, first, nStripes int64, dense bool) {
+	sp := p.sp
+	gen := sp.nextSlotGen()
+	growStamps(&sp.slotEpoch, int(p.sc)-1)
+	growInt64(&sp.slotSpan, int(p.sc)-1)
+	growInt64(&sp.slotEdges, int(p.sc)-1)
+	sp.slotOrder = sp.slotOrder[:0]
+	add := func(slot, span, edges int64) {
+		if sp.slotEpoch[slot] != gen {
+			sp.slotEpoch[slot] = gen
+			sp.slotSpan[slot] = 0
+			sp.slotEdges[slot] = 0
+			sp.slotOrder = append(sp.slotOrder, int32(slot))
+		}
+		sp.slotSpan[slot] += span
+		sp.slotEdges[slot] += edges
+	}
+
+	spanLen := e.SpanLen()
+	end := e.Offset + spanLen
+	slot := first % p.sc
+	head := e.Offset - first*p.ss // offset within the first stripe
+	if nStripes <= 2*p.sc {
+		off, remaining := e.Offset, spanLen
+		avail := p.ss - head
+		for remaining > 0 {
+			n := min64(remaining, avail)
+			add(slot, n, p.edges(off, n, fileSize))
+			off += n
+			remaining -= n
+			avail = p.ss
+			if slot++; slot == p.sc {
+				slot = 0
+			}
+		}
+	} else {
+		last := first + nStripes - 1
+		tailBytes := end - last*p.ss
+		if tailBytes == p.ss {
+			tailBytes = 0 // ends on a stripe boundary: the last stripe is full
+		}
+		fullCount := nStripes
+		if head > 0 {
+			var edges int64
+			if p.unaligned(e.Offset) {
+				edges++
+			}
+			add(slot, p.ss-head, edges)
+			fullCount--
+			if slot++; slot == p.sc {
+				slot = 0
+			}
+		}
+		if tailBytes > 0 {
+			var edges int64
+			if end < fileSize && p.unaligned(end) {
+				edges++
+			}
+			add(last%p.sc, tailBytes, edges)
+			fullCount--
+		}
+		base, extra := fullCount/p.sc, fullCount%p.sc
+		for i := int64(0); i < p.sc && i < fullCount; i++ {
+			cnt := base
+			if i < extra {
+				cnt++
+			}
+			add(slot, cnt*p.ss, 0)
+			if slot++; slot == p.sc {
+				slot = 0
+			}
+		}
+	}
+
+	// Footprint to payload, in first-touch order.
+	deal := shares{size: e.Size, requests: e.Requests(), spanLen: spanLen}
+	for i, s := range sp.slotOrder {
+		span := sp.slotSpan[s]
+		size, reqs := span, int64(1)
+		if !dense {
+			size, reqs = deal.next(span, i == len(sp.slotOrder)-1)
+		}
+		if size > 0 {
+			p.touch(p.ostOf(int64(s)), e.Rank, size, reqs, sp.slotEdges[s])
+		}
+	}
 }
 
 // charge is the float half of a phase: it prices a table on the machine as

@@ -1,5 +1,7 @@
 package params
 
+import "tunio/internal/hdf5"
+
 // Stage footprints declare which parameters each stage of the staged
 // trace-replay evaluation engine (internal/replay) actually reads. Two
 // assignments whose projections onto a stage's footprint are equal produce
@@ -65,6 +67,25 @@ func (a *Assignment) AppendProjection(dst []byte, names []string) []byte {
 			panic("params: unknown parameter " + name)
 		}
 		dst = append(dst, byte(a.idx[j]))
+	}
+	return dst
+}
+
+// AppendPlanProjection is AppendProjection over PlanStage with the
+// parameters outside reads blanked to their first value: the key of what a
+// kernel's stage-1 planning depends on when reads is that kernel's plan
+// footprint (hdf5.PlanReads — which of the three fields Settings feeds these
+// parameters to its planning consults at all). Blanking to a value, not a
+// marker, makes the key that of a real assignment: the one that differs from
+// a only in parameters the kernel never reads.
+func (a *Assignment) AppendPlanProjection(dst []byte, reads hdf5.PlanReads) []byte {
+	dst = a.AppendProjection(dst, PlanStage)
+	key := dst[len(dst)-len(PlanStage):]
+	// in PlanStage order
+	for i, field := range [...]hdf5.PlanReads{hdf5.ReadsAlignment, hdf5.ReadsSieveBuf, hdf5.ReadsChunkCache} {
+		if reads&field == 0 {
+			key[i] = 0
+		}
 	}
 	return dst
 }

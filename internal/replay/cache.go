@@ -12,10 +12,6 @@ import (
 	"tunio/internal/params"
 )
 
-// wireFootprint is the union of the plan and aggregate footprints: the
-// parameters a wire plan depends on.
-var wireFootprint = append(append([]string{}, params.PlanStage...), params.AggregateStage...)
-
 // slot is a build-once cache entry. Whoever finds a key absent publishes an
 // empty slot under it — a pointer copy under the map lock — and the build
 // runs through the slot, outside every map lock: exactly one caller builds,
@@ -26,14 +22,21 @@ type slot[V any] struct {
 	once sync.Once
 	v    V
 	err  error
+	// held marks a slot published with its outcome already in it (the build
+	// that taught a kernel its footprint ran before the key it belongs under
+	// was known): the first caller to get it is taken for its builder.
+	held bool
 }
 
 // get returns the slot's value, running build if no caller has yet; built
-// reports whether this call ran it.
+// reports whether this call ran it — or is the one a held outcome is
+// attributed to.
 func (s *slot[V]) get(build func() (V, error)) (v V, built bool, err error) {
 	s.once.Do(func() {
 		built = true
-		s.v, s.err = build()
+		if !s.held {
+			s.v, s.err = build()
+		}
 	})
 	return s.v, built, s.err
 }
@@ -77,11 +80,22 @@ func (t *artifacts[V]) lookupOrBuild(key []byte, session *traffic, build func() 
 }
 
 // kernelArtifacts is everything the cache holds for one registered kernel:
-// its trace and the stack and wire plans of the projections asked for so
-// far. The kernel is the cache's partition: an insert clones a map bounded
-// by this kernel's own projections, and dropping the kernel is one delete.
+// its trace, its plan footprint and the stack and wire plans of the
+// projections asked for so far. The kernel is the cache's partition: an
+// insert clones a map bounded by this kernel's own projections, and
+// dropping the kernel is one delete.
+//
+// A first-level key is the projection of what the kernel reads: which of
+// the plan-stage parameters resolving this trace consults at all is a
+// property of the trace (hdf5.PlanReads), learned from the kernel's first
+// stage-1 build — never assumed — and the rest are blanked in every key, as
+// wireKeyOf blanks cb_nodes for an independent transfer. A kernel of
+// contiguous datasets does not build again per chunk_cache value, a chunked
+// one per sieve_buf_size.
 type kernelArtifacts struct {
 	trace *Trace
+	learn sync.Once             // the first stage-1 build, which sets reads
+	reads hdf5.PlanReads        // the plan footprint; read only after learn
 	plans artifacts[*StackPlan] // by plan-footprint projection
 	wires artifacts[*WirePlan]  // by plan+aggregate projection, then ppn
 }
@@ -112,7 +126,10 @@ type StageCache struct {
 }
 
 // StageStats counts cache traffic per stage. Hits and misses count
-// projection keys answered; PlanDistinct and WireDistinct count the
+// projection keys answered, and a key projects only what its kernel reads:
+// PlanMisses counts stage-1 builds by plan footprint, so configurations
+// that differ in a plan-stage parameter the kernel's planning never
+// consults are one key and one build. PlanDistinct and WireDistinct count the
 // artifacts those misses added to the cache — a miss whose content the
 // cache already held adds none — so for a whole cache they are the stack
 // and wire plans it holds. The service counters are stage 3a's: storage
@@ -285,8 +302,10 @@ func (v *CacheView) WireFor(a *params.Assignment, s params.StackSettings, ppn in
 			return nil, fmt.Errorf("replay: no trace registered for kernel %q", v.kernelKey)
 		}
 	}
+	k.learn.Do(func() { v.learn(k, a, s.HDF5) })
 	var scratch [32]byte
-	key := a.AppendProjection(scratch[:0], wireFootprint)
+	key := a.AppendPlanProjection(scratch[:0], k.reads)
+	key = a.AppendProjection(key, params.AggregateStage)
 	// Lowering bakes ppn into metadata-read extents and the aggregator node
 	// count, so cluster shapes with equal process counts must not share a
 	// wire plan. The stack plan is ppn-free and stays shared (planFor).
@@ -319,22 +338,42 @@ func (v *CacheView) Stats() StageStats {
 }
 
 // planFor answers a plan-projection key of kernel k. A miss builds the
-// stack plan and publishes, under the key, the plan the cache holds for
-// that content: the first one built, so every projection of equal content
-// hands out one pointer.
+// stack plan under cfg — which may differ from the key's configuration in
+// what the kernel does not read, and builds the same plan.
 func (v *CacheView) planFor(k *kernelArtifacts, a *params.Assignment, cfg hdf5.Config) (*StackPlan, error) {
-	var scratch [32]byte
-	key := a.AppendProjection(scratch[:0], params.PlanStage)
-	return k.plans.lookupOrBuild(key, &v.plans, func() (*StackPlan, error) {
-		sp, err := BuildStackPlan(k.trace, cfg)
-		if err != nil {
-			return nil, err
-		}
-		sp, added := v.c.canon.plan(sp, sp.contentHash())
-		if added {
-			k.plans.distinct.Add(1)
-			v.plans.distinct.Add(1)
-		}
-		return sp, nil
-	})
+	var scratch [8]byte
+	key := a.AppendPlanProjection(scratch[:0], k.reads)
+	return k.plans.lookupOrBuild(key, &v.plans, func() (*StackPlan, error) { return v.buildPlan(k, cfg) })
+}
+
+// buildPlan is a stage-1 build: it resolves k's trace under cfg and returns
+// the plan the cache holds for that content — the first one built, so every
+// projection of equal content hands out one pointer.
+func (v *CacheView) buildPlan(k *kernelArtifacts, cfg hdf5.Config) (*StackPlan, error) {
+	sp, err := BuildStackPlan(k.trace, cfg)
+	if err != nil {
+		return nil, err
+	}
+	sp, added := v.c.canon.plan(sp, sp.contentHash())
+	if added {
+		k.plans.distinct.Add(1)
+		v.plans.distinct.Add(1)
+	}
+	return sp, nil
+}
+
+// learn is kernel k's first stage-1 build, run once (k.learn) by whichever
+// lookup comes first while the others wait: until it has run nobody can say
+// which parameters a key of k projects. It sets the footprint the build
+// reports — every parameter if the build fails, which costs sharing and
+// nothing else — and leaves the outcome under the key it turns out to
+// belong to, so the lookup that follows finds its build done and books it.
+func (v *CacheView) learn(k *kernelArtifacts, a *params.Assignment, cfg hdf5.Config) {
+	sp, err := v.buildPlan(k, cfg)
+	k.reads = hdf5.ReadsAlignment | hdf5.ReadsSieveBuf | hdf5.ReadsChunkCache
+	if err == nil {
+		k.reads = sp.Reads
+	}
+	key := a.AppendPlanProjection(nil, k.reads)
+	k.plans.m.Insert(string(key), &slot[*StackPlan]{v: sp, err: err, held: true})
 }

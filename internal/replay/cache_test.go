@@ -208,4 +208,14 @@ func TestStageCacheViewBeforeRegister(t *testing.T) {
 	if st := early.Stats(); st.WireMisses != 1 || st.WireHits != 0 {
 		t.Fatalf("early view stats %+v, want the one miss that built the plan", st)
 	}
+	// The footprint is learned with the kernel, never assumed by the view:
+	// macsio's datasets are contiguous, so a chunk cache of another size is
+	// the key just built.
+	b := mutate(t, map[string]int{params.ChunkCache: 7})
+	if again, err := early.WireFor(b, b.Settings(), 8); err != nil || again != wp {
+		t.Fatalf("a chunk_cache sibling got %p, %v; want the plan %p the early view built", again, err, wp)
+	}
+	if st := early.Stats(); st.PlanMisses != 1 || st.WireMisses != 1 || st.WireHits != 1 {
+		t.Fatalf("early view stats %+v, want one build of each stage and the sibling's hit", st)
+	}
 }

@@ -113,6 +113,7 @@ func (sp *StackPlan) contentHash() uint64 {
 		h ^= h >> 32
 	}
 	mix(uint64(sp.Nprocs))
+	mix(uint64(sp.Reads))
 	for _, name := range sp.Files {
 		mix(uint64(len(name)))
 		for i := 0; i < len(name); i++ {
@@ -147,7 +148,7 @@ func (sp *StackPlan) contentHash() uint64 {
 
 // equal reports whether two stack plans have the same content.
 func (sp *StackPlan) equal(o *StackPlan) bool {
-	return sp.Nprocs == o.Nprocs && slices.Equal(sp.Files, o.Files) &&
+	return sp.Nprocs == o.Nprocs && sp.Reads == o.Reads && slices.Equal(sp.Files, o.Files) &&
 		slices.EqualFunc(sp.ops, o.ops, func(a, b hdf5.Op) bool {
 			return a.Kind == b.Kind && a.File == b.File && a.IsWrite == b.IsWrite &&
 				a.Items == b.Items && a.Offset == b.Offset && a.Bytes == b.Bytes &&

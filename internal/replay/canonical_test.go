@@ -8,6 +8,7 @@ import (
 
 	"tunio/internal/cluster"
 	"tunio/internal/darshan"
+	"tunio/internal/hdf5"
 	"tunio/internal/params"
 	"tunio/internal/workload"
 )
@@ -63,10 +64,16 @@ func TestCanonicalPlanIsFreshPlan(t *testing.T) {
 	}
 	seeds := [2]int64{1, 42}
 	var cases []*testCase
+	reads := map[string]hdf5.PlanReads{} // each kernel's plan footprint
 	var rt Runtime
 	for _, name := range []string{"vpic", "hacc", "flash", "bdcats", "macsio"} {
 		tr := recordTrace(t, name, 3)
 		shared.Register("trace:"+name, tr)
+		sp, err := BuildStackPlan(tr, hdf5.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads["trace:"+name] = sp.Reads
 		for i := 0; i < 10; i++ {
 			genome := make([]int, len(space))
 			for j, p := range space {
@@ -140,11 +147,12 @@ func TestCanonicalPlanIsFreshPlan(t *testing.T) {
 	// The accounting the sharing must leave alone, and the sharing itself.
 	keys := map[string]bool{}
 	for _, tc := range cases {
-		keys[tc.kernel+"\x00"+tc.a.ProjectionKey(wireFootprint)] = true
+		key := tc.a.AppendPlanProjection([]byte(tc.kernel+"\x00"), reads[tc.kernel])
+		keys[string(tc.a.AppendProjection(key, params.AggregateStage))] = true
 	}
 	st := shared.Stats()
 	if st.WireMisses != int64(len(keys)) || st.WireHits+st.WireMisses != int64(goroutines*len(cases)) {
-		t.Fatalf("%+v: want %d wire misses (one per distinct configuration) in %d lookups", st, len(keys), goroutines*len(cases))
+		t.Fatalf("%+v: want %d wire misses (one per distinct projection of what the kernel reads) in %d lookups", st, len(keys), goroutines*len(cases))
 	}
 	if st.PlanDistinct >= st.PlanMisses || st.PlanDistinct < 5 {
 		t.Fatalf("%+v: random plan projections of five kernels should build more plans than they keep, and keep at least one per kernel", st)

@@ -63,7 +63,12 @@ import (
 type StackPlan struct {
 	Nprocs int
 	Files  []string
-	ops    []hdf5.Op
+	// Reads is the plan footprint: which of the plan-stage parameters
+	// resolving the trace consulted at all. It is the same set under every
+	// configuration (see hdf5.PlanReads), so a configuration that differs
+	// from this plan's only outside it resolves to an equal plan.
+	Reads hdf5.PlanReads
+	ops   []hdf5.Op
 }
 
 // BuildStackPlan resolves the trace under cfg's plan-footprint fields
@@ -82,7 +87,7 @@ func BuildStackPlan(t *Trace, cfg hdf5.Config) (*StackPlan, error) {
 	if err := walk(t, lib, false); err != nil {
 		return nil, err
 	}
-	plan := &StackPlan{Nprocs: t.Nprocs}
+	plan := &StackPlan{Nprocs: t.Nprocs, Reads: lib.Reads()}
 	plan.Files, plan.ops = lib.Plan()
 	return plan, nil
 }

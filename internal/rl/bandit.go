@@ -153,12 +153,30 @@ func (b *ContextualBandit) UnmarshalJSON(data []byte) error {
 	if bj.ContextDim <= 0 || bj.Arms <= 0 || bj.Net == nil {
 		return fmt.Errorf("rl: bandit UnmarshalJSON: invalid payload")
 	}
-	b.contextDim = bj.ContextDim
-	b.arms = bj.Arms
-	b.net = bj.Net
-	b.trainer = &nn.Trainer{Net: bj.Net, Loss: nn.MSE, Opt: nn.NewAdam(1e-3)}
-	b.eps = bj.Eps
-	b.epsMin = bj.EpsMin
-	b.epsDecay = bj.EpsDecay
+	*b = *restoredBandit(bj)
 	return nil
+}
+
+// restoredBandit is a bandit as shipped: the persisted weights, shape and
+// exploration schedule, with a fresh optimizer at the default learning rate
+// (the configured one is not persisted) and no pulls taken.
+func restoredBandit(bj banditJSON) *ContextualBandit {
+	return &ContextualBandit{
+		contextDim: bj.ContextDim,
+		arms:       bj.Arms,
+		net:        bj.Net,
+		trainer:    &nn.Trainer{Net: bj.Net, Loss: nn.MSE, Opt: nn.NewAdam(1e-3)},
+		eps:        bj.Eps,
+		epsMin:     bj.EpsMin,
+		epsDecay:   bj.EpsDecay,
+	}
+}
+
+// Clone returns the bandit a MarshalJSON/UnmarshalJSON round trip yields,
+// without the encoding.
+func (b *ContextualBandit) Clone() *ContextualBandit {
+	return restoredBandit(banditJSON{
+		ContextDim: b.contextDim, Arms: b.arms, Net: b.net.Clone(),
+		Eps: b.eps, EpsMin: b.epsMin, EpsDecay: b.epsDecay,
+	})
 }

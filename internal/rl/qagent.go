@@ -196,11 +196,29 @@ func (a *QAgent) UnmarshalJSON(data []byte) error {
 	if aj.Cfg.StateDim <= 0 || aj.Cfg.Actions <= 0 {
 		return fmt.Errorf("rl: UnmarshalJSON: invalid config %+v", aj.Cfg)
 	}
-	a.cfg = aj.Cfg
-	a.net = aj.Net
-	a.target = aj.Net.Clone()
-	a.trainer = &nn.Trainer{Net: a.net, Loss: nn.Huber, Opt: nn.NewAdam(aj.Cfg.LR)}
-	a.buf = NewReplayBuffer(aj.Cfg.ReplayCapacity)
-	a.eps = aj.Eps
+	*a = *restoredQAgent(aj.Cfg, aj.Net, aj.Eps)
 	return nil
+}
+
+// restoredQAgent is an agent as shipped: the persisted weights, config and
+// exploration rate, with everything a shipped model does not carry new — a
+// target network cloned from the weights, a fresh optimizer, an empty
+// replay buffer, no training steps taken.
+func restoredQAgent(cfg QConfig, net *nn.Network, eps float64) *QAgent {
+	return &QAgent{
+		cfg:     cfg,
+		net:     net,
+		target:  net.Clone(),
+		trainer: &nn.Trainer{Net: net, Loss: nn.Huber, Opt: nn.NewAdam(cfg.LR)},
+		buf:     NewReplayBuffer(cfg.ReplayCapacity),
+		eps:     eps,
+	}
+}
+
+// Clone returns the agent a MarshalJSON/UnmarshalJSON round trip yields —
+// independent weights, none of the training state — without the encoding.
+func (a *QAgent) Clone() *QAgent {
+	cfg := a.cfg
+	cfg.Hidden = append([]int(nil), cfg.Hidden...)
+	return restoredQAgent(cfg, a.net.Clone(), a.eps)
 }

@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"tunio"
-	"tunio/internal/core"
 	"tunio/internal/metrics"
 )
 
@@ -84,7 +83,7 @@ type Server struct {
 	ssePool sync.Pool
 
 	agentOnce sync.Once
-	agentBlob []byte
+	agent0    *tunio.TunIO // the served agent as first used; jobs get copies
 	agentErr  error
 }
 
@@ -271,7 +270,10 @@ func resultJSON(res *tunio.Result) *JobResult {
 }
 
 // agent returns a private copy of the served RL agent, training it on
-// first use when none was injected.
+// first use when none was injected. The copy is what loading the agent from
+// its serialized form yields (TunIO.Clone), and it is taken from a copy made
+// at first use, so nothing a job or the injecting caller does to an agent
+// afterwards reaches another job.
 func (s *Server) agent() (*tunio.TunIO, error) {
 	s.agentOnce.Do(func() {
 		a := s.opts.Agent
@@ -287,16 +289,12 @@ func (s *Server) agent() (*tunio.TunIO, error) {
 				return
 			}
 		}
-		s.agentBlob, s.agentErr = json.Marshal(a)
+		s.agent0, s.agentErr = a.Clone()
 	})
 	if s.agentErr != nil {
 		return nil, s.agentErr
 	}
-	clone := &tunio.TunIO{Stopper: &core.EarlyStopper{}, Picker: &core.SmartPicker{}}
-	if err := json.Unmarshal(s.agentBlob, clone); err != nil {
-		return nil, err
-	}
-	return clone, nil
+	return s.agent0.Clone()
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {

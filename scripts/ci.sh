@@ -54,10 +54,14 @@ echo "== go test -race (evaluation engine) =="
 race_run "./internal/tuner ." TestPool TestFanOut TestMemo TestSeedFor TestRunBatch \
     'TestTune(ParallelDeterminism|Cancellation|Memoization)' TestTraceEvaluator TestResolveKernel TestGate \
     'TestDrift(WorkerCount|Pruning)' 'TestEngine(KernelIdentity|Untraceable|KernelFallsBack)' \
-    'TestEngine(DistinctTraces|EqualTraces|TunesWhatTheSignatureContradicts|HostileSources)' TestKernelIsItsTrace
+    'TestEngine(DistinctTraces|EqualTraces|TunesWhatTheSignatureContradicts|HostileSources)' TestKernelIsItsTrace \
+    TestEngineColdJobBuildsByFootprint
 # Stage 1 is a planning library per miss, built on whichever worker misses:
 # its refusal test and the trace walker's seed corpus race with the rest.
-race_run ./internal/replay TestStagedExec TestStageCache TestSharedStageCache TestKernelStore TestPooledStack TestStagedPlanRefuses FuzzTraceWalk
+# A kernel's first build teaches it its plan footprint while the other
+# workers wait on it; the footprint's soundness proof runs here as well.
+race_run ./internal/replay TestStagedExec TestStageCache TestSharedStageCache TestKernelStore TestPooledStack TestStagedPlanRefuses FuzzTraceWalk \
+    TestPlanFootprintIsSound
 # Recording runs the interpreter on the session's goroutine, many sessions
 # at once: it shares nothing and starts nothing, which its seed corpus and
 # the first-error and goroutine-count tests show under the detector.
@@ -110,8 +114,8 @@ go -C bench test ./...
 echo "== statecheck (no package-level mutable state) =="
 # The evaluation engine packages are shared across worker goroutines;
 # allowlisted names are init-once lookup tables that are never written
-# afterwards — wireFootprint, sigEventKind, and the noise stream's seeding
-# tables noisePow and noiseCooked, and darshan's layerNames — plus
+# afterwards — sigEventKind, the noise stream's seeding tables noisePow
+# and noiseCooked, and darshan's layerNames — plus
 # ErrBudgetExceeded, a conventional sentinel error (assigned once, compared
 # with errors.Is). The layers under the engine are covered too: a planning
 # library runs on every worker that misses stage 1, a live stack on every
@@ -120,14 +124,15 @@ echo "== statecheck (no package-level mutable state) =="
 # their allowlisted names are the read-only lookup maps fullyCollective,
 # constants, binaryPrec, keywords and typeNames, and the interpreter's
 # control-flow sentinels errBreak and errContinue.
-go run ./cmd/statecheck -allow wireFootprint,sigEventKind,ErrBudgetExceeded,noisePow,noiseCooked,layerNames,fullyCollective,constants,errBreak,errContinue,binaryPrec,keywords,typeNames internal/replay internal/tuner internal/server internal/train internal/cluster internal/lustre internal/hdf5 internal/mpiio internal/workload internal/darshan internal/cinterp internal/csrc
+go run ./cmd/statecheck -allow sigEventKind,ErrBudgetExceeded,noisePow,noiseCooked,layerNames,fullyCollective,constants,errBreak,errContinue,binaryPrec,keywords,typeNames internal/replay internal/tuner internal/server internal/train internal/cluster internal/lustre internal/hdf5 internal/mpiio internal/workload internal/darshan internal/cinterp internal/csrc
 
-echo "== fuzz smoke (interval lattice, format expansion, noise stream, trace walk, interpreter) =="
+echo "== fuzz smoke (interval lattice, format expansion, noise stream, trace walk, interpreter, phase planner) =="
 go test -run=NONE -fuzz=FuzzIntervalJoinWiden -fuzztime=3s ./internal/analysis
 go test -run=NONE -fuzz=FuzzExpandFormat -fuzztime=3s ./internal/analysis
 go test -run=NONE -fuzz=FuzzNoiseSource -fuzztime=3s ./internal/cluster
 go test -run=NONE -fuzz=FuzzTraceWalk -fuzztime=3s ./internal/replay
 go test -run=NONE -fuzz=FuzzRun -fuzztime=3s ./internal/cinterp
+go test -run=NONE -fuzz=FuzzPlan -fuzztime=3s ./internal/lustre
 
 echo "== go test -race =="
 go test -race "$pkgs"
