@@ -200,6 +200,34 @@ func TestInterpreterHasNoScheduler(t *testing.T) {
 	})
 }
 
+// The interpreter resolves a program once: names become slots, callees
+// become functions and constants become values in one pass per Run
+// (resolve.go), and what the ranks run has no name left to look up. So no
+// non-test file of internal/cinterp declares a run-time scope or a map from
+// names to values, and only the resolve pass knows what a statement or an
+// expression of the csrc tree looks like: a second walk over the tree, kept
+// beside the resolved form, would have to name them.
+func TestInterpreterResolvesOnce(t *testing.T) {
+	nodes := regexp.MustCompile(`\bcsrc\.(Expr|Stmt|Ident|NumberLit|StringLit|CharLit|BinaryExpr|UnaryExpr|CallExpr|IndexExpr|` +
+		`CastExpr|SizeofExpr|DeclStmt|ExprStmt|AssignStmt|Block|IfStmt|ForStmt|WhileStmt|ReturnStmt|BreakStmt|ContinueStmt)\b`)
+	byName := regexp.MustCompile(`map\[string\]\*` + `Value|\btype sc` + `ope\b|\bfunc newSc` + `ope\b`)
+	var resolvers []string
+	goSources(t, func(path string, src []byte) {
+		if filepath.ToSlash(filepath.Dir(path)) != "internal/cinterp" || strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		if m := byName.Find(src); m != nil {
+			t.Errorf("%s holds %q: a rank looks nothing up by name", path, m)
+		}
+		if nodes.Match(src) {
+			resolvers = append(resolvers, filepath.Base(path))
+		}
+	})
+	if len(resolvers) != 1 || resolvers[0] != "resolve.go" {
+		t.Errorf("csrc node types are named in %v: resolve.go must be the only file that walks the tree", resolvers)
+	}
+}
+
 // A kernel is its trace: the recorded trace is the job path's only identity
 // and only oracle. The static I/O signature is a tool of the CLIs, of
 // discovery's TR008 and of tests; nothing that resolves, scores or serves a

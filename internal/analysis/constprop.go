@@ -577,7 +577,7 @@ func (p *StringProp) transfer(e env, s csrc.Stmt, fn string) {
 					e[id.Name] = bottomVal
 				}
 			default: // compound assignment
-				op := st.Op[:1]
+				op := strings.TrimSuffix(st.Op, "=") // "<<=" is "<<"
 				e[id.Name] = evalBinary(op, e.get(id.Name), p.eval(st.RHS, e, fn))
 			}
 		} else if base := rootIdent(st.LHS); base != "" {

@@ -44,6 +44,28 @@ func TestConstPropIntFormatting(t *testing.T) {
 	}
 }
 
+// A compound assignment is its binary operator: `<<=` shifts (its first
+// character alone is a comparison).
+func TestConstPropCompoundShiftAndBitAssign(t *testing.T) {
+	src := `int main() {
+    int id = 3;
+    id <<= 2;
+    id |= 1;
+    id ^= 8;
+    id &= 7;
+    id >>= 1;
+    char fname[128];
+    sprintf(fname, "/scratch/out.%d.h5", id);
+    FILE* f = fopen(fname, "w");
+    fclose(f);
+    return 0;
+}`
+	got := resolvePaths(t, src)
+	if got["fopen"] != "/scratch/out.2.h5" {
+		t.Fatalf("fopen path = %q, want /scratch/out.2.h5", got["fopen"])
+	}
+}
+
 func TestConstPropStrcpyStrcat(t *testing.T) {
 	src := `int main() {
     char fname[128];

@@ -67,7 +67,8 @@ func editLiterals(src string, script []byte) string {
 }
 
 // FuzzRun feeds the interpreter programs nobody wrote: the five workloads' C
-// forms and the two runaways of TestLangRunawayLoopCaught on a 1×4 cluster
+// forms, the two runaways of TestLangRunawayLoopCaught and the one of
+// TestLangRunawayRecursionCaught on a 1×4 cluster
 // with up to eight integer literals — sizes, counts, loop bounds, indices,
 // ranks compared against — replaced. Whatever the
 // parser accepts, Run must answer for, with a result or an error, never a
@@ -89,7 +90,7 @@ func FuzzRun(f *testing.F) {
 			f.Add(uint8(k), []byte{byte(3 * v), byte(v), byte(5*v + 1), byte(v + 1)})
 		}
 	}
-	for _, src := range []string{runawayEmptyFor, runawayArrays} {
+	for _, src := range []string{runawayEmptyFor, runawayArrays, runawayRecursion} {
 		f.Add(uint8(len(seeds)), []byte{})
 		seeds = append(seeds, src)
 	}

@@ -3,64 +3,40 @@ package cinterp
 import (
 	"errors"
 	"fmt"
-
-	"tunio/internal/csrc"
 )
 
-// control-flow sentinels.
+// What stops a rank is in interp.err: a failure, or one of these while a
+// break, continue, return or exit() is on its way to whatever ends it.
 var (
 	errBreak    = errors.New("cinterp: break")
 	errContinue = errors.New("cinterp: continue")
+	errReturn   = errors.New("cinterp: return")
+	errExit     = errors.New("cinterp: exit")
+	errBudget   = errors.New("cinterp: step budget exceeded") // runMain words it
 )
 
-type returnSignal struct{ val Value }
+// maxDepth bounds the calls a rank may have open at once. The deepest chain
+// a program of the corpus completes is 13 (quirk/07's fib(12) under main),
+// and a 20 000-step budget runs out before depth 2 100; past the limit the
+// Go stack under the interpreter, not the step budget, is what gives way.
+const maxDepth = 10_000
 
-func (returnSignal) Error() string { return "cinterp: return" }
-
-// exitSignal is exit(): it unwinds every call, not just the innermost one,
-// and ends the rank as a return from main does.
-type exitSignal struct{}
-
-func (exitSignal) Error() string { return "cinterp: exit" }
-
-// scope is a lexical variable environment.
-type scope struct {
-	vars   map[string]*Value
-	parent *scope
-}
-
-func newScope(parent *scope) *scope {
-	return &scope{vars: make(map[string]*Value), parent: parent}
-}
-
-func (s *scope) lookup(name string) *Value {
-	for cur := s; cur != nil; cur = cur.parent {
-		if v, ok := cur.vars[name]; ok {
-			return v
-		}
-	}
-	return nil
-}
-
-func (s *scope) declare(name string, v Value) *Value {
-	slot := new(Value)
-	*slot = v
-	s.vars[name] = slot
-	return slot
-}
-
-// interp executes one rank's program.
+// interp runs one rank over the resolved program.
 type interp struct {
-	prog    *csrc.File
+	prog    *program
 	rank    int
 	nprocs  int
-	globals *scope
-	spaces  map[int64]*spaceObj // rank-local dataspaces
-	plists  map[int64]*plistObj // rank-local property lists
-	nextID  int64
-	output  []string // printf output (rank 0 retained)
-	maxOps  int64    // safety valve against runaway loops
-	ops     int64
+	globals []Value  // the global table
+	frame   []Value  // the running call's variables, and the elements of its short arrays
+	objs    []object // ... and the arrays
+	depth   int      // calls open
+	ret     Value    // the value a return is carrying (err == errReturn)
+	*scratch
+	nextID int64
+	ints   []int64  // what intSlice has left of the block it cuts its results from
+	output []string // printf output (rank 0 retained)
+	maxOps int64    // safety valve against runaway loops
+	ops    int64
 
 	log []request // the rank's collective calls, in program order
 	err error     // what stopped the rank short of main's return, if anything
@@ -69,6 +45,18 @@ type interp struct {
 	// of __loop_reduce-wrapped bounds, for post-run metric scaling
 	loopOrig    int64
 	loopReduced int64
+}
+
+// scratch is what a rank needs only while it runs; the ranks of a Run use
+// one after another.
+type scratch struct {
+	stack  []Value            // operands: the arguments of the builtin calls being evaluated
+	spaces map[int64]spaceObj // rank-local dataspaces
+	plists map[int64]plistObj // rank-local property lists
+}
+
+func newScratch() *scratch {
+	return &scratch{spaces: map[int64]spaceObj{}, plists: map[int64]plistObj{}}
 }
 
 // spaceObj is a rank-local dataspace with an optional hyperslab selection.
@@ -83,23 +71,22 @@ type plistObj struct {
 	chunk []int64
 }
 
-func newInterp(prog *csrc.File, rank, nprocs int, maxOps int64) *interp {
+func newInterp(prog *program, rank, nprocs int, maxOps int64, sc *scratch) *interp {
+	clear(sc.spaces)
+	clear(sc.plists)
+	sc.stack = sc.stack[:0]
 	in := &interp{
-		prog:   prog,
-		rank:   rank,
-		nprocs: nprocs,
-		spaces: map[int64]*spaceObj{},
-		plists: map[int64]*plistObj{},
+		prog:    prog,
+		rank:    rank,
+		nprocs:  nprocs,
+		globals: make([]Value, prog.nglobals),
+		scratch: sc,
 		// odd per-rank ID space, disjoint from the merge's even IDs
 		nextID: int64(rank+1)<<32 | 1,
 		maxOps: maxOps,
 	}
-	in.globals = newScope(nil)
-	for _, g := range prog.Globals {
-		v, err := in.declValue(g, in.globals)
-		if err == nil {
-			in.globals.declare(g.Name, v)
-		}
+	for i := range in.globals {
+		in.globals[i].Kind = kUnset
 	}
 	return in
 }
@@ -110,19 +97,25 @@ func (in *interp) allocID() int64 {
 	return id
 }
 
-// runMain executes main to the end, filling the rank's log; whatever
-// stopped it early, other than exit(), is kept in in.err.
+// runMain initialises the globals and executes main to the end, filling the
+// rank's log; whatever stopped it early, other than exit(), is kept in
+// in.err.
 func (in *interp) runMain() {
 	defer func() {
 		if r := recover(); r != nil {
 			in.err = fmt.Errorf("cinterp: rank %d panicked: %v", in.rank, r)
+		} else if in.err == errBudget {
+			in.err = fmt.Errorf("cinterp: rank %d exceeded %d operations (runaway loop?)", in.rank, in.maxOps)
+		} else if in.err == errExit {
+			in.err = nil
 		}
 	}()
-	_, err := in.callFunc(in.prog.Func("main"), nil)
-	var exit exitSignal
-	if !errors.As(err, &exit) {
-		in.err = err
+	for _, g := range in.prog.globals {
+		if !g(in) {
+			return
+		}
 	}
+	in.call(in.prog.main, nil)
 }
 
 // collective logs one call for the merge to execute. What the program
@@ -138,492 +131,170 @@ func (in *interp) collective(r request, makesHandle bool) (Value, error) {
 	return IntVal(r.token), nil
 }
 
-func (in *interp) callFunc(fn *csrc.FuncDecl, args []Value) (Value, error) {
-	sc := newScope(in.globals)
-	for i, p := range fn.Params {
-		if p.Name == "" {
-			continue
-		}
-		var v Value
-		if i < len(args) {
-			v = args[i]
-		}
-		sc.declare(p.Name, v)
-	}
-	err := in.execBlock(fn.Body, sc)
-	var rs returnSignal
-	if errors.As(err, &rs) {
-		return rs.val, nil
-	}
-	return Value{}, err
+// fail stops the rank.
+func (in *interp) fail(err error) Value {
+	in.err = err
+	return Value{}
 }
 
-func (in *interp) step() error { return in.charge(1) }
+// charge books n steps against the rank's budget: every statement and
+// every expression node a rank reaches is one, and so is a for loop's
+// back-edge; an array is its length; a constant the resolver folded is the
+// nodes it replaced. It is the one place a rank's work is bounded.
+func (in *interp) charge(n int64) bool {
+	if in.ops += n; in.ops > in.maxOps {
+		in.err = errBudget
+	}
+	return in.ops <= in.maxOps
+}
 
-// charge books n steps against the rank's budget.
-func (in *interp) charge(n int64) error {
-	in.ops += n
-	if in.ops > in.maxOps {
-		return fmt.Errorf("cinterp: rank %d exceeded %d operations (runaway loop?)", in.rank, in.maxOps)
+// slot addresses a variable of the running call, or a global.
+func (in *interp) slot(s int32) *Value {
+	if s < 0 {
+		return &in.globals[^s]
+	}
+	return &in.frame[s]
+}
+
+// call runs fn over a new frame holding the arguments. It is the one place
+// the depth of a rank's recursion is counted.
+func (in *interp) call(fn *function, args []evalFn) Value {
+	frame := make([]Value, fn.nslots)
+	for i, a := range args {
+		v := in.eval(a)
+		if in.err != nil {
+			return Value{}
+		}
+		if i < len(fn.params) && fn.params[i] >= 0 {
+			frame[fn.params[i]] = v
+		}
+	}
+	if in.depth == maxDepth {
+		return in.fail(fmt.Errorf("cinterp: rank %d exceeded %d nested calls (runaway recursion?)", in.rank, maxDepth))
+	}
+	caller, objs := in.frame, in.objs
+	in.frame, in.objs = frame, make([]object, fn.nobjs)
+	in.depth++
+	fn.body(in)
+	in.frame, in.objs = caller, objs
+	in.depth--
+	if in.err != errReturn {
+		return Value{}
+	}
+	in.err = nil
+	return in.ret
+}
+
+// iterate runs a loop's body once and reports whether the loop goes on to
+// its next iteration; if not, in.err says whether the loop ended (nil, a
+// break) or the rank did.
+func (in *interp) iterate(body execFn) bool {
+	if body(in) {
+		return true
+	}
+	stop := in.err != errContinue
+	if in.err == errBreak || in.err == errContinue {
+		in.err = nil
+	}
+	return !stop
+}
+
+// cond evaluates a loop's or a branch's condition.
+func (in *interp) cond(e evalFn) bool {
+	v := in.eval(e)
+	return in.err == nil && v.Truthy()
+}
+
+// eval reaches an expression node, exec a statement: a step each.
+func (in *interp) eval(e evalFn) Value {
+	if !in.charge(1) {
+		return Value{}
+	}
+	return e(in)
+}
+
+func (in *interp) exec(s execFn) bool { return in.charge(1) && s(in) }
+
+func truth(b bool) Value {
+	if b {
+		return IntVal(1)
+	}
+	return IntVal(0)
+}
+
+// firstSet is the first of the slots that is not unset, nil if none is.
+func (in *interp) firstSet(slots []int32) *Value {
+	for _, s := range slots {
+		if v := in.slot(s); v.Kind != kUnset {
+			return v
+		}
 	}
 	return nil
 }
 
-func (in *interp) execBlock(b *csrc.Block, sc *scope) error {
-	inner := newScope(sc)
-	for _, s := range b.Stmts {
-		if err := in.exec(s, inner); err != nil {
-			return err
+// unaryOps are the unary operators but & and *.
+var unaryOps = map[string]func(Value) Value{
+	"-": func(v Value) Value {
+		if v.Kind == KFloat {
+			return FloatVal(-v.F())
 		}
-	}
-	return nil
+		return IntVal(-v.AsInt())
+	},
+	"!": func(v Value) Value { return truth(!v.Truthy()) },
+	"~": func(v Value) Value { return IntVal(^v.AsInt()) },
 }
 
-func (in *interp) exec(s csrc.Stmt, sc *scope) error {
-	if err := in.step(); err != nil {
-		return err
-	}
-	switch st := s.(type) {
-	case *csrc.DeclStmt:
-		v, err := in.declValue(st, sc)
-		if err != nil {
-			return err
+// binaryOps are the binary operators but the short-circuit && and ||.
+var binaryOps = map[string]func(l, r Value) (Value, error){
+	"+": arith(func(a, b int64) int64 { return a + b }, func(a, b float64) float64 { return a + b }),
+	"-": arith(func(a, b int64) int64 { return a - b }, func(a, b float64) float64 { return a - b }),
+	"*": arith(func(a, b int64) int64 { return a * b }, func(a, b float64) float64 { return a * b }),
+	"/": func(l, r Value) (Value, error) {
+		switch isFloat := l.Kind == KFloat || r.Kind == KFloat; {
+		case isFloat && r.AsFloat() == 0:
+			return Value{}, fmt.Errorf("cinterp: float division by zero")
+		case isFloat:
+			return FloatVal(l.AsFloat() / r.AsFloat()), nil
+		case r.AsInt() == 0:
+			return Value{}, fmt.Errorf("cinterp: division by zero")
 		}
-		sc.declare(st.Name, v)
-		return nil
-	case *csrc.ExprStmt:
-		_, err := in.eval(st.X, sc)
-		return err
-	case *csrc.AssignStmt:
-		return in.execAssign(st, sc)
-	case *csrc.Block:
-		return in.execBlock(st, sc)
-	case *csrc.IfStmt:
-		cond, err := in.eval(st.Cond, sc)
-		if err != nil {
-			return err
+		return IntVal(l.AsInt() / r.AsInt()), nil
+	},
+	"%": func(l, r Value) (Value, error) {
+		switch {
+		case l.Kind == KFloat || r.Kind == KFloat:
+			return Value{}, fmt.Errorf("cinterp: %% on floats")
+		case r.AsInt() == 0:
+			return Value{}, fmt.Errorf("cinterp: modulo by zero")
 		}
-		if cond.Truthy() {
-			return in.execBlock(st.Then, sc)
+		return IntVal(l.AsInt() % r.AsInt()), nil
+	},
+	"<":  compare(func(a, b float64) bool { return a < b }),
+	">":  compare(func(a, b float64) bool { return a > b }),
+	"<=": compare(func(a, b float64) bool { return a <= b }),
+	">=": compare(func(a, b float64) bool { return a >= b }),
+	"==": compare(func(a, b float64) bool { return a == b }),
+	"!=": compare(func(a, b float64) bool { return a != b }),
+	"<<": arith(func(a, b int64) int64 { return a << uint(b&63) }, nil),
+	">>": arith(func(a, b int64) int64 { return a >> uint(b&63) }, nil),
+	"&":  arith(func(a, b int64) int64 { return a & b }, nil),
+	"|":  arith(func(a, b int64) int64 { return a | b }, nil),
+	"^":  arith(func(a, b int64) int64 { return a ^ b }, nil),
+}
+
+// arith is an operator on ints, and if either operand is a float on floats
+// (onFloats nil: on ints whatever the operands are).
+func arith(onInts func(a, b int64) int64, onFloats func(a, b float64) float64) func(l, r Value) (Value, error) {
+	return func(l, r Value) (Value, error) {
+		if onFloats != nil && (l.Kind == KFloat || r.Kind == KFloat) {
+			return FloatVal(onFloats(l.AsFloat(), r.AsFloat())), nil
 		}
-		if st.Else != nil {
-			return in.execBlock(st.Else, sc)
-		}
-		return nil
-	case *csrc.ForStmt:
-		loopScope := newScope(sc)
-		if st.Init != nil {
-			if err := in.exec(st.Init, loopScope); err != nil {
-				return err
-			}
-		}
-		for {
-			if st.Cond != nil {
-				c, err := in.eval(st.Cond, loopScope)
-				if err != nil {
-					return err
-				}
-				if !c.Truthy() {
-					return nil
-				}
-			}
-			err := in.execBlock(st.Body, loopScope)
-			switch {
-			case err == nil:
-			case errors.Is(err, errBreak):
-				return nil
-			case errors.Is(err, errContinue):
-			default:
-				return err
-			}
-			// the back-edge: a loop with no condition, no post and an empty
-			// body evaluates nothing else
-			if err := in.step(); err != nil {
-				return err
-			}
-			if st.Post != nil {
-				if err := in.exec(st.Post, loopScope); err != nil {
-					return err
-				}
-			}
-		}
-	case *csrc.WhileStmt:
-		for {
-			c, err := in.eval(st.Cond, sc)
-			if err != nil {
-				return err
-			}
-			if !c.Truthy() {
-				return nil
-			}
-			err = in.execBlock(st.Body, sc)
-			switch {
-			case err == nil:
-			case errors.Is(err, errBreak):
-				return nil
-			case errors.Is(err, errContinue):
-			default:
-				return err
-			}
-		}
-	case *csrc.ReturnStmt:
-		var v Value
-		if st.X != nil {
-			var err error
-			v, err = in.eval(st.X, sc)
-			if err != nil {
-				return err
-			}
-		}
-		return returnSignal{val: v}
-	case *csrc.BreakStmt:
-		return errBreak
-	case *csrc.ContinueStmt:
-		return errContinue
-	default:
-		return fmt.Errorf("cinterp: unsupported statement %T", s)
+		return IntVal(onInts(l.AsInt(), r.AsInt())), nil
 	}
 }
 
-func (in *interp) declValue(st *csrc.DeclStmt, sc *scope) (Value, error) {
-	if st.ArrayLen != nil || st.InitList != nil {
-		n := int64(len(st.InitList))
-		if st.ArrayLen != nil {
-			lv, err := in.eval(st.ArrayLen, sc)
-			if err != nil {
-				return Value{}, err
-			}
-			n = lv.AsInt()
-		}
-		if n < 0 || n > 1<<20 {
-			return Value{}, fmt.Errorf("cinterp: array %s has unreasonable length %d", st.Name, n)
-		}
-		// an array costs its length: steps bound the rank's work, and
-		// zeroing n elements is n of it
-		if err := in.charge(n); err != nil {
-			return Value{}, err
-		}
-		if st.InitList == nil {
-			// Nothing reads it yet, and `char path[256]` may only ever be
-			// sprintf'd over: it stays a length until something does (load).
-			return unreadArray(n, isFloatType(st.Type)), nil
-		}
-		arr := zeroArray(n, isFloatType(st.Type))
-		for i, e := range st.InitList {
-			if int64(i) >= n {
-				break
-			}
-			v, err := in.eval(e, sc)
-			if err != nil {
-				return Value{}, err
-			}
-			arr[i] = v
-		}
-		return Value{Kind: KArray, Arr: arr}, nil
-	}
-	if st.Init != nil {
-		return in.eval(st.Init, sc)
-	}
-	if isFloatType(st.Type) {
-		return FloatVal(0), nil
-	}
-	return IntVal(0), nil
-}
-
-func (in *interp) execAssign(st *csrc.AssignStmt, sc *scope) error {
-	slot, err := in.lvalue(st.LHS, sc)
-	if err != nil {
-		return err
-	}
-	switch st.Op {
-	case "++":
-		if slot.Kind == KFloat {
-			slot.F++
-		} else {
-			slot.I++
-		}
-		return nil
-	case "--":
-		if slot.Kind == KFloat {
-			slot.F--
-		} else {
-			slot.I--
-		}
-		return nil
-	}
-	rhs, err := in.eval(st.RHS, sc)
-	if err != nil {
-		return err
-	}
-	if st.Op == "=" {
-		*slot = rhs
-		return nil
-	}
-	op := st.Op[:1] // "+=" -> "+"
-	nv, err := binaryOp(op, *slot, rhs)
-	if err != nil {
-		return err
-	}
-	*slot = nv
-	return nil
-}
-
-// lvalue resolves an assignable location.
-func (in *interp) lvalue(e csrc.Expr, sc *scope) (*Value, error) {
-	switch x := e.(type) {
-	case *csrc.Ident:
-		if slot := sc.lookup(x.Name); slot != nil {
-			return slot, nil
-		}
-		// implicit declaration tolerated for kernel robustness
-		return sc.declare(x.Name, IntVal(0)), nil
-	case *csrc.IndexExpr:
-		base, err := in.eval(x.X, sc)
-		if err != nil {
-			return nil, err
-		}
-		idx, err := in.eval(x.Index, sc)
-		if err != nil {
-			return nil, err
-		}
-		if base.Kind == KBuf {
-			// writes into malloc'd buffers are symbolic: return a scratch
-			// slot (the simulation does not materialize payloads)
-			return new(Value), nil
-		}
-		if base.Kind != KArray {
-			return nil, fmt.Errorf("cinterp: indexing non-array %s", base)
-		}
-		i := idx.AsInt()
-		if i < 0 || i >= int64(len(base.Arr)) {
-			return nil, fmt.Errorf("cinterp: index %d out of range %d", i, len(base.Arr))
-		}
-		return &base.Arr[i], nil
-	case *csrc.UnaryExpr:
-		if x.Op == "*" {
-			v, err := in.eval(x.X, sc)
-			if err != nil {
-				return nil, err
-			}
-			if v.Kind == KRef && v.Ref != nil {
-				return v.Ref, nil
-			}
-			if v.Kind == KBuf {
-				return new(Value), nil
-			}
-			return nil, fmt.Errorf("cinterp: dereference of non-pointer %s", v)
-		}
-	}
-	return nil, fmt.Errorf("cinterp: not an lvalue: %s", csrc.PrintExpr(e))
-}
-
-func (in *interp) eval(e csrc.Expr, sc *scope) (Value, error) {
-	if err := in.step(); err != nil {
-		return Value{}, err
-	}
-	switch x := e.(type) {
-	case *csrc.NumberLit:
-		if x.IsFloat {
-			return FloatVal(x.Float), nil
-		}
-		return IntVal(x.Int), nil
-	case *csrc.StringLit:
-		return StrVal(x.Value), nil
-	case *csrc.CharLit:
-		return IntVal(int64(x.Value)), nil
-	case *csrc.Ident:
-		if slot := sc.lookup(x.Name); slot != nil {
-			return slot.load(), nil
-		}
-		if v, ok := constants[x.Name]; ok {
-			return v, nil
-		}
-		return Value{}, fmt.Errorf("cinterp: undefined variable %q", x.Name)
-	case *csrc.SizeofExpr:
-		return IntVal(typeSize(x.Type)), nil
-	case *csrc.CastExpr:
-		v, err := in.eval(x.X, sc)
-		if err != nil {
-			return Value{}, err
-		}
-		if isFloatType(x.Type) {
-			return FloatVal(v.AsFloat()), nil
-		}
-		if x.Type[len(x.Type)-1] == '*' {
-			return v, nil // pointer casts preserve the value
-		}
-		return IntVal(v.AsInt()), nil
-	case *csrc.UnaryExpr:
-		switch x.Op {
-		case "&":
-			slot, err := in.lvalue(x.X, sc)
-			if err != nil {
-				return Value{}, err
-			}
-			return Value{Kind: KRef, Ref: slot}, nil
-		case "*":
-			slot, err := in.lvalue(e, sc)
-			if err != nil {
-				return Value{}, err
-			}
-			return slot.load(), nil
-		}
-		v, err := in.eval(x.X, sc)
-		if err != nil {
-			return Value{}, err
-		}
-		switch x.Op {
-		case "-":
-			if v.Kind == KFloat {
-				return FloatVal(-v.F), nil
-			}
-			return IntVal(-v.AsInt()), nil
-		case "!":
-			if v.Truthy() {
-				return IntVal(0), nil
-			}
-			return IntVal(1), nil
-		case "~":
-			return IntVal(^v.AsInt()), nil
-		}
-		return Value{}, fmt.Errorf("cinterp: unary %q unsupported", x.Op)
-	case *csrc.BinaryExpr:
-		// short-circuit logicals
-		if x.Op == "&&" || x.Op == "||" {
-			l, err := in.eval(x.X, sc)
-			if err != nil {
-				return Value{}, err
-			}
-			if x.Op == "&&" && !l.Truthy() {
-				return IntVal(0), nil
-			}
-			if x.Op == "||" && l.Truthy() {
-				return IntVal(1), nil
-			}
-			r, err := in.eval(x.Y, sc)
-			if err != nil {
-				return Value{}, err
-			}
-			if r.Truthy() {
-				return IntVal(1), nil
-			}
-			return IntVal(0), nil
-		}
-		l, err := in.eval(x.X, sc)
-		if err != nil {
-			return Value{}, err
-		}
-		r, err := in.eval(x.Y, sc)
-		if err != nil {
-			return Value{}, err
-		}
-		return binaryOp(x.Op, l, r)
-	case *csrc.IndexExpr:
-		slot, err := in.lvalue(e, sc)
-		if err != nil {
-			return Value{}, err
-		}
-		return slot.load(), nil
-	case *csrc.CallExpr:
-		return in.call(x, sc)
-	}
-	return Value{}, fmt.Errorf("cinterp: unsupported expression %T", e)
-}
-
-func (in *interp) call(x *csrc.CallExpr, sc *scope) (Value, error) {
-	// user-defined functions
-	if fn := in.prog.Func(x.Fun); fn != nil {
-		args := make([]Value, len(x.Args))
-		for i, a := range x.Args {
-			v, err := in.eval(a, sc)
-			if err != nil {
-				return Value{}, err
-			}
-			args[i] = v
-		}
-		return in.callFunc(fn, args)
-	}
-	return in.builtin(x, sc)
-}
-
-func binaryOp(op string, l, r Value) (Value, error) {
-	useFloat := l.Kind == KFloat || r.Kind == KFloat
-	switch op {
-	case "+", "-", "*", "/", "%":
-		if useFloat {
-			a, b := l.AsFloat(), r.AsFloat()
-			switch op {
-			case "+":
-				return FloatVal(a + b), nil
-			case "-":
-				return FloatVal(a - b), nil
-			case "*":
-				return FloatVal(a * b), nil
-			case "/":
-				if b == 0 {
-					return Value{}, fmt.Errorf("cinterp: float division by zero")
-				}
-				return FloatVal(a / b), nil
-			case "%":
-				return Value{}, fmt.Errorf("cinterp: %% on floats")
-			}
-		}
-		a, b := l.AsInt(), r.AsInt()
-		switch op {
-		case "+":
-			return IntVal(a + b), nil
-		case "-":
-			return IntVal(a - b), nil
-		case "*":
-			return IntVal(a * b), nil
-		case "/":
-			if b == 0 {
-				return Value{}, fmt.Errorf("cinterp: division by zero")
-			}
-			return IntVal(a / b), nil
-		case "%":
-			if b == 0 {
-				return Value{}, fmt.Errorf("cinterp: modulo by zero")
-			}
-			return IntVal(a % b), nil
-		}
-	case "<", ">", "<=", ">=", "==", "!=":
-		a, b := l.AsFloat(), r.AsFloat()
-		var res bool
-		switch op {
-		case "<":
-			res = a < b
-		case ">":
-			res = a > b
-		case "<=":
-			res = a <= b
-		case ">=":
-			res = a >= b
-		case "==":
-			res = a == b
-		case "!=":
-			res = a != b
-		}
-		if res {
-			return IntVal(1), nil
-		}
-		return IntVal(0), nil
-	case "<<", ">>", "&", "|", "^":
-		a, b := l.AsInt(), r.AsInt()
-		switch op {
-		case "<<":
-			return IntVal(a << uint(b&63)), nil
-		case ">>":
-			return IntVal(a >> uint(b&63)), nil
-		case "&":
-			return IntVal(a & b), nil
-		case "|":
-			return IntVal(a | b), nil
-		case "^":
-			return IntVal(a ^ b), nil
-		}
-	}
-	return Value{}, fmt.Errorf("cinterp: unsupported operator %q", op)
+func compare(holds func(a, b float64) bool) func(l, r Value) (Value, error) {
+	return func(l, r Value) (Value, error) { return truth(holds(l.AsFloat(), r.AsFloat())), nil }
 }
 
 // constants the workloads reference (HDF5/MPI macro equivalents).

@@ -1,13 +1,10 @@
 package cinterp
 
 import (
-	"errors"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
-
-	"tunio/internal/csrc"
 )
 
 // runOutput executes a single-rank program and returns rank 0's printf
@@ -496,28 +493,97 @@ int main() {
 		}
 	}
 
-	prog := parseProg(t, `
-int main() {
-    char path[256];
-    sprintf(path, "/scratch/%d.h5", 7);
-    return 0;
-}
-`)
-	in := newInterp(prog, 0, 1, 1<<30)
-	sc := newScope(in.globals)
-	decl := prog.Func("main").Body.Stmts[0].(*csrc.DeclStmt)
+	prog := parseProg(t, `int main() { char path[256]; return 0; }`)
+	in := newInterp(resolve(prog), 0, 1, 1<<30, newScratch())
+	main := in.prog.main
+	in.frame = make([]Value, main.nslots)
 	if allocs := testing.AllocsPerRun(100, func() {
-		v, err := in.declValue(decl, sc)
-		if err != nil || v.Kind != KArray || v.Arr != nil {
-			t.Fatalf("declared %+v, %v; want an array without elements", v, err)
+		if main.body(in); in.err != errReturn || in.frame[0].Kind != kUnreadInts {
+			t.Fatalf("declared %+v, %v; want an array without elements", in.frame[0], in.err)
 		}
+		in.err = nil
 	}); allocs != 0 {
 		t.Fatalf("declaring an unread array allocates %v times, want 0", allocs)
 	}
-	if err := in.execBlock(prog.Func("main").Body, sc); err != nil && !errors.As(err, new(returnSignal)) {
-		t.Fatal(err)
+	if in.ops < 100*256 {
+		t.Fatalf("%d steps charged in 100 runs: an unread array still costs its length", in.ops)
 	}
-	if in.ops < 256 {
-		t.Fatalf("%d steps charged: an unread array still costs its length", in.ops)
+}
+
+// runawayRecursion never returns and spends few steps a call: what ends it
+// is the depth limit, long before the Go stack under the interpreter (the
+// tree walk died of that one, with a fatal error no recover catches).
+const runawayRecursion = `int f(int n){ return f(n+1); } int main(){ f(0); return 0; }`
+
+func TestLangRunawayRecursionCaught(t *testing.T) {
+	for name, src := range map[string]string{
+		"direct":  runawayRecursion,
+		"mutual":  `int f(int n) { return g(n) + 1; } int g(int n) { return f(n + 1); } int main() { return f(0); }`,
+		"in init": `int f(int n) { return f(n + 1); } int depth = f(0); int main() { return 0; }`,
+	} {
+		_, err := Run(parseProg(t, src), newLib(t, 1, 2))
+		if err == nil || !strings.Contains(err.Error(), "exceeded 10000 nested calls") {
+			t.Errorf("%s: runaway recursion not caught: %v", name, err)
+		}
+	}
+	// Recursion that ends inside the limit is not its business.
+	out := runOutput(t, `
+int depth(int n) { if (n == 0) { return 0; } return 1 + depth(n - 1); }
+int main() {
+    char line[32];
+    sprintf(line, "%d", depth(9000));
+    printf(line);
+    return 0;
+}
+`)
+	if len(out) != 1 || out[0] != "9000" {
+		t.Fatalf("output = %q, want 9000", out)
+	}
+}
+
+// A global whose initialiser fails fails the rank, with the initialiser's
+// own error: it used to be dropped, and surfaced as an undefined variable
+// where the global was read, or not at all.
+func TestLangGlobalInitialiserFails(t *testing.T) {
+	for src, want := range map[string]string{
+		`int g = 1/0; int main() { return 0; }`:                          "division by zero",
+		`int g = 1/0; int main() { int x = g; return 0; }`:               "division by zero",
+		`int sizes[-1]; int main() { return 0; }`:                        "array sizes has unreasonable length -1",
+		`int g = later + 1; int later = 2; int main() { return 0; }`:     `undefined variable "later"`,
+		`int f() { return b; } int a = f(); int b = 3; int main() { }`:   `undefined variable "b"`,
+		`int f() { return nosuch(); } int a = f(); int main() { }`:       `unknown function "nosuch"`,
+		`int g = 7; int h = g * 6; int main() { int x = 1 / (h - 42); }`: "division by zero",
+	} {
+		_, err := Run(parseProg(t, src), newLib(t, 1, 2))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s\n got %v, want %s", src, err, want)
+		}
+	}
+}
+
+// The five compound assignments the parser used to refuse: each is its
+// binary operator applied to the variable, `<<=` a shift and not the `<` its
+// first character is.
+func TestLangCompoundBitAssign(t *testing.T) {
+	out := runOutput(t, `
+int main() {
+    char line[64];
+    int flags = H5F_ACC_RDONLY;
+    flags |= H5F_ACC_RDWR;
+    int n = 3;
+    n <<= 2;
+    int m = 255;
+    m >>= 4;
+    m &= 6;
+    m ^= 1;
+    int a[2] = {1, 64};
+    a[1] >>= a[0];
+    sprintf(line, "%d %d %d %d", flags, n, m, a[1]);
+    printf(line);
+    return 0;
+}
+`)
+	if len(out) != 1 || out[0] != "2 12 7 32" {
+		t.Fatalf("output = %q, want 2 12 7 32", out)
 	}
 }

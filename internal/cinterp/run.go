@@ -35,15 +35,7 @@ func run(prog *csrc.File, lib *hdf5.Library, maxOps int64) (*Result, error) {
 	if prog.Func("main") == nil {
 		return nil, fmt.Errorf("cinterp: program has no main")
 	}
-	ranks := make([]*interp, lib.Nprocs())
-	for r := range ranks {
-		ranks[r] = newInterp(prog, r, len(ranks), maxOps)
-		if r > 0 {
-			// SPMD: the previous rank's call count is the best guess at this one's
-			ranks[r].log = make([]request, 0, len(ranks[r-1].log))
-		}
-		ranks[r].runMain()
-	}
+	ranks := interpret(prog, lib.Nprocs(), maxOps)
 	err := newMerger(lib).run(ranks)
 
 	res := &Result{Output: ranks[0].output, LoopScale: 1}
@@ -56,4 +48,21 @@ func run(prog *csrc.File, lib *hdf5.Library, maxOps int64) (*Result, error) {
 		res.LoopScale = float64(orig) / float64(reduced)
 	}
 	return res, err
+}
+
+// interpret resolves the program, once, and runs the ranks over the result
+// one after another, each to the end of its main: what comes back is their
+// logs and what stopped each.
+func interpret(prog *csrc.File, nprocs int, maxOps int64) []*interp {
+	resolved, sc := resolve(prog), newScratch()
+	ranks := make([]*interp, nprocs)
+	for r := range ranks {
+		ranks[r] = newInterp(resolved, r, nprocs, maxOps, sc)
+		if r > 0 {
+			// SPMD: the previous rank's call count is the best guess at this one's
+			ranks[r].log = make([]request, 0, len(ranks[r-1].log))
+		}
+		ranks[r].runMain()
+	}
+	return ranks
 }

@@ -103,8 +103,9 @@ type ExprStmt struct {
 	X Expr
 }
 
-// AssignStmt is LHS op RHS with op in {=, +=, -=, *=, /=, %=} or the
-// postfix forms (op "++"/"--", RHS nil).
+// AssignStmt is LHS op RHS with op = or a binary operator followed by =
+// (+=, -=, *=, /=, %=, <<=, >>=, &=, |=, ^=), or the postfix forms (op
+// "++"/"--", RHS nil).
 type AssignStmt struct {
 	StmtBase
 	Op  string

@@ -404,12 +404,21 @@ int main() {
     x *= 3;
     x /= 4;
     x %= 5;
+    x <<= 6;
+    x >>= 7;
+    x &= 8;
+    x |= 9;
+    x ^= 10;
     x--;
     return x;
 }
 `)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// ... and they print as they were written
+	if again, err := Parse(Format(f)); err != nil || Format(again) != Format(f) {
+		t.Fatalf("printed form does not round-trip: %v\n%s", err, Format(f))
 	}
 	ops := map[string]bool{}
 	f.WalkStmts(func(s Stmt) bool {
@@ -418,7 +427,7 @@ int main() {
 		}
 		return true
 	})
-	for _, want := range []string{"+=", "-=", "*=", "/=", "%=", "--"} {
+	for _, want := range []string{"+=", "-=", "*=", "/=", "%=", "<<=", ">>=", "&=", "|=", "^=", "--"} {
 		if !ops[want] {
 			t.Errorf("op %q not parsed as assignment", want)
 		}

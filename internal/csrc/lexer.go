@@ -211,7 +211,7 @@ func (l *Lexer) run() error {
 			ops := []string{
 				"<<=", ">>=", "...",
 				"==", "!=", "<=", ">=", "&&", "||", "++", "--",
-				"+=", "-=", "*=", "/=", "%=", "->", "<<", ">>",
+				"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "->", "<<", ">>",
 			}
 			matched := false
 			for _, op := range ops {

@@ -403,7 +403,7 @@ func (p *Parser) parseSimpleStmt() (Stmt, error) {
 	t := p.cur()
 	if t.Kind == TokPunct {
 		switch t.Text {
-		case "=", "+=", "-=", "*=", "/=", "%=":
+		case "=", "+=", "-=", "*=", "/=", "%=", "<<=", ">>=", "&=", "|=", "^=":
 			p.next()
 			rhs, err := p.parseExpr()
 			if err != nil {

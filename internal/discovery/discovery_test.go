@@ -331,3 +331,31 @@ int main() {
 		t.Fatal("main dropped")
 	}
 }
+
+// A compound assignment reads what it writes: `flags |= …` keeps the
+// declaration it modifies in the slice, for the bitwise and shift forms as
+// for the arithmetic ones, and what feeds no I/O call still goes.
+func TestDiscoverKeepsCompoundBitAssign(t *testing.T) {
+	k := mustDiscover(t, `
+int main() {
+    int flags = 0;
+    int shift = 1;
+    int noise = 1;
+    flags |= H5F_ACC_RDWR;
+    shift <<= 2;
+    flags ^= shift;
+    noise &= 3;
+    hid_t f = H5Fopen("/scratch/in.h5", flags, H5P_DEFAULT);
+    H5Fclose(f);
+    return 0;
+}
+`, Options{})
+	for _, want := range []string{"int flags = 0", "flags |= H5F_ACC_RDWR", "int shift = 1", "shift <<= 2", "flags ^= shift"} {
+		if !strings.Contains(k.Source, want) {
+			t.Errorf("kernel lost %q:\n%s", want, k.Source)
+		}
+	}
+	if strings.Contains(k.Source, "noise") {
+		t.Errorf("kernel kept a variable no I/O call depends on:\n%s", k.Source)
+	}
+}

@@ -37,9 +37,14 @@ func (s Space) Elements() int64 {
 // TotalBytes returns the dataset size in bytes.
 func (s Space) TotalBytes() int64 { return s.Elements() * s.Elem }
 
-// strides returns element strides per dimension (row-major).
-func (s Space) strides() []int64 {
-	st := make([]int64, len(s.Dims))
+// strides returns element strides per dimension (row-major), in buf if the
+// space has no more dimensions than that holds: Geometry and ForEachSegment
+// run once per slab of every plan build, and keep buf on their stacks.
+func (s Space) strides(buf *[8]int64) []int64 {
+	st := buf[:min(len(s.Dims), len(buf))]
+	if len(s.Dims) > len(buf) {
+		st = make([]int64, len(s.Dims))
+	}
 	acc := int64(1)
 	for i := len(s.Dims) - 1; i >= 0; i-- {
 		st[i] = acc
@@ -91,7 +96,8 @@ type SlabGeometry struct {
 
 // Geometry computes the slab's linearized segment structure.
 func (s Space) Geometry(sl Slab) SlabGeometry {
-	st := s.strides()
+	var buf [8]int64
+	st := s.strides(&buf)
 	// The contiguous tail: trailing dims fully selected.
 	tail := len(s.Dims)
 	for tail > 0 {
@@ -145,7 +151,8 @@ func (s Space) ForEachSegment(sl Slab, fn func(offset, size int64) bool) {
 		fn(g.FirstByte, g.SegBytes)
 		return
 	}
-	st := s.strides()
+	var buf [8]int64
+	st := s.strides(&buf)
 	// outer dims are those before the segment dim
 	tail := len(s.Dims)
 	for tail > 0 && sl.Count[tail-1] == s.Dims[tail-1] {

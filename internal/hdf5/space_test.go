@@ -132,6 +132,31 @@ func TestForEachSegmentMatchesGeometry(t *testing.T) {
 	}
 }
 
+// Strides live on the caller's stack for a space of up to eight dimensions:
+// Geometry allocates nothing, ForEachSegment only its odometer, and a
+// nine-dimensional space computes what it always did.
+func TestStridesStayOnTheStack(t *testing.T) {
+	s := mustSpace(t, []int64{6, 5, 7}, 8)
+	sl := Slab{Start: []int64{1, 1, 2}, Count: []int64{3, 2, 4}}
+	var segs int64
+	if allocs := testing.AllocsPerRun(100, func() { segs += s.Geometry(sl).NSegments }); allocs != 0 {
+		t.Errorf("Geometry allocates %v times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.ForEachSegment(sl, func(off, size int64) bool { segs--; return true })
+	}); allocs > 1 {
+		t.Errorf("ForEachSegment allocates %v times, want 1 (the odometer)", allocs)
+	}
+	if segs != 0 {
+		t.Errorf("ForEachSegment and Geometry disagree by %d segments", segs)
+	}
+	wide := mustSpace(t, []int64{2, 2, 2, 2, 2, 2, 2, 2, 3}, 1)
+	one := []int64{1, 1, 1, 1, 1, 1, 1, 1, 1}
+	if g := wide.Geometry(Slab{Start: one, Count: one}); g.FirstByte != 766 || g.SegBytes != 1 {
+		t.Errorf("9-d geometry %+v, want the element at byte 766 (strides 384, 192, … 3, 1)", g)
+	}
+}
+
 func TestForEachSegmentEarlyStop(t *testing.T) {
 	s := mustSpace(t, []int64{4, 4}, 8)
 	sl := Slab{Start: []int64{0, 0}, Count: []int64{4, 2}}

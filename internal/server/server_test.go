@@ -530,6 +530,34 @@ int main() {
 	}
 }
 
+// Sixty bytes of C that recurse without end took the daemon down: the tree
+// walk recursed with them until the Go runtime gave up, a fatal error no
+// recover catches. The recording run counts its calls now: the job fails
+// like any kernel that cannot be traced, and the daemon serves the next one.
+func TestServerSurvivesRunawayRecursion(t *testing.T) {
+	ts := newTestServer(t, tunio.EngineOptions{})
+	st, resp := submit(t, ts, server.JobRequest{
+		Source: `int f(int n){ return f(n+1); } int main(){ f(0); return 0; }`,
+		Nodes:  1, ProcsPerNode: 4, PopSize: 4, MaxIterations: 2, Reps: 1, Seed: 1,
+	}, "")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d, want 202: the source parses", resp.StatusCode)
+	}
+	if final := waitTerminal(t, ts, st.ID); final.State != "failed" || !strings.Contains(final.Error, "nested calls") {
+		t.Fatalf("state %q error %q, want failed on the depth limit", final.State, final.Error)
+	}
+	st, resp = submit(t, ts, server.JobRequest{
+		Workload: "macsio",
+		Nodes:    1, ProcsPerNode: 4, PopSize: 4, MaxIterations: 2, Reps: 1, Seed: 1,
+	}, "")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("the next submit = %d, want 202", resp.StatusCode)
+	}
+	if final := waitTerminal(t, ts, st.ID); final.State != "done" {
+		t.Fatalf("the next job: state %q error %q, want done", final.State, final.Error)
+	}
+}
+
 // A Discover job whose kernel the bound analysis proves unbounded (TR007,
 // scripts/test_cli.sh's tr007.c) is refused at submit: a 400 that names the
 // finding, no job row, no session.

@@ -63,9 +63,10 @@ race_run "./internal/tuner ." TestPool TestFanOut TestMemo TestSeedFor TestRunBa
 race_run ./internal/replay TestStagedExec TestStageCache TestSharedStageCache TestKernelStore TestPooledStack TestStagedPlanRefuses FuzzTraceWalk \
     TestPlanFootprintIsSound
 # Recording runs the interpreter on the session's goroutine, many sessions
-# at once: it shares nothing and starts nothing, which its seed corpus and
-# the first-error and goroutine-count tests show under the detector.
-race_run ./internal/cinterp FuzzRun TestRunFirstError TestRunStaysOnTheCallersGoroutine
+# at once: it shares nothing and starts nothing, which its seed corpus, the
+# differential corpus of the tree walk it replaced, the depth limit and the
+# first-error and goroutine-count tests show under the detector.
+race_run ./internal/cinterp FuzzRun TestCorpusGolden TestLangRunawayRecursionCaught TestRunFirstError TestRunStaysOnTheCallersGoroutine
 # Every shared table above is one internal/cowmap.Map: its first-writer-
 # wins and immutable-snapshot contracts are raced here, the build-once
 # slots on top of it by the TestStageCache pattern above.
@@ -111,6 +112,9 @@ echo "== benchmark module (bench/) =="
 go -C bench vet ./...
 go -C bench test ./...
 
+echo "== interpreter benchmarks compile and run once =="
+go test -run '^$' -bench 'BenchmarkRunRanks|BenchmarkRecordCold' -benchtime 1x ./internal/cinterp
+
 echo "== statecheck (no package-level mutable state) =="
 # The evaluation engine packages are shared across worker goroutines;
 # allowlisted names are init-once lookup tables that are never written
@@ -122,9 +126,10 @@ echo "== statecheck (no package-level mutable state) =="
 # worker that replays, and neither may grow package state unnoticed. So are
 # the parser and the interpreter, which run on every session that records:
 # their allowlisted names are the read-only lookup maps fullyCollective,
-# constants, binaryPrec, keywords and typeNames, and the interpreter's
-# control-flow sentinels errBreak and errContinue.
-go run ./cmd/statecheck -allow sigEventKind,ErrBudgetExceeded,noisePow,noiseCooked,layerNames,fullyCollective,constants,errBreak,errContinue,binaryPrec,keywords,typeNames internal/replay internal/tuner internal/server internal/train internal/cluster internal/lustre internal/hdf5 internal/mpiio internal/workload internal/darshan internal/cinterp internal/csrc
+# constants, unaryOps, binaryOps, binaryPrec, keywords and typeNames, and
+# the interpreter's sentinels for what is unwinding a rank: errBreak,
+# errContinue, errReturn, errExit and errBudget.
+go run ./cmd/statecheck -allow sigEventKind,ErrBudgetExceeded,noisePow,noiseCooked,layerNames,fullyCollective,constants,unaryOps,binaryOps,errBreak,errContinue,errReturn,errExit,errBudget,binaryPrec,keywords,typeNames internal/replay internal/tuner internal/server internal/train internal/cluster internal/lustre internal/hdf5 internal/mpiio internal/workload internal/darshan internal/cinterp internal/csrc
 
 echo "== fuzz smoke (interval lattice, format expansion, noise stream, trace walk, interpreter, phase planner) =="
 go test -run=NONE -fuzz=FuzzIntervalJoinWiden -fuzztime=3s ./internal/analysis
