@@ -145,7 +145,7 @@ func BenchmarkAblationSelection(b *testing.B) {
 				res, err := tuner.RunReplay(context.Background(), tuner.Config{
 					Space: params.Space(), PopSize: 8, MaxIterations: 12,
 					Seed: 9, Selection: sel,
-				}, tuner.KernelSource{Workload: w, Cluster: c, Seed: 9}, 1)
+				}, tuner.KernelSource{Workload: w}, c, 9, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -167,7 +167,7 @@ func BenchmarkAblationNoise(b *testing.B) {
 				w.ParticlesPerRank = 128 << 10
 				res, err := tuner.RunReplay(context.Background(), tuner.Config{
 					Space: params.Space(), PopSize: 8, MaxIterations: 10, Seed: 13,
-				}, tuner.KernelSource{Workload: w, Cluster: c, Seed: 13}, 3)
+				}, tuner.KernelSource{Workload: w}, c, 13, 3)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"tunio/internal/params"
 	"tunio/internal/replay"
+	"tunio/internal/tuner"
 	"tunio/internal/workload"
 )
 
@@ -420,6 +422,45 @@ func TestEngineEqualTracesShareAKernel(t *testing.T) {
 	}
 }
 
+// A kernel is named by its content and the process count alone: jobs that
+// pin different parameters tune different spaces over the one recording.
+func TestEngineFixPinsShareARecording(t *testing.T) {
+	eng := NewEngine(EngineOptions{})
+	spec := sourceSpec(smallMACSio(t, "", ""), false)
+	spec.Fix = map[string]int64{params.CollectiveWrite: 1}
+	first := tuneOn(t, eng, spec)
+	spec.Fix = map[string]int64{params.StripingFactor: 8}
+	second := tuneOn(t, eng, spec)
+	if first.EngineInfo.KernelStoreHit || !second.EngineInfo.KernelStoreHit {
+		t.Fatalf("store hits %v then %v, want a recording then a hit", first.EngineInfo.KernelStoreHit, second.EngineInfo.KernelStoreHit)
+	}
+	if first.EngineInfo.KernelHash != second.EngineInfo.KernelHash {
+		t.Fatalf("kernel hashes %q then %q, want one", first.EngineInfo.KernelHash, second.EngineInfo.KernelHash)
+	}
+	if st := eng.Stats(); st.Kernels.Kernels != 1 {
+		t.Fatalf("%d stored kernels, want 1", st.Kernels.Kernels)
+	}
+}
+
+// A compute phase that overflows to +Inf fails its job, one-shot and online,
+// like any kernel that does not record: it used to pass the sign check and
+// panic the simulation on the session goroutine, taking the process down.
+func TestEngineRefusesNonFiniteCompute(t *testing.T) {
+	eng := NewEngine(EngineOptions{})
+	for _, online := range []bool{false, true} {
+		run, err := eng.Tune(context.Background(), sourceSpec(`int main() { compute_flops(1e308 * 10.0); return 0; }`, online))
+		if err != nil {
+			t.Fatalf("online=%v: the program parses, submission must succeed: %v", online, err)
+		}
+		if res, err := run.Wait(); res != nil || !errors.Is(err, ErrUntraceable) || !strings.Contains(err.Error(), "cinterp: compute_flops(+Inf)") {
+			t.Fatalf("online=%v: res=%v err=%v, want nil + ErrUntraceable around the interpreter's refusal", online, res, err)
+		}
+	}
+	if st := eng.Stats(); st.SessionsFailed != 2 || st.Kernels.Kernels != 0 {
+		t.Fatalf("engine stats %+v, want 2 failed, nothing stored", st)
+	}
+}
+
 // Stage 3's phase tables show up in a session's own stage stats and in the
 // engine-wide ones.
 func TestEngineReportsServiceStats(t *testing.T) {
@@ -691,12 +732,13 @@ func TestEngineTunesWhatTheSignatureContradicts(t *testing.T) {
 func TestEngineAdoptsOlderKernelStore(t *testing.T) {
 	warm := NewEngine(EngineOptions{})
 	want := tuneOn(t, warm, sharedSpec(3)).EngineInfo.KernelHash
-	ent, ok := warm.store.Get("workload:macsio/16")
+	key := tuner.KernelSource{Workload: workload.NewMACSio(16), Nprocs: 16}.Key()
+	ent, ok := warm.store.Get(key)
 	if !ok {
 		t.Fatal("the warm engine stored no macsio kernel")
 	}
 	old := replay.NewKernelStore()
-	old.Put("workload:macsio/16", replay.KernelEntry{Trace: ent.Trace, KernelHash: "sig:00c0ffee/0123456789abcdef"})
+	old.Put(key, replay.KernelEntry{Trace: ent.Trace, KernelHash: "sig:00c0ffee/0123456789abcdef"})
 	path := filepath.Join(t.TempDir(), "kernels.json")
 	if _, err := old.Save(path); err != nil {
 		t.Fatal(err)

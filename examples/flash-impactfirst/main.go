@@ -43,7 +43,7 @@ func main() {
 			a.Picker.Reset()
 			cfg.Picker = a.Picker
 		}
-		res, err := tuner.RunReplay(context.Background(), cfg, tuner.KernelSource{Workload: w, Cluster: c, Seed: 3}, 1)
+		res, err := tuner.RunReplay(context.Background(), cfg, tuner.KernelSource{Workload: w}, c, 3, 1)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -34,7 +34,7 @@ func main() {
 	full, err := tuner.RunReplay(context.Background(), tuner.Config{
 		Space:   params.Space(),
 		PopSize: 8, MaxIterations: 25, Seed: 5,
-	}, tuner.KernelSource{Workload: w, Cluster: c, Seed: 5}, 1)
+	}, tuner.KernelSource{Workload: w}, c, 5, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

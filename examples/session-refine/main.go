@@ -36,7 +36,7 @@ func main() {
 	w := workload.NewHACC(c.Procs())
 	w.ParticlesPerRank = 128 << 10
 	// The application is traced once; every round replays that trace.
-	kernel, err := tuner.ResolveKernel(tuner.KernelSource{Workload: w, Cluster: c}, sess.Space)
+	kernel, err := tuner.ResolveKernel(tuner.KernelSource{Workload: w, Nprocs: c.Procs()})
 	if err != nil {
 		log.Fatal(err)
 	}

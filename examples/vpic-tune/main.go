@@ -40,7 +40,7 @@ func main() {
 		Space:   params.Space(),
 		PopSize: 8, MaxIterations: 15, Seed: 11,
 		Stopper: tuner.NewHeuristicStopper(),
-	}, tuner.KernelSource{Prog: kernel.File, Cluster: c, Seed: 11}, 1)
+	}, tuner.KernelSource{Prog: kernel.File}, c, 11, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

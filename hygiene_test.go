@@ -319,3 +319,60 @@ func goSources(t *testing.T, visit func(path string, src []byte)) {
 		t.Fatalf("only %d Go sources found: the walk is not seeing the repository", checked)
 	}
 }
+
+// A kernel source is its content. A trace depends on the program or model
+// and the process count, nothing else: tuner.ResolveKernel records on a
+// planning library, with no machine, seed or configuration under it, and
+// files the trace under a key it derives from the content. So
+// tuner.KernelSource declares no machine, seed or caller-made key, no
+// non-test source of internal/tuner builds a live stack to record on and
+// kernel.go does not name the cluster package, and no Go source outside
+// internal/tuner spells one of the store-key prefixes callers used to make
+// up (names assembled here, as above).
+func TestKernelSourceIsItsContent(t *testing.T) {
+	liveStack := regexp.MustCompile(`workload\.Build` + `Stack\b`)
+	clusterPkg := regexp.MustCompile(`\bcluster\.`)
+	keyPrefix := regexp.MustCompile(`"(src|work` + `load|sweep):("|[^\s"])`)
+	var declared bool
+	goSources(t, func(path string, src []byte) {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if dir != "internal/tuner" {
+			if m := keyPrefix.Find(src); m != nil {
+				t.Errorf("%s spells the store-key prefix %s: internal/tuner derives every kernel's key", path, m)
+			}
+			return
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		if m := liveStack.Find(src); m != nil {
+			t.Errorf("%s names %s: a kernel is recorded on a planning library", path, m)
+		}
+		if filepath.Base(path) == "kernel.go" && clusterPkg.Match(src) {
+			t.Errorf("%s names the cluster package: a kernel has no machine", path)
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || ts.Name.Name != "KernelSource" {
+				return true
+			}
+			declared = true
+			for _, field := range ts.Type.(*ast.StructType).Fields.List {
+				for _, name := range field.Names {
+					switch name.Name {
+					case "Cluster", "Seed", "StoreKey":
+						t.Errorf("%s: KernelSource declares %s: a trace depends on the kernel and its process count alone", path, name.Name)
+					}
+				}
+			}
+			return false
+		})
+	})
+	if !declared {
+		t.Error("no KernelSource declared in internal/tuner: the guard is not seeing it")
+	}
+}

@@ -178,7 +178,7 @@ func bind(name string) (b builtin, ok bool) {
 	case "compute_flops":
 		b.fn = func(in *interp, _ *Value, args []Value) (Value, error) {
 			fl := args[0].AsFloat()
-			if fl < 0 {
+			if fl < 0 || math.IsNaN(fl) || math.IsInf(fl, 0) {
 				return Value{}, fmt.Errorf("cinterp: compute_flops(%v)", fl)
 			}
 			return in.collective(request{op: "compute", flops: fl}, false)

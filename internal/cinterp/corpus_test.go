@@ -10,10 +10,9 @@ import (
 	"strings"
 	"testing"
 
-	"tunio/internal/cluster"
 	"tunio/internal/csrc"
 	"tunio/internal/discovery"
-	"tunio/internal/params"
+	"tunio/internal/hdf5"
 	"tunio/internal/replay"
 	"tunio/internal/workload"
 )
@@ -395,6 +394,16 @@ func corpus(tb testing.TB) []corpusCase {
 	return cases
 }
 
+// record records what run does on a planning library of nprocs ranks, as
+// tuner.ResolveKernel records a kernel.
+func record(nprocs int, run func(lib *hdf5.Library) error) (*replay.Trace, error) {
+	lib, err := hdf5.NewPlanner(hdf5.DefaultConfig(), nprocs)
+	if err != nil {
+		return nil, err
+	}
+	return replay.RecordFunc(&workload.Stack{Lib: lib}, func(st *workload.Stack) error { return run(st.Lib) })
+}
+
 // corpusLine is what the interpreter makes of one case: the key of the
 // trace it records, rank 0's step count, the loop scale and a hash of rank
 // 0's output — or the error, word for word.
@@ -404,15 +413,9 @@ func corpusLine(tb testing.TB, c corpusCase) string {
 	if err != nil {
 		return "parse: " + err.Error()
 	}
-	cl := cluster.CoriHaswell(c.nodes, c.ppn)
-	st, err := workload.BuildStack(cl, params.DefaultAssignment(params.Space()).Settings(), 1)
-	if err != nil {
-		tb.Fatal(err)
-	}
 	var res *Result
-	trace, err := replay.RecordFunc(st, func(st *workload.Stack) error {
-		var err error
-		res, err = run(prog, st.Lib, c.maxOps)
+	trace, err := record(c.nodes*c.ppn, func(lib *hdf5.Library) (err error) {
+		res, err = run(prog, lib, c.maxOps)
 		return err
 	})
 	if err != nil {
@@ -422,7 +425,7 @@ func corpusLine(tb testing.TB, c corpusCase) string {
 	for _, s := range res.Output {
 		fmt.Fprintf(out, "%q", s)
 	}
-	return fmt.Sprintf("%s steps=%d scale=%g out=%08x", replay.TraceKey(trace), rankSteps(prog, 0, cl.Procs(), c.maxOps), res.LoopScale, out.Sum32())
+	return fmt.Sprintf("%s steps=%d scale=%g out=%08x", replay.TraceKey(trace), rankSteps(prog, 0, c.nodes*c.ppn, c.maxOps), res.LoopScale, out.Sum32())
 }
 
 const corpusGolden = "testdata/corpus.golden"

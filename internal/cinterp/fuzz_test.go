@@ -6,9 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"tunio/internal/cluster"
 	"tunio/internal/csrc"
-	"tunio/internal/params"
+	"tunio/internal/hdf5"
 	"tunio/internal/replay"
 	"tunio/internal/workload"
 )
@@ -67,20 +66,20 @@ func editLiterals(src string, script []byte) string {
 }
 
 // FuzzRun feeds the interpreter programs nobody wrote: the five workloads' C
-// forms, the two runaways of TestLangRunawayLoopCaught and the one of
-// TestLangRunawayRecursionCaught on a 1×4 cluster
-// with up to eight integer literals — sizes, counts, loop bounds, indices,
-// ranks compared against — replaced. Whatever the
-// parser accepts, Run must answer for, with a result or an error, never a
-// panic of its own or of the stack under it; and since a rank's calls
+// forms, the two runaways of TestLangRunawayLoopCaught, the one of
+// TestLangRunawayRecursionCaught and the overflowing compute of
+// TestLangNonFiniteComputeRefused, recorded on four ranks of a planning
+// library as a job records them, with up to eight integer literals — sizes,
+// counts, loop bounds, indices, ranks compared against — replaced. Whatever
+// the parser accepts, Run must answer for, with a result or an error, never
+// a panic of its own or of the library under it; and since a rank's calls
 // depend on nothing but the program, a second run must record the same
 // trace or fail with the same error.
 func FuzzRun(f *testing.F) {
-	c := cluster.CoriHaswell(1, 4)
-	def := params.DefaultAssignment(params.Space()).Settings()
+	const nprocs = 4
 	var seeds []string
 	for k, name := range []string{"vpic", "hacc", "flash", "bdcats", "macsio"} {
-		w, err := workload.ByName(name, c.Procs())
+		w, err := workload.ByName(name, nprocs)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -90,7 +89,7 @@ func FuzzRun(f *testing.F) {
 			f.Add(uint8(k), []byte{byte(3 * v), byte(v), byte(5*v + 1), byte(v + 1)})
 		}
 	}
-	for _, src := range []string{runawayEmptyFor, runawayArrays, runawayRecursion} {
+	for _, src := range []string{runawayEmptyFor, runawayArrays, runawayRecursion, infiniteFlops} {
 		f.Add(uint8(len(seeds)), []byte{})
 		seeds = append(seeds, src)
 	}
@@ -98,13 +97,9 @@ func FuzzRun(f *testing.F) {
 	// A rank of the largest seed takes under 2400 steps: an edited loop
 	// bound gets room to run, a runaway costs milliseconds.
 	const maxOps = 20_000
-	record := func(t *testing.T, prog *csrc.File) (*replay.Trace, error) {
-		st, err := workload.BuildStack(c, def, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return replay.RecordFunc(st, func(st *workload.Stack) error {
-			_, err := run(prog, st.Lib, maxOps)
+	recordProg := func(prog *csrc.File) (*replay.Trace, error) {
+		return record(nprocs, func(lib *hdf5.Library) error {
+			_, err := run(prog, lib, maxOps)
 			return err
 		})
 	}
@@ -114,11 +109,11 @@ func FuzzRun(f *testing.F) {
 		if err != nil {
 			return
 		}
-		first, firstErr := record(t, prog)
+		first, firstErr := recordProg(prog)
 		if firstErr != nil && strings.Contains(firstErr.Error(), "panicked") {
 			t.Fatalf("%v\n%s", firstErr, src)
 		}
-		again, againErr := record(t, prog)
+		again, againErr := recordProg(prog)
 		if (firstErr == nil) != (againErr == nil) || firstErr != nil && firstErr.Error() != againErr.Error() {
 			t.Fatalf("first run: %v\nsecond run: %v\n%s", firstErr, againErr, src)
 		}

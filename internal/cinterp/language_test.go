@@ -541,6 +541,25 @@ int main() {
 	}
 }
 
+// infiniteFlops overflows a double to +Inf, which passed compute_flops'
+// sign check and panicked the simulation under the merge, taking down the
+// process that ran the job. A count no clock can advance by is refused
+// where the program asks for it, as a negative one is.
+const infiniteFlops = `int main() { compute_flops(1e308 * 10.0); return 0; }`
+
+func TestLangNonFiniteComputeRefused(t *testing.T) {
+	for src, want := range map[string]string{
+		infiniteFlops: "cinterp: compute_flops(+Inf)",
+		`int main() { compute_flops(-1e308 * 10.0); return 0; }`:                        "cinterp: compute_flops(-Inf)",
+		`int main() { double inf = 1e308 * 10.0; compute_flops(inf - inf); return 0; }`: "cinterp: compute_flops(NaN)",
+	} {
+		_, err := Run(parseProg(t, src), newLib(t, 1, 2))
+		if err == nil || err.Error() != want {
+			t.Errorf("%s\n got %v, want %s", src, err, want)
+		}
+	}
+}
+
 // A global whose initialiser fails fails the rank, with the initialiser's
 // own error: it used to be dropped, and surfaced as an undefined variable
 // where the global was read, or not at all.

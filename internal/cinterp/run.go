@@ -22,7 +22,9 @@ type Result struct {
 // calling goroutine: each rank is interpreted to the end, logging its I/O
 // and MPI calls, and the logs are then merged into the phases the ranks
 // would have formed side by side, each collective arrival group a single
-// simulated phase. Timing and counters land in lib.Sim().
+// simulated phase. On a live library (hdf5.NewLibrary) timing and counters
+// land in lib.Sim(); a planning one (hdf5.NewPlanner) collects the phases'
+// ops instead, which is all a recorder attached to it needs.
 func Run(prog *csrc.File, lib *hdf5.Library) (*Result, error) {
 	return run(prog, lib, 50_000_000)
 }

@@ -88,7 +88,7 @@ func TestSessionRefinesAcrossRounds(t *testing.T) {
 	c := cluster.CoriHaswell(2, 8)
 	w := workload.NewMACSio(c.Procs())
 	w.Dumps = 3
-	kernel, err := tuner.ResolveKernel(tuner.KernelSource{Workload: w, Cluster: c}, space)
+	kernel, err := tuner.ResolveKernel(tuner.KernelSource{Workload: w, Nprocs: c.Procs()})
 	if err != nil {
 		t.Fatal(err)
 	}

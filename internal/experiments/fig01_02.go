@@ -64,7 +64,7 @@ func Fig02(cfg Config) (*Fig02Result, error) {
 			PopSize:       cfg.popSize(),
 			MaxIterations: cfg.maxIterations(),
 			Seed:          cfg.Seed + int64(i),
-		}, tuner.KernelSource{Workload: w, Cluster: c, Seed: cfg.Seed + int64(i)}, cfg.reps())
+		}, tuner.KernelSource{Workload: w}, c, cfg.Seed+int64(i), cfg.reps())
 		if err != nil {
 			return nil, err
 		}

@@ -104,7 +104,7 @@ func Fig08(cfg Config) (*Fig08Result, error) {
 			PopSize:       cfg.popSize(),
 			MaxIterations: cfg.maxIterations(),
 			Seed:          cfg.Seed + 100, // same seed: identical search trajectory
-		}, tuner.KernelSource{Prog: v.prog, Cluster: c, Seed: cfg.Seed + int64(i)}, cfg.reps())
+		}, tuner.KernelSource{Prog: v.prog}, c, cfg.Seed+int64(i), cfg.reps())
 		if err != nil {
 			return nil, fmt.Errorf("fig08 %s: %w", v.name, err)
 		}

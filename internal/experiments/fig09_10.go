@@ -55,7 +55,7 @@ func Fig09(cfg Config) (*Fig09Result, error) {
 			agent.Picker.Reset()
 			tc.Picker = agent.Picker
 		}
-		return tuner.RunReplay(context.Background(), tc, tuner.KernelSource{Workload: w, Cluster: c, Seed: cfg.Seed + 200}, cfg.reps())
+		return tuner.RunReplay(context.Background(), tc, tuner.KernelSource{Workload: w}, c, cfg.Seed+200, cfg.reps())
 	}
 
 	with, err := run(true)
@@ -145,7 +145,7 @@ func Fig10(cfg Config) (*Fig10Result, error) {
 		PopSize:       cfg.popSize(),
 		MaxIterations: cfg.maxIterations(),
 		Seed:          cfg.Seed + 300,
-	}, tuner.KernelSource{Workload: w, Cluster: c, Seed: cfg.Seed + 300}, cfg.reps())
+	}, tuner.KernelSource{Workload: w}, c, cfg.Seed+300, cfg.reps())
 	if err != nil {
 		return nil, err
 	}

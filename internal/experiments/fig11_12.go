@@ -99,7 +99,7 @@ func Fig11(cfg Config) (*Fig11Result, error) {
 			agent.Picker.Reset()
 			tc.Picker = agent.Picker
 		}
-		res, err := tuner.RunReplay(context.Background(), tc, tuner.KernelSource{Workload: w, Cluster: c, Seed: cfg.Seed + 400}, cfg.reps())
+		res, err := tuner.RunReplay(context.Background(), tc, tuner.KernelSource{Workload: w}, c, cfg.Seed+400, cfg.reps())
 		if err != nil {
 			return nil, fmt.Errorf("fig11 %s: %w", v.name, err)
 		}

@@ -104,13 +104,12 @@ func sliceVariant(cfg Config, c *cluster.Cluster, src string, orig []replay.Even
 	}
 	dst.ReplayIdentical = reflect.DeepEqual(orig, trace)
 
-	ksrc := tuner.KernelSource{Prog: k.File, Cluster: c, Seed: cfg.Seed + 300}
 	res, err := tuner.RunReplay(context.Background(), tuner.Config{
 		Space:         params.Space(),
 		PopSize:       cfg.popSize(),
 		MaxIterations: cfg.maxIterations(),
 		Seed:          cfg.Seed + 300, // same trajectory for both variants
-	}, ksrc, cfg.reps())
+	}, tuner.KernelSource{Prog: k.File}, c, cfg.Seed+300, cfg.reps())
 	if err != nil {
 		return err
 	}

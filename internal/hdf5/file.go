@@ -2,6 +2,7 @@ package hdf5
 
 import (
 	"fmt"
+	"math"
 
 	"tunio/internal/cluster"
 	"tunio/internal/ioreq"
@@ -115,10 +116,11 @@ func (l *Library) Nprocs() int { return l.nprocs }
 func (l *Library) Sim() *cluster.Sim { return l.sim }
 
 // Compute runs an application compute phase of flops per process. Like the
-// simulation it panics on a negative count, which only a broken caller
-// produces, before the tracer hears of it.
+// simulation it panics on a negative or non-finite count, which only a
+// broken caller produces, before the tracer hears of it, so a recorder never
+// captures a phase no run can replay or a trace that does not marshal.
 func (l *Library) Compute(flops float64) {
-	if flops < 0 {
+	if flops < 0 || math.IsNaN(flops) || math.IsInf(flops, 0) {
 		panic(fmt.Sprintf("hdf5: Compute(%v)", flops))
 	}
 	if l.tracer != nil {

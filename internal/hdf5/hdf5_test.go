@@ -1,6 +1,7 @@
 package hdf5
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -604,20 +605,30 @@ func TestApplicationPhasesReachTheTracer(t *testing.T) {
 		t.Errorf("tracer saw %q", got)
 	}
 
+	// The same on a planning library: a recorded trace always marshals.
+	planner, err := NewPlanner(DefaultConfig(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planner.SetTracer(tr)
 	tr.seen = nil
-	for _, call := range []func(){
-		func() { lib.Barrier(0) },
-		func() { lib.Barrier(-3) },
-		func() { lib.Compute(-1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("want panic on a count no run can replay")
-				}
+	for _, l := range []*Library{lib, planner} {
+		for i, call := range []func(){
+			func() { l.Barrier(0) },
+			func() { l.Barrier(-3) },
+			func() { l.Compute(-1) },
+			func() { l.Compute(math.Inf(1)) },
+			func() { l.Compute(math.NaN()) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("call %d (planning: %v): want panic on a count no run can replay", i, l == planner)
+					}
+				}()
+				call()
 			}()
-			call()
-		}()
+		}
 	}
 	if len(tr.seen) != 0 {
 		t.Errorf("tracer heard of refused calls: %v", tr.seen)

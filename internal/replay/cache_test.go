@@ -219,3 +219,114 @@ func TestStageCacheViewBeforeRegister(t *testing.T) {
 		t.Fatalf("early view stats %+v, want one build of each stage and the sibling's hit", st)
 	}
 }
+
+// Two views on one shared cache: artifacts are shared (the second view's
+// first query is a hit), while hit/miss counters stay per-view.
+func TestSharedStageCacheViews(t *testing.T) {
+	tr := recordTrace(t, "macsio", 3)
+	shared := NewSharedStageCache()
+	shared.Register("trace:k1", tr)
+	shared.Register("trace:k1", recordTrace(t, "vpic", 3)) // first registration must win
+	if !shared.HasKernel("trace:k1") || shared.Kernels() != 1 {
+		t.Fatal("registration bookkeeping wrong")
+	}
+
+	a := params.DefaultAssignment(params.Space())
+	s := a.Settings()
+	v1 := shared.View("trace:k1")
+	wp1, err := v1.WireFor(a, s, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := shared.View("trace:k1")
+	wp2, err := v2.WireFor(a, s, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wp1 != wp2 {
+		t.Fatal("views did not share the cached wire plan")
+	}
+	if st := v1.Stats(); st.WireMisses != 1 || st.WireHits != 0 || st.PlanMisses != 1 {
+		t.Fatalf("view1 stats = %+v, want 1 wire miss / 1 plan miss", st)
+	}
+	if st := v2.Stats(); st.WireHits != 1 || st.WireMisses != 0 {
+		t.Fatalf("view2 stats = %+v, want 1 wire hit", st)
+	}
+	if st := shared.Stats(); st.WireHits != 1 || st.WireMisses != 1 {
+		t.Fatalf("shared stats = %+v, want 1 hit + 1 miss", st)
+	}
+
+	// A view on a different kernel must not see k1's artifacts.
+	shared.Register("trace:k2", recordTrace(t, "vpic", 3))
+	v3 := shared.View("trace:k2")
+	wp3, err := v3.WireFor(a, s, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wp3 == wp1 {
+		t.Fatal("kernel keys did not partition the shared cache")
+	}
+	if st := v3.Stats(); st.WireMisses != 1 || st.WireDistinct != 1 || st.PlanDistinct != 1 {
+		t.Fatalf("view3 stats = %+v, want 1 wire miss adding 1 plan and 1 wire", st)
+	}
+
+	// The same trace under another key is a miss of its own — keys are
+	// never answered across kernels — that adds nothing: the artifacts are
+	// pure data, held once per content.
+	shared.Register("trace:k1-again", tr)
+	v4 := shared.View("trace:k1-again")
+	wp4, err := v4.WireFor(a, s, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wp4 != wp1 {
+		t.Fatal("equal content under two kernel keys was built twice")
+	}
+	if st := v4.Stats(); st.WireMisses != 1 || st.PlanMisses != 1 || st.WireDistinct != 0 || st.PlanDistinct != 0 {
+		t.Fatalf("view4 stats = %+v, want 1 wire miss and 1 plan miss adding nothing", st)
+	}
+	if st := shared.Stats(); st.PlanDistinct != 2 || st.WireDistinct != 2 || st.WireMisses != 3 {
+		t.Fatalf("shared stats = %+v, want 3 wire misses over 2 plans and 2 wires", st)
+	}
+}
+
+// A view keyed to an unregistered kernel fails loudly instead of planning
+// against someone else's trace.
+func TestSharedStageCacheUnregisteredKernel(t *testing.T) {
+	shared := NewSharedStageCache()
+	a := params.DefaultAssignment(params.Space())
+	if _, err := shared.View("trace:ghost").WireFor(a, a.Settings(), 8); err == nil {
+		t.Fatal("WireFor on an unregistered kernel: want error")
+	}
+}
+
+// A trace filed under one key can be filed again under another: both views
+// plan from it, and a key, once bound, keeps its first trace.
+func TestStageCacheRebind(t *testing.T) {
+	tr := recordTrace(t, "macsio", 3)
+	c, early := privateCache(tr)
+	c.Register("trace:late", tr)
+	if !c.HasKernel("trace:late") || c.Kernels() != 2 {
+		t.Fatalf("%d kernels registered, want the trace under both keys", c.Kernels())
+	}
+	late := c.View("trace:late")
+	if late.KernelKey() != "trace:late" {
+		t.Fatalf("kernel key = %q", late.KernelKey())
+	}
+	a := params.DefaultAssignment(params.Space())
+	for _, v := range []*CacheView{early, late} {
+		if _, err := v.WireFor(a, a.Settings(), 8); err != nil {
+			t.Fatalf("%s: %v", v.KernelKey(), err)
+		}
+	}
+	// First registration wins: another kernel's trace cannot take the key.
+	c.Register("trace:late", recordTrace(t, "vpic", 3))
+	b := mutate(t, map[string]int{params.Alignment: 3})
+	wp, err := late.WireFor(b, b.Settings(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := lowerFresh(tr, b.Settings(), 8); len(wp.ops) != len(want.ops) {
+		t.Fatalf("trace:late plans %d ops, the first trace plans %d", len(wp.ops), len(want.ops))
+	}
+}

@@ -181,15 +181,19 @@ func (r *Recorder) OnCompute(flops float64) {
 	r.trace.Events = append(r.trace.Events, Event{Kind: EvCompute, Flops: flops})
 }
 
-// Record executes a workload once on a fresh stack and returns its trace,
+// Record executes a workload once on the stack and returns its trace,
 // compute and barrier phases included.
 func Record(w workload.Workload, st *workload.Stack) (*Trace, error) {
 	return RecordFunc(st, w.Run)
 }
 
-// RecordFunc records whatever run drives on the stack — the general form
-// of Record for runners that are not workload.Workload values (e.g. the C
-// interpreter executing a discovered kernel).
+// RecordFunc records whatever run drives on the stack's library — the
+// general form of Record for runners that are not workload.Workload values
+// (e.g. the C interpreter executing a discovered kernel). The recorder reads
+// st.Lib alone, so the stack may be a bare planning library
+// (&workload.Stack{Lib: hdf5.NewPlanner(…)}), which is how
+// tuner.ResolveKernel records every kernel: the trace comes out the same as
+// on a live stack, whatever its machine, seed or configuration.
 func RecordFunc(st *workload.Stack, run func(st *workload.Stack) error) (*Trace, error) {
 	rec := NewRecorder(st.Lib.Nprocs())
 	defer rec.Attach(st.Lib)()

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -200,5 +201,44 @@ func TestRecordedChunkLayoutSurvivesReplay(t *testing.T) {
 	}
 	if rep.Report.App().BytesWritten != st.Sim.Report.App().BytesWritten {
 		t.Fatal("chunked replay footprint differs")
+	}
+}
+
+func recordTrace(t *testing.T, name string, seed int64) *Trace {
+	t.Helper()
+	c := cluster.CoriHaswell(2, 8)
+	defaults := params.DefaultAssignment(params.Space()).Settings()
+	st, err := workload.BuildStack(c, defaults, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workload.ByName(name, c.Procs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := Record(w, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// A live recording does not depend on its seed: a trace captures what the
+// application issues, not how the hardware times it. (A job records on a
+// planning library, which has no seed; internal/tuner's
+// TestRecordingNeedsNoMachine holds the two recordings equal.)
+func TestKernelStoreTraceSeedIndependent(t *testing.T) {
+	for _, name := range []string{"vpic", "hacc", "flash", "bdcats", "macsio"} {
+		a, err := recordTrace(t, name, 3).Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := recordTrace(t, name, 99).Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s: recorded trace differs across seeds", name)
+		}
 	}
 }

@@ -40,13 +40,12 @@ type KernelEntry struct {
 // the store removes it for every session after the first, which is what
 // makes trace replay pay off across tenants, not just across genomes.
 //
-// Keys are kernel identities known before recording — a workload model's
-// name and process count, or a content hash of submitted C source — so a
-// session can look up the store instead of running the kernel at all.
-// Traces are recorded under the default configuration and are
-// seed-independent (they capture what the application issues, not how the
-// simulated hardware times it), so reuse across sessions with different
-// seeds is sound; TestKernelStoreTraceSeedIndependent pins this.
+// Keys are opaque here. They are kernel identities known before recording,
+// derived in one place (tuner.KernelSource.Key: a hash of the kernel's
+// content and its process count), so a session can look up the store
+// instead of running the kernel at all. A trace depends on nothing else —
+// it is recorded on a planning library, with no machine, seed or
+// configuration under it — so reuse across sessions is sound.
 //
 // Safe for concurrent use. The entries live in a cowmap.Map, so reads are
 // lock-free: a warm Get indexes the published immutable map and bumps an
@@ -108,8 +107,11 @@ func (s *KernelStore) Stats() KernelStoreStats {
 }
 
 // storeFileVersion versions the on-disk store format; Load rejects other
-// versions rather than guessing.
-const storeFileVersion = 1
+// versions rather than guessing. Version 1 filed kernels under keys each
+// caller spelled its own way (a workload's name, a hash of the source text),
+// which no lookup asks for since tuner.KernelSource.Key names every kernel:
+// its entries could only miss.
+const storeFileVersion = 2
 
 // storeFile is the serialized form of a KernelStore.
 type storeFile struct {

@@ -1,71 +1,52 @@
-package replay
+package replay_test
 
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
-	"tunio/internal/cluster"
-	"tunio/internal/params"
+	"tunio/internal/replay"
+	"tunio/internal/tuner"
 	"tunio/internal/workload"
 )
 
-func recordTrace(t *testing.T, name string, seed int64) *Trace {
+// kernel records a workload model on 16 processes as a job does and returns
+// the key the store files it under, and its trace.
+func kernel(t *testing.T, name string) (string, *replay.Trace) {
 	t.Helper()
-	c := cluster.CoriHaswell(2, 8)
-	defaults := params.DefaultAssignment(params.Space()).Settings()
-	st, err := workload.BuildStack(c, defaults, seed)
+	w, err := workload.ByName(name, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := workload.ByName(name, c.Procs())
+	src := tuner.KernelSource{Workload: w, Nprocs: 16}
+	k, err := tuner.ResolveKernel(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Record(w, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
-}
-
-// The kernel store hands a trace recorded in one session to sessions with
-// different seeds, so traces must not depend on the recording seed: they
-// capture what the application issues, not how the hardware times it.
-func TestKernelStoreTraceSeedIndependent(t *testing.T) {
-	for _, name := range []string{"vpic", "hacc", "flash", "bdcats", "macsio"} {
-		a, err := recordTrace(t, name, 3).Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := recordTrace(t, name, 99).Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s: recorded trace differs across seeds", name)
-		}
-	}
+	return src.Key(), k.Trace
 }
 
 func TestKernelStore(t *testing.T) {
-	s := NewKernelStore()
-	if _, ok := s.Get("workload:macsio/16"); ok {
+	s := replay.NewKernelStore()
+	key, tr := kernel(t, "macsio")
+	if _, ok := s.Get(key); ok {
 		t.Fatal("empty store reported a hit")
 	}
-	tr := recordTrace(t, "macsio", 3)
-	s.Put("workload:macsio/16", KernelEntry{Trace: tr, KernelHash: "trace:abc"})
-	s.Put("workload:macsio/16", KernelEntry{Trace: recordTrace(t, "vpic", 3), KernelHash: "trace:def"})
-	e, ok := s.Get("workload:macsio/16")
+	_, other := kernel(t, "vpic")
+	s.Put(key, replay.KernelEntry{Trace: tr, KernelHash: "trace:abc"})
+	s.Put(key, replay.KernelEntry{Trace: other, KernelHash: "trace:def"})
+	e, ok := s.Get(key)
 	if !ok {
 		t.Fatal("stored kernel not found")
 	}
 	if e.Trace != tr || e.KernelHash != "trace:abc" {
 		t.Fatal("second Put overwrote the first entry (first recording must win)")
 	}
-	s.Put("nil", KernelEntry{})
+	s.Put("nil", replay.KernelEntry{})
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 (nil-trace Put must be ignored)", s.Len())
 	}
@@ -78,127 +59,17 @@ func TestKernelStore(t *testing.T) {
 	}
 }
 
-// Two views on one shared cache: artifacts are shared (the second view's
-// first query is a hit), while hit/miss counters stay per-view.
-func TestSharedStageCacheViews(t *testing.T) {
-	tr := recordTrace(t, "macsio", 3)
-	shared := NewSharedStageCache()
-	shared.Register("trace:k1", tr)
-	shared.Register("trace:k1", recordTrace(t, "vpic", 3)) // first registration must win
-	if !shared.HasKernel("trace:k1") || shared.Kernels() != 1 {
-		t.Fatal("registration bookkeeping wrong")
-	}
-
-	a := params.DefaultAssignment(params.Space())
-	s := a.Settings()
-	v1 := shared.View("trace:k1")
-	wp1, err := v1.WireFor(a, s, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := shared.View("trace:k1")
-	wp2, err := v2.WireFor(a, s, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wp1 != wp2 {
-		t.Fatal("views did not share the cached wire plan")
-	}
-	if st := v1.Stats(); st.WireMisses != 1 || st.WireHits != 0 || st.PlanMisses != 1 {
-		t.Fatalf("view1 stats = %+v, want 1 wire miss / 1 plan miss", st)
-	}
-	if st := v2.Stats(); st.WireHits != 1 || st.WireMisses != 0 {
-		t.Fatalf("view2 stats = %+v, want 1 wire hit", st)
-	}
-	if st := shared.Stats(); st.WireHits != 1 || st.WireMisses != 1 {
-		t.Fatalf("shared stats = %+v, want 1 hit + 1 miss", st)
-	}
-
-	// A view on a different kernel must not see k1's artifacts.
-	shared.Register("trace:k2", recordTrace(t, "vpic", 3))
-	v3 := shared.View("trace:k2")
-	wp3, err := v3.WireFor(a, s, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wp3 == wp1 {
-		t.Fatal("kernel keys did not partition the shared cache")
-	}
-	if st := v3.Stats(); st.WireMisses != 1 || st.WireDistinct != 1 || st.PlanDistinct != 1 {
-		t.Fatalf("view3 stats = %+v, want 1 wire miss adding 1 plan and 1 wire", st)
-	}
-
-	// The same trace under another key is a miss of its own — keys are
-	// never answered across kernels — that adds nothing: the artifacts are
-	// pure data, held once per content.
-	shared.Register("trace:k1-again", tr)
-	v4 := shared.View("trace:k1-again")
-	wp4, err := v4.WireFor(a, s, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wp4 != wp1 {
-		t.Fatal("equal content under two kernel keys was built twice")
-	}
-	if st := v4.Stats(); st.WireMisses != 1 || st.PlanMisses != 1 || st.WireDistinct != 0 || st.PlanDistinct != 0 {
-		t.Fatalf("view4 stats = %+v, want 1 wire miss and 1 plan miss adding nothing", st)
-	}
-	if st := shared.Stats(); st.PlanDistinct != 2 || st.WireDistinct != 2 || st.WireMisses != 3 {
-		t.Fatalf("shared stats = %+v, want 3 wire misses over 2 plans and 2 wires", st)
-	}
-}
-
-// A view keyed to an unregistered kernel fails loudly instead of planning
-// against someone else's trace.
-func TestSharedStageCacheUnregisteredKernel(t *testing.T) {
-	shared := NewSharedStageCache()
-	a := params.DefaultAssignment(params.Space())
-	if _, err := shared.View("trace:ghost").WireFor(a, a.Settings(), 8); err == nil {
-		t.Fatal("WireFor on an unregistered kernel: want error")
-	}
-}
-
-// A trace filed under one key can be filed again under another: both views
-// plan from it, and a key, once bound, keeps its first trace.
-func TestStageCacheRebind(t *testing.T) {
-	tr := recordTrace(t, "macsio", 3)
-	c, early := privateCache(tr)
-	c.Register("trace:late", tr)
-	if !c.HasKernel("trace:late") || c.Kernels() != 2 {
-		t.Fatalf("%d kernels registered, want the trace under both keys", c.Kernels())
-	}
-	late := c.View("trace:late")
-	if late.KernelKey() != "trace:late" {
-		t.Fatalf("kernel key = %q", late.KernelKey())
-	}
-	a := params.DefaultAssignment(params.Space())
-	for _, v := range []*CacheView{early, late} {
-		if _, err := v.WireFor(a, a.Settings(), 8); err != nil {
-			t.Fatalf("%s: %v", v.KernelKey(), err)
-		}
-	}
-	// First registration wins: another kernel's trace cannot take the key.
-	c.Register("trace:late", recordTrace(t, "vpic", 3))
-	b := mutate(t, map[string]int{params.Alignment: 3})
-	wp, err := late.WireFor(b, b.Settings(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want, _ := lowerFresh(tr, b.Settings(), 8); len(wp.ops) != len(want.ops) {
-		t.Fatalf("trace:late plans %d ops, the first trace plans %d", len(wp.ops), len(want.ops))
-	}
-}
-
 // The persisted store must survive a full round trip: every trace byte-
 // identical, kernel hashes preserved, counts reported.
 func TestKernelStoreSaveLoadRoundTrip(t *testing.T) {
-	s := NewKernelStore()
-	traces := map[string]*Trace{
-		"workload:macsio/16": recordTrace(t, "macsio", 3),
-		"workload:vpic/16":   recordTrace(t, "vpic", 3),
+	s := replay.NewKernelStore()
+	traces := map[string]*replay.Trace{}
+	for _, name := range []string{"macsio", "vpic"} {
+		key, tr := kernel(t, name)
+		traces[key] = tr
 	}
 	for k, tr := range traces {
-		s.Put(k, KernelEntry{Trace: tr, KernelHash: TraceKey(tr)})
+		s.Put(k, replay.KernelEntry{Trace: tr, KernelHash: replay.TraceKey(tr)})
 	}
 	path := filepath.Join(t.TempDir(), "kernels.json")
 	n, err := s.Save(path)
@@ -209,7 +80,7 @@ func TestKernelStoreSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("saved %d kernels, want 2", n)
 	}
 
-	fresh := NewKernelStore()
+	fresh := replay.NewKernelStore()
 	if n, err = fresh.Load(path); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +92,7 @@ func TestKernelStoreSaveLoadRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("kernel %q missing after load", k)
 		}
-		if e.KernelHash != TraceKey(tr) {
+		if e.KernelHash != replay.TraceKey(tr) {
 			t.Fatalf("kernel %q hash changed: %q", k, e.KernelHash)
 		}
 		want, err := tr.Marshal()
@@ -258,9 +129,9 @@ func TestKernelStoreSaveLoadRoundTrip(t *testing.T) {
 // A store file with a tampered trace must fail the whole load — no
 // partial application — and leave the target store untouched.
 func TestKernelStoreLoadRejectsCorruption(t *testing.T) {
-	s := NewKernelStore()
-	tr := recordTrace(t, "macsio", 3)
-	s.Put("workload:macsio/16", KernelEntry{Trace: tr, KernelHash: TraceKey(tr)})
+	s := replay.NewKernelStore()
+	key, tr := kernel(t, "macsio")
+	s.Put(key, replay.KernelEntry{Trace: tr, KernelHash: replay.TraceKey(tr)})
 	path := filepath.Join(t.TempDir(), "kernels.json")
 	if _, err := s.Save(path); err != nil {
 		t.Fatal(err)
@@ -276,7 +147,7 @@ func TestKernelStoreLoadRejectsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, mut, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fresh := NewKernelStore()
+	fresh := replay.NewKernelStore()
 	if _, err := fresh.Load(path); err == nil {
 		t.Fatal("tampered store file loaded")
 	}
@@ -288,34 +159,39 @@ func TestKernelStoreLoadRejectsCorruption(t *testing.T) {
 // Loading under a live store follows the first-Put-wins rule: keys the
 // store already holds keep their in-memory entries.
 func TestKernelStoreLoadFirstWins(t *testing.T) {
-	disk := NewKernelStore()
-	diskTrace := recordTrace(t, "macsio", 3)
-	disk.Put("workload:macsio/16", KernelEntry{Trace: diskTrace, KernelHash: "trace:disk"})
+	disk := replay.NewKernelStore()
+	key, diskTrace := kernel(t, "macsio")
+	disk.Put(key, replay.KernelEntry{Trace: diskTrace, KernelHash: "trace:disk"})
 	path := filepath.Join(t.TempDir(), "kernels.json")
 	if _, err := disk.Save(path); err != nil {
 		t.Fatal(err)
 	}
 
-	live := NewKernelStore()
-	liveTrace := recordTrace(t, "vpic", 3)
-	live.Put("workload:macsio/16", KernelEntry{Trace: liveTrace, KernelHash: "trace:live"})
+	live := replay.NewKernelStore()
+	_, liveTrace := kernel(t, "vpic")
+	live.Put(key, replay.KernelEntry{Trace: liveTrace, KernelHash: "trace:live"})
 	if _, err := live.Load(path); err != nil {
 		t.Fatal(err)
 	}
-	e, _ := live.Get("workload:macsio/16")
+	e, _ := live.Get(key)
 	if e.KernelHash != "trace:live" {
 		t.Fatalf("load replaced a live entry: %q", e.KernelHash)
 	}
 }
 
-// An unknown store file version is rejected outright.
+// A store file of another version is refused with its version named: a
+// version-1 file keyed kernels by names this store never looks up, so its
+// entries could only miss, and a future one is not guessed at.
 func TestKernelStoreLoadRejectsVersion(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "kernels.json")
-	if err := os.WriteFile(path, []byte(`{"version":99,"kernels":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewKernelStore().Load(path); err == nil {
-		t.Fatal("future-versioned store file loaded")
+	for _, v := range []int{1, 99} {
+		path := filepath.Join(t.TempDir(), "kernels.json")
+		if err := os.WriteFile(path, []byte(fmt.Sprintf(`{"version":%d,"kernels":[]}`, v)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := replay.NewKernelStore().Load(path)
+		if want := fmt.Sprintf("version %d, want 2", v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version-%d store file: Load err = %v, want it refused naming %q", v, err, want)
+		}
 	}
 }
 
@@ -326,12 +202,12 @@ func TestWriteFileAtomicFailureKeepsPreviousFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "store.json")
 	previous := []byte("previous contents\n")
-	if err := WriteFileAtomic(path, previous); err != nil {
+	if err := replay.WriteFileAtomic(path, previous); err != nil {
 		t.Fatal(err)
 	}
 
 	boom := errors.New("disk full")
-	err := writeAtomic(path, func(f *os.File) error {
+	err := replay.WriteAtomic(path, func(f *os.File) error {
 		if _, err := f.Write([]byte("half of the new cont")); err != nil {
 			t.Fatal(err)
 		}
@@ -344,7 +220,7 @@ func TestWriteFileAtomicFailureKeepsPreviousFile(t *testing.T) {
 		t.Fatalf("after a failed write the file reads %q, %v; want the previous contents", got, err)
 	}
 	// A rename that cannot happen (the target is a directory) cleans up too.
-	if err := WriteFileAtomic(dir, []byte("x")); err == nil {
+	if err := replay.WriteFileAtomic(dir, []byte("x")); err == nil {
 		t.Fatal("writing over a directory: want error")
 	}
 	for _, d := range []string{dir, filepath.Dir(dir)} {
@@ -353,7 +229,7 @@ func TestWriteFileAtomicFailureKeepsPreviousFile(t *testing.T) {
 		}
 	}
 
-	if err := WriteFileAtomic(path, []byte("new contents\n")); err != nil {
+	if err := replay.WriteFileAtomic(path, []byte("new contents\n")); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := os.ReadFile(path); string(got) != "new contents\n" {

@@ -535,16 +535,30 @@ int main() {
 // recover catches. The recording run counts its calls now: the job fails
 // like any kernel that cannot be traced, and the daemon serves the next one.
 func TestServerSurvivesRunawayRecursion(t *testing.T) {
+	failsAndServesNext(t, `int f(int n){ return f(n+1); } int main(){ f(0); return 0; }`, "nested calls")
+}
+
+// So did a compute phase that overflows to +Inf: it passed the sign check
+// and panicked the simulation on the session goroutine. The interpreter
+// refuses a count no clock can advance by.
+func TestServerSurvivesInfiniteCompute(t *testing.T) {
+	failsAndServesNext(t, `int main() { compute_flops(1e308 * 10.0); return 0; }`, "compute_flops(+Inf)")
+}
+
+// failsAndServesNext submits source, which must be accepted and then fail
+// with an error naming want, and then a workload job, which must be done.
+func failsAndServesNext(t *testing.T, source, want string) {
+	t.Helper()
 	ts := newTestServer(t, tunio.EngineOptions{})
 	st, resp := submit(t, ts, server.JobRequest{
-		Source: `int f(int n){ return f(n+1); } int main(){ f(0); return 0; }`,
+		Source: source,
 		Nodes:  1, ProcsPerNode: 4, PopSize: 4, MaxIterations: 2, Reps: 1, Seed: 1,
 	}, "")
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d, want 202: the source parses", resp.StatusCode)
 	}
-	if final := waitTerminal(t, ts, st.ID); final.State != "failed" || !strings.Contains(final.Error, "nested calls") {
-		t.Fatalf("state %q error %q, want failed on the depth limit", final.State, final.Error)
+	if final := waitTerminal(t, ts, st.ID); final.State != "failed" || !strings.Contains(final.Error, want) {
+		t.Fatalf("state %q error %q, want failed on %s", final.State, final.Error, want)
 	}
 	st, resp = submit(t, ts, server.JobRequest{
 		Workload: "macsio",

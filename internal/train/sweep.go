@@ -2,8 +2,6 @@ package train
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 
@@ -13,20 +11,10 @@ import (
 	"tunio/internal/workload"
 )
 
-// kernelStoreKey identifies a sweep kernel in the KernelStore before it
-// has been recorded. Sweep kernels are custom-sized (DefaultSweepKernels
-// shrinks the apps), so the key fingerprints the workload's full
-// configuration rather than just its name — a sweep VPIC must never adopt
-// the trace of a same-named, differently-sized serving VPIC.
-func kernelStoreKey(w workload.Workload, procs int) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%T %#v", w, w)))
-	return fmt.Sprintf("sweep:%s/%d/%s", w.Name(), procs, hex.EncodeToString(sum[:8]))
-}
-
 // replaySweep scores core.SweepPlan's run list through the staged replay
-// engine: each kernel runs once under defaults to record its trace (or is
-// served whole from the kernel store), and every planned configuration is
-// scored by replaying cached stage artifacts against pooled stacks.
+// engine: each kernel runs once to record its trace (or is served whole
+// from the kernel store), and every planned configuration is scored by
+// replaying cached stage artifacts against pooled stacks.
 //
 // Per-run results are bit-identical to core.Sweep's direct execution —
 // pooled stacks reset to fresh-build state and replay charges the same
@@ -49,10 +37,7 @@ func replaySweep(ctx context.Context, cfg *Config) (*core.SweepResult, []string,
 	kernels := make([]tuner.Replayer, len(cfg.Kernels))
 	kernKeys := make([]string, len(cfg.Kernels))
 	for i, w := range cfg.Kernels {
-		k, err := tuner.ResolveKernel(tuner.KernelSource{
-			Workload: w, Cluster: cfg.Cluster, Seed: cfg.Seed,
-			Store: cfg.Store, StoreKey: kernelStoreKey(w, cfg.Cluster.Procs()),
-		}, cfg.Space)
+		k, err := tuner.ResolveKernel(tuner.KernelSource{Workload: w, Nprocs: cfg.Cluster.Procs(), Store: cfg.Store})
 		if err != nil {
 			return nil, nil, fmt.Errorf("train: recording %s: %w", w.Name(), err)
 		}

@@ -14,6 +14,7 @@ import (
 	"tunio/internal/core"
 	"tunio/internal/params"
 	"tunio/internal/replay"
+	"tunio/internal/tuner"
 	"tunio/internal/workload"
 )
 
@@ -136,7 +137,7 @@ func TestReplaySweepKernelStoreRoundTrip(t *testing.T) {
 	}
 	// The payload names each kernel by its trace's key.
 	for i, w := range cfg.Kernels {
-		ent, _ := cfg.Store.Get(kernelStoreKey(w, cfg.Cluster.Procs()))
+		ent, _ := cfg.Store.Get(tuner.KernelSource{Workload: w, Nprocs: cfg.Cluster.Procs()}.Key())
 		if ent.Trace == nil || keys[i] != replay.TraceKey(ent.Trace) {
 			t.Fatalf("kernel %d reported as %q, its stored trace keys %v", i, keys[i], ent.KernelHash)
 		}
@@ -156,9 +157,9 @@ func TestReplaySweepKernelStoreRoundTrip(t *testing.T) {
 		}
 	}
 	// Distinct workload configurations must get distinct keys.
-	k1 := kernelStoreKey(cfg.Kernels[0], cfg.Cluster.Procs())
+	k1 := tuner.KernelSource{Workload: cfg.Kernels[0], Nprocs: cfg.Cluster.Procs()}.Key()
 	v := workload.NewVPIC(cfg.Cluster.Procs())
-	if k2 := kernelStoreKey(v, cfg.Cluster.Procs()); k1 == k2 {
+	if k2 := (tuner.KernelSource{Workload: v, Nprocs: cfg.Cluster.Procs()}.Key()); k1 == k2 {
 		t.Fatalf("sweep-sized and standard-sized VPIC share store key %q", k1)
 	}
 }

@@ -45,7 +45,7 @@ func BenchmarkEvalDirectInterp(b *testing.B) {
 // iteration is a cached wire-plan replay on a pooled stack.
 func BenchmarkEvalTraceReplay(b *testing.B) {
 	c := cluster.CoriHaswell(2, 8)
-	k, err := ResolveKernel(KernelSource{Prog: benchProg(b, c), Cluster: c, Seed: 3}, params.Space())
+	k, err := ResolveKernel(KernelSource{Prog: benchProg(b, c), Nprocs: c.Procs()})
 	if err != nil {
 		b.Fatal(err)
 	}

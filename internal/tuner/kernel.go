@@ -1,42 +1,52 @@
 package tuner
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"tunio/internal/cinterp"
-	"tunio/internal/cluster"
 	"tunio/internal/csrc"
+	"tunio/internal/hdf5"
 	"tunio/internal/params"
 	"tunio/internal/replay"
 	"tunio/internal/workload"
 )
 
 // KernelSource says what to trace and where traces are kept. Exactly one
-// of Workload and Prog selects the kernel.
+// of Workload and Prog selects the kernel; Nprocs is the size of the
+// communicator it runs on. That is all a trace depends on: the kernel is
+// recorded on a planning library (hdf5.NewPlanner), which has no machine,
+// seed or configuration for the trace to depend on.
 type KernelSource struct {
 	Workload workload.Workload
 	Prog     *csrc.File
+	Nprocs   int
 
-	// Cluster is the machine the recording run executes on; Seed seeds
-	// that run's stack. Traces capture what the kernel issues, not how the
-	// hardware times it, so neither the seed nor anything but the process
-	// count shows in the result.
-	Cluster *cluster.Cluster
-	Seed    int64
-
-	// Store, when non-nil, is consulted under StoreKey before recording —
-	// on a hit the stored trace and hash are adopted and the kernel never
-	// runs — and receives what is recorded here. StoreKey must identify the
-	// kernel's content (a workload name + process count, a hash of the
-	// submitted source), never anything seed-dependent.
-	Store    *replay.KernelStore
-	StoreKey string
+	// Store, when non-nil, is consulted under Key before recording — on a
+	// hit the stored trace and hash are adopted and the kernel never runs —
+	// and receives what is recorded here.
+	Store *replay.KernelStore
 	// Stages is the stage cache the trace is registered in, typically
 	// shared across sessions so they hit each other's plans; nil makes a
 	// private one. Artifacts are pure functions of (trace, projected
 	// parameters), so sharing never changes scores.
 	Stages *replay.StageCache
+}
+
+// Key names the kernel in a KernelStore before it is recorded: a hash of
+// its content — the program as csrc.Format prints it (numbering its
+// statements' lines as it does), or a model's type and field values — and
+// the process count.
+func (s KernelSource) Key() string {
+	content := fmt.Sprintf("%T %#v", s.Workload, s.Workload)
+	if s.Prog != nil {
+		content = csrc.Format(s.Prog)
+	}
+	sum := sha256.Sum256([]byte(content))
+	return hex.EncodeToString(sum[:8]) + "/" + strconv.Itoa(s.Nprocs)
 }
 
 // Kernel is a resolved kernel: its trace, recorded once or adopted from a
@@ -58,26 +68,30 @@ type Kernel struct {
 }
 
 // ResolveKernel is the one place a kernel's trace is recorded or adopted:
-// store lookup, else one run under the space's default configuration with
-// a recorder attached; the trace's content hash, which is the kernel's
+// store lookup under the source's Key, else one run on a planning library
+// with a recorder attached; the trace's content hash, which is the kernel's
 // identity; store publication; registration in the stage cache. One-shot
 // sessions, online sessions and the training sweep all come through here,
 // so a kernel has one identity whoever saw it first, and two sources that
 // record the same trace are one kernel.
-func ResolveKernel(src KernelSource, space []params.Parameter) (*Kernel, error) {
+func ResolveKernel(src KernelSource) (*Kernel, error) {
+	if src.Prog == nil && src.Workload == nil {
+		return nil, fmt.Errorf("tuner: no Workload or Prog to record")
+	}
 	k := &Kernel{Interpreted: src.Prog != nil}
-	stored := src.Store != nil && src.StoreKey != ""
-	if stored {
-		if ent, ok := src.Store.Get(src.StoreKey); ok {
+	var key string
+	if src.Store != nil {
+		key = src.Key()
+		if ent, ok := src.Store.Get(key); ok {
 			k.Trace, k.Hash, k.StoreHit = ent.Trace, ent.KernelHash, true
 		}
 	}
 	if k.Trace == nil {
-		if err := k.record(src, space); err != nil {
+		if err := k.record(src); err != nil {
 			return nil, err
 		}
-		if stored {
-			src.Store.Put(src.StoreKey, replay.KernelEntry{Trace: k.Trace, KernelHash: k.Hash})
+		if src.Store != nil {
+			src.Store.Put(key, replay.KernelEntry{Trace: k.Trace, KernelHash: k.Hash})
 		}
 	}
 	stages := src.Stages
@@ -89,25 +103,20 @@ func ResolveKernel(src KernelSource, space []params.Parameter) (*Kernel, error) 
 	return k, nil
 }
 
-// record runs the kernel once under the default configuration and hashes
-// the trace.
-func (k *Kernel) record(src KernelSource, space []params.Parameter) error {
-	st, err := workload.BuildStack(src.Cluster, params.DefaultAssignment(space).Settings(), src.Seed)
+// record runs the kernel once on a planning library and hashes the trace.
+func (k *Kernel) record(src KernelSource) error {
+	lib, err := hdf5.NewPlanner(hdf5.DefaultConfig(), src.Nprocs)
 	if err != nil {
+		return fmt.Errorf("tuner: trace recording: %w", err)
+	}
+	run := func(st *workload.Stack) error {
+		_, err := cinterp.Run(src.Prog, st.Lib)
 		return err
 	}
-	var t *replay.Trace
-	switch {
-	case src.Prog != nil:
-		t, err = replay.RecordFunc(st, func(st *workload.Stack) error {
-			_, err := cinterp.Run(src.Prog, st.Lib)
-			return err
-		})
-	case src.Workload != nil:
-		t, err = replay.Record(src.Workload, st)
-	default:
-		err = fmt.Errorf("no Workload or Prog to record")
+	if src.Prog == nil {
+		run = src.Workload.Run
 	}
+	t, err := replay.RecordFunc(&workload.Stack{Lib: lib}, run)
 	if err != nil {
 		return fmt.Errorf("tuner: trace recording: %w", err)
 	}

@@ -25,8 +25,7 @@ func TestTraceEvaluatorKernelHash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := KernelSource{Prog: prog, Cluster: c, Seed: 3}
-	e := replayOf(t, src, 1)
+	e := replayOf(t, KernelSource{Prog: prog}, c, 3, 1)
 	h := e.kernel.Hash
 	if h != replay.TraceKey(e.kernel.Trace) {
 		t.Errorf("kernel hash = %q, want its trace's key %q", h, replay.TraceKey(e.kernel.Trace))
@@ -40,11 +39,6 @@ func TestTraceEvaluatorKernelHash(t *testing.T) {
 	if got := e.Batch(1, nil).key.Load().kernKey; got != h {
 		t.Errorf("memo kernel key = %q, want %q", got, h)
 	}
-	// The hash is a function of the kernel, not of the recording run.
-	src.Seed = 99
-	if again := replayOf(t, src, 1).kernel.Hash; again != h {
-		t.Errorf("re-recording under another seed changed the hash: %q vs %q", again, h)
-	}
 }
 
 // TestTraceEvaluatorWorkloadKernelHash checks that a workload model is
@@ -56,7 +50,7 @@ func TestTraceEvaluatorWorkloadKernelHash(t *testing.T) {
 		t.Fatal(err)
 	}
 	shrinkWorkload(w)
-	e := replayOf(t, KernelSource{Workload: w, Cluster: c, Seed: 3}, 1)
+	e := replayOf(t, KernelSource{Workload: w}, c, 3, 1)
 	if h := e.kernel.Hash; h != replay.TraceKey(e.kernel.Trace) || !strings.HasPrefix(h, "trace:") {
 		t.Errorf("kernel hash = %q, want its trace's key %q", h, replay.TraceKey(e.kernel.Trace))
 	}

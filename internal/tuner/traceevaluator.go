@@ -11,9 +11,9 @@ import (
 )
 
 // TraceEvaluator scores configurations by staged trace replay: the kernel
-// ran exactly once, under the untuned default configuration, to record its
-// HDF5-level trace (ResolveKernel); every genome is scored by replaying
-// that trace through the staged engine (internal/replay), whose per-stage
+// ran exactly once, on a planning library, to record its HDF5-level trace
+// (ResolveKernel); every genome is scored by replaying that trace through
+// the staged engine (internal/replay), whose per-stage
 // artifacts are cached by parameter projection. Replay charges the same
 // layer code paths in the same order as a live run, so scores are
 // bit-identical to the live reference evaluators'
@@ -57,16 +57,18 @@ func (e *TraceEvaluator) Batch(workers int, gate *Gate) *Memo {
 }
 
 // RunReplay is RunBatch for callers with no caches to share — experiments,
-// examples, tests: it traces the kernel (ResolveKernel) and runs the
-// pipeline over staged replay of it on GOMAXPROCS workers, src.Seed seeding
-// the evaluations. A served job does the same against its engine's kernel
+// examples, tests: it traces the kernel (ResolveKernel) on the cluster's
+// process count, whatever src.Nprocs says, and runs the pipeline over
+// staged replay of it on c, on GOMAXPROCS workers, seed seeding the
+// evaluations. A served job does the same against its engine's kernel
 // store, stage cache and gate.
-func RunReplay(ctx context.Context, cfg Config, src KernelSource, reps int) (*Result, error) {
-	k, err := ResolveKernel(src, cfg.Space)
+func RunReplay(ctx context.Context, cfg Config, src KernelSource, c *cluster.Cluster, seed int64, reps int) (*Result, error) {
+	src.Nprocs = c.Procs()
+	k, err := ResolveKernel(src)
 	if err != nil {
 		return nil, err
 	}
-	return RunBatch(ctx, cfg, NewTraceEvaluator(k, src.Cluster, reps, src.Seed).Batch(0, nil))
+	return RunBatch(ctx, cfg, NewTraceEvaluator(k, c, reps, seed).Batch(0, nil))
 }
 
 // Evaluate is an EvalFunc. The averaging order follows the reference

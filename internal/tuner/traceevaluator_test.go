@@ -32,14 +32,15 @@ func shrinkWorkload(w workload.Workload) {
 }
 
 // replayOf traces the kernel into private caches and returns its replay
-// evaluator.
-func replayOf(t *testing.T, src KernelSource, reps int) *TraceEvaluator {
+// evaluator on the cluster.
+func replayOf(t *testing.T, src KernelSource, c *cluster.Cluster, seed int64, reps int) *TraceEvaluator {
 	t.Helper()
-	k, err := ResolveKernel(src, params.Space())
+	src.Nprocs = c.Procs()
+	k, err := ResolveKernel(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewTraceEvaluator(k, src.Cluster, reps, src.Seed)
+	return NewTraceEvaluator(k, c, reps, seed)
 }
 
 // TestTraceEvaluatorMatchesCSourceCurves proves the equivalence the staged
@@ -64,7 +65,7 @@ func TestTraceEvaluatorMatchesCSourceCurves(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s direct: %v", name, err)
 		}
-		traced, err := run(cfg, replayOf(t, KernelSource{Prog: prog, Cluster: c, Seed: 11}, 2).Evaluate)
+		traced, err := run(cfg, replayOf(t, KernelSource{Prog: prog}, c, 11, 2).Evaluate)
 		if err != nil {
 			t.Fatalf("%s traced: %v", name, err)
 		}
@@ -90,7 +91,7 @@ func TestTraceEvaluatorMatchesSeededWorkloadEvaluator(t *testing.T) {
 		}
 		shrinkWorkload(w)
 		direct := &SeededWorkloadEvaluator{Workload: w, Cluster: c, Reps: 3, Seed: 5}
-		traced := replayOf(t, KernelSource{Workload: w, Cluster: c, Seed: 5}, 3)
+		traced := replayOf(t, KernelSource{Workload: w}, c, 5, 3)
 
 		assignments := []*params.Assignment{params.DefaultAssignment(params.Space())}
 		for i, pairs := range []map[string]int{
@@ -134,13 +135,12 @@ func TestTraceEvaluatorMatchesSeededWorkloadEvaluator(t *testing.T) {
 // §III-B recovery onto the full application lives in tunio.Engine, which
 // owns both sources.)
 func TestResolveKernelRecordingFailure(t *testing.T) {
-	c := cluster.CoriHaswell(1, 2)
 	prog, err := csrc.Parse(`int main() { frobnicate(); return 0; }`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	store := replay.NewKernelStore()
-	k, err := ResolveKernel(KernelSource{Prog: prog, Cluster: c, Seed: 1, Store: store, StoreKey: "src:broken"}, params.Space())
+	k, err := ResolveKernel(KernelSource{Prog: prog, Nprocs: 2, Store: store})
 	if err == nil || k != nil {
 		t.Fatalf("broken program resolved: kernel %+v err %v", k, err)
 	}
@@ -150,7 +150,7 @@ func TestResolveKernelRecordingFailure(t *testing.T) {
 	if store.Len() != 0 {
 		t.Fatal("a failed recording was published to the kernel store")
 	}
-	if _, err := ResolveKernel(KernelSource{Cluster: c}, params.Space()); err == nil {
+	if _, err := ResolveKernel(KernelSource{Nprocs: 2}); err == nil {
 		t.Fatal("no Workload and no Prog: want error")
 	}
 }

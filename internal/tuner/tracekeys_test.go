@@ -4,9 +4,7 @@ import (
 	"testing"
 
 	"tunio/internal/analysis"
-	"tunio/internal/cluster"
 	"tunio/internal/csrc"
-	"tunio/internal/params"
 	"tunio/internal/replay"
 	"tunio/internal/workload"
 )
@@ -212,7 +210,7 @@ func resolveSource(t *testing.T, name, src string, nodes, ppn int) (*csrc.File, 
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	k, err := ResolveKernel(KernelSource{Prog: prog, Cluster: cluster.CoriHaswell(nodes, ppn), Seed: 1}, params.Space())
+	k, err := ResolveKernel(KernelSource{Prog: prog, Nprocs: nodes * ppn})
 	if err != nil {
 		t.Fatalf("%s at %dx%d: %v", name, nodes, ppn, err)
 	}

@@ -299,7 +299,7 @@ func TestShortWorkloadTuningImproves(t *testing.T) {
 	w.Unknowns = 4
 	res, err := RunReplay(context.Background(), Config{
 		Space: params.Space(), PopSize: 8, MaxIterations: 10, Seed: 10,
-	}, KernelSource{Workload: w, Cluster: c, Seed: 10}, 1)
+	}, KernelSource{Workload: w}, c, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,7 @@
 package tunio
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"strconv"
 
 	"tunio/internal/analysis"
 	"tunio/internal/cluster"
@@ -13,6 +10,7 @@ import (
 	"tunio/internal/discovery"
 	"tunio/internal/metrics"
 	"tunio/internal/params"
+	"tunio/internal/tuner"
 	"tunio/internal/workload"
 )
 
@@ -22,8 +20,8 @@ import (
 // Fix) the service surface needs.
 type JobSpec struct {
 	// Workload names a built-in application model ("vpic", "hacc",
-	// "flash", "bdcats", "macsio"). Exactly one of Workload and Source
-	// must be set.
+	// "flash", "bdcats", "macsio", "ior"). Exactly one of Workload and
+	// Source must be set.
 	Workload string
 	// Source is C source code to tune: it is parsed (and, with Discover,
 	// reduced to its I/O kernel first) and evaluated SPMD on the
@@ -155,25 +153,18 @@ func applySpaceOverrides(space []params.Parameter, fix map[string]int64) ([]para
 	return out, nil
 }
 
-// sessionKernel is a job's kernel selection: exactly one of w and prog
-// set, plus its content-addressed store identity.
+// sessionKernel is a job's kernel selection: what to record, on the job's
+// process count.
 type sessionKernel struct {
-	w        workload.Workload
-	prog     *csrc.File
-	storeKey string
-	// full is the submitted source when prog is only its discovered I/O
-	// kernel: what §III-B recovery records if prog cannot be traced.
+	src tuner.KernelSource
+	// full is the submitted source when src.Prog is only its discovered I/O
+	// kernel: what §III-B recovery records if src.Prog cannot be traced.
 	full string
-}
-
-// sourceKey is the kernel-store identity of C source on the cluster.
-func sourceKey(src string, c *cluster.Cluster) string {
-	sum := sha256.Sum256([]byte(src))
-	return "src:" + hex.EncodeToString(sum[:8]) + "/" + strconv.Itoa(c.Procs())
 }
 
 // selectKernel validates the spec's kernel selection and parses it.
 func selectKernel(spec JobSpec, c *cluster.Cluster) (sessionKernel, error) {
+	kern := sessionKernel{src: tuner.KernelSource{Nprocs: c.Procs()}}
 	switch {
 	case spec.Workload != "" && spec.Source != "":
 		return sessionKernel{}, fmt.Errorf("tunio: Workload and Source are mutually exclusive")
@@ -182,12 +173,9 @@ func selectKernel(spec JobSpec, c *cluster.Cluster) (sessionKernel, error) {
 		if err != nil {
 			return sessionKernel{}, err
 		}
-		return sessionKernel{
-			w:        w,
-			storeKey: "workload:" + spec.Workload + "/" + strconv.Itoa(c.Procs()),
-		}, nil
+		kern.src.Workload = w
+		return kern, nil
 	case spec.Source != "":
-		kern := sessionKernel{}
 		src := spec.Source
 		if spec.Discover {
 			k, err := core.DiscoverIO(src, discovery.Options{})
@@ -208,7 +196,7 @@ func selectKernel(spec JobSpec, c *cluster.Cluster) (sessionKernel, error) {
 		if err != nil {
 			return sessionKernel{}, fmt.Errorf("tunio: parsing source: %w", err)
 		}
-		kern.prog, kern.storeKey = prog, sourceKey(src, c)
+		kern.src.Prog = prog
 		return kern, nil
 	}
 	return sessionKernel{}, fmt.Errorf("tunio: job needs a Workload name or C Source")

@@ -55,7 +55,7 @@ race_run "./internal/tuner ." TestPool TestFanOut TestMemo TestSeedFor TestRunBa
     'TestTune(ParallelDeterminism|Cancellation|Memoization)' TestTraceEvaluator TestResolveKernel TestGate \
     'TestDrift(WorkerCount|Pruning)' 'TestEngine(KernelIdentity|Untraceable|KernelFallsBack)' \
     'TestEngine(DistinctTraces|EqualTraces|TunesWhatTheSignatureContradicts|HostileSources)' TestKernelIsItsTrace \
-    TestEngineColdJobBuildsByFootprint
+    TestEngineColdJobBuildsByFootprint TestRecordingNeedsNoMachine 'TestEngine(RefusesNonFiniteCompute|FixPinsShareARecording)'
 # Stage 1 is a planning library per miss, built on whichever worker misses:
 # its refusal test and the trace walker's seed corpus race with the rest.
 # A kernel's first build teaches it its plan footprint while the other
@@ -64,9 +64,11 @@ race_run ./internal/replay TestStagedExec TestStageCache TestSharedStageCache Te
     TestPlanFootprintIsSound
 # Recording runs the interpreter on the session's goroutine, many sessions
 # at once: it shares nothing and starts nothing, which its seed corpus, the
-# differential corpus of the tree walk it replaced, the depth limit and the
-# first-error and goroutine-count tests show under the detector.
-race_run ./internal/cinterp FuzzRun TestCorpusGolden TestLangRunawayRecursionCaught TestRunFirstError TestRunStaysOnTheCallersGoroutine
+# differential corpus of the tree walk it replaced, the depth limit, the
+# refused non-finite compute and the first-error and goroutine-count tests
+# show under the detector.
+race_run ./internal/cinterp FuzzRun TestCorpusGolden TestLangRunawayRecursionCaught TestLangNonFiniteComputeRefused \
+    TestRunFirstError TestRunStaysOnTheCallersGoroutine
 # Every shared table above is one internal/cowmap.Map: its first-writer-
 # wins and immutable-snapshot contracts are raced here, the build-once
 # slots on top of it by the TestStageCache pattern above.

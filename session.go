@@ -17,9 +17,9 @@ import (
 // kernel and emit, which publishes a curve point on the Run and to the
 // spec's Progress callback; whatever result it returns — even beside an
 // error — is the Run's.
-func (e *Engine) session(r *Run, spec JobSpec, space []params.Parameter, c *cluster.Cluster, kern sessionKernel,
+func (e *Engine) session(r *Run, spec JobSpec, kern sessionKernel,
 	body func(k *tuner.Kernel, emit func(metrics.Point)) (*Result, error)) {
-	k, info, err := e.trace(kern, c, space, spec.Seed)
+	k, info, err := e.trace(kern)
 	var res *Result
 	if err == nil {
 		res, err = body(k, func(p metrics.Point) {
@@ -41,7 +41,7 @@ func (e *Engine) session(r *Run, spec JobSpec, space []params.Parameter, c *clus
 // runSession is the session body of a one-shot job: the genetic pipeline
 // over staged replay of the kernel.
 func (e *Engine) runSession(ctx context.Context, r *Run, spec JobSpec, space []params.Parameter, c *cluster.Cluster, kern sessionKernel) {
-	e.session(r, spec, space, c, kern, func(k *tuner.Kernel, emit func(metrics.Point)) (*Result, error) {
+	e.session(r, spec, kern, func(k *tuner.Kernel, emit func(metrics.Point)) (*Result, error) {
 		cfg := tuner.Config{
 			Space:         space,
 			PopSize:       spec.PopSize,
@@ -72,20 +72,16 @@ func (e *Engine) runSession(ctx context.Context, r *Run, spec JobSpec, space []p
 // given up for the full submitted source, and the returned EngineInfo says
 // so. What still does not record after that fails the session with
 // ErrUntraceable.
-func (e *Engine) trace(kern sessionKernel, c *cluster.Cluster, space []params.Parameter, seed int64) (*tuner.Kernel, tuner.EngineInfo, error) {
-	src := tuner.KernelSource{
-		Workload: kern.w, Prog: kern.prog,
-		Cluster: c, Seed: seed,
-		Store: e.store, StoreKey: kern.storeKey,
-		Stages: e.stages,
-	}
+func (e *Engine) trace(kern sessionKernel) (*tuner.Kernel, tuner.EngineInfo, error) {
+	src := kern.src
+	src.Store, src.Stages = e.store, e.stages
 	var info tuner.EngineInfo
-	k, err := tuner.ResolveKernel(src, space)
+	k, err := tuner.ResolveKernel(src)
 	if err != nil && kern.full != "" {
 		if full, perr := csrc.Parse(kern.full); perr == nil {
 			info.FellBack, info.FallbackErr = true, err.Error()
-			src.Prog, src.StoreKey = full, sourceKey(kern.full, c)
-			k, err = tuner.ResolveKernel(src, space)
+			src.Prog = full
+			k, err = tuner.ResolveKernel(src)
 		}
 	}
 	if err != nil {
@@ -99,7 +95,7 @@ func (e *Engine) trace(kern sessionKernel, c *cluster.Cluster, space []params.Pa
 // the drift controller over the kernel. Window points double as
 // synthesized curve points so point-based clients keep seeing progress.
 func (e *Engine) runOnlineSession(ctx context.Context, r *Run, spec JobSpec, space []params.Parameter, c *cluster.Cluster, kern sessionKernel) {
-	e.session(r, spec, space, c, kern, func(k *tuner.Kernel, emit func(metrics.Point)) (*Result, error) {
+	e.session(r, spec, kern, func(k *tuner.Kernel, emit func(metrics.Point)) (*Result, error) {
 		o := spec.Online
 		dcfg := tuner.DriftConfig{
 			Space:       space,

@@ -136,7 +136,8 @@ func ParameterSpace() []Parameter {
 
 // TuneOptions configure a full tuning run on the simulated stack.
 type TuneOptions struct {
-	// Workload is one of "vpic", "hacc", "flash", "bdcats", "macsio".
+	// Workload is one of "vpic", "hacc", "flash", "bdcats", "macsio",
+	// "ior".
 	Workload string
 	// Nodes/ProcsPerNode size the simulated allocation (default 4x32).
 	Nodes        int
