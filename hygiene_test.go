@@ -320,6 +320,106 @@ func goSources(t *testing.T, visit func(path string, src []byte)) {
 	}
 }
 
+// Code that is declared is code that is reached. Every exported top-level
+// func and type of a package under internal/ is named by some non-test
+// source — its own package's, another package's, cmd/, examples/ or bench/
+// (a module of its own that builds against this one) — so nothing is kept
+// alive for its tests alone: a helper only tests call lives in the test
+// that calls it. Methods are not checked, and a method's receiver does not
+// count as naming its type. Names are collected syntactically (stdlib
+// go/parser): elsewhere a reference is a selector pkg.Name on the file's
+// import of the package, at home a bare identifier.
+func TestInternalExportsAreReached(t *testing.T) {
+	fset := token.NewFileSet()
+	declared := map[string]string{} // "import/path.Name" -> position
+	reached := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if strings.HasPrefix(d.Name(), ".") && path != "." || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := "tunio/" + filepath.ToSlash(filepath.Dir(path))
+		skip := map[*ast.Ident]bool{} // declared names and receiver types
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				skip[decl.Name] = true
+				if decl.Recv != nil {
+					ast.Inspect(decl.Recv, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							skip[id] = true
+						}
+						return true
+					})
+				} else if decl.Name.IsExported() {
+					declared[pkg+"."+decl.Name.Name] = fset.Position(decl.Pos()).String()
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok {
+						skip[ts.Name] = true
+						if ts.Name.IsExported() {
+							declared[pkg+"."+ts.Name.Name] = fset.Position(ts.Pos()).String()
+						}
+					}
+				}
+			}
+		}
+		imports := map[string]string{} // local name -> import path
+		for _, imp := range f.Imports {
+			p := strings.Trim(imp.Path.Value, `"`)
+			name := p[strings.LastIndex(p, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = p
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					reached[imports[x.Name]+"."+n.Sel.Name] = true
+					return false
+				}
+			case *ast.Ident:
+				if !skip[n] {
+					reached[pkg+"."+n.Name] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int
+	for name, pos := range declared {
+		if !strings.HasPrefix(name, "tunio/internal/") {
+			continue
+		}
+		n++
+		if !reached[name] {
+			t.Errorf("%s: %s is exported but only tests name it", pos, strings.TrimPrefix(name, "tunio/internal/"))
+		}
+	}
+	if n < 100 {
+		t.Fatalf("only %d exported declarations found under internal/: the walk is not seeing the repository", n)
+	}
+}
+
 // A kernel source is its content. A trace depends on the program or model
 // and the process count, nothing else: tuner.ResolveKernel records on a
 // planning library, with no machine, seed or configuration under it, and

@@ -571,12 +571,6 @@ func (p *Intervals) At(s csrc.Stmt, e csrc.Expr) Interval {
 	return p.eval(e, envAt, p.stmtFn[id])
 }
 
-// GlobalConstInt reports a file-scope integer constant.
-func (p *Intervals) GlobalConstInt(name string) (int64, bool) {
-	v, ok := p.globalInt[name]
-	return v, ok
-}
-
 func (p *Intervals) collectGlobalInts() {
 	redefined := map[string]bool{}
 	for _, fn := range p.file.Funcs {

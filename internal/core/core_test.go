@@ -75,7 +75,7 @@ func TestLogCurvePlateau(t *testing.T) {
 func TestRandomLogCurveInRanges(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 100; i++ {
-		c := RandomLogCurve(rng)
+		c := RandomLogCurveHorizon(rng, 50)
 		if c.Base <= 0 || c.Amp <= 0 || c.Growth <= 0 || c.Noise <= 0 {
 			t.Fatalf("bad curve %+v", c)
 		}
@@ -155,7 +155,7 @@ func TestTrainedStopperCapturesMostOfCurve(t *testing.T) {
 	captured, available := 0.0, 0.0
 	for trial := 0; trial < 30; trial++ {
 		s.Reset()
-		c := RandomLogCurve(rng)
+		c := RandomLogCurveHorizon(rng, 50)
 		best := 0.0
 		var atStop float64
 		stopped := false

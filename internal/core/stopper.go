@@ -296,15 +296,9 @@ type LogCurve struct {
 	PlateauAt         int
 }
 
-// RandomLogCurve draws curve characteristics (initial value, growth rate,
-// saturation point, noise, dips) from the generator's distribution, scaled
-// to the given tuning horizon.
-func RandomLogCurve(rng *rand.Rand) LogCurve {
-	return RandomLogCurveHorizon(rng, 50)
-}
-
-// RandomLogCurveHorizon draws a curve saturating within 30%-90% of the
-// horizon.
+// RandomLogCurveHorizon draws curve characteristics (initial value, growth
+// rate, saturation point, noise, dips) from the generator's distribution,
+// saturating within 30%-90% of the tuning horizon.
 func RandomLogCurveHorizon(rng *rand.Rand, horizon int) LogCurve {
 	if horizon < 4 {
 		horizon = 4

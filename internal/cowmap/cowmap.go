@@ -3,12 +3,13 @@
 // memo, a wire plan's per-layout slot arrays.
 //
 // Those tables are read on every evaluation and written a handful of times
-// per kernel, and their entries never change once present (artifacts are
-// pure functions of their keys). So a reader pays one atomic load for an
-// immutable map and indexes it itself — which keeps the allocation-free
-// m[string(scratch)] form available to callers whose keys live in a stack
-// buffer; sync.Map's Load(any) would box that key on every hit — while a
-// writer clones the map under a mutex, adds to the clone and publishes it.
+// per kernel, and their entries never change while present (artifacts are
+// pure functions of their keys): a table that forgets drops an entry whole.
+// So a reader pays one atomic load for an immutable map and indexes it
+// itself — which keeps the allocation-free m[string(scratch)] form available
+// to callers whose keys live in a stack buffer; sync.Map's Load(any) would
+// box that key on every hit — while a writer clones the map under a mutex,
+// changes the clone and publishes it.
 package cowmap
 
 import (
@@ -63,6 +64,22 @@ func (c *Map[K, V]) InsertAll(kv map[K]V) {
 		}
 	}
 	c.m.Store(&next)
+}
+
+// Delete removes every key of keys in one step — a snapshot shows all of
+// them gone or none — and leaves the map as it was when none is present.
+// Snapshots taken before keep every entry they held.
+func (c *Map[K, V]) Delete(keys ...K) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	old := c.Snapshot()
+	next := clone(old, 0)
+	for _, k := range keys {
+		delete(next, k)
+	}
+	if len(next) != len(old) {
+		c.m.Store(&next)
+	}
 }
 
 // clone copies a published map into a fresh one with room for extra more

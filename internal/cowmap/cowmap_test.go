@@ -2,6 +2,7 @@ package cowmap
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -78,3 +79,74 @@ func TestInsertAllKeepsExistingKeys(t *testing.T) {
 		t.Fatalf("after InsertAll: %v, want held=1 new=3", s)
 	}
 }
+
+// Delete drops the keys named and nothing else, in one publication: a
+// snapshot taken before it still holds every entry, a key never present is
+// ignored, and a deleted key can be inserted afresh.
+func TestDeleteLeavesEarlierSnapshots(t *testing.T) {
+	var m Map[int, string]
+	m.Delete(1) // the zero map has nothing to delete
+	m.InsertAll(map[int]string{1: "one", 2: "two", 3: "three"})
+	before := m.Snapshot()
+	m.Delete(1, 3, 99)
+	if len(before) != 3 || before[1] != "one" || before[3] != "three" {
+		t.Fatalf("snapshot taken before the delete now reads %v", before)
+	}
+	if after := m.Snapshot(); len(after) != 1 || after[2] != "two" {
+		t.Fatalf("after Delete(1, 3, 99): %v, want only 2", after)
+	}
+	unchanged := m.Snapshot()
+	m.Delete(99)
+	if mapID(m.Snapshot()) != mapID(unchanged) {
+		t.Fatal("deleting an absent key republished the map")
+	}
+	if got := m.Insert(1, "uno"); got != "uno" {
+		t.Fatalf("re-inserting a deleted key returned %q, want the new value", got)
+	}
+}
+
+// Writers insert and delete overlapping keys while readers range over
+// snapshots: an entry, while present, always holds the one value every
+// writer inserts under its key, and a snapshot never changes under its
+// reader. Runs under -race in CI.
+func TestDeleteRacesInsertAndSnapshot(t *testing.T) {
+	const writers, readers, keys, rounds = 4, 4, 16, 200
+	var m Map[int, int]
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				k := (i*7 + w) % keys
+				m.Insert(k, 10*k)
+				m.Delete(k, (k+1)%keys)
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				s := m.Snapshot()
+				n := len(s)
+				for k, v := range s {
+					if v != 10*k {
+						t.Errorf("key %d holds %d, want %d", k, v, 10*k)
+						return
+					}
+				}
+				if len(s) != n {
+					t.Error("a snapshot changed while it was read")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// mapID identifies a published map: snapshots of an unchanged Map are the
+// same map.
+func mapID[K comparable, V any](m map[K]V) uintptr { return reflect.ValueOf(m).Pointer() }

@@ -50,8 +50,6 @@ func (p *Parser) expect(text string) error {
 	return nil
 }
 
-func (p *Parser) newBase() StmtBase { return p.newBaseAt(p.cur().Line) }
-
 func (p *Parser) newBaseAt(line int) StmtBase {
 	id := p.nextID
 	p.nextID++

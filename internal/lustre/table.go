@@ -3,6 +3,7 @@ package lustre
 import (
 	"math"
 	"sync/atomic"
+	"unsafe"
 
 	"tunio/internal/ioreq"
 )
@@ -93,6 +94,12 @@ next:
 		c.front = uint16(nf)
 	}
 	return &c
+}
+
+// Bytes is what a published table keeps in memory: its header and its
+// loads.
+func (t *PhaseTable) Bytes() int64 {
+	return int64(unsafe.Sizeof(*t)) + int64(cap(t.loads))*int64(unsafe.Sizeof(ostLoad{}))
 }
 
 // accepts reports whether charging t is the same as planning and charging

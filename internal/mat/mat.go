@@ -27,17 +27,6 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromSlice builds a rows x cols matrix that copies data (len must equal
-// rows*cols).
-func FromSlice(rows, cols int, data []float64) (*Matrix, error) {
-	if len(data) != rows*cols {
-		return nil, fmt.Errorf("mat: FromSlice: have %d values, need %d (%dx%d)", len(data), rows*cols, rows, cols)
-	}
-	m := New(rows, cols)
-	copy(m.Data, data)
-	return m, nil
-}
-
 // FromRows builds a matrix from a slice of equally sized rows.
 func FromRows(rows [][]float64) (*Matrix, error) {
 	if len(rows) == 0 {
@@ -168,30 +157,6 @@ func (m *Matrix) MulVec(v []float64) ([]float64, error) {
 	return out, nil
 }
 
-// Add returns a+b.
-func Add(a, b *Matrix) (*Matrix, error) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return nil, fmt.Errorf("mat: Add: %dx%d + %dx%d dimension mismatch", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	out := a.Clone()
-	for i, v := range b.Data {
-		out.Data[i] += v
-	}
-	return out, nil
-}
-
-// Sub returns a-b.
-func Sub(a, b *Matrix) (*Matrix, error) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return nil, fmt.Errorf("mat: Sub: %dx%d - %dx%d dimension mismatch", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	out := a.Clone()
-	for i, v := range b.Data {
-		out.Data[i] -= v
-	}
-	return out, nil
-}
-
 // Scale multiplies every element by s in place and returns m.
 func (m *Matrix) Scale(s float64) *Matrix {
 	for i := range m.Data {
@@ -206,19 +171,6 @@ func (m *Matrix) Apply(f func(float64) float64) *Matrix {
 		m.Data[i] = f(v)
 	}
 	return m
-}
-
-// Equal reports whether a and b have the same shape and elements within tol.
-func Equal(a, b *Matrix, tol float64) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i := range a.Data {
-		if math.Abs(a.Data[i]-b.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // Frobenius returns the Frobenius norm of m.

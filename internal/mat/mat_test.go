@@ -1,10 +1,138 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 )
+
+// The helpers below are the matrix and vector operations only these tests
+// use: no package computes with them, so they live here, beside the tests
+// that build and compare matrices with them and pin their arithmetic.
+
+// fromSlice builds a rows x cols matrix that copies data (len must equal
+// rows*cols).
+func fromSlice(rows, cols int, data []float64) (*Matrix, error) {
+	if len(data) != rows*cols {
+		return nil, fmt.Errorf("mat: fromSlice: have %d values, need %d (%dx%d)", len(data), rows*cols, rows, cols)
+	}
+	m := New(rows, cols)
+	copy(m.Data, data)
+	return m, nil
+}
+
+// add returns a+b.
+func add(a, b *Matrix) (*Matrix, error) {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return nil, fmt.Errorf("mat: add: %dx%d + %dx%d dimension mismatch", a.Rows, a.Cols, b.Rows, b.Cols)
+	}
+	out := a.Clone()
+	for i, v := range b.Data {
+		out.Data[i] += v
+	}
+	return out, nil
+}
+
+// sub returns a-b.
+func sub(a, b *Matrix) (*Matrix, error) {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return nil, fmt.Errorf("mat: sub: %dx%d - %dx%d dimension mismatch", a.Rows, a.Cols, b.Rows, b.Cols)
+	}
+	out := a.Clone()
+	for i, v := range b.Data {
+		out.Data[i] -= v
+	}
+	return out, nil
+}
+
+// equal reports whether a and b have the same shape and elements within tol.
+func equal(a, b *Matrix, tol float64) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i := range a.Data {
+		if math.Abs(a.Data[i]-b.Data[i]) > tol {
+			return false
+		}
+	}
+	return true
+}
+
+// axpyInto computes dst = a*x + y element-wise.
+func axpyInto(dst []float64, a float64, x, y []float64) {
+	if len(x) != len(y) || len(dst) != len(x) {
+		panic(fmt.Sprintf("mat: axpyInto: len %d/%d/%d", len(dst), len(x), len(y)))
+	}
+	for i := range dst {
+		dst[i] = a*x[i] + y[i]
+	}
+}
+
+// vecAdd returns a+b as a new slice.
+func vecAdd(a, b []float64) []float64 {
+	if len(a) != len(b) {
+		panic(fmt.Sprintf("mat: vecAdd: len %d vs %d", len(a), len(b)))
+	}
+	out := make([]float64, len(a))
+	for i := range a {
+		out[i] = a[i] + b[i]
+	}
+	return out
+}
+
+// vecSub returns a-b as a new slice.
+func vecSub(a, b []float64) []float64 {
+	if len(a) != len(b) {
+		panic(fmt.Sprintf("mat: vecSub: len %d vs %d", len(a), len(b)))
+	}
+	out := make([]float64, len(a))
+	for i := range a {
+		out[i] = a[i] - b[i]
+	}
+	return out
+}
+
+// vecScale returns s*a as a new slice.
+func vecScale(s float64, a []float64) []float64 {
+	out := make([]float64, len(a))
+	for i := range a {
+		out[i] = s * a[i]
+	}
+	return out
+}
+
+// norm2 returns the Euclidean norm of a.
+func norm2(a []float64) float64 {
+	return math.Sqrt(Dot(a, a))
+}
+
+// stddev returns the population standard deviation of a.
+func stddev(a []float64) float64 {
+	return math.Sqrt(Variance(a))
+}
+
+// minVal returns the minimum element (+Inf for empty input).
+func minVal(a []float64) float64 {
+	m := math.Inf(1)
+	for _, v := range a {
+		if v < m {
+			m = v
+		}
+	}
+	return m
+}
+
+// clamp limits v to [lo, hi].
+func clamp(v, lo, hi float64) float64 {
+	if v < lo {
+		return lo
+	}
+	if v > hi {
+		return hi
+	}
+	return v
+}
 
 func TestNewZeroed(t *testing.T) {
 	m := New(3, 4)
@@ -19,10 +147,10 @@ func TestNewZeroed(t *testing.T) {
 }
 
 func TestFromSliceErrors(t *testing.T) {
-	if _, err := FromSlice(2, 2, []float64{1, 2, 3}); err == nil {
+	if _, err := fromSlice(2, 2, []float64{1, 2, 3}); err == nil {
 		t.Fatal("FromSlice with short data: want error")
 	}
-	m, err := FromSlice(2, 2, []float64{1, 2, 3, 4})
+	m, err := fromSlice(2, 2, []float64{1, 2, 3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +183,7 @@ func TestIdentityMul(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Equal(a, got, 0) {
+	if !equal(a, got, 0) {
 		t.Fatalf("a*I = %v, want %v", got, a)
 	}
 }
@@ -68,7 +196,7 @@ func TestMulKnown(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := FromRows([][]float64{{19, 22}, {43, 50}})
-	if !Equal(want, got, 1e-12) {
+	if !equal(want, got, 1e-12) {
 		t.Fatalf("Mul = %v, want %v", got, want)
 	}
 }
@@ -97,8 +225,8 @@ func TestMulVec(t *testing.T) {
 
 func TestTransposeInvolution(t *testing.T) {
 	f := func(vals [6]float64) bool {
-		m, _ := FromSlice(2, 3, vals[:])
-		return Equal(m, m.T().T(), 0)
+		m, _ := fromSlice(2, 3, vals[:])
+		return equal(m, m.T().T(), 0)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -108,8 +236,8 @@ func TestTransposeInvolution(t *testing.T) {
 func TestMulTransposeProperty(t *testing.T) {
 	// (A*B)^T == B^T * A^T
 	f := func(av, bv [4]float64) bool {
-		a, _ := FromSlice(2, 2, av[:])
-		b, _ := FromSlice(2, 2, bv[:])
+		a, _ := fromSlice(2, 2, av[:])
+		b, _ := fromSlice(2, 2, bv[:])
 		ab, err := Mul(a, b)
 		if err != nil {
 			return false
@@ -118,7 +246,7 @@ func TestMulTransposeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return Equal(ab.T(), btat, 1e-9*(1+ab.Frobenius()))
+		return equal(ab.T(), btat, 1e-9*(1+ab.Frobenius()))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -128,24 +256,24 @@ func TestMulTransposeProperty(t *testing.T) {
 func TestAddSub(t *testing.T) {
 	a, _ := FromRows([][]float64{{1, 2}})
 	b, _ := FromRows([][]float64{{10, 20}})
-	sum, err := Add(a, b)
+	sum, err := add(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sum.At(0, 0) != 11 || sum.At(0, 1) != 22 {
 		t.Fatalf("Add = %v", sum)
 	}
-	diff, err := Sub(sum, b)
+	diff, err := sub(sum, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Equal(diff, a, 0) {
+	if !equal(diff, a, 0) {
 		t.Fatalf("Sub = %v, want %v", diff, a)
 	}
-	if _, err := Add(a, New(2, 2)); err == nil {
+	if _, err := add(a, New(2, 2)); err == nil {
 		t.Fatal("Add mismatched shapes: want error")
 	}
-	if _, err := Sub(a, New(2, 2)); err == nil {
+	if _, err := sub(a, New(2, 2)); err == nil {
 		t.Fatal("Sub mismatched shapes: want error")
 	}
 }
@@ -224,7 +352,7 @@ func TestDotAndNorms(t *testing.T) {
 	if Dot([]float64{1, 2}, []float64{3, 4}) != 11 {
 		t.Fatal("Dot wrong")
 	}
-	if Norm2([]float64{3, 4}) != 5 {
+	if norm2([]float64{3, 4}) != 5 {
 		t.Fatal("Norm2 wrong")
 	}
 	func() {
@@ -240,17 +368,17 @@ func TestDotAndNorms(t *testing.T) {
 func TestVecOps(t *testing.T) {
 	a := []float64{1, 2}
 	b := []float64{3, 5}
-	if got := VecAdd(a, b); got[0] != 4 || got[1] != 7 {
+	if got := vecAdd(a, b); got[0] != 4 || got[1] != 7 {
 		t.Fatalf("VecAdd = %v", got)
 	}
-	if got := VecSub(b, a); got[0] != 2 || got[1] != 3 {
+	if got := vecSub(b, a); got[0] != 2 || got[1] != 3 {
 		t.Fatalf("VecSub = %v", got)
 	}
-	if got := VecScale(2, a); got[0] != 2 || got[1] != 4 {
+	if got := vecScale(2, a); got[0] != 2 || got[1] != 4 {
 		t.Fatalf("VecScale = %v", got)
 	}
 	dst := make([]float64, 2)
-	AxpyInto(dst, 2, a, b)
+	axpyInto(dst, 2, a, b)
 	if dst[0] != 5 || dst[1] != 9 {
 		t.Fatalf("AxpyInto = %v", dst)
 	}
@@ -264,8 +392,8 @@ func TestStats(t *testing.T) {
 	if Variance(a) != 4 {
 		t.Fatalf("Variance = %v", Variance(a))
 	}
-	if Stddev(a) != 2 {
-		t.Fatalf("Stddev = %v", Stddev(a))
+	if stddev(a) != 2 {
+		t.Fatalf("Stddev = %v", stddev(a))
 	}
 	if Mean(nil) != 0 || Variance([]float64{1}) != 0 {
 		t.Fatal("empty-input stats should be 0")
@@ -280,16 +408,16 @@ func TestArgMaxMinMax(t *testing.T) {
 	if ArgMax(nil) != -1 {
 		t.Fatal("ArgMax(nil) != -1")
 	}
-	if MaxVal(a) != 5 || MinVal(a) != 1 {
+	if MaxVal(a) != 5 || minVal(a) != 1 {
 		t.Fatal("MaxVal/MinVal wrong")
 	}
-	if !math.IsInf(MaxVal(nil), -1) || !math.IsInf(MinVal(nil), 1) {
+	if !math.IsInf(MaxVal(nil), -1) || !math.IsInf(minVal(nil), 1) {
 		t.Fatal("empty MaxVal/MinVal should be infinities")
 	}
 }
 
 func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
+	if clamp(5, 0, 1) != 1 || clamp(-5, 0, 1) != 0 || clamp(0.5, 0, 1) != 0.5 {
 		t.Fatal("Clamp wrong")
 	}
 }

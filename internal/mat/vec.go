@@ -21,54 +21,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// AxpyInto computes dst = a*x + y element-wise.
-func AxpyInto(dst []float64, a float64, x, y []float64) {
-	if len(x) != len(y) || len(dst) != len(x) {
-		panic(fmt.Sprintf("mat: AxpyInto: len %d/%d/%d", len(dst), len(x), len(y)))
-	}
-	for i := range dst {
-		dst[i] = a*x[i] + y[i]
-	}
-}
-
-// VecAdd returns a+b as a new slice.
-func VecAdd(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("mat: VecAdd: len %d vs %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// VecSub returns a-b as a new slice.
-func VecSub(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("mat: VecSub: len %d vs %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-// VecScale returns s*a as a new slice.
-func VecScale(s float64, a []float64) []float64 {
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = s * a[i]
-	}
-	return out
-}
-
-// Norm2 returns the Euclidean norm of a.
-func Norm2(a []float64) float64 {
-	return math.Sqrt(Dot(a, a))
-}
-
 // Mean returns the arithmetic mean of a (0 for empty input).
 func Mean(a []float64) float64 {
 	if len(a) == 0 {
@@ -95,11 +47,6 @@ func Variance(a []float64) float64 {
 	return s / float64(len(a))
 }
 
-// Stddev returns the population standard deviation of a.
-func Stddev(a []float64) float64 {
-	return math.Sqrt(Variance(a))
-}
-
 // ArgMax returns the index of the maximum element (-1 for empty input).
 // Ties resolve to the lowest index.
 func ArgMax(a []float64) int {
@@ -121,26 +68,4 @@ func MaxVal(a []float64) float64 {
 		return math.Inf(-1)
 	}
 	return a[ArgMax(a)]
-}
-
-// MinVal returns the minimum element (+Inf for empty input).
-func MinVal(a []float64) float64 {
-	m := math.Inf(1)
-	for _, v := range a {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

@@ -4,8 +4,9 @@
 // The paper's reference implementation builds its state observer and
 // Q-functions in Keras; this package provides the equivalent pieces from
 // scratch: dense layers, the usual activations, mean-squared-error and Huber
-// losses, SGD-with-momentum and Adam optimizers, and JSON (de)serialization
-// so offline-trained agents can be shipped with the library.
+// losses, the Adam optimizer (any Optimizer plugs in; the tests train with
+// SGD with momentum), and JSON (de)serialization so offline-trained agents
+// can be shipped with the library.
 //
 // All randomness is drawn from an explicit *rand.Rand so training is
 // reproducible under a seed.

@@ -8,6 +8,44 @@ import (
 	"testing/quick"
 )
 
+// sgd is stochastic gradient descent with optional momentum: the simplest
+// Optimizer, which the tests train with. Each layer's velocity is made by
+// the first Step that reaches it.
+type sgd struct {
+	LR       float64
+	Momentum float64
+
+	vel map[*Dense][2][]float64
+}
+
+// Step implements Optimizer.
+func (s *sgd) Step(n *Network, batchSize int) {
+	if batchSize < 1 {
+		batchSize = 1
+	}
+	inv := 1 / float64(batchSize)
+	for _, l := range n.Layers {
+		v, ok := s.vel[l]
+		if !ok {
+			v = [2][]float64{make([]float64, len(l.W)), make([]float64, len(l.B))}
+			if s.vel == nil {
+				s.vel = map[*Dense][2][]float64{}
+			}
+			s.vel[l] = v
+		}
+		for i := range l.W {
+			g := l.gradW[i] * inv
+			v[0][i] = s.Momentum*v[0][i] - s.LR*g
+			l.W[i] += v[0][i]
+		}
+		for i := range l.B {
+			g := l.gradB[i] * inv
+			v[1][i] = s.Momentum*v[1][i] - s.LR*g
+			l.B[i] += v[1][i]
+		}
+	}
+}
+
 func TestActivations(t *testing.T) {
 	cases := []struct {
 		act  Activation
@@ -155,7 +193,7 @@ func TestTrainXOR(t *testing.T) {
 func TestTrainLinearRegressionSGD(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	net := NewNetwork(2, rng, LayerSpec{1, Linear})
-	tr := &Trainer{Net: net, Loss: MSE, Opt: NewSGD(0.05, 0.9)}
+	tr := &Trainer{Net: net, Loss: MSE, Opt: &sgd{LR: 0.05, Momentum: 0.9}}
 	// y = 2a - 3b + 1
 	var data []Sample
 	for i := 0; i < 64; i++ {
@@ -255,7 +293,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 		}
 	}
 	// Restored network must be trainable (grad buffers allocated).
-	tr := &Trainer{Net: &b, Loss: MSE, Opt: NewSGD(0.01, 0)}
+	tr := &Trainer{Net: &b, Loss: MSE, Opt: &sgd{LR: 0.01}}
 	tr.TrainBatch([]Sample{{in, []float64{0, 0}}})
 }
 

@@ -41,44 +41,6 @@ type Optimizer interface {
 	Step(n *Network, batchSize int)
 }
 
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	vel map[*Dense][2][]float64
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, vel: make(map[*Dense][2][]float64)}
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(n *Network, batchSize int) {
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	inv := 1 / float64(batchSize)
-	for _, l := range n.Layers {
-		v, ok := s.vel[l]
-		if !ok {
-			v = [2][]float64{make([]float64, len(l.W)), make([]float64, len(l.B))}
-			s.vel[l] = v
-		}
-		for i := range l.W {
-			g := l.gradW[i] * inv
-			v[0][i] = s.Momentum*v[0][i] - s.LR*g
-			l.W[i] += v[0][i]
-		}
-		for i := range l.B {
-			g := l.gradB[i] * inv
-			v[1][i] = s.Momentum*v[1][i] - s.LR*g
-			l.B[i] += v[1][i]
-		}
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba).
 type Adam struct {
 	LR      float64

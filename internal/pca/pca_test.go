@@ -154,8 +154,7 @@ func TestTransformPreservesDistances(t *testing.T) {
 	}
 	pa, _ := res.Transform(a, 3)
 	pb, _ := res.Transform(b, 3)
-	dz := mat.Norm2(mat.VecSub(za, zb))
-	dp := mat.Norm2(mat.VecSub(pa, pb))
+	dz, dp := distance(za, zb), distance(pa, pb)
 	if math.Abs(dz-dp) > 1e-8 {
 		t.Fatalf("distance not preserved: %v vs %v", dz, dp)
 	}
@@ -229,4 +228,13 @@ func TestJacobiOnDiagonal(t *testing.T) {
 	if math.Abs(math.Abs(vecs.At(0, 0))-1) > 1e-10 && math.Abs(math.Abs(vecs.At(0, 1))-1) > 1e-10 {
 		t.Fatalf("unexpected eigenvectors %v", vecs)
 	}
+}
+
+// distance is the Euclidean distance between a and b.
+func distance(a, b []float64) float64 {
+	var s float64
+	for i := range a {
+		s += (a[i] - b[i]) * (a[i] - b[i])
+	}
+	return math.Sqrt(s)
 }

@@ -83,7 +83,7 @@ func (t *artifacts[V]) lookupOrBuild(key []byte, session *traffic, build func() 
 // its trace, its plan footprint and the stack and wire plans of the
 // projections asked for so far. The kernel is the cache's partition: an
 // insert clones a map bounded by this kernel's own projections, and
-// dropping the kernel is one delete.
+// dropping the kernel is one delete from the index.
 //
 // A first-level key is the projection of what the kernel reads: which of
 // the plan-stage parameters resolving this trace consults at all is a
@@ -98,6 +98,16 @@ type kernelArtifacts struct {
 	reads hdf5.PlanReads        // the plan footprint; read only after learn
 	plans artifacts[*StackPlan] // by plan-footprint projection
 	wires artifacts[*WirePlan]  // by plan+aggregate projection, then ppn
+
+	used atomic.Int64 // recency: the cache clock when last registered or viewed
+
+	// Under the canon lock: the trace's charge, the references the
+	// kernel's builds took on canon's artifacts (one per build handed one),
+	// and whether it has been evicted, after which it takes none.
+	bytes     int64
+	plansHeld []*planEntry
+	wiresHeld []*wireEntry
+	evicted   bool
 }
 
 // StageCache memoizes the staged artifacts of one or more traces by
@@ -117,12 +127,24 @@ type kernelArtifacts struct {
 // distinct keys always build concurrently. What a build publishes is the
 // artifact the cache already holds for that content, when it holds one
 // (canon): the kernels' maps count keys, the artifacts behind them are far
-// fewer. The zero value is an empty cache.
+// fewer.
+//
+// What the cache holds is bounded by a bytes budget (stageBudget): when a
+// registration finds it over, the least recently registered or viewed
+// kernels are evicted (evict). Recency is stamped once per job, by Register
+// and View; a WireFor hit does no work for it. The zero value is an empty
+// cache.
 type StageCache struct {
 	kernels cowmap.Map[string, *kernelArtifacts]
-	canon   canon // each distinct artifact once; its lock is a leaf
+	canon   canon // each distinct artifact once, and the ledger; its lock is a leaf
 
 	service serviceCounters // stage-3 table traffic of every plan built here
+	clock   atomic.Int64    // recency stamps
+	budget  int64           // bytes; 0 is stageBudget
+
+	// Under the canon lock: the traffic of evicted kernels and their count.
+	retired StageStats
+	evicted int64
 }
 
 // StageStats counts cache traffic per stage. Hits and misses count
@@ -138,6 +160,12 @@ type StageCache struct {
 // charged from a published phase table (hits), planned live and published
 // (misses), or planned live because the published table did not fit the
 // live file (fallbacks).
+//
+// A cache's counters cover every kernel it has held, evicted ones included,
+// so they never go backwards; PlanDistinct and WireDistinct count the
+// artifacts added over the cache's life. HeldBytes, Kernels and Evicted are
+// its occupancy: the bytes it holds and the kernels it indexes now, and the
+// kernels it has evicted. A view reports no occupancy.
 type StageStats struct {
 	PlanHits         int64 `json:"plan_hits"`
 	PlanMisses       int64 `json:"plan_misses"`
@@ -148,6 +176,9 @@ type StageStats struct {
 	ServiceHits      int64 `json:"service_hits"`
 	ServiceMisses    int64 `json:"service_misses"`
 	ServiceFallbacks int64 `json:"service_fallbacks"`
+	HeldBytes        int64 `json:"held_bytes,omitempty"`
+	Kernels          int   `json:"kernels,omitempty"`
+	Evicted          int64 `json:"evicted,omitempty"`
 }
 
 // serviceCounters accumulates stage-3 table traffic. Each execution keeps
@@ -211,53 +242,62 @@ func (s *StageStats) count(plans, wires *traffic) {
 	s.WireDistinct += wires.distinct.Load()
 }
 
-// add accumulates o into s.
-func (s *StageStats) add(o StageStats) {
-	s.PlanHits += o.PlanHits
-	s.PlanMisses += o.PlanMisses
-	s.PlanDistinct += o.PlanDistinct
-	s.WireHits += o.WireHits
-	s.WireMisses += o.WireMisses
-	s.WireDistinct += o.WireDistinct
-	s.ServiceHits += o.ServiceHits
-	s.ServiceMisses += o.ServiceMisses
-	s.ServiceFallbacks += o.ServiceFallbacks
-}
-
 // NewSharedStageCache returns an empty multi-kernel cache, meant to be
 // shared across sessions: callers Register each kernel's trace under its
 // content hash and query through per-session Views.
 func NewSharedStageCache() *StageCache { return new(StageCache) }
 
-// Register installs the trace for a kernel key. The first registration
-// wins: a key already present keeps its trace, which is what lets many
-// sessions race to register the same content-addressed kernel.
-func (c *StageCache) Register(key string, t *Trace) {
-	if !c.HasKernel(key) {
-		c.kernels.Insert(key, &kernelArtifacts{trace: t})
+// Register installs the trace for a kernel key and returns a view bound to
+// the kernel now under it. The first registration wins: a key already
+// present keeps its trace, which is what lets many sessions race to
+// register the same content-addressed kernel. A registration that finds the
+// cache over its budget evicts other kernels; the view keeps its kernel's
+// artifacts even if the kernel is evicted after it.
+func (c *StageCache) Register(key string, t *Trace) *CacheView {
+	k := c.kernels.Snapshot()[key]
+	if k == nil {
+		k = c.insert(key, t)
 	}
+	v := c.view(key, k)
+	if c.canon.held.Load() > c.limit() {
+		c.evict(key)
+	}
+	return v
 }
 
-// HasKernel reports whether a trace is registered under the key.
-func (c *StageCache) HasKernel(key string) bool {
-	return c.kernels.Snapshot()[key] != nil
+// insert indexes a kernel for the trace under key, unless one is there, and
+// charges the trace of the kernel it added.
+func (c *StageCache) insert(key string, t *Trace) *kernelArtifacts {
+	fresh := &kernelArtifacts{trace: t, bytes: t.size()}
+	c.canon.mu.Lock()
+	defer c.canon.mu.Unlock()
+	k := c.kernels.Insert(key, fresh)
+	if k == fresh {
+		c.canon.held.Add(k.bytes)
+	}
+	return k
 }
-
-// Kernels returns the number of registered kernel traces.
-func (c *StageCache) Kernels() int { return len(c.kernels.Snapshot()) }
 
 // Stats returns a snapshot of the cache-wide counters (all views
-// combined), summed over the registered kernels — each distinct artifact
-// was added by exactly one build, so the distinct sums are what the cache
-// holds. Each counter is an atomic, so a snapshot taken while traffic is
-// in flight is approximate in the usual monotonic-counter sense; quiescent
-// reads — every test and report in this repo — are exact, because a
-// completed WireFor has fully retired its counter updates.
+// combined): the evicted kernels' traffic as it stood at their eviction,
+// plus the indexed kernels', plus occupancy. It is taken under the canon
+// lock, which an eviction holds while it moves a kernel from the one sum to
+// the other, so no snapshot counts a kernel twice or not at all, and no
+// later snapshot reads less. Each counter is an atomic, so a snapshot taken
+// while traffic is in flight is approximate in the usual monotonic-counter
+// sense; quiescent reads — every test and report in this repo — are exact,
+// because a completed WireFor has fully retired its counter updates. What a
+// session does on a kernel after its eviction its view counts, the cache
+// does not.
 func (c *StageCache) Stats() StageStats {
-	var s StageStats
-	for _, k := range c.kernels.Snapshot() {
+	c.canon.mu.Lock()
+	s := c.retired
+	kernels := c.kernels.Snapshot()
+	for _, k := range kernels {
 		s.count(&k.plans.traffic, &k.wires.traffic)
 	}
+	s.HeldBytes, s.Kernels, s.Evicted = c.canon.held.Load(), len(kernels), c.evicted
+	c.canon.mu.Unlock()
 	c.service.into(&s)
 	return s
 }
@@ -267,7 +307,16 @@ func (c *StageCache) Stats() StageStats {
 // is a hit through every other — but each view keeps its own StageStats,
 // so a session can report its personal hit rate against the shared cache.
 func (c *StageCache) View(kernelKey string) *CacheView {
-	return &CacheView{c: c, kernelKey: kernelKey, kernel: c.kernels.Snapshot()[kernelKey]}
+	return c.view(kernelKey, c.kernels.Snapshot()[kernelKey])
+}
+
+// view returns a view bound to kernel k (nil: not registered yet) and
+// stamps k as resolved now.
+func (c *StageCache) view(key string, k *kernelArtifacts) *CacheView {
+	if k != nil {
+		k.used.Store(c.clock.Add(1))
+	}
+	return &CacheView{c: c, kernelKey: key, kernel: k}
 }
 
 // CacheView is a per-session window onto a shared StageCache: fixed
@@ -315,7 +364,7 @@ func (v *CacheView) WireFor(a *params.Assignment, s params.StackSettings, ppn in
 		if err != nil {
 			return nil, err
 		}
-		wp, added := v.c.canon.wire(wireKeyOf(sp, s, ppn), func() *WirePlan {
+		wp, added := v.c.canon.wire(k, wireKeyOf(sp, s, ppn), func() *WirePlan {
 			wp := LowerPlan(sp, s.Hints, s.HDF5, ppn)
 			wp.service = &v.c.service
 			return wp
@@ -354,7 +403,7 @@ func (v *CacheView) buildPlan(k *kernelArtifacts, cfg hdf5.Config) (*StackPlan, 
 	if err != nil {
 		return nil, err
 	}
-	sp, added := v.c.canon.plan(sp, sp.contentHash())
+	sp, added := v.c.canon.plan(k, sp, sp.contentHash())
 	if added {
 		k.plans.distinct.Add(1)
 		v.plans.distinct.Add(1)

@@ -227,7 +227,7 @@ func TestSharedStageCacheViews(t *testing.T) {
 	shared := NewSharedStageCache()
 	shared.Register("trace:k1", tr)
 	shared.Register("trace:k1", recordTrace(t, "vpic", 3)) // first registration must win
-	if !shared.HasKernel("trace:k1") || shared.Kernels() != 1 {
+	if shared.kernels.Snapshot()["trace:k1"] == nil || shared.Stats().Kernels != 1 {
 		t.Fatal("registration bookkeeping wrong")
 	}
 
@@ -306,8 +306,8 @@ func TestStageCacheRebind(t *testing.T) {
 	tr := recordTrace(t, "macsio", 3)
 	c, early := privateCache(tr)
 	c.Register("trace:late", tr)
-	if !c.HasKernel("trace:late") || c.Kernels() != 2 {
-		t.Fatalf("%d kernels registered, want the trace under both keys", c.Kernels())
+	if k := c.Stats().Kernels; c.kernels.Snapshot()["trace:late"] == nil || k != 2 {
+		t.Fatalf("%d kernels registered, want the trace under both keys", k)
 	}
 	late := c.View("trace:late")
 	if late.KernelKey() != "trace:late" {

@@ -4,8 +4,10 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"tunio/internal/hdf5"
+	"tunio/internal/lustre"
 	"tunio/internal/mpiio"
 	"tunio/internal/params"
 )
@@ -30,46 +32,174 @@ import (
 // Both maps are plain maps under one leaf mutex, held for a lookup or an
 // insert and never across a build: canon spans every kernel, so a clone per
 // insert would grow with everything the cache has ever held.
+//
+// canon is also the cache's ledger. Each artifact is held for as long as an
+// indexed kernel points at it: a kernel takes a reference on every artifact
+// one of its builds is handed, and gives them all back when it is evicted
+// (release). What nobody references is dropped there and then, so canon
+// sweeps as it goes and never walks the kernels' maps. held counts the bytes
+// of everything held — each stack plan when it is added, each wire plan when
+// it is lowered and its phase tables as executions publish them — plus the
+// traces of the indexed kernels, which StageCache charges.
 type canon struct {
 	mu    sync.Mutex
-	plans map[uint64][]*StackPlan // by content hash; equal hashes are told apart by equal
-	wires map[wireKey]*slot[*WirePlan]
+	plans map[uint64][]*planEntry // by content hash; equal hashes are told apart by equal
+	wires map[wireKey]*wireEntry
+	held  atomic.Int64 // bytes; written under mu, read anywhere
+}
+
+// planEntry is a stack plan held once per content, with the number of
+// kernel references to it and its charge.
+type planEntry struct {
+	sp    *StackPlan
+	hash  uint64
+	refs  int
+	bytes int64
+}
+
+// wireEntry is the slot a wire plan is lowered through, held under its key:
+// its kernel references and its charge — the plan's own bytes once lowered,
+// then its tables', per layout, as they are published. A dropped entry
+// charges nothing more.
+type wireEntry struct {
+	slot[*WirePlan]
+	cn      *canon
+	key     wireKey
+	refs    int
+	bytes   int64
+	tables  []layoutCharge // a handful per plan: scanned, not hashed
+	dropped bool
+}
+
+// layoutCharge is what the tables a wire plan keeps under one layout are
+// charged.
+type layoutCharge struct {
+	layout lustre.Layout
+	bytes  int64
 }
 
 // plan returns the stack plan the cache holds for sp's content — sp itself,
-// now held, when there was none — and whether sp was new. hash must be
-// sp.contentHash(); it is a parameter so a test can force a collision.
-func (cn *canon) plan(sp *StackPlan, hash uint64) (*StackPlan, bool) {
+// now held, when there was none — and whether sp was new, taking kernel k's
+// reference on it. hash must be sp.contentHash(); it is a parameter so a
+// test can force a collision. An evicted kernel takes no reference and adds
+// nothing: what its session builds from then on is the session's own.
+func (cn *canon) plan(k *kernelArtifacts, sp *StackPlan, hash uint64) (*StackPlan, bool) {
 	cn.mu.Lock()
 	defer cn.mu.Unlock()
-	for _, held := range cn.plans[hash] {
-		if held.equal(sp) {
-			return held, false
+	for _, e := range cn.plans[hash] {
+		if e.sp.equal(sp) {
+			if !k.evicted {
+				e.refs++
+				k.plansHeld = append(k.plansHeld, e)
+			}
+			return e.sp, false
 		}
 	}
-	if cn.plans == nil {
-		cn.plans = map[uint64][]*StackPlan{}
+	if k.evicted {
+		return sp, true
 	}
-	cn.plans[hash] = append(cn.plans[hash], sp)
+	if cn.plans == nil {
+		cn.plans = map[uint64][]*planEntry{}
+	}
+	e := &planEntry{sp: sp, hash: hash, refs: 1, bytes: sp.size()}
+	cn.plans[hash] = append(cn.plans[hash], e)
+	k.plansHeld = append(k.plansHeld, e)
+	cn.held.Add(e.bytes)
 	return sp, true
 }
 
-// wire returns the wire plan held under k, lowering it with lower — once,
+// wire returns the wire plan held under key, lowering it with lower — once,
 // outside the lock, whoever races — when there is none, and whether this
-// call added it.
-func (cn *canon) wire(k wireKey, lower func() *WirePlan) (*WirePlan, bool) {
+// call added it, taking kernel k's reference on it. An evicted kernel shares
+// a plan that is held but lowers a missing one for itself.
+func (cn *canon) wire(k *kernelArtifacts, key wireKey, lower func() *WirePlan) (*WirePlan, bool) {
 	cn.mu.Lock()
-	s, ok := cn.wires[k]
-	if !ok {
-		if cn.wires == nil {
-			cn.wires = map[wireKey]*slot[*WirePlan]{}
+	e := cn.wires[key]
+	if !k.evicted {
+		if e == nil {
+			if cn.wires == nil {
+				cn.wires = map[wireKey]*wireEntry{}
+			}
+			e = &wireEntry{cn: cn, key: key}
+			cn.wires[key] = e
 		}
-		s = new(slot[*WirePlan])
-		cn.wires[k] = s
+		e.refs++
+		k.wiresHeld = append(k.wiresHeld, e)
 	}
 	cn.mu.Unlock()
-	wp, added, _ := s.get(func() (*WirePlan, error) { return lower(), nil })
+	if e == nil {
+		return lower(), true
+	}
+	wp, added, _ := e.get(func() (*WirePlan, error) {
+		wp := lower()
+		wp.entry = e
+		e.charge(wp.size())
+		return wp, nil
+	})
 	return wp, added
+}
+
+// charge adds n bytes to the entry and the ledger, unless the entry has
+// been dropped.
+func (e *wireEntry) charge(n int64) {
+	e.cn.mu.Lock()
+	defer e.cn.mu.Unlock()
+	if !e.dropped {
+		e.bytes += n
+		e.cn.held.Add(n)
+	}
+}
+
+// chargeTables brings the charge for the wire plan's tables under layout l
+// up to what its slots hold now. Executions publish tables concurrently, so
+// the count is taken outside the lock and only ever raises the charge.
+func (e *wireEntry) chargeTables(wp *WirePlan, l lustre.Layout) {
+	n := tableBytes(wp.tables.Snapshot()[l])
+	e.cn.mu.Lock()
+	defer e.cn.mu.Unlock()
+	if e.dropped {
+		return
+	}
+	i := slices.IndexFunc(e.tables, func(c layoutCharge) bool { return c.layout == l })
+	if i < 0 {
+		i = len(e.tables)
+		e.tables = append(e.tables, layoutCharge{layout: l})
+	}
+	if prev := e.tables[i].bytes; n > prev {
+		e.tables[i].bytes = n
+		e.bytes += n - prev
+		e.cn.held.Add(n - prev)
+	}
+}
+
+// release gives back every reference evicted kernel k holds, refunds its
+// trace, and drops each artifact no other kernel references. Called with
+// the lock held.
+func (cn *canon) release(k *kernelArtifacts) {
+	k.evicted = true
+	cn.held.Add(-k.bytes)
+	for _, e := range k.plansHeld {
+		if e.refs--; e.refs > 0 {
+			continue
+		}
+		held := cn.plans[e.hash]
+		i := slices.Index(held, e)
+		if held = slices.Delete(held, i, i+1); len(held) == 0 {
+			delete(cn.plans, e.hash)
+		} else {
+			cn.plans[e.hash] = held
+		}
+		cn.held.Add(-e.bytes)
+	}
+	for _, e := range k.wiresHeld {
+		if e.refs--; e.refs > 0 {
+			continue
+		}
+		delete(cn.wires, e.key)
+		e.dropped = true
+		cn.held.Add(-e.bytes)
+	}
+	k.plansHeld, k.wiresHeld = nil, nil
 }
 
 // wireKey is everything LowerPlan's output depends on: the stack plan (held

@@ -221,14 +221,15 @@ func TestCanonicalHashCollisionKeptApart(t *testing.T) {
 	}
 
 	var cn canon
+	k := new(kernelArtifacts)
 	const hash = 7
-	if got, added := cn.plan(a, hash); got != a || !added {
+	if got, added := cn.plan(k, a, hash); got != a || !added {
 		t.Fatalf("first plan: got %p added %v", got, added)
 	}
-	if got, added := cn.plan(b, hash); got != b || !added {
+	if got, added := cn.plan(k, b, hash); got != b || !added {
 		t.Fatalf("unequal plan on the same hash: got %p (a %p, b %p) added %v", got, a, b, added)
 	}
-	if got, added := cn.plan(again, hash); got != a || added {
+	if got, added := cn.plan(k, again, hash); got != a || added {
 		t.Fatalf("equal plan: got %p (a %p) added %v", got, a, added)
 	}
 	if plans := len(cn.plans[hash]); plans != 2 {

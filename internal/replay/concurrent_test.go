@@ -127,14 +127,29 @@ func TestSharedStageCacheConcurrentViews(t *testing.T) {
 	if st.WireMisses < 1 || st.WireMisses > int64(len(configs)) {
 		t.Fatalf("wire misses = %d, want between 1 and %d (one per distinct key)", st.WireMisses, len(configs))
 	}
-	// Per-view counters must sum to the merged totals.
+	// Per-view counters must sum to the merged totals; occupancy is the
+	// cache's alone.
 	var sum StageStats
 	for _, v := range views {
 		sum.add(v.Stats())
 	}
+	sum.HeldBytes, sum.Kernels = st.HeldBytes, st.Kernels
 	if sum != st {
 		t.Fatalf("per-view stats sum %+v != shared stats %+v", sum, st)
 	}
+}
+
+// add accumulates o into s.
+func (s *StageStats) add(o StageStats) {
+	s.PlanHits += o.PlanHits
+	s.PlanMisses += o.PlanMisses
+	s.PlanDistinct += o.PlanDistinct
+	s.WireHits += o.WireHits
+	s.WireMisses += o.WireMisses
+	s.WireDistinct += o.WireDistinct
+	s.ServiceHits += o.ServiceHits
+	s.ServiceMisses += o.ServiceMisses
+	s.ServiceFallbacks += o.ServiceFallbacks
 }
 
 // TestKernelStoreConcurrentAccess interleaves Put, Get, Save, and Load on

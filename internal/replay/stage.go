@@ -124,7 +124,7 @@ type wireOp struct {
 // wire under one aggregate-footprint projection. Its operations are
 // immutable and one wire plan serves any number of concurrent stage-3
 // executions; the phase tables those executions leave behind (stage 3a)
-// only ever grow.
+// only ever grow, for as long as the plan lives.
 type WirePlan struct {
 	Nprocs      int
 	PPN         int
@@ -143,6 +143,7 @@ type WirePlan struct {
 	tables  cowmap.Map[lustre.Layout, []lustre.TableSlot]
 
 	service *serviceCounters // the owning cache's stage-3 counters, if any
+	entry   *wireEntry       // the owning cache's entry, charged for the tables, if any
 }
 
 // slotsFor returns the plan's phase-table slots under the layout, adding
@@ -277,12 +278,16 @@ func (rt *Runtime) ExecWhile(wp *WirePlan, st *workload.Stack, keep func() bool)
 
 // exec replays the wire plan, aborting with ErrBudgetExceeded whenever
 // the abort predicate (nil = never) reports true, and books how its storage
-// phases used the plan's phase tables. An aborted replay has published the
-// tables of the prefix it ran.
+// phases used the plan's phase tables — and, when it published some, what
+// they cost the owning cache. An aborted replay has published the tables of
+// the prefix it ran.
 func (rt *Runtime) exec(wp *WirePlan, st *workload.Stack, abort func() bool) error {
 	var uses [lustre.TableUses]int64
 	err := rt.run(wp, st, abort, &uses)
 	wp.service.add(&uses)
+	if uses[lustre.TableBuilt] != 0 && wp.entry != nil {
+		wp.entry.chargeTables(wp, st.Layout())
+	}
 	if rt.View != nil {
 		rt.View.service.add(&uses)
 	}

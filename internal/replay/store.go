@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"tunio/internal/cowmap"
@@ -47,23 +48,45 @@ type KernelEntry struct {
 // it is recorded on a planning library, with no machine, seed or
 // configuration under it — so reuse across sessions is sound.
 //
+// The traces it keeps are bounded by a bytes budget (storeBudget): a Put or
+// Load that leaves the store over it evicts the least recently used
+// kernels — by Get, Put, or never for one only loaded — down to the low
+// water mark. An evicted kernel is recorded again by the next job that
+// needs it, to the same trace.
+//
 // Safe for concurrent use. The entries live in a cowmap.Map, so reads are
-// lock-free: a warm Get indexes the published immutable map and bumps an
-// atomic counter. The first Put under a key wins, so sessions racing to
-// record the same kernel converge on one trace — and Save always
-// serializes a single immutable snapshot, so a save concurrent with puts
-// can never write a torn file. The zero value is an empty store.
+// lock-free: a warm Get indexes the published immutable map and bumps two
+// atomic counters, its hit and its entry's recency. The first Put under a
+// key wins, so sessions racing to record the same kernel converge on one
+// trace — and Save always serializes a single immutable snapshot, so a save
+// concurrent with puts can never write a torn file. The zero value is an
+// empty store.
 type KernelStore struct {
-	entries cowmap.Map[string, KernelEntry]
+	entries cowmap.Map[string, *storeItem]
 	hits    atomic.Int64
 	misses  atomic.Int64
+	clock   atomic.Int64 // recency stamps
+	held    atomic.Int64 // bytes of the stored traces; written under mu
+	evicted atomic.Int64
+	budget  int64      // bytes; 0 is storeBudget
+	mu      sync.Mutex // serializes what adds or evicts
 }
 
-// KernelStoreStats reports store traffic and occupancy.
+// storeItem is one stored kernel with its charge and its recency.
+type storeItem struct {
+	KernelEntry
+	bytes int64
+	used  atomic.Int64
+}
+
+// KernelStoreStats reports store traffic and occupancy: the kernels held,
+// the bytes their traces are charged, and the kernels evicted so far.
 type KernelStoreStats struct {
-	Hits    int64 `json:"hits"`
-	Misses  int64 `json:"misses"`
-	Kernels int   `json:"kernels"`
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Kernels   int   `json:"kernels"`
+	HeldBytes int64 `json:"held_bytes"`
+	Evicted   int64 `json:"evicted"`
 }
 
 // HitRate returns the lookup hit fraction (0 when never queried).
@@ -73,23 +96,57 @@ func (s KernelStoreStats) HitRate() float64 { return hitRate(s.Hits, s.Misses) }
 func NewKernelStore() *KernelStore { return new(KernelStore) }
 
 // Get looks up the kernel recorded under the identity key, counting the
-// lookup as a hit or miss. Lock-free on every path.
+// lookup as a hit or miss and stamping a hit's recency. Lock-free on every
+// path.
 func (s *KernelStore) Get(key string) (KernelEntry, bool) {
-	e, ok := s.entries.Snapshot()[key]
-	if ok {
-		s.hits.Add(1)
-	} else {
+	it, ok := s.entries.Snapshot()[key]
+	if !ok {
 		s.misses.Add(1)
+		return KernelEntry{}, false
 	}
-	return e, ok
+	s.hits.Add(1)
+	it.used.Store(s.clock.Add(1))
+	return it.KernelEntry, true
 }
 
 // Put stores the kernel under the identity key. A key already present
 // keeps its entry (first recording wins).
 func (s *KernelStore) Put(key string, e KernelEntry) {
-	if e.Trace != nil {
-		s.entries.Insert(key, e)
+	if e.Trace == nil {
+		return
 	}
+	fresh := &storeItem{KernelEntry: e, bytes: e.Trace.size()}
+	fresh.used.Store(s.clock.Add(1))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.entries.Insert(key, fresh) == fresh {
+		s.held.Add(fresh.bytes)
+		s.sweep(key)
+	}
+}
+
+// sweep evicts least recently used kernels, never the one under keep, until
+// the store is down to the low water mark — if it is over its budget.
+// Called with mu held.
+func (s *KernelStore) sweep(keep string) {
+	budget := int64(storeBudget)
+	if s.budget > 0 {
+		budget = s.budget
+	}
+	if s.held.Load() <= budget {
+		return
+	}
+	entries := s.entries.Snapshot()
+	var gone []string
+	for _, key := range leastRecentFirst(entries, keep, func(it *storeItem) int64 { return it.used.Load() }) {
+		if s.held.Load() <= lowWater(budget) {
+			break
+		}
+		s.held.Add(-entries[key].bytes)
+		gone = append(gone, key)
+	}
+	s.entries.Delete(gone...)
+	s.evicted.Add(int64(len(gone)))
 }
 
 // Len returns the number of stored kernels.
@@ -100,9 +157,11 @@ func (s *KernelStore) Len() int {
 // Stats returns a snapshot of the store counters.
 func (s *KernelStore) Stats() KernelStoreStats {
 	return KernelStoreStats{
-		Hits:    s.hits.Load(),
-		Misses:  s.misses.Load(),
-		Kernels: s.Len(),
+		Hits:      s.hits.Load(),
+		Misses:    s.misses.Load(),
+		Kernels:   s.Len(),
+		HeldBytes: s.held.Load(),
+		Evicted:   s.evicted.Load(),
 	}
 }
 
@@ -179,7 +238,9 @@ func (s *KernelStore) Save(path string) (int, error) {
 // is the TraceKey of the trace just verified, whatever the file's
 // kernel_hash field says. Existing keys keep their entries — the usual
 // first-Put-wins rule — so loading a warm store under a live one never
-// replaces traces sessions already use.
+// replaces traces sessions already use. A loaded kernel has not been used
+// yet, so when the file holds more than the budget, loaded kernels are the
+// first evicted.
 func (s *KernelStore) Load(path string) (int, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -192,7 +253,7 @@ func (s *KernelStore) Load(path string) (int, error) {
 	if in.Version != storeFileVersion {
 		return 0, fmt.Errorf("replay: kernel store %s: version %d, want %d", path, in.Version, storeFileVersion)
 	}
-	loaded := make(map[string]KernelEntry, len(in.Kernels))
+	loaded := make(map[string]*storeItem, len(in.Kernels))
 	for _, e := range in.Kernels {
 		// The store file is written indented, which reflows the embedded
 		// trace; TraceSHA covers the canonical compact bytes.
@@ -209,10 +270,22 @@ func (s *KernelStore) Load(path string) (int, error) {
 		if err != nil {
 			return 0, fmt.Errorf("replay: kernel store %s: kernel %q: %w", path, e.Key, err)
 		}
-		loaded[e.Key] = KernelEntry{Trace: t, KernelHash: TraceKey(t)}
+		loaded[e.Key] = &storeItem{KernelEntry: KernelEntry{Trace: t, KernelHash: TraceKey(t)}, bytes: t.size()}
+	}
+	n := len(loaded)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	held := s.entries.Snapshot()
+	for key, it := range loaded {
+		if held[key] != nil {
+			delete(loaded, key)
+		} else {
+			s.held.Add(it.bytes)
+		}
 	}
 	s.entries.InsertAll(loaded)
-	return len(loaded), nil
+	s.sweep("")
+	return n, nil
 }
 
 // WriteFileAtomic replaces the file at path with data: the bytes go to a

@@ -130,9 +130,6 @@ func (a *QAgent) Observe(t Transition) {
 	a.buf.Add(t)
 }
 
-// BufferLen returns the number of stored transitions.
-func (a *QAgent) BufferLen() int { return a.buf.Len() }
-
 // TrainStep samples a minibatch and performs one Q-learning update,
 // returning the batch loss. It is a no-op (returning 0) until the buffer
 // holds at least one batch.

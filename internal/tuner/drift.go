@@ -287,9 +287,7 @@ func RunDrift(ctx context.Context, cfg DriftConfig) (*DriftResult, error) {
 
 	view := cfg.Cache
 	if view == nil {
-		stages, key := replay.NewSharedStageCache(), replay.TraceKey(cfg.Trace)
-		stages.Register(key, cfg.Trace)
-		view = stages.View(key)
+		view = replay.NewSharedStageCache().Register(replay.TraceKey(cfg.Trace), cfg.Trace)
 	}
 	d := &driftRun{
 		cfg:    cfg,

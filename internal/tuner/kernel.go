@@ -98,8 +98,7 @@ func ResolveKernel(src KernelSource) (*Kernel, error) {
 	if stages == nil {
 		stages = replay.NewSharedStageCache()
 	}
-	stages.Register(k.Hash, k.Trace)
-	k.View = stages.View(k.Hash)
+	k.View = stages.Register(k.Hash, k.Trace)
 	return k, nil
 }
 

@@ -107,7 +107,7 @@ func TestRunStopsImmediatelyWithAggressiveStopper(t *testing.T) {
 	// stop after iteration 1 with a valid result.
 	res, err := run(Config{
 		Space: params.Space(), PopSize: 4, MaxIterations: 20, Seed: 6,
-		Stopper: &BudgetStopper{MaxIterations: 1},
+		Stopper: &budgetStopper{MaxIterations: 1},
 	}, func(a *params.Assignment, _ int) (float64, float64, error) {
 		return 1, 1, nil
 	})

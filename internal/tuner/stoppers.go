@@ -1,15 +1,5 @@
 package tuner
 
-// NoStop never stops: the pipeline runs its full budget (the paper's
-// "HSTuner with No Stop" baseline).
-type NoStop struct{}
-
-// Stop implements Stopper.
-func (NoStop) Stop(int, float64) bool { return false }
-
-// Reset implements Stopper.
-func (NoStop) Reset() {}
-
 // HeuristicStopper is the traditional early stopper the paper compares
 // against (after Golovin et al.): stop when the best perf has not improved
 // by at least MinImprovement (relative) over the last Window iterations.
@@ -70,40 +60,3 @@ func (o *OracleStopper) Stop(_ int, bestPerf float64) bool {
 
 // Reset implements Stopper.
 func (o *OracleStopper) Reset() {}
-
-// BudgetStopper stops after a fixed number of iterations regardless of
-// progress (a user-imposed tuning budget).
-//
-// The boundary semantics: the pipeline calls Stop with the 1-based tuning
-// iteration number after recording that iteration, so Stop fires once
-// iteration >= MaxIterations — exactly MaxIterations evaluated tuning
-// iterations run (the iteration-0 baseline evaluation is not counted
-// against the budget). A non-positive budget stops at the first
-// opportunity.
-type BudgetStopper struct {
-	MaxIterations int
-}
-
-// Stop implements Stopper.
-func (b *BudgetStopper) Stop(iteration int, _ float64) bool {
-	return iteration >= b.MaxIterations
-}
-
-// Reset implements Stopper.
-func (b *BudgetStopper) Reset() {}
-
-// AllParams is the HSTuner baseline picker: every parameter is tuned every
-// iteration.
-type AllParams struct{}
-
-// NextSubset implements SubsetPicker.
-func (AllParams) NextSubset(_ float64, current []bool) []bool {
-	out := make([]bool, len(current))
-	for i := range out {
-		out[i] = true
-	}
-	return out
-}
-
-// Reset implements SubsetPicker.
-func (AllParams) Reset() {}

@@ -195,7 +195,7 @@ func TestBudgetStopper(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			b := &BudgetStopper{MaxIterations: tc.max}
+			b := &budgetStopper{MaxIterations: tc.max}
 			for it := 1; it <= tc.falseThru; it++ {
 				if b.Stop(it, 1) {
 					t.Fatalf("Stop(%d) = true before the budget of %d was spent", it, tc.max)
@@ -211,15 +211,53 @@ func TestBudgetStopper(t *testing.T) {
 }
 
 func TestAllParamsPicker(t *testing.T) {
-	p := AllParams{}
+	p := allParams{}
 	mask := p.NextSubset(0, make([]bool, 5))
 	for _, m := range mask {
 		if !m {
-			t.Fatal("AllParams must activate everything")
+			t.Fatal("allParams must activate everything")
 		}
 	}
 	p.Reset()
 }
+
+// budgetStopper stops after a fixed number of iterations regardless of
+// progress (a user-imposed tuning budget); the tests use it to cut a run
+// short.
+//
+// The boundary semantics: the pipeline calls Stop with the 1-based tuning
+// iteration number after recording that iteration, so Stop fires once
+// iteration >= MaxIterations — exactly MaxIterations evaluated tuning
+// iterations run (the iteration-0 baseline evaluation is not counted
+// against the budget). A non-positive budget stops at the first
+// opportunity.
+type budgetStopper struct {
+	MaxIterations int
+}
+
+// Stop implements Stopper.
+func (b *budgetStopper) Stop(iteration int, _ float64) bool {
+	return iteration >= b.MaxIterations
+}
+
+// Reset implements Stopper.
+func (b *budgetStopper) Reset() {}
+
+// allParams is the HSTuner baseline picker: every parameter is tuned every
+// iteration — what a nil SubsetPicker does.
+type allParams struct{}
+
+// NextSubset implements SubsetPicker.
+func (allParams) NextSubset(_ float64, current []bool) []bool {
+	out := make([]bool, len(current))
+	for i := range out {
+		out[i] = true
+	}
+	return out
+}
+
+// Reset implements SubsetPicker.
+func (allParams) Reset() {}
 
 // fixedPicker always returns the same mask, for testing subset plumbing.
 type fixedPicker struct{ mask []bool }

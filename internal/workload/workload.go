@@ -96,29 +96,6 @@ func Execute(w Workload, c *cluster.Cluster, s params.StackSettings, seed int64)
 	}, nil
 }
 
-// ExecuteAveraged runs the workload reps times with distinct seeds and
-// averages perf (the paper performs 3 runs per configuration to mitigate
-// platform volatility). Runtime accumulates across runs: the time cost of
-// the extra runs is part of the tuning investment.
-func ExecuteAveraged(w Workload, c *cluster.Cluster, s params.StackSettings, seed int64, reps int) (RunResult, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	var out RunResult
-	out.Report = darshan.NewReport()
-	for i := 0; i < reps; i++ {
-		r, err := Execute(w, c, s, seed+int64(i)*7919)
-		if err != nil {
-			return RunResult{}, err
-		}
-		out.Perf += r.Perf / float64(reps)
-		out.Alpha += r.Alpha / float64(reps)
-		out.Runtime += r.Runtime
-		out.Report.Merge(r.Report)
-	}
-	return out, nil
-}
-
 // ByName returns a workload with default sizing for the cluster, or an
 // error for unknown names. Valid names: vpic, hacc, flash, bdcats, macsio,
 // ior.

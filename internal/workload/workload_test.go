@@ -156,29 +156,6 @@ func TestComputeAddsRuntimeNotPerf(t *testing.T) {
 	}
 }
 
-func TestExecuteAveraged(t *testing.T) {
-	c := cluster.CoriHaswell(4, 32) // with noise
-	w := NewVPIC(c.Procs())
-	single, err := Execute(w, c, defaultSettings(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	avg, err := ExecuteAveraged(w, c, defaultSettings(), 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if avg.Runtime <= 2*single.Runtime {
-		t.Fatalf("3-run averaged runtime %v should accumulate ~3x single %v", avg.Runtime, single.Runtime)
-	}
-	if avg.Perf <= 0 {
-		t.Fatal("averaged perf missing")
-	}
-	// reps < 1 clamps
-	if _, err := ExecuteAveraged(w, c, defaultSettings(), 5, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDeterministicUnderSeed(t *testing.T) {
 	c := cluster.CoriHaswell(4, 32)
 	w := NewVPIC(c.Procs())

@@ -50,18 +50,24 @@ echo "== go test -race (evaluation engine) =="
 # gate), the staged-replay equivalence proofs and the engine's trace/
 # fallback rules always run under the race detector, even when a narrower
 # package pattern was requested: the stage cache and stack pool are shared
-# across workers, so the bit-identity proofs must hold concurrently too.
+# across workers, so the bit-identity proofs must hold concurrently too. A
+# catalogue of warm kernels must never be evicted from them.
 race_run "./internal/tuner ." TestPool TestFanOut TestMemo TestSeedFor TestRunBatch \
     'TestTune(ParallelDeterminism|Cancellation|Memoization)' TestTraceEvaluator TestResolveKernel TestGate \
     'TestDrift(WorkerCount|Pruning)' 'TestEngine(KernelIdentity|Untraceable|KernelFallsBack)' \
     'TestEngine(DistinctTraces|EqualTraces|TunesWhatTheSignatureContradicts|HostileSources)' TestKernelIsItsTrace \
-    TestEngineColdJobBuildsByFootprint TestRecordingNeedsNoMachine 'TestEngine(RefusesNonFiniteCompute|FixPinsShareARecording)'
+    TestEngineColdJobBuildsByFootprint TestRecordingNeedsNoMachine 'TestEngine(RefusesNonFiniteCompute|FixPinsShareARecording)' \
+    TestWarmSetsNeverEvict
 # Stage 1 is a planning library per miss, built on whichever worker misses:
 # its refusal test and the trace walker's seed corpus race with the rest.
 # A kernel's first build teaches it its plan footprint while the other
-# workers wait on it; the footprint's soundness proof runs here as well.
+# workers wait on it; the footprint's soundness proof runs here as well. The
+# caches forget under a bytes budget: sessions racing on a one-kernel cache
+# keep their curves, a kernel evicted mid-session keeps its builds, the
+# counters never go backwards and the store evicts least recently used.
 race_run ./internal/replay TestStagedExec TestStageCache TestSharedStageCache TestKernelStore TestPooledStack TestStagedPlanRefuses FuzzTraceWalk \
-    TestPlanFootprintIsSound
+    TestPlanFootprintIsSound 'TestStageCacheEviction(KeepsCurves|MidSession)' TestStageCacheStatsMonotoneAcrossEviction \
+    TestKernelStoreEvictsLeastRecentlyUsed
 # Recording runs the interpreter on the session's goroutine, many sessions
 # at once: it shares nothing and starts nothing, which its seed corpus, the
 # differential corpus of the tree walk it replaced, the depth limit, the
@@ -70,8 +76,8 @@ race_run ./internal/replay TestStagedExec TestStageCache TestSharedStageCache Te
 race_run ./internal/cinterp FuzzRun TestCorpusGolden TestLangRunawayRecursionCaught TestLangNonFiniteComputeRefused \
     TestRunFirstError TestRunStaysOnTheCallersGoroutine
 # Every shared table above is one internal/cowmap.Map: its first-writer-
-# wins and immutable-snapshot contracts are raced here, the build-once
-# slots on top of it by the TestStageCache pattern above.
+# wins, delete and immutable-snapshot contracts are raced here, the
+# build-once slots on top of it by the TestStageCache pattern above.
 go test -race -count=3 ./internal/cowmap
 
 echo "== go test -race (stage 3a phase tables) =="
